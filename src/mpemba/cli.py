@@ -11,6 +11,7 @@ is ever written outside it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -142,15 +143,9 @@ def _initial_state(cfg: ExperimentConfig, model: ModelInstance, args) -> Density
 
 
 def _metro_config(transform: TransformSpec, args) -> MetropolisConfig:
-    metro = transform.metropolis
-    if args.seed is not None:
-        metro = MetropolisConfig(
-            cooling_tau=metro.cooling_tau, threshold_eps=metro.threshold_eps,
-            nano_n=metro.nano_n, micro_m=metro.micro_m, macro_big_m=metro.macro_big_m,
-            target_modes=metro.target_modes, seed=args.seed,
-            max_total_iterations=metro.max_total_iterations,
-        )
-    return metro
+    if args.seed is None:
+        return transform.metropolis
+    return dataclasses.replace(transform.metropolis, seed=args.seed)
 
 
 def _apply_transform(cfg, model, spectrum, rho, args):

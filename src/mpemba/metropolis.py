@@ -8,16 +8,19 @@ Two annealers operate on a decomposed generator spectrum:
   modes.  A fermionic variant appends sigma^z strings,
   U^f = prod_j U_j (sigma_j^z)^{mod(L-j, 2)}, respecting anticommutation.
   A proposal normally re-draws its parameter uniformly (old + U(0, 2pi)).
-  With the default summed-overlap cost, the first proposal of each nano loop
-  is instead an exact single-coordinate move (the Rotosolve/NFT idea:
-  Ostaszewski et al., Quantum 5, 391 (2021); Nakanishi et al., PRR 2,
-  043158 (2020)): every target amplitude is A + B e^{i theta} + C e^{-i theta}
-  in beta, gamma or delta, so three anchor evaluations fix it and the move
-  sets theta to the minimizer of the summed magnitudes, drawing no random
+  With the default summed-overlap cost the walk uses the Rotosolve/NFT
+  structure (Ostaszewski et al., Quantum 5, 391 (2021); Nakanishi et al.,
+  PRR 2, 043158 (2020)): every target amplitude is
+  A + B e^{i theta} + C e^{-i theta} in the one angle a nano loop varies, so
+  three anchor evaluations at the start of the loop fit it exactly, and
+  every proposal of the loop costs O(K) scalar arithmetic for K targets
+  instead of a rebuild of the 2^L x 2^L unitary.  The first proposal of a
+  loop on beta, gamma or delta is an exact single-coordinate move: it sets
+  theta to the minimizer of the fitted summed magnitudes, drawing no random
   number.  It counts as one proposal, writes one trace row and passes the
-  usual acceptance rule.  alpha, a global phase that moves no cost, keeps its
-  re-draw, and a search with a user ``cost_fn`` (opaque to the annealer)
-  uses re-draws only.
+  usual acceptance rule.  alpha, a global phase that moves no cost, keeps
+  its re-draw.  A search with a user ``cost_fn`` (opaque to the annealer)
+  uses re-draws only and rebuilds the unitary for every proposal.
 * ``swap_metropolis`` specializes to states diagonal in the energy basis:
   proposals permute four randomly chosen populations, which preserves both
   the population multiset and diagonality exactly.
@@ -33,6 +36,7 @@ threshold crossing is what defines convergence.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -45,6 +49,9 @@ from .utils import SIGMA_Z, kron_chain
 
 _PERMS4 = tuple(p for p in permutations(range(4)) if p != (0, 1, 2, 3))
 _PERMS2 = ((1, 0),)
+
+#: Trace rows formatted per write in ``OptimizationTrace.to_csv``.
+_CSV_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -109,11 +116,13 @@ class OptimizationTrace:
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("iteration,cost,T_eff,accepted\n")
-            for j in range(len(self)):
-                fh.write(
-                    f"{self.iteration[j]},{self.cost[j]:.17g},"
-                    f"{self.t_eff[j]:.17g},{int(self.accepted[j])}\n"
-                )
+            # Python copies of the columns a chunk at a time: copies of whole
+            # columns would raise peak memory well above what the arrays hold
+            for start in range(0, len(self), _CSV_CHUNK_ROWS):
+                part = slice(start, start + _CSV_CHUNK_ROWS)
+                rows = zip(self.iteration[part].tolist(), self.cost[part].tolist(),
+                           self.t_eff[part].tolist(), self.accepted[part].tolist())
+                fh.write("".join(f"{it},{c:.17g},{t:.17g},{int(acc)}\n" for it, c, t, acc in rows))
 
 
 class _TraceRecorder:
@@ -192,10 +201,27 @@ def _fit_coordinate(anchor_amps: np.ndarray) -> np.ndarray:
 
     ``anchor_amps`` holds the amplitudes at phi = 0, +2pi/3, -2pi/3 (one row
     per anchor); the fit is the inverse three-point discrete Fourier
-    transform, exact whenever the amplitudes have this form.
+    transform, exact whenever the amplitudes have this form.  Each Euler
+    angle enters U as exp(-/+ i theta/2) on a two-dimensional eigenspace (a
+    global phase for alpha), so every target amplitude of U rho U^dag has
+    this form in any one angle while the others stay fixed.
     """
     phases = np.exp(1j * np.outer((0, -1, 1), _ANCHORS))  # rows pick A, B, C
     return phases @ anchor_amps / 3.0
+
+
+def _fitted_cost(terms, phi: float) -> float:
+    """sum_k |A_k + B_k e^{i phi} + C_k e^{-i phi}| over ``terms`` = [(A_k, B_k, C_k)].
+
+    Python scalars throughout: at the handful of targets a search has, this
+    is far cheaper than any array call.
+    """
+    e = cmath.exp(1j * phi)
+    ec = e.conjugate()
+    total = 0.0
+    for a, b, c in terms:
+        total += abs(a + b * e + c * ec)
+    return total
 
 
 def _minimize_coordinate(coef: np.ndarray) -> float:
@@ -219,24 +245,6 @@ def _minimize_coordinate(coef: np.ndarray) -> float:
         best = phi[np.argmin(objective(phi))]
         step *= 2.0 / (_REFINE_POINTS - 1)
     return float(best)
-
-
-def _exact_coordinate(amplitudes_at, params: np.ndarray, qubit: int, par: int) -> float:
-    """Value of ``params[qubit, par]`` minimizing the summed target overlaps.
-
-    Each Euler angle enters U as exp(-/+ i theta/2) on a two-dimensional
-    eigenspace, so every target amplitude of U rho U^dag is
-    A + B e^{i theta} + C e^{-i theta} in that angle, with the other
-    parameters fixed; three anchor evaluations fix A, B and C exactly.
-    """
-    theta0 = params[qubit, par]
-    trial = params.copy()
-    anchors = []
-    for shift in _ANCHORS:
-        trial[qubit, par] = theta0 + shift
-        anchors.append(amplitudes_at(trial))
-    offset = _minimize_coordinate(_fit_coordinate(np.array(anchors)))
-    return float((theta0 + offset) % (2.0 * np.pi))
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -282,19 +290,25 @@ def unitary_metropolis(
     prepare states at a chosen overlap).  Non-convergence within the budgets
     is reported through ``trace.converged``, not an exception.
 
-    With the default cost, the first proposal of every nano loop on beta,
-    gamma or delta is the exact minimization of the summed overlaps along
-    that parameter (three anchor evaluations, no random draw); it is one
-    proposal and one trace row like any other.  alpha is always re-drawn,
-    and with a ``cost_fn`` every proposal is a uniform re-draw.
+    With the default cost, each nano loop first fits the target amplitudes
+    as A + B e^{i theta} + C e^{-i theta} in its parameter (three anchor
+    evaluations; no other parameter moves during the loop, so the fit stays
+    exact), and every proposal of the loop is then priced from the fit in
+    O(K) scalar arithmetic for K targets, with no unitary rebuilt.  The first
+    proposal of a loop on beta, gamma or delta is the exact minimization of
+    the summed overlaps along that parameter (no random draw); it is one
+    proposal and one trace row like any other.  alpha is always re-drawn.
+    A ``cost_fn`` is opaque: every proposal is a uniform re-draw, priced by
+    rebuilding the unitary and calling it.  The returned state is built once,
+    from the best parameters.
     """
     rho_m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     d = rho_m.shape[0]
     n_qubits = int(np.log2(d))
     if 2**n_qubits != d:
         raise ValidationError("unitary metropolis requires a 2^L-dimensional state")
-    exact_moves = cost_fn is None
-    if exact_moves:
+    fitted = cost_fn is None
+    if fitted:
         targets = tuple(config.target_modes)
         v = spectrum.basis.vectors
         vh = v.conj().T
@@ -335,15 +349,27 @@ def unitary_metropolis(
             qubit = int(rng.integers(n_qubits))
             for _micro in range(config.micro_m):
                 par = int(rng.integers(4))
+                if fitted:
+                    theta0 = params[qubit, par]
+                    trial = params.copy()
+                    anchors = []
+                    for shift in _ANCHORS:
+                        trial[qubit, par] = theta0 + shift
+                        anchors.append(amplitudes_at(trial))
+                    coef = _fit_coordinate(np.array(anchors))
+                    terms = list(zip(*coef.tolist()))
                 for nano in range(config.nano_n):
                     iteration += 1
                     old = params[qubit, par]
-                    if exact_moves and nano == 0 and par != 0:
-                        params[qubit, par] = _exact_coordinate(amplitudes_at, params, qubit, par)
+                    if fitted and nano == 0 and par != 0:
+                        params[qubit, par] = (theta0 + _minimize_coordinate(coef)) % (2.0 * np.pi)
                     else:
                         params[qubit, par] = (old + rng.uniform(0.0, 2.0 * np.pi)) % (2.0 * np.pi)
-                    u = build_ansatz_unitary(UnitaryAnsatz(params, fermionic=fermionic))
-                    new_cost = cost_fn(u @ rho_m @ u.conj().T)
+                    if fitted:
+                        new_cost = _fitted_cost(terms, params[qubit, par] - theta0)
+                    else:
+                        u = build_ansatz_unitary(UnitaryAnsatz(params, fermionic=fermionic))
+                        new_cost = cost_fn(u @ rho_m @ u.conj().T)
                     accepted = metropolis_accept(new_cost, current_cost, t_eff, rng)
                     if accepted:
                         current_cost = new_cost

@@ -47,7 +47,11 @@ def kron_chain(factors) -> np.ndarray:
     """Kronecker product of a sequence of matrices, left to right."""
     out = np.eye(1, dtype=complex)
     for f in factors:
-        out = np.kron(out, f)
+        f = np.asarray(f)
+        # the products np.kron forms, without its generic-rank machinery
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(
+            out.shape[0] * f.shape[0], out.shape[1] * f.shape[1]
+        )
     return out
 
 

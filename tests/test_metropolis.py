@@ -3,7 +3,12 @@ import pytest
 
 import mpemba as mp
 from mpemba.errors import ValidationError
-from mpemba.metropolis import _exact_coordinate, _fit_coordinate, metropolis_accept
+from mpemba.metropolis import (
+    _CSV_CHUNK_ROWS,
+    _fit_coordinate,
+    _minimize_coordinate,
+    metropolis_accept,
+)
 from mpemba.utils import SIGMA_Z
 
 from conftest import DEMO_BLOCH
@@ -186,7 +191,8 @@ class TestExactCoordinateMove:
                 def cost_at(theta):
                     return np.abs(amplitudes_at(with_angle(params, qubit, par, theta))).sum()
 
-                theta_star = _exact_coordinate(amplitudes_at, params, qubit, par)
+                offset = _minimize_coordinate(_fit_coordinate(np.array(anchors)))
+                theta_star = (theta0 + offset) % (2 * np.pi)
                 cost_star = cost_at(theta_star)
                 grid_best = min(cost_at(theta) for theta in 2 * np.pi * np.arange(64) / 64)
                 # rounding allowance: beta is flat on the qubit (cost constant in it)
@@ -194,6 +200,68 @@ class TestExactCoordinateMove:
                 # and a local minimum, not just a good grid point
                 neighbours = min(cost_at(theta_star + 1e-6), cost_at(theta_star - 1e-6))
                 assert cost_star <= neighbours + 1e-12
+
+
+class TestFittedWalk:
+    @pytest.mark.parametrize("setup", ["qubit", "fermionic_l3", "dot"])
+    def test_best_cost_matches_returned_state(self, setup, qubit_spec, tfim3_model):
+        # proposals are priced from the per-loop fit; the state rebuilt from the
+        # best parameters must cost what the trace says
+        fermionic = setup != "qubit"
+        if setup == "qubit":
+            spec, rho, targets = qubit_spec, mp.bloch_to_state(list(DEMO_BLOCH)), (2, 3)
+        elif setup == "fermionic_l3":
+            spec = mp.decompose(mp.build_generator(tfim3_model))
+            rho, targets = mp.random_mixed_state(8, 5, seed=3), (2, 3, 4)
+        else:
+            dot = mp.quantum_dot(energy_resolved=True)
+            spec = mp.decompose(mp.build_generator(dot))
+            rho = mp.thermal_state(dot.basis(), 1.0 / (0.1 * mp.models.GHZ_PER_KELVIN))
+            amps = spec.amplitudes(rho)
+            targets = tuple(k for k in range(2, spec.n_modes + 1) if abs(amps[k - 1]) > 1e-8)
+        for seed in range(4):
+            cfg = mp.MetropolisConfig(
+                cooling_tau=0.999, threshold_eps=1e-12, target_modes=targets, seed=seed,
+                nano_n=50, micro_m=5, max_total_iterations=3_000,
+            )
+            rho_best, _, trace = mp.unitary_metropolis(spec, rho, cfg, fermionic=fermionic)
+            assert len(trace) > 0
+            direct = mp.cost(spec, rho_best, targets)
+            assert abs(direct - trace.best_cost) <= 1e-12 + 1e-9 * trace.best_cost
+
+
+class TestTraceCsv:
+    @staticmethod
+    def _per_row_csv(trace, path):
+        # reference: the original one-write-per-row formatter
+        with open(path, "w") as fh:
+            fh.write("iteration,cost,T_eff,accepted\n")
+            for j in range(len(trace)):
+                fh.write(
+                    f"{trace.iteration[j]},{trace.cost[j]:.17g},"
+                    f"{trace.t_eff[j]:.17g},{int(trace.accepted[j])}\n"
+                )
+
+    def test_bytes_match_per_row_formatter(self, tmp_path, qubit_spec):
+        rho = mp.bloch_to_state(list(DEMO_BLOCH))
+        cfg = mp.MetropolisConfig(
+            cooling_tau=0.99, threshold_eps=1e-12, target_modes=(2, 3), seed=3,
+            max_total_iterations=3_000,
+        )
+        _, _, trace = mp.unitary_metropolis(qubit_spec, rho, cfg)
+        # long enough to be written in several chunks, the last one partial
+        assert len(trace) == 3_000 and len(trace) % _CSV_CHUNK_ROWS
+        assert trace.accepted.any() and not trace.accepted.all()
+        empty = mp.OptimizationTrace(
+            iteration=np.zeros(0, dtype=int), cost=np.zeros(0), t_eff=np.zeros(0),
+            accepted=np.zeros(0, dtype=bool), converged=True, best_cost=0.0,
+        )
+        for name, tr in (("search", trace), ("empty", empty)):
+            tr.to_csv(tmp_path / f"{name}.csv")
+            self._per_row_csv(tr, tmp_path / f"{name}_reference.csv")
+            assert (tmp_path / f"{name}.csv").read_bytes() == (
+                tmp_path / f"{name}_reference.csv"
+            ).read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import mpemba as mp
 from mpemba.errors import ValidationError
-from mpemba.utils import SIGMA_X
+from mpemba.utils import SIGMA_X, kron_chain
 
 from conftest import DEMO_BLOCH, DEMO_RADIUS
 
@@ -179,3 +179,23 @@ class TestDephase:
         twice = mp.dephase(once, basis)
         np.testing.assert_allclose(once.entries, twice.entries, atol=1e-13)
         assert np.trace(once.entries).real == pytest.approx(1.0, abs=1e-12)
+
+
+class TestKronChain:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bit_identical_to_np_kron(self, dtype):
+        rng = np.random.default_rng(17)
+        for n_factors in range(1, 7):
+            factors = []
+            for _ in range(n_factors):
+                shape = tuple(rng.integers(1, 4, size=2))
+                f = rng.normal(size=shape)
+                if dtype is complex:
+                    f = f + 1j * rng.normal(size=shape)
+                factors.append(f)
+            expected = np.eye(1, dtype=complex)
+            for f in factors:
+                expected = np.kron(expected, f)
+            out = kron_chain(factors)
+            assert out.dtype == expected.dtype
+            assert np.array_equal(out, expected)
