@@ -4,8 +4,10 @@ Two annealers operate on a decomposed generator spectrum:
 
 * ``unitary_metropolis`` walks over products of single-qubit unitaries
   U_j = exp(i alpha) R_z(beta) R_x(gamma) R_z(delta), one parameter per
-  proposal, minimizing the summed overlap magnitude with a set of target
-  modes.  A fermionic variant appends sigma^z strings,
+  proposal, minimizing the summed overlap magnitude sum_k |Tr(l_k rho)| with
+  a set of target modes.  The cost and the fit anchors below read the
+  target amplitudes through ``GeneratorSpectrum.amplitudes``, the spectrum's
+  one amplitude routine.  A fermionic variant appends sigma^z strings,
   U^f = prod_j U_j (sigma_j^z)^{mod(L-j, 2)}, respecting anticommutation.
   A proposal normally re-draws its parameter uniformly (old + U(0, 2pi)).
   With the default summed-overlap cost the walk uses the Rotosolve/NFT
@@ -45,13 +47,10 @@ import numpy as np
 from .errors import ValidationError
 from .operators import DensityMatrix
 from .spectral import GeneratorSpectrum
-from .utils import SIGMA_Z, kron_chain
+from .utils import SIGMA_Z, kron_chain, write_csv
 
 _PERMS4 = tuple(p for p in permutations(range(4)) if p != (0, 1, 2, 3))
 _PERMS2 = ((1, 0),)
-
-#: Trace rows formatted per write in ``OptimizationTrace.to_csv``.
-_CSV_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -114,15 +113,10 @@ class OptimizationTrace:
         return self.iteration.size
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iteration,cost,T_eff,accepted\n")
-            # Python copies of the columns a chunk at a time: copies of whole
-            # columns would raise peak memory well above what the arrays hold
-            for start in range(0, len(self), _CSV_CHUNK_ROWS):
-                part = slice(start, start + _CSV_CHUNK_ROWS)
-                rows = zip(self.iteration[part].tolist(), self.cost[part].tolist(),
-                           self.t_eff[part].tolist(), self.accepted[part].tolist())
-                fh.write("".join(f"{it},{c:.17g},{t:.17g},{int(acc)}\n" for it, c, t, acc in rows))
+        write_csv(
+            path, "iteration,cost,T_eff,accepted",
+            (self.iteration, self.cost, self.t_eff, self.accepted), "%d,%.17g,%.17g,%d\n",
+        )
 
 
 class _TraceRecorder:
@@ -162,31 +156,10 @@ def cost(spectrum: GeneratorSpectrum, rho, target_modes) -> float:
     """Sum of overlap magnitudes |Tr(l_k rho)| over the targeted modes."""
     if not target_modes:
         return 0.0
-    rho_e = spectrum._to_eig(rho)
-    return _cost_eig(spectrum, rho_e, tuple(target_modes))
-
-
-def _cost_eig(spectrum: GeneratorSpectrum, rho_e: np.ndarray, target_modes) -> float:
     total = 0.0
-    for val in _target_amplitudes(spectrum, rho_e, target_modes):
+    for val in spectrum.amplitudes(rho, target_modes):
         total += abs(val)
     return float(total)
-
-
-def _target_amplitudes(spectrum: GeneratorSpectrum, rho_e: np.ndarray, target_modes) -> np.ndarray:
-    """Overlaps Tr(l_k rho) of the targeted modes, ``rho_e`` in the eigenbasis."""
-    out = np.empty(len(target_modes), dtype=complex)
-    for j, k in enumerate(target_modes):
-        if not 1 <= k <= spectrum.n_modes:
-            raise ValidationError(f"target mode {k} outside spectrum")
-        tag = spectrum._tags[k - 1]
-        if tag[0] == "dense":
-            out[j] = np.einsum("nm,mn->", spectrum._payload["lefts"][tag[1]], rho_e)
-        elif tag[0] == "pop":
-            out[j] = spectrum._payload["pop_lefts"][:, tag[1]] @ np.diag(rho_e)
-        else:
-            out[j] = rho_e[tag[1], tag[2]]
-    return out
 
 
 #: Anchor offsets of the three-point fit; e^{i phi} at them are the cube roots of unity.
@@ -309,16 +282,14 @@ def unitary_metropolis(
         raise ValidationError("unitary metropolis requires a 2^L-dimensional state")
     fitted = cost_fn is None
     if fitted:
-        targets = tuple(config.target_modes)
-        v = spectrum.basis.vectors
-        vh = v.conj().T
+        targets = config.target_modes
 
         def cost_fn(rho_lab):
-            return _cost_eig(spectrum, vh @ rho_lab @ v, targets)
+            return cost(spectrum, rho_lab, targets)
 
         def amplitudes_at(p):
             u = build_ansatz_unitary(UnitaryAnsatz(p, fermionic=fermionic))
-            return _target_amplitudes(spectrum, vh @ (u @ rho_m @ u.conj().T) @ v, targets)
+            return spectrum.amplitudes(u @ rho_m @ u.conj().T, targets)
 
     # short-circuit: a state already below threshold needs no transformation
     identity_cost = cost_fn(rho_m)

@@ -11,7 +11,10 @@ eigenmatrices explicitly (fine up to d ~ 16-32).  A block decomposition of a
 Davies generator keeps the population modes as vectors and the coherence
 modes as index pairs, which never touches a d^2 x d^2 array and stays
 numerically stable at low temperature, where the dense eigenbasis becomes
-exponentially ill-conditioned.
+exponentially ill-conditioned.  One routine,
+:meth:`GeneratorSpectrum.amplitudes`, turns a state into mode amplitudes for
+both representations; every other caller (:func:`amplitude`, the annealers'
+costs) goes through it.
 """
 
 from __future__ import annotations
@@ -81,6 +84,18 @@ class GeneratorSpectrum:
         self.gap_is_complex = bool(
             self.n_modes > 1 and _is_complex_mode(self.eigenvalues, 1)
         )
+        lam = self.eigenvalues
+        if self.kind == "dense":
+            coherent = np.abs(lam.imag) > IMAG_TOL * np.maximum(1.0, np.abs(lam))
+        else:
+            coherent = np.array([tag[0] == "coh" for tag in self._tags])
+            # where each block mode is read: coherence (n, m) at n*d + m of
+            # the flattened rho_e, population mode at column j of pop_lefts
+            # (-1 marks a coherence)
+            d = basis.dim
+            self._flat = np.array([tag[1] * d + tag[2] if c else 0 for c, tag in zip(coherent, self._tags)])
+            self._pop_col = np.array([-1 if c else tag[1] for c, tag in zip(coherent, self._tags)])
+        self._coherent = frozen(coherent)
 
     # -- structure ---------------------------------------------------------
 
@@ -106,16 +121,11 @@ class GeneratorSpectrum:
         Block spectra know this structurally; for dense spectra the criterion
         is a nonzero imaginary part of the eigenvalue.
         """
-        idx = _check_mode_index(k, self.n_modes)
-        tag = self._tags[idx]
-        if tag[0] != "dense":
-            return tag[0] == "coh"
-        lam = self.eigenvalues[idx]
-        return abs(lam.imag) > IMAG_TOL * max(1.0, abs(lam))
+        return bool(self._coherent[_check_mode_index(k, self.n_modes)])
 
     def coherent_modes(self) -> list[int]:
         """1-based indices of all coherence-sector modes."""
-        return [k for k in range(2, self.n_modes + 1) if self.is_coherent_mode(k)]
+        return (np.flatnonzero(self._coherent[1:]) + 2).tolist()
 
     # -- eigenmatrices -----------------------------------------------------
 
@@ -157,19 +167,28 @@ class GeneratorSpectrum:
 
     # -- amplitudes ---------------------------------------------------------
 
-    def amplitudes(self, rho) -> np.ndarray:
-        """Tr(l_k rho) for every mode, as a vector indexed by k-1."""
-        return self._amplitudes_eig(self._to_eig(rho))
+    def amplitudes(self, rho, modes=None) -> np.ndarray:
+        """Overlaps Tr(l_k rho) of the 1-based ``modes``, in their order.
 
-    def _amplitudes_eig(self, rho_e: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n_modes, dtype=complex)
-        for idx, tag in enumerate(self._tags):
-            if tag[0] == "dense":
-                out[idx] = np.einsum("nm,mn->", self._payload["lefts"][tag[1]], rho_e)
-            elif tag[0] == "pop":
-                out[idx] = self._payload["pop_lefts"][:, tag[1]] @ np.diag(rho_e)
-            else:
-                out[idx] = rho_e[tag[1], tag[2]]
+        ``modes=None`` gives every mode, as a vector indexed by k-1.  This is
+        the one routine that turns a state into amplitudes, for both
+        representations: dense modes contract their stored left eigenmatrices
+        in one batch, coherence modes are single entries of rho in the energy
+        basis, and population modes weight its diagonal.  Only the requested
+        modes are computed.  A mode outside 1..n_modes raises
+        :class:`ValidationError`.
+        """
+        rho_e = self._to_eig(rho)
+        if modes is None:
+            idx = np.arange(self.n_modes)
+        else:
+            idx = np.array([_check_mode_index(k, self.n_modes) for k in modes], dtype=np.intp)
+        if self.kind == "dense":
+            return np.einsum("knm,mn->k", self._payload["lefts"][idx], rho_e)
+        out = rho_e.ravel()[self._flat[idx]]
+        for i, j in enumerate(self._pop_col[idx].tolist()):
+            if j >= 0:  # one product per mode: a batched one rounds differently
+                out[i] = self._payload["pop_lefts"][:, j] @ np.diag(rho_e)
         return out
 
     def _to_eig(self, rho) -> np.ndarray:
@@ -327,13 +346,9 @@ def _decompose_dense(g_dense, basis, sector_labels=None):
 
 def _obeys_detailed_balance(gp: np.ndarray, energies: np.ndarray, beta: float) -> bool:
     """Upward/downward rate ratios equal the Boltzmann factors (to roundoff)."""
-    d = gp.shape[0]
-    for m in range(d):
-        for n in range(m + 1, d):
-            expected = gp[m, n] * np.exp(-beta * (energies[n] - energies[m]))
-            if abs(gp[n, m] - expected) > 1e-10 * max(1.0, gp[m, n]):
-                return False
-    return True
+    m, n = np.triu_indices(gp.shape[0], k=1)
+    expected = gp[m, n] * np.exp(-beta * (energies[n] - energies[m]))
+    return not np.any(np.abs(gp[n, m] - expected) > 1e-10 * np.maximum(1.0, gp[m, n]))
 
 
 def _decompose_block(gen: DaviesGenerator):
@@ -419,14 +434,7 @@ def spectral_gap(spectrum: GeneratorSpectrum) -> GapInfo:
 
 def amplitude(spectrum: GeneratorSpectrum, k: int, rho) -> complex:
     """Overlap Tr(l_k rho) of 1-based mode k with a state."""
-    rho_e = spectrum._to_eig(rho)
-    idx = _check_mode_index(k, spectrum.n_modes)
-    tag = spectrum._tags[idx]
-    if tag[0] == "dense":
-        return complex(np.einsum("nm,mn->", spectrum._payload["lefts"][tag[1]], rho_e))
-    if tag[0] == "pop":
-        return complex(spectrum._payload["pop_lefts"][:, tag[1]] @ np.diag(rho_e))
-    return complex(rho_e[tag[1], tag[2]])
+    return complex(spectrum.amplitudes(rho, (k,))[0])
 
 
 def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
@@ -440,9 +448,9 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     coherence by its closed-form exponential.
     """
     times = np.asarray(times, dtype=float)
-    rho_e = spectrum._to_eig(rho_i)
     basis = spectrum.basis
     if spectrum.kind == "block":
+        rho_e = spectrum._to_eig(rho_i)
         p0 = np.real(np.diag(rho_e)).copy()
         pops = _propagate_populations(spectrum._payload["pop_block"], p0, times)
         gmat = spectrum._payload["coh_matrix"]
@@ -453,7 +461,7 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
             states.append(_package_state(out, basis))
         return EvolutionGrid(times, states)
 
-    amps = spectrum._amplitudes_eig(rho_e)
+    amps = spectrum.amplitudes(rho_i)
     rights = spectrum._payload["rights"]
     tau_e = basis.to_eigenbasis(spectrum.steady_state.entries)
     phases = np.exp(np.outer(times, spectrum.eigenvalues[1:]))

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ValidationError
 from .operators import DensityMatrix, SpectralBasis, thermal_populations
 from .spectral import EvolutionGrid
-from .utils import frozen, log_gibbs_weights, xlogx
+from .utils import frozen, log_gibbs_weights, write_csv, xlogx
 
 #: Eigenvalue threshold below which a state direction counts as unsupported.
 SUPPORT_TOL = 1e-12
@@ -190,23 +190,12 @@ class ThermoTrajectory:
 
     def to_csv(self, path) -> None:
         """Fixed column order, 17 significant digits (golden-file friendly)."""
-        with open(path, "w") as fh:
-            cols = CSV_COLUMNS if self.pi.size else CSV_COLUMNS[:-1]
-            fh.write(",".join(cols) + "\n")
-            for j in range(len(self)):
-                row = [
-                    self.times[j], self.f_neq[j], self.d_rel[j], self.p_classical[j],
-                    self.c_coherence[j], self.l1[j], self.t1[j],
-                ]
-                if self.pi.size:
-                    row.append(self.pi[j])
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return f"{x:.17g}"
+        columns = [self.times, self.f_neq, self.d_rel, self.p_classical,
+                   self.c_coherence, self.l1, self.t1]
+        if self.pi.size:
+            columns.append(self.pi)
+        write_csv(path, ",".join(CSV_COLUMNS[:len(columns)]), columns,
+                  ",".join(["%.17g"] * len(columns)) + "\n")
 
 
 def compute_trajectory(

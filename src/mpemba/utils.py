@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Rows formatted per write in :func:`write_csv`.
+_CSV_CHUNK_ROWS = 1024
+
 #: Pauli matrices in the computational (sigma_z) basis.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -91,3 +94,20 @@ def xlogx(p: np.ndarray) -> np.ndarray:
     mask = p > 1e-300
     out[mask] = p[mask] * np.log(p[mask])
     return out
+
+
+def write_csv(path, header: str, columns, row_format: str) -> None:
+    """Write equal-length array columns to ``path``, one ``row_format % row`` a line.
+
+    ``header`` is the first line, without its newline.  ``row_format`` is one
+    printf-style pattern for a whole row, newline included; ``%.17g`` keeps
+    every bit of a double and prints inf, -inf and nan as such.  Python copies
+    of the columns are made a chunk at a time: copies of whole columns would
+    raise peak memory well above what the arrays hold.
+    """
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            part = slice(start, start + _CSV_CHUNK_ROWS)
+            rows = zip(*(col[part].tolist() for col in columns))
+            fh.write("".join(row_format % row for row in rows))

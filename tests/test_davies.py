@@ -159,6 +159,50 @@ class TestDetailedBalance:
         assert mp.verify_detailed_balance(g, basis.energies, tau) <= 1e-9
 
 
+    def test_tfim3_generator_satisfies_kms(self, tfim3_model, tfim3_gen):
+        basis = tfim3_model.basis()
+        tau = mp.thermal_populations(basis, tfim3_model.bath.beta)
+        assert mp.verify_detailed_balance(tfim3_gen.dense, basis.energies, tau) <= 1e-9
+
+        jumps = mp.build_jump_matrix(basis, tfim3_model.bath)
+        bad = np.array(jumps.amplitudes)
+        bad[1, 0] *= np.sqrt(2.0)  # double one upward rate
+        g_bad = mp.build_dense_generator(basis, mp.JumpMatrix(bad))
+        assert mp.verify_detailed_balance(g_bad, basis.energies, tau) > 1e-3
+
+    @pytest.mark.parametrize("case", ["davies", "corrupted_rate", "generic_jumps"])
+    def test_value_matches_elemental_definition(self, case):
+        # max |<E_ab, D^dag E_ce>_tau - <D^dag E_ab, E_ce>_tau| over all
+        # elemental matrices, with <A, B>_tau = Tr(tau A^dag B); generic
+        # jumps also couple coherences to populations
+        model = mp.tfim(length=2)
+        basis = model.basis()
+        d = basis.dim
+        jumps = np.array(mp.build_jump_matrix(basis, model.bath).amplitudes)
+        if case == "corrupted_rate":
+            jumps[1, 0] *= 1.5
+        g = mp.build_dense_generator(basis, mp.JumpMatrix(jumps))
+        if case == "generic_jumps":
+            rng = np.random.default_rng(2)
+            ops = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+            g = vectorized_lindbladian(np.diag(basis.energies).astype(complex), list(ops))
+        tau = mp.thermal_populations(basis, model.bath.beta)
+
+        h = np.diag(basis.energies)
+        unitary = -1j * np.kron(h, np.eye(d)) + 1j * np.kron(np.eye(d), h.T)
+        diss_adj = (g - unitary).conj().T
+        units = np.eye(d * d).reshape(d * d, d, d)
+        images = np.einsum("pq,kq->kp", diss_adj, units.reshape(d * d, -1)).reshape(-1, d, d)
+
+        def inner(xs, ys):
+            return np.einsum("i,kji,lji->kl", tau, xs.conj(), ys)
+
+        expected = np.abs(inner(units, images) - inner(images, units)).max()
+        value = mp.verify_detailed_balance(g, basis.energies, tau)
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert (value > 1e-3) is (case != "davies")
+
+
 class TestGeneratorObject:
     def test_requires_some_representation(self, qubit_model):
         with pytest.raises(ValidationError):

@@ -4,12 +4,11 @@ import pytest
 import mpemba as mp
 from mpemba.errors import ValidationError
 from mpemba.metropolis import (
-    _CSV_CHUNK_ROWS,
     _fit_coordinate,
     _minimize_coordinate,
     metropolis_accept,
 )
-from mpemba.utils import SIGMA_Z
+from mpemba.utils import _CSV_CHUNK_ROWS, SIGMA_Z
 
 from conftest import DEMO_BLOCH
 

@@ -1,10 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import mpemba as mp
 from mpemba.davies import eigenvalue_multiset_distance, vectorized_lindbladian
-from mpemba.errors import DefectiveGeneratorError, NoSteadyStateError
-from mpemba.spectral import IMAG_TOL, _mode_order
+from mpemba.errors import DefectiveGeneratorError, NoSteadyStateError, ValidationError
+from mpemba.spectral import IMAG_TOL, _mode_order, _obeys_detailed_balance
 
 from conftest import DEMO_BLOCH, QUBIT_GAMMA_TOTAL
 
@@ -125,6 +128,109 @@ class TestAmplitudes:
             contrib_d = sum(a_dense[j - 1] * dense.right(j) for j in matches)
             if len(matches) == 1:
                 assert np.abs(contrib_b - contrib_d).max() <= 1e-8
+
+
+@pytest.fixture(scope="module", params=["qubit_dense", "tfim3_block", "tfim3_dense", "dot"])
+def spectrum_case(request, qubit_spec, tfim3_gen):
+    if request.param == "qubit_dense":
+        spec = qubit_spec
+    elif request.param == "tfim3_block":
+        spec = mp.decompose(tfim3_gen)
+    elif request.param == "tfim3_dense":
+        spec = mp.decompose(tfim3_gen, prefer="dense")
+    else:
+        spec = mp.decompose(mp.build_generator(mp.quantum_dot(energy_resolved=True)))
+    return spec, mp.random_mixed_state(spec.dim, 3, seed=5)
+
+
+class TestAmplitudeRoutine:
+    def test_selected_modes_match_full_vector_bitwise(self, spectrum_case):
+        spec, rho = spectrum_case
+        full = spec.amplitudes(rho)
+        rng = np.random.default_rng(0)
+        subsets = [np.arange(1, spec.n_modes + 1), np.array([spec.n_modes, 1, 2])]
+        subsets += [rng.choice(np.arange(1, spec.n_modes + 1), size=3) for _ in range(5)]
+        for modes in subsets:
+            part = spec.amplitudes(rho, tuple(modes.tolist()))
+            assert part.tobytes() == full[modes - 1].tobytes()
+        for k in range(1, spec.n_modes + 1):
+            assert mp.amplitude(spec, k, rho) == full[k - 1]
+        assert spec.amplitudes(rho, ()).shape == (0,)
+
+    def test_matches_trace_with_left_eigenmatrix(self, spectrum_case):
+        spec, rho = spectrum_case
+        rho_e = spec.basis.to_eigenbasis(rho.entries)
+        amps = spec.amplitudes(rho)
+        for k in range(1, spec.n_modes + 1):
+            left = spec.left(k)
+            # rounding scale of the contraction (block population lefts grow
+            # like exp(beta E / 2) at low temperature)
+            scale = max(1.0, float(np.abs(left * rho_e.T).sum()))
+            assert abs(amps[k - 1] - np.trace(left @ rho_e)) <= 1e-12 * scale
+
+    def test_out_of_range_mode_rejected(self, spectrum_case):
+        spec, rho = spectrum_case
+        for modes in ((0,), (spec.n_modes + 1,), (2, spec.n_modes + 1)):
+            with pytest.raises(ValidationError):
+                spec.amplitudes(rho, modes)
+        with pytest.raises(ValidationError):
+            mp.amplitude(spec, spec.n_modes + 1, rho)
+
+    def test_coherent_modes_follow_per_mode_definition(self, spectrum_case):
+        spec, _ = spectrum_case
+
+        def coherent(k):
+            tag = spec.mode_tag(k)
+            if tag[0] != "dense":
+                return tag[0] == "coh"
+            lam = spec.eigenvalues[k - 1]
+            return bool(abs(lam.imag) > IMAG_TOL * max(1.0, abs(lam)))
+
+        expected = [k for k in range(2, spec.n_modes + 1) if coherent(k)]
+        assert spec.coherent_modes() == expected and expected
+        for k in range(1, spec.n_modes + 1):
+            assert spec.is_coherent_mode(k) is coherent(k)
+
+
+def test_private_spectrum_state_stays_in_spectral_module():
+    # every other module reaches amplitudes through the public API
+    private = {"_tags", "_payload", "_to_eig", "_amplitudes_eig"}
+    package = Path(mp.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not offenders, offenders
+
+
+class TestBlockEigFallback:
+    def test_non_detailed_balance_block(self, tfim3_model, tfim3_gen):
+        # raise one upward rate and rebalance the columns: a valid rate
+        # matrix whose Gibbs ratios fail, so decompose takes the eig branch
+        basis = tfim3_model.basis()
+        gp = np.array(tfim3_gen.pop_block)
+        gp[1, 0] *= 3.0
+        np.fill_diagonal(gp, 0.0)
+        np.fill_diagonal(gp, -gp.sum(axis=0))
+        gen = mp.DaviesGenerator(
+            basis=basis, pop_block=gp, coh_diagonal=tfim3_gen.coh_diagonal,
+            meta=tfim3_gen.meta,
+        )
+        assert _obeys_detailed_balance(np.array(tfim3_gen.pop_block), basis.energies,
+                                       tfim3_model.bath.beta)
+        assert not _obeys_detailed_balance(gp, basis.energies, tfim3_model.bath.beta)
+        spec = mp.decompose(gen)
+        pops = [k for k in range(1, spec.n_modes + 1) if spec.mode_tag(k)[0] == "pop"]
+        assert len(pops) == basis.dim
+        gram = np.array([[np.trace(spec.left(j) @ spec.right(k)) for k in pops] for j in pops])
+        assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-9
+        p_ss = np.real(np.diag(basis.to_eigenbasis(spec.steady_state.entries)))
+        assert p_ss.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(gp @ p_ss).max() <= 1e-10 * np.abs(gp).max()
+        assert spec.mode_tag(1)[0] == "pop"
 
 
 class TestEvolution:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -175,6 +176,21 @@ class TestTrajectoryObject:
         assert path_a.read_bytes() == path_b.read_bytes()
         header = path_a.read_text().splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
+
+    def test_csv_round_trips_every_value(self, tmp_path, qubit_setup):
+        # 17 significant digits restore each double; non-finite values keep their sign
+        _, _, _, traj = qubit_setup
+        p_cl = np.array(traj.p_classical)
+        p_cl[:3] = (math.inf, -math.inf, math.nan)
+        traj = dataclasses.replace(traj, p_classical=p_cl)
+        path = tmp_path / "t.csv"
+        traj.to_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[1].split(",")[3] == "inf" and lines[2].split(",")[3] == "-inf"
+        table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        columns = [traj.times, traj.f_neq, traj.d_rel, traj.p_classical, traj.c_coherence,
+                   traj.l1, traj.t1, traj.pi]
+        assert table.tobytes() == np.column_stack(columns).tobytes()
 
     def test_short_grid_drops_spohn_column(self, qubit_model, qubit_spec, tmp_path):
         basis = qubit_model.basis()
