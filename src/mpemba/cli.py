@@ -15,7 +15,6 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides env and config)")
         p.add_argument("--seed", type=int, default=None, help="override all configured seeds")
-        p.add_argument("--threads", type=int, default=1, help="worker-thread cap")
         p.add_argument(
             "--dense-fallback", action="store_true",
             help="allow the dense superoperator path when the block form is refused",
@@ -213,14 +211,8 @@ def cmd_evolve(args) -> int:
         grid = evolve_spectral(spectrum, state, times)
         return grid, compute_trajectory(grid, basis, beta)
 
-    if rho_prime is not None and args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            fut_a = pool.submit(run, rho)
-            fut_b = pool.submit(run, rho_prime)
-            (grid_a, traj_a), (grid_b, traj_b) = fut_a.result(), fut_b.result()
-    else:
-        grid_a, traj_a = run(rho)
-        grid_b, traj_b = run(rho_prime) if rho_prime is not None else (None, None)
+    grid_a, traj_a = run(rho)
+    grid_b, traj_b = run(rho_prime) if rho_prime is not None else (None, None)
 
     _write_trajectory(out, "trajectory", traj_a, grid_a, cfg)
     if traj_b is not None:

@@ -19,7 +19,7 @@ import numpy as np
 from .davies import BathSpec, DaviesGenerator, davies_generator, generator_from_operators
 from .errors import ValidationError
 from .operators import HermitianOperator, SpectralBasis, diagonalize
-from .utils import IDENTITY_2, SIGMA_X, SIGMA_Z, kron_chain
+from .utils import IDENTITY_2, SIGMA_X, SIGMA_Z, embed_site_operator, kron_chain
 
 #: Kelvin -> GHz conversion at k_B = hbar = 1 (ordinary-frequency units).
 GHZ_PER_KELVIN = 20.8366
@@ -111,7 +111,7 @@ def tfim(
     for j in range(length - 1):
         h_matrix -= coupling * _site_pair(SIGMA_Z, j, length)
     for j in range(length):
-        h_matrix += h_field * _site(SIGMA_X, j, length)
+        h_matrix += h_field * embed_site_operator(SIGMA_X, j, length)
     bath = BathSpec(beta=1.0 / t_bath, statistics=statistics, gamma=gamma)
     return ModelInstance(
         name="tfim",
@@ -123,10 +123,6 @@ def tfim(
         },
         units_note="energies in units of J; hbar = k_B = 1",
     )
-
-
-def _site(op2, j, length):
-    return kron_chain(op2 if k == j else IDENTITY_2 for k in range(length))
 
 
 def _site_pair(op2, j, length):

@@ -160,18 +160,12 @@ def thermal_state(basis: SpectralBasis, beta: float) -> DensityMatrix:
     limit is then ambiguous).  Negative beta is rejected: population-inverted
     Gibbs inputs are out of scope.
     """
-    if beta < 0:
-        raise ValidationError("negative beta (inverted Gibbs input) is not supported")
-    if math.isinf(beta):
-        if basis.dim > 1:
-            gap = basis.energies[1] - basis.energies[0]
-            tol = DEGENERACY_RTOL * max(1.0, float(np.abs(basis.energies).max()))
-            if gap < tol:
-                raise ValidationError("zero-temperature state undefined: degenerate ground level")
-        p = np.zeros(basis.dim)
-        p[0] = 1.0
-    else:
-        p = np.exp(log_gibbs_weights(basis.energies, beta))
+    p = thermal_populations(basis, beta)
+    if math.isinf(beta) and basis.dim > 1:
+        gap = basis.energies[1] - basis.energies[0]
+        tol = DEGENERACY_RTOL * max(1.0, float(np.abs(basis.energies).max()))
+        if gap < tol:
+            raise ValidationError("zero-temperature state undefined: degenerate ground level")
     return DensityMatrix(basis.from_eigenbasis(np.diag(p).astype(complex)))
 
 

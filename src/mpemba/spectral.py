@@ -131,28 +131,24 @@ class GeneratorSpectrum:
 
     def right(self, k: int) -> np.ndarray:
         """Right eigenmatrix of 1-based mode k, in the energy eigenbasis."""
-        idx = _check_mode_index(k, self.n_modes)
-        tag = self._tags[idx]
-        d = self.dim
-        if tag[0] == "dense":
-            return self._payload["rights"][tag[1]].copy()
-        if tag[0] == "pop":
-            return np.diag(self._payload["pop_rights"][:, tag[1]]).astype(complex)
-        out = np.zeros((d, d), dtype=complex)
-        out[tag[1], tag[2]] = 1.0
-        return out
+        return self._eigenmatrix(k, left=False)
 
     def left(self, k: int) -> np.ndarray:
         """Left eigenmatrix of 1-based mode k, in the energy eigenbasis."""
+        return self._eigenmatrix(k, left=True)
+
+    def _eigenmatrix(self, k: int, left: bool) -> np.ndarray:
+        # reads the same data as amplitudes(): the dense stacks, the
+        # population columns, or the coherence's flat index n*d + m
         idx = _check_mode_index(k, self.n_modes)
-        tag = self._tags[idx]
-        d = self.dim
-        if tag[0] == "dense":
-            return self._payload["lefts"][tag[1]].copy()
-        if tag[0] == "pop":
-            return np.diag(self._payload["pop_lefts"][:, tag[1]]).astype(complex)
-        out = np.zeros((d, d), dtype=complex)
-        out[tag[2], tag[1]] = 1.0
+        if self.kind == "dense":
+            return self._payload["lefts" if left else "rights"][idx].copy()
+        j = self._pop_col[idx]
+        if j >= 0:
+            return np.diag(self._payload["pop_lefts" if left else "pop_rights"][:, j]).astype(complex)
+        n, m = divmod(int(self._flat[idx]), self.dim)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[(m, n) if left else (n, m)] = 1.0
         return out
 
     @property
@@ -278,20 +274,18 @@ def _decompose_dense(g_dense, basis, sector_labels=None):
     if g_dense.shape != (d * d, d * d):
         raise ValidationError("generator matrix size does not match basis dimension")
 
+    positions = slice(None)
+    matrix = g_dense
     if sector_labels is not None:
         labels = np.asarray(sector_labels)
-        keep = [n * d + m for n in range(d) for m in range(d) if labels[n] == labels[m]]
-        drop = [i for i in range(d * d) if i not in set(keep)]
-        coupling = float(np.abs(g_dense[np.ix_(keep, drop)]).max()) if drop else 0.0
+        same = (labels[:, None] == labels[None, :]).reshape(-1)
+        positions, drop = np.flatnonzero(same), np.flatnonzero(~same)
+        coupling = float(np.abs(g_dense[np.ix_(positions, drop)]).max()) if drop.size else 0.0
         if coupling > 1e-12 * max(1.0, float(np.abs(g_dense).max())):
             raise ValidationError(
                 "sector labels do not define a conserved grading of the generator"
             )
-        positions = keep
-        matrix = g_dense[np.ix_(keep, keep)]
-    else:
-        positions = None
-        matrix = g_dense
+        matrix = g_dense[np.ix_(positions, positions)]
 
     eigvals, vr = scipy.linalg.eig(matrix)
     cond = np.linalg.cond(vr)
@@ -301,20 +295,15 @@ def _decompose_dense(g_dense, basis, sector_labels=None):
         )
     left_rows = np.linalg.inv(vr)
 
-    def expand(vec_small):
-        if positions is None:
-            return vec_small
-        full = np.zeros(d * d, dtype=complex)
-        full[positions] = vec_small
-        return full
-
     n_modes = eigvals.size
-    rights = np.empty((n_modes, d, d), dtype=complex)
-    lefts = np.empty((n_modes, d, d), dtype=complex)
-    for j in range(n_modes):
-        rights[j] = expand(vr[:, j]).reshape(d, d)
-        # Tr(l_j r_k) = delta_jk  <=>  vec(l_j^T) = inv(R) row j
-        lefts[j] = expand(left_rows[j]).reshape(d, d).T
+    rights = np.zeros((n_modes, d * d), dtype=complex)
+    lefts = np.zeros((n_modes, d * d), dtype=complex)
+    rights[:, positions] = vr.T
+    # Tr(l_j r_k) = delta_jk  <=>  vec(l_j^T) = inv(R) row j
+    lefts[:, positions] = left_rows
+    rights = rights.reshape(n_modes, d, d)
+    # a row-major copy: einsum may order its sums, and so round, by memory layout
+    lefts = lefts.reshape(n_modes, d, d).transpose(0, 2, 1).copy()
 
     digests = [
         tuple(np.round(rights[j], 9).reshape(-1)[: min(8, d * d)].view(float))

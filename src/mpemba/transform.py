@@ -11,7 +11,6 @@ curve crosses below the original's at a finite time and stays below.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,13 +101,12 @@ def majorization_check(
     beta: float,
     n_random_unitaries: int,
     seed,
-    workers: int = 1,
 ) -> MajorizationReport:
     """Verify F_neq(V rho' V^dag) <= F_neq(rho') over Haar-random unitaries.
 
     Also checks that the population vector of rho' majorizes that of every
     rotated state (read in the energy eigenbasis).  Sample seeds are derived
-    from ``seed`` so the report is deterministic and order-independent.
+    from ``seed`` so the report is deterministic.
     """
     h = basis.hamiltonian()
     f_ref = noneq_free_energy(rho_prime, h, beta)
@@ -125,11 +123,7 @@ def majorization_check(
         partial_gap = np.min(np.cumsum(p_ref) - np.cumsum(p_rot))
         return f_rot - f_ref, partial_gap
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(sample, seeds))
-    else:
-        results = [sample(s) for s in seeds]
+    results = [sample(s) for s in seeds]
 
     excess = max(r[0] for r in results)
     failures = sum(1 for r in results if r[1] < -1e-10)

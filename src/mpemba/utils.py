@@ -19,16 +19,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
-def vec(matrix: np.ndarray) -> np.ndarray:
-    """Row-major vectorization of a square matrix."""
-    return np.asarray(matrix).reshape(-1)
-
-
-def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(vector).reshape(dim, dim)
-
-
 def hermitize(matrix: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian part, (A + A^dag)/2."""
     return 0.5 * (matrix + matrix.conj().T)

@@ -129,16 +129,6 @@ class TestCliEvolve:
         header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,F_neq,D,P,C,L1,T1"
 
-    def test_threads_flag_matches_serial(self, tmp_path):
-        rc = main(["evolve", "--config", str(CONFIGS / "qubit_demo.json"), "--out", str(tmp_path / "a")])
-        assert rc == 0
-        rc = main([
-            "evolve", "--config", str(CONFIGS / "qubit_demo.json"),
-            "--out", str(tmp_path / "b"), "--threads", "2",
-        ])
-        assert rc == 0
-        assert (tmp_path / "a/trajectory.csv").read_bytes() == (tmp_path / "b/trajectory.csv").read_bytes()
-
 
 class TestCliMpemba:
     def test_qubit_demo_certificate(self, tmp_path):

@@ -91,6 +91,11 @@ class TestThermalState:
         with pytest.raises(ValidationError):
             mp.thermal_state(qubit_model.basis(), -1.0)
 
+    def test_zero_temperature_degenerate_ground_rejected(self):
+        # h = 0 leaves the two ferromagnetic ground states degenerate
+        with pytest.raises(ValidationError, match="degenerate ground level"):
+            mp.thermal_state(mp.tfim(length=3, h_field=0.0).basis(), np.inf)
+
 
 class TestRandomStates:
     def test_pure_state_is_projector(self):

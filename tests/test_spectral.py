@@ -206,6 +206,54 @@ def test_private_spectrum_state_stays_in_spectral_module():
     assert not offenders, offenders
 
 
+def test_package_runs_in_one_thread():
+    # no module spawns threads: every run is one path through one thread
+    banned = {"concurrent", "threading"}
+    package = Path(mp.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in banned]
+    assert not offenders, offenders
+
+
+class TestEigenmatrices:
+    @staticmethod
+    def tagged(spec, k, left):
+        """Reference: the eigenmatrix built from the mode's structural tag."""
+        tag = spec.mode_tag(k)
+        d = spec.dim
+        if tag[0] == "dense":
+            return spec._payload["lefts" if left else "rights"][tag[1]].copy()
+        if tag[0] == "pop":
+            return np.diag(spec._payload["pop_lefts" if left else "pop_rights"][:, tag[1]]).astype(complex)
+        out = np.zeros((d, d), dtype=complex)
+        out[(tag[2], tag[1]) if left else (tag[1], tag[2])] = 1.0
+        return out
+
+    def test_match_tag_dispatch_bitwise(self, spectrum_case):
+        spec, _ = spectrum_case
+        for k in range(1, spec.n_modes + 1):
+            for left, got in ((False, spec.right(k)), (True, spec.left(k))):
+                want = self.tagged(spec, k, left)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.flags.c_contiguous and got.flags.writeable
+                assert np.array_equal(got, want), (k, left)
+
+    def test_out_of_range_mode_rejected(self, spectrum_case):
+        spec, _ = spectrum_case
+        for k in (0, spec.n_modes + 1):
+            for side in (spec.right, spec.left):
+                with pytest.raises(ValidationError):
+                    side(k)
+
+
 class TestBlockEigFallback:
     def test_non_detailed_balance_block(self, tfim3_model, tfim3_gen):
         # raise one upward rate and rebalance the columns: a valid rate

@@ -168,13 +168,6 @@ class TestMajorization:
         assert report.all_passed
         assert report.majorization_failures == 0
 
-    def test_parallel_matches_serial(self, qubit_model):
-        basis = qubit_model.basis()
-        rho_prime, _ = mp.exact_transform(mp.bloch_to_state(list(DEMO_BLOCH)), basis)
-        serial = mp.majorization_check(rho_prime, basis, 0.1, 20, seed=9, workers=1)
-        parallel = mp.majorization_check(rho_prime, basis, 0.1, 20, seed=9, workers=4)
-        assert serial == parallel
-
 
 class TestCertificate:
     def test_text_rendering(self):
