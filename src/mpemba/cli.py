@@ -319,7 +319,7 @@ def _write_trajectory(out: Path, stem: str, traj: ThermoTrajectory, grid, cfg) -
     csv_path = out / f"{stem}.csv"
     traj.to_csv(csv_path)
     if cfg.outputs.dump_states:
-        np.save(out / f"{stem}_states.npy", np.stack([s.entries for s in grid.states]))
+        np.save(out / f"{stem}_states.npy", grid.entries)
     if cfg.outputs.gnuplot:
         _write_gnuplot(out / f"{stem}.gp", csv_path.name)
 

@@ -63,20 +63,25 @@ class SpectralBasis:
             degeneracy_flag = bool(d > 1 and np.min(np.diff(energies)) < tol)
         self.energies = frozen(energies)
         self.vectors = frozen(vectors)
+        # V^dag, built once; a transposed view keeps the layout the BLAS calls
+        # of the rotations see (a contiguous copy may round differently)
+        conj = self.vectors.conj()
+        conj.setflags(write=False)
+        self._vectors_h = conj.T
         self.degeneracy_flag = bool(degeneracy_flag)
         self.dim = d
 
     def hamiltonian(self) -> np.ndarray:
         """Reconstruct H = V diag(e) V^dag in the lab basis."""
-        return (self.vectors * self.energies) @ self.vectors.conj().T
+        return (self.vectors * self.energies) @ self._vectors_h
 
     def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
-        """Rotate a lab-basis operator into the energy eigenbasis."""
-        return self.vectors.conj().T @ matrix @ self.vectors
+        """Rotate a lab-basis operator, or a stack of them, into the energy eigenbasis."""
+        return self._vectors_h @ matrix @ self.vectors
 
     def from_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
-        """Rotate an energy-eigenbasis operator back to the lab basis."""
-        return self.vectors @ matrix @ self.vectors.conj().T
+        """Rotate an energy-eigenbasis operator, or a stack of them, back to the lab basis."""
+        return self.vectors @ matrix @ self._vectors_h
 
     def __repr__(self):
         return (
@@ -96,15 +101,12 @@ class DensityMatrix:
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {entries.shape}")
-        defect = herm_defect(entries)
-        if defect > HERMITICITY_TOL:
-            raise ValidationError(f"state is not Hermitian (defect {defect:.2e})")
-        tr = complex(np.trace(entries))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"state trace is {tr:.12g}, expected 1")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (entries + entries.conj().T)).min())
-        if min_eig < -psd_tol:
-            raise ValidationError(f"state has negative eigenvalue {min_eig:.2e}")
+        require_state(
+            herm_defect(entries),
+            complex(np.trace(entries)),
+            lambda: float(np.linalg.eigvalsh(0.5 * (entries + entries.conj().T)).min()),
+            psd_tol,
+        )
         self.entries = frozen(entries)
         self.dim = entries.shape[0]
 
@@ -119,6 +121,23 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, purity={self.purity():.4f})"
+
+
+def require_state(defect: float, trace: complex, min_eig, psd_tol: float = PSD_TOL) -> None:
+    """Raise the :class:`ValidationError` of the first failed state check.
+
+    The checks of :class:`DensityMatrix` on measured values, in its order:
+    Hermiticity defect, trace, smallest eigenvalue.  ``min_eig`` is a
+    callable returning that eigenvalue, called only once the first two
+    checks pass.
+    """
+    if defect > HERMITICITY_TOL:
+        raise ValidationError(f"state is not Hermitian (defect {defect:.2e})")
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValidationError(f"state trace is {trace:.12g}, expected 1")
+    lowest = min_eig()
+    if lowest < -psd_tol:
+        raise ValidationError(f"state has negative eigenvalue {lowest:.2e}")
 
 
 class BlochVector:

@@ -19,6 +19,7 @@ costs) goes through it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,8 +32,8 @@ from .errors import (
     NoSteadyStateError,
     ValidationError,
 )
-from .operators import DensityMatrix, SpectralBasis
-from .utils import frozen, herm_defect, hermitize, log_gibbs_weights
+from .operators import HERMITICITY_TOL, TRACE_TOL, DensityMatrix, SpectralBasis, require_state
+from .utils import chunk_slices, frozen, herm_defect, hermitize, log_gibbs_weights
 
 #: Eigenvector-matrix condition number above which a generator is treated as
 #: numerically defective.
@@ -42,6 +43,10 @@ ZERO_EIGENVALUE_TOL = 1e-9
 IMAG_TOL = 1e-9
 #: Positivity slack for states reconstructed along an evolution.
 EVOLUTION_PSD_TOL = 1e-8
+#: Time points whose states are validated and rotated as one stack, by the
+#: evolutions here and by ``thermo.compute_trajectory``; bounds the size of
+#: the temporary (n, d, d) stacks.
+CHUNK_POINTS = 16
 
 
 class GapInfo(NamedTuple):
@@ -51,22 +56,59 @@ class GapInfo(NamedTuple):
 
 @dataclass(frozen=True)
 class EvolutionGrid:
-    """States sampled along an evolution at ascending times (units 1/J)."""
+    """States sampled along an evolution at ascending times (units 1/J).
+
+    ``entries`` is the (T, d, d) stack of lab-basis density matrices and
+    ``spectra`` the (T, d) ascending eigenvalues of each state, both
+    read-only; the evolution validated every state before storing it.
+    ``states`` is a read-only sequence that builds a validated
+    :class:`DensityMatrix` on each access and keeps no copies.
+    """
 
     times: np.ndarray
-    states: tuple
+    entries: np.ndarray
+    spectra: np.ndarray
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size != len(self.states):
-            raise ValidationError("times and states have inconsistent lengths")
+        entries = np.asarray(self.entries, dtype=complex)
+        spectra = np.asarray(self.spectra, dtype=float)
+        if (
+            times.ndim != 1
+            or spectra.shape[:1] != times.shape
+            or entries.shape != spectra.shape + spectra.shape[-1:]
+        ):
+            raise ValidationError("times, entries and spectra have inconsistent shapes")
         if times.size > 1 and np.any(np.diff(times) <= 0):
             raise ValidationError("times must be strictly ascending")
-        object.__setattr__(self, "times", frozen(times))
-        object.__setattr__(self, "states", tuple(self.states))
+        for name, value in (("times", times), ("entries", entries), ("spectra", spectra)):
+            # an array that owns its data and is read-only already is kept:
+            # copying the entries would double the grid's memory while it is built
+            if value.flags.writeable or not value.flags.owndata:
+                value = frozen(value)
+            object.__setattr__(self, name, value)
 
     def __len__(self):
         return self.times.size
+
+    @property
+    def states(self) -> _States:
+        return _States(self.entries)
+
+
+class _States(Sequence):
+    """The states of an :class:`EvolutionGrid`, validated on each access."""
+
+    def __init__(self, entries):
+        self._entries = entries
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[j] for j in range(*index.indices(len(self))))
+        return DensityMatrix(self._entries[index], psd_tol=EVOLUTION_PSD_TOL)
 
 
 class GeneratorSpectrum:
@@ -336,8 +378,12 @@ def _decompose_dense(g_dense, basis, sector_labels=None):
 def _obeys_detailed_balance(gp: np.ndarray, energies: np.ndarray, beta: float) -> bool:
     """Upward/downward rate ratios equal the Boltzmann factors (to roundoff)."""
     m, n = np.triu_indices(gp.shape[0], k=1)
+    upward = gp[n, m]
     expected = gp[m, n] * np.exp(-beta * (energies[n] - energies[m]))
-    return not np.any(np.abs(gp[n, m] - expected) > 1e-10 * np.maximum(1.0, gp[m, n]))
+    # relative to the pair's own scale: an absolute floor would pass any
+    # wrong rate below it
+    scale = np.maximum(np.abs(upward), np.abs(expected))
+    return not np.any(np.abs(upward - expected) > 1e-10 * scale)
 
 
 def _decompose_block(gen: DaviesGenerator):
@@ -434,7 +480,9 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     Block spectra propagate the population sector by its exact semigroup
     (equivalent to the mode sum, but immune to the exponentially large
     expansion coefficients that appear at low temperature) and each
-    coherence by its closed-form exponential.
+    coherence by its closed-form exponential.  The states are built and
+    validated :data:`CHUNK_POINTS` time points at a time; the grid holds
+    them in the lab basis together with their spectra.
     """
     times = np.asarray(times, dtype=float)
     basis = spectrum.basis
@@ -443,20 +491,22 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
         p0 = np.real(np.diag(rho_e)).copy()
         pops = _propagate_populations(spectrum._payload["pop_block"], p0, times)
         gmat = spectrum._payload["coh_matrix"]
-        states = []
-        for j, t in enumerate(times):
-            out = rho_e * np.exp(gmat * t)
-            np.fill_diagonal(out, pops[j])
-            states.append(_package_state(out, basis))
-        return EvolutionGrid(times, states)
+        diag = np.arange(basis.dim)
+
+        def block_chunk(s):
+            out = rho_e * np.exp(gmat * times[s, None, None])
+            out[:, diag, diag] = pops[s]
+            return out
+
+        return _package_states(times, block_chunk, basis)
 
     amps = spectrum.amplitudes(rho_i)
     rights = spectrum._payload["rights"]
     tau_e = basis.to_eigenbasis(spectrum.steady_state.entries)
     phases = np.exp(np.outer(times, spectrum.eigenvalues[1:]))
+    # one contraction over all times: chunking it may change its rounding
     deltas = np.einsum("tk,k,knm->tnm", phases, amps[1:], rights[1:], optimize=True)
-    states = [_package_state(tau_e + deltas[j], basis) for j in range(times.size)]
-    return EvolutionGrid(times, states)
+    return _package_states(times, lambda s: tau_e + deltas[s], basis)
 
 
 def evolve_direct(generator, rho_i, times, basis: SpectralBasis | None = None) -> EvolutionGrid:
@@ -481,18 +531,24 @@ def evolve_direct(generator, rho_i, times, basis: SpectralBasis | None = None) -
     )
     state_vec = rho_e.reshape(-1)
     propagators: dict[float, np.ndarray] = {}
-    states = []
     prev_t = 0.0
-    for t in times:
-        dt = t - prev_t
-        if dt != 0.0:
-            key = round(dt, 15)
-            if key not in propagators:
-                propagators[key] = scipy.linalg.expm(g_dense * dt)
-            state_vec = propagators[key] @ state_vec
-        prev_t = t
-        states.append(_package_state(state_vec.reshape(d, d), basis))
-    return EvolutionGrid(times, states)
+
+    def direct_chunk(s):
+        # chunks are asked for in time order, so the stepping carries over
+        nonlocal state_vec, prev_t
+        out = np.empty((s.stop - s.start, d, d), dtype=complex)
+        for j, t in enumerate(times[s]):
+            dt = t - prev_t
+            if dt != 0.0:
+                key = round(dt, 15)
+                if key not in propagators:
+                    propagators[key] = scipy.linalg.expm(g_dense * dt)
+                state_vec = propagators[key] @ state_vec
+            prev_t = t
+            out[j] = state_vec.reshape(d, d)
+        return out
+
+    return _package_states(times, direct_chunk, basis)
 
 
 def _propagate_populations(gp: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -513,13 +569,51 @@ def _propagate_populations(gp: np.ndarray, p0: np.ndarray, times: np.ndarray) ->
     return out
 
 
-def _package_state(matrix_e: np.ndarray, basis: SpectralBasis) -> DensityMatrix:
-    defect = herm_defect(matrix_e)
-    if defect > 1e-9 * max(1.0, float(np.abs(matrix_e).max())):
-        raise RuntimeError(
-            f"evolved state lost Hermiticity (defect {defect:.2e}); "
-            "conjugate mode pairing is broken"
+def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> EvolutionGrid:
+    """Validate evolved states and store them, :data:`CHUNK_POINTS` at a time.
+
+    ``chunk(s)`` returns the (n, d, d) energy-basis matrices of the time
+    points in slice ``s``; the slices come in time order.  Each matrix must
+    be Hermitian to within 1e-9 of its largest entry (a RuntimeError
+    otherwise: the conjugate mode pairing is broken).  Its Hermitian part,
+    rotated to the lab basis, must then pass the checks of
+    :class:`DensityMatrix` with the positivity slack
+    :data:`EVOLUTION_PSD_TOL`.  The eigenvalues for that check come from the
+    lab matrix rotated back into the energy basis, the matrix whose spectrum
+    gives S(rho); the grid keeps them as ``spectra``.  The first failing time
+    point raises, as a loop over the points would.
+    """
+    d = basis.dim
+    entries = np.empty((times.size, d, d), dtype=complex)
+    spectra = np.empty((times.size, d))
+    for s in chunk_slices(times.size, CHUNK_POINTS):
+        m = chunk(s)
+        defect = herm_defect(m)
+        broken = defect > 1e-9 * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+        # straight into the grid, before the checks (which raise on failure):
+        # neither the energy-basis chunk nor a lab copy stays alive beside it
+        entries[s] = basis.from_eigenbasis(hermitize(m))
+        del m
+        lab = entries[s]
+        lab_defect = herm_defect(lab)
+        trace = np.trace(lab, axis1=1, axis2=2)
+        spectra[s] = np.linalg.eigvalsh(basis.to_eigenbasis(lab))
+        min_eig = spectra[s].min(axis=1)
+        failed = (
+            broken
+            | (lab_defect > HERMITICITY_TOL)
+            | (np.abs(trace - 1.0) > TRACE_TOL)
+            | (min_eig < -EVOLUTION_PSD_TOL)
         )
-    return DensityMatrix(
-        basis.from_eigenbasis(hermitize(matrix_e)), psd_tol=EVOLUTION_PSD_TOL
-    )
+        if failed.any():
+            j = int(np.argmax(failed))
+            if broken[j]:
+                raise RuntimeError(
+                    f"evolved state lost Hermiticity (defect {defect[j]:.2e}); "
+                    "conjugate mode pairing is broken"
+                )
+            require_state(lab_defect[j], complex(trace[j]), lambda: min_eig[j], EVOLUTION_PSD_TOL)
+    entries.setflags(write=False)
+    spectra.setflags(write=False)
+    return EvolutionGrid(times, entries, spectra)
+

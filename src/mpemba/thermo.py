@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import DensityMatrix, SpectralBasis, thermal_populations
-from .spectral import EvolutionGrid
-from .utils import frozen, log_gibbs_weights, write_csv, xlogx
+from .spectral import CHUNK_POINTS, EvolutionGrid
+from .utils import chunk_slices, frozen, log_gibbs_weights, write_csv, xlogx
 
 #: Eigenvalue threshold below which a state direction counts as unsupported.
 SUPPORT_TOL = 1e-12
@@ -139,14 +139,13 @@ def spohn_rate(times, f_neq, beta: float) -> np.ndarray:
     dfdt[0] = _one_sided(f[0], f[1], f[2], t1 - t0, t2 - t0)
     tm2, tm1, tm0 = times[-3], times[-2], times[-1]
     dfdt[-1] = -_one_sided(f[-1], f[-2], f[-3], tm0 - tm1, tm0 - tm2)
-    for j in range(1, times.size - 1):
-        h1 = times[j] - times[j - 1]
-        h2 = times[j + 1] - times[j]
-        dfdt[j] = (
-            -h2 / (h1 * (h1 + h2)) * f[j - 1]
-            + (h2 - h1) / (h1 * h2) * f[j]
-            + h1 / (h2 * (h1 + h2)) * f[j + 1]
-        )
+    h1 = times[1:-1] - times[:-2]
+    h2 = times[2:] - times[1:-1]
+    dfdt[1:-1] = (
+        -h2 / (h1 * (h1 + h2)) * f[:-2]
+        + (h2 - h1) / (h1 * h2) * f[1:-1]
+        + h1 / (h2 * (h1 + h2)) * f[2:]
+    )
     return -beta * dfdt
 
 
@@ -201,35 +200,45 @@ class ThermoTrajectory:
 def compute_trajectory(
     grid: EvolutionGrid, basis: SpectralBasis, beta: float, **meta
 ) -> ThermoTrajectory:
-    """Evaluate all diagnostics for every state of an evolution grid."""
+    """Evaluate all diagnostics for every state of an evolution grid.
+
+    Works on the grid's lab-basis ``entries``, :data:`CHUNK_POINTS` time
+    points at a time.  S(rho) is read from ``grid.spectra``, the eigenvalues
+    the evolution computed when it validated each state, so the trace
+    distance is the only eigen-solve made here.
+    """
     h = basis.hamiltonian()
     tau_p = thermal_populations(basis, beta)
-    tau_lab = basis.from_eigenbasis(np.diag(tau_p).astype(complex))
+    tau_e = np.diag(tau_p)
+    tau_lab = basis.from_eigenbasis(tau_e.astype(complex))
     f_eq = equilibrium_free_energy(basis, beta)
     log_tau = log_gibbs_weights(basis.energies, beta)
 
     n = len(grid)
     f_neq = np.empty(n)
-    d_rel = np.empty(n)
     p_cl = np.empty(n)
     c_coh = np.empty(n)
     l1 = np.empty(n)
     t1 = np.empty(n)
-    for j, state in enumerate(grid.states):
-        rho_e = basis.to_eigenbasis(state.entries)
-        pops = np.clip(np.real(np.diag(rho_e)), 0.0, None)
-        s_rho = _entropy(rho_e)
-        energy = float(np.real(np.trace(h @ state.entries)))
-        f_neq[j] = energy - s_rho / beta
-        # D via populations against log-space Gibbs weights: stable at any beta
-        p_cl[j] = max(float(xlogx(pops).sum() - pops @ log_tau), 0.0)
-        c_coh[j] = max(_entropy_of_populations(pops) - s_rho, 0.0)
-        d_rel[j] = p_cl[j] + c_coh[j]
-        l1[j] = float(np.abs(rho_e - np.diag(tau_p)).sum())
-        t1[j] = trace_distance(state.entries, tau_lab)
+    for s in chunk_slices(n, CHUNK_POINTS):
+        lab = grid.entries[s]
+        rho_e = basis.to_eigenbasis(lab)
+        pops = np.clip(np.real(np.diagonal(rho_e, axis1=1, axis2=2)), 0.0, None)
+        s_rho = -xlogx(np.clip(grid.spectra[s], 0.0, None)).sum(axis=1)
+        energy = np.real(np.trace(h @ lab, axis1=1, axis2=2))
+        f_neq[s] = energy - s_rho / beta
+        # D via populations against log-space Gibbs weights: stable at any beta.
+        # The (1, d) @ (d, 1) products round like one dot per state; a 2-D
+        # matrix-vector product does not.
+        xlx = xlogx(pops).sum(axis=1)
+        cross = np.matmul(pops[:, None, :], log_tau[:, None])[:, 0, 0]
+        p_cl[s] = np.maximum(xlx - cross, 0.0)
+        c_coh[s] = np.maximum(-xlx - s_rho, 0.0)
+        l1[s] = np.abs(rho_e - tau_e).sum(axis=(1, 2))
+        t1[s] = 0.5 * np.abs(np.linalg.eigvalsh(lab - tau_lab)).sum(axis=1)
     pi = spohn_rate(grid.times, f_neq, beta) if n >= 3 else np.empty(0)
     return ThermoTrajectory(
-        times=grid.times, f_neq=f_neq, d_rel=d_rel, p_classical=p_cl,
+        times=grid.times, f_neq=f_neq, d_rel=p_cl + c_coh, p_classical=p_cl,
         c_coherence=c_coh, l1=l1, t1=t1, pi=pi, beta=beta, f_eq=f_eq, meta=meta,
     )
 

@@ -20,13 +20,13 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, (A + A^dag)/2."""
-    return 0.5 * (matrix + matrix.conj().T)
+    """Project onto the Hermitian part, (A + A^dag)/2, of a matrix or a stack of them."""
+    return 0.5 * (matrix + matrix.conj().swapaxes(-1, -2))
 
 
-def herm_defect(matrix: np.ndarray) -> float:
-    """Largest entrywise deviation from Hermiticity."""
-    return float(np.abs(matrix - matrix.conj().T).max())
+def herm_defect(matrix: np.ndarray):
+    """Largest entrywise deviation from Hermiticity, of a matrix or of each matrix in a stack."""
+    return np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def frozen(array: np.ndarray) -> np.ndarray:
@@ -97,7 +97,11 @@ def write_csv(path, header: str, columns, row_format: str) -> None:
     """
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            part = slice(start, start + _CSV_CHUNK_ROWS)
+        for part in chunk_slices(len(columns[0]), _CSV_CHUNK_ROWS):
             rows = zip(*(col[part].tolist() for col in columns))
             fh.write("".join(row_format % row for row in rows))
+
+
+def chunk_slices(n: int, size: int):
+    """Consecutive slices of at most ``size`` items that cover ``range(n)``."""
+    return (slice(start, min(start + size, n)) for start in range(0, n, size))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mpemba as mp
+from mpemba.spectral import EVOLUTION_PSD_TOL
 
 # frozen oracle constants for the default single qubit (omega=5, T_b=10, gamma=1)
 QUBIT_NBOSE = 1.5414940825367982          # 1/(e^0.5 - 1)
@@ -39,3 +40,17 @@ def tfim3_gen(tfim3_model):
 
 def max_entry_gap(a, b):
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+
+
+def reference_package_state(matrix_e, basis):
+    """One evolved energy-basis state checked and rotated on its own: the
+    per-point reference for the chunked packaging of an evolution."""
+    defect = float(np.abs(matrix_e - matrix_e.conj().T).max())
+    if defect > 1e-9 * max(1.0, float(np.abs(matrix_e).max())):
+        raise RuntimeError(
+            f"evolved state lost Hermiticity (defect {defect:.2e}); "
+            "conjugate mode pairing is broken"
+        )
+    return mp.DensityMatrix(
+        basis.from_eigenbasis(0.5 * (matrix_e + matrix_e.conj().T)), psd_tol=EVOLUTION_PSD_TOL
+    )

@@ -1,9 +1,11 @@
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mpemba as mp
 from mpemba.cli import main
 from mpemba.config import load_config, parse_config
 from mpemba.errors import ConfigError
@@ -128,6 +130,20 @@ class TestCliEvolve:
         assert rc == 0
         header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,F_neq,D,P,C,L1,T1"
+
+    def test_dump_states_saves_the_evolved_states(self, tmp_path):
+        payload = dict(BASE, transform={"kind": "none"},
+                       outputs={"directory": "out", "dump_states": True})
+        cfg = write_config(tmp_path, payload)
+        rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        model = mp.single_qubit(omega=5.0, t_bath=10.0, gamma=1.0)
+        spec = mp.decompose(mp.build_generator(model))
+        rho = spec.project_physical(mp.bloch_to_state(BASE["initial_state"]["r"]))
+        grid = mp.evolve_spectral(spec, rho, np.linspace(0.0, 4.0, 101))
+        want = io.BytesIO()
+        np.save(want, np.stack([s.entries for s in grid.states]))
+        assert (tmp_path / "trajectory_states.npy").read_bytes() == want.getvalue()
 
 
 class TestCliMpemba:

@@ -7,9 +7,15 @@ import pytest
 import mpemba as mp
 from mpemba.davies import eigenvalue_multiset_distance, vectorized_lindbladian
 from mpemba.errors import DefectiveGeneratorError, NoSteadyStateError, ValidationError
-from mpemba.spectral import IMAG_TOL, _mode_order, _obeys_detailed_balance
+from mpemba.spectral import (
+    CHUNK_POINTS,
+    IMAG_TOL,
+    _mode_order,
+    _obeys_detailed_balance,
+    _package_states,
+)
 
-from conftest import DEMO_BLOCH, QUBIT_GAMMA_TOTAL
+from conftest import DEMO_BLOCH, QUBIT_GAMMA_TOTAL, reference_package_state
 
 
 class TestDecompose:
@@ -281,6 +287,28 @@ class TestBlockEigFallback:
         assert spec.mode_tag(1)[0] == "pop"
 
 
+    def test_tiny_wrong_rate_takes_eig_branch(self, tfim3_model, tfim3_gen):
+        # a wrong upward rate far below 1e-10 must fail the check too: the
+        # symmetrized eigh branch assumes detailed balance
+        basis = tfim3_model.basis()
+        gp = np.array(tfim3_gen.pop_block)
+        assert 0.0 < gp[5, 1] < 1e-10
+        gp[5, 1] *= 3.0
+        np.fill_diagonal(gp, 0.0)
+        np.fill_diagonal(gp, -gp.sum(axis=0))
+        assert not _obeys_detailed_balance(gp, basis.energies, tfim3_model.bath.beta)
+        gen = mp.DaviesGenerator(
+            basis=basis, pop_block=gp, coh_diagonal=tfim3_gen.coh_diagonal,
+            meta=tfim3_gen.meta,
+        )
+        p_ss = np.real(np.diag(basis.to_eigenbasis(mp.decompose(gen).steady_state.entries)))
+        w, v = np.linalg.eig(gp)
+        null = np.real(v[:, np.argmin(np.abs(w))])
+        null /= null.sum()
+        # the symmetrized branch gives 2.48e-13 for level 5 against 3.04e-13
+        assert p_ss[5] == pytest.approx(null[5], rel=1e-3)
+
+
 class TestEvolution:
     def test_time_zero_reconstruction(self, qubit_spec):
         rho = mp.bloch_to_state(list(DEMO_BLOCH))
@@ -369,3 +397,88 @@ class TestDecayRates:
         lam2, lam3 = qubit_spec.eigenvalues[1:3]
         assert lam3 == pytest.approx(np.conj(lam2), abs=1e-10)
         assert abs(lam2.imag) > IMAG_TOL
+
+
+class TestChunkedPackaging:
+    """Evolved states are checked and stored CHUNK_POINTS time points at a time."""
+
+    def test_states_are_validated_views_of_entries(self, tfim3_gen):
+        spec = mp.decompose(tfim3_gen)
+        n = 2 * CHUNK_POINTS + 5
+        rho = mp.random_mixed_state(8, 4, seed=3)
+        grid = mp.evolve_spectral(spec, rho, np.linspace(0.0, 6.0, n))
+        basis = spec.basis
+        assert len(grid) == len(grid.states) == n
+        assert grid.entries.shape == (n, 8, 8) and grid.spectra.shape == (n, 8)
+        assert not grid.entries.flags.writeable and not grid.spectra.flags.writeable
+        for j in range(n):
+            assert np.array_equal(
+                grid.spectra[j], np.linalg.eigvalsh(basis.to_eigenbasis(grid.entries[j]))
+            )
+        states = grid.states
+        picked = {
+            -1: states[-1],
+            -n: states[-n],
+            CHUNK_POINTS: states[CHUNK_POINTS],
+        }
+        for j, state in picked.items():
+            assert isinstance(state, mp.DensityMatrix)
+            assert np.array_equal(state.entries, grid.entries[j])
+        part = states[3:n:7]
+        assert isinstance(part, tuple) and len(part) == len(range(3, n, 7))
+        for j, state in zip(range(3, n, 7), part):
+            assert isinstance(state, mp.DensityMatrix)
+            assert np.array_equal(state.entries, grid.entries[j])
+        iterated = list(states)
+        assert len(iterated) == n
+        for j, state in enumerate(iterated):
+            assert isinstance(state, mp.DensityMatrix)
+            assert np.array_equal(state.entries, grid.entries[j])
+        with pytest.raises(IndexError):
+            states[n]
+
+    def test_grid_rejects_inconsistent_arrays(self):
+        entries = np.repeat(np.eye(2, dtype=complex)[None] / 2, 3, axis=0)
+        spectra = np.full((3, 2), 0.5)
+        with pytest.raises(ValidationError, match="inconsistent shapes"):
+            mp.EvolutionGrid([0.0, 1.0], entries, spectra)
+        with pytest.raises(ValidationError, match="inconsistent shapes"):
+            mp.EvolutionGrid([0.0, 1.0, 2.0], entries, spectra[:, :1])
+        with pytest.raises(ValidationError, match="ascending"):
+            mp.EvolutionGrid([0.0, 2.0, 1.0], entries, spectra)
+        grid = mp.EvolutionGrid([0.0, 1.0, 2.0], entries, spectra)
+        entries[0] = 0.0  # the grid holds its own read-only copy
+        assert np.array_equal(grid.entries[0], np.eye(2) / 2)
+
+    @staticmethod
+    def _first_error(run):
+        with pytest.raises((RuntimeError, ValidationError)) as info:
+            run()
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("order", ["negative_first", "skewed_first"])
+    def test_first_failing_point_raises(self, tfim3_model, order):
+        # two bad points in the second chunk: the earlier one decides, with
+        # the error and message of the per-point reference
+        basis = tfim3_model.basis()
+        d = basis.dim
+        n = CHUNK_POINTS + 5
+        stack = np.repeat(np.diag(np.full(d, 1.0 / d)).astype(complex)[None], n, axis=0)
+        negative = np.full(d, (1.0 + 1e-6) / (d - 1))
+        negative[0] = -1e-6
+        first, second = CHUNK_POINTS + 1, CHUNK_POINTS + 3
+        neg_at, skew_at = (first, second) if order == "negative_first" else (second, first)
+        stack[neg_at] = np.diag(negative)
+        stack[skew_at, 0, 1] = 1e-3
+
+        def reference():
+            for m in stack:
+                reference_package_state(m, basis)
+
+        got = self._first_error(lambda: _package_states(np.arange(n, dtype=float),
+                                                        lambda s: stack[s], basis))
+        assert got == self._first_error(reference)
+        if order == "negative_first":
+            assert got == (ValidationError, "state has negative eigenvalue -1.00e-06")
+        else:
+            assert got[0] is RuntimeError and "lost Hermiticity (defect 1.00e-03)" in got[1]

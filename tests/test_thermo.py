@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import mpemba as mp
 from mpemba.errors import ValidationError
-from mpemba.thermo import CSV_COLUMNS
+from mpemba.spectral import CHUNK_POINTS, _propagate_populations
+from mpemba.thermo import CSV_COLUMNS, _one_sided
+from mpemba.utils import log_gibbs_weights, xlogx
 
-from conftest import DEMO_BLOCH
+from conftest import DEMO_BLOCH, reference_package_state
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +150,18 @@ class TestSpohnRate:
         expected = beta * (traj.f_neq[0] - traj.f_neq[-1])
         assert integral == pytest.approx(expected, rel=0.01)
 
+    @pytest.mark.parametrize("grid", ["uniform", "nonuniform", "three"])
+    def test_matches_pointwise_loop_bitwise(self, grid):
+        rng = np.random.default_rng(7)
+        if grid == "uniform":
+            times = np.linspace(0.0, 14.0, 281)
+        elif grid == "nonuniform":
+            times = np.sort(rng.uniform(0.0, 5.0, 50))
+        else:
+            times = np.array([0.0, 0.3, 1.0])
+        f = rng.normal(size=times.size)
+        assert np.array_equal(mp.spohn_rate(times, f, 0.7), _spohn_rate_loop(times, f, 0.7))
+
     def test_needs_three_points(self):
         with pytest.raises(ValidationError):
             mp.spohn_rate([0.0, 1.0], [1.0, 0.5], 1.0)
@@ -208,3 +223,172 @@ class TestTrajectoryObject:
         assert mp.fit_decay_rate(times, values) == pytest.approx(-0.7, rel=1e-10)
         with pytest.raises(ValidationError):
             mp.fit_decay_rate(times, np.full_like(times, 1e-15))
+
+
+def _spohn_rate_loop(times, f, beta):
+    """The Spohn rate with one interior point per iteration: the reference
+    for the array expression of :func:`mp.spohn_rate`."""
+    dfdt = np.empty_like(f)
+    dfdt[0] = _one_sided(f[0], f[1], f[2], times[1] - times[0], times[2] - times[0])
+    dfdt[-1] = -_one_sided(f[-1], f[-2], f[-3], times[-1] - times[-2], times[-1] - times[-3])
+    for j in range(1, times.size - 1):
+        h1 = times[j] - times[j - 1]
+        h2 = times[j + 1] - times[j]
+        dfdt[j] = (
+            -h2 / (h1 * (h1 + h2)) * f[j - 1]
+            + (h2 - h1) / (h1 * h2) * f[j]
+            + h1 / (h2 * (h1 + h2)) * f[j + 1]
+        )
+    return -beta * dfdt
+
+
+# -- per-point reference: each state evolved, checked and diagnosed on its
+#    own, against which the chunked stacks must agree bit for bit
+
+
+def _reference_block_states(gen, rho, times):
+    basis = gen.basis
+    rho_e = basis.to_eigenbasis(rho.entries)
+    pops = _propagate_populations(
+        np.asarray(gen.pop_block, dtype=float), np.real(np.diag(rho_e)).copy(), times
+    )
+    gmat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for n, m, v in gen.coh_diagonal:
+        gmat[n, m] = v
+    states = []
+    for j, t in enumerate(times):
+        out = rho_e * np.exp(gmat * t)
+        np.fill_diagonal(out, pops[j])
+        states.append(reference_package_state(out, basis))
+    return states
+
+
+def _reference_dense_states(spec, rho, times):
+    basis = spec.basis
+    amps = spec.amplitudes(rho)
+    rights = np.stack(spec.rights)
+    tau_e = basis.to_eigenbasis(spec.steady_state.entries)
+    phases = np.exp(np.outer(times, spec.eigenvalues[1:]))
+    deltas = np.einsum("tk,k,knm->tnm", phases, amps[1:], rights[1:], optimize=True)
+    return [reference_package_state(tau_e + deltas[j], basis) for j in range(times.size)]
+
+
+def _reference_direct_states(gen, rho, times):
+    basis, d = gen.basis, gen.basis.dim
+    state_vec = basis.to_eigenbasis(rho.entries).reshape(-1)
+    propagators, states, prev_t = {}, [], 0.0
+    for t in times:
+        dt = t - prev_t
+        if dt != 0.0:
+            key = round(dt, 15)
+            if key not in propagators:
+                propagators[key] = scipy.linalg.expm(gen.dense * dt)
+            state_vec = propagators[key] @ state_vec
+        prev_t = t
+        states.append(reference_package_state(state_vec.reshape(d, d), basis))
+    return states
+
+
+def _reference_columns(states, basis, beta):
+    """f_neq, d_rel, p_classical, c_coherence, l1, t1 of each state, one at a time."""
+    h = basis.hamiltonian()
+    tau_p = mp.thermal_populations(basis, beta)
+    tau_lab = basis.from_eigenbasis(np.diag(tau_p).astype(complex))
+    log_tau = log_gibbs_weights(basis.energies, beta)
+    rows = []
+    for state in states:
+        rho_e = basis.to_eigenbasis(state.entries)
+        pops = np.clip(np.real(np.diag(rho_e)), 0.0, None)
+        s_rho = float(-xlogx(np.clip(np.linalg.eigvalsh(rho_e), 0.0, None)).sum())
+        energy = float(np.real(np.trace(h @ state.entries)))
+        p_cl = max(float(xlogx(pops).sum() - pops @ log_tau), 0.0)
+        c_coh = max(float(-xlogx(pops).sum()) - s_rho, 0.0)
+        rows.append((
+            energy - s_rho / beta, p_cl + c_coh, p_cl, c_coh,
+            float(np.abs(rho_e - np.diag(tau_p)).sum()),
+            float(0.5 * np.abs(np.linalg.eigvalsh(state.entries - tau_lab)).sum()),
+        ))
+    return np.array(rows, dtype=float).reshape(len(states), 6).T
+
+
+@pytest.fixture(scope="module")
+def tfim5_case():
+    model = mp.tfim(length=5, coupling=1.0, h_field=0.5, t_bath=0.1, statistics="fermi")
+    gen = mp.build_generator(model)
+    spec = mp.decompose(gen)
+    rho = spec.project_physical(mp.random_mixed_state(32, 1000, seed=3))
+    return model, gen, spec, rho
+
+
+class TestBatchedTrajectory:
+    """evolve_* + compute_trajectory, chunked, equal the per-point reference."""
+
+    @pytest.fixture(params=["tfim3_block", "tfim5_block", "qubit_dense", "tfim3_dense",
+                            "tfim3_direct", "qubit_direct"])
+    def case(self, request, qubit_model, qubit_gen, tfim3_model, tfim3_gen, tfim5_case):
+        kind = request.param
+        if kind.startswith("tfim5"):
+            model, gen, spec, rho = tfim5_case
+            t_max = 14.0
+        elif kind.startswith("tfim3"):
+            model, gen, t_max = tfim3_model, tfim3_gen, 6.0
+            spec = mp.decompose(gen, prefer="dense" if kind.endswith("dense") else "auto")
+            rho = mp.random_mixed_state(8, 4, seed=11)
+        else:
+            model, gen, t_max = qubit_model, qubit_gen, 4.0
+            spec = mp.decompose(gen, prefer="dense")
+            rho = mp.bloch_to_state(list(DEMO_BLOCH))
+        if kind.endswith("direct"):
+            return model, (lambda t: mp.evolve_direct(gen, rho, t)), \
+                (lambda t: _reference_direct_states(gen, rho, t)), t_max
+        if spec.kind == "block":
+            return model, (lambda t: mp.evolve_spectral(spec, rho, t)), \
+                (lambda t: _reference_block_states(gen, rho, t)), t_max
+        return model, (lambda t: mp.evolve_spectral(spec, rho, t)), \
+            (lambda t: _reference_dense_states(spec, rho, t)), t_max
+
+    @pytest.mark.parametrize("n_points", [281, 17, 1])
+    def test_bitwise_equal_to_pointwise_reference(self, case, n_points):
+        model, evolve, reference, t_max = case
+        times = np.linspace(0.0, t_max, n_points) if n_points > 1 else np.array([t_max / 3])
+        basis, beta = model.basis(), model.bath.beta
+        grid = evolve(times)
+        states = reference(times)
+        want = np.stack([s.entries for s in states])
+        assert grid.entries.shape == want.shape
+        assert np.array_equal(grid.entries, want)
+        spectra = np.array([np.linalg.eigvalsh(basis.to_eigenbasis(m)) for m in want])
+        assert np.array_equal(grid.spectra, spectra)
+
+        traj = mp.compute_trajectory(grid, basis, beta)
+        f_neq, d_rel, p_cl, c_coh, l1, t1 = _reference_columns(states, basis, beta)
+        for got, ref in ((traj.f_neq, f_neq), (traj.d_rel, d_rel), (traj.p_classical, p_cl),
+                         (traj.c_coherence, c_coh), (traj.l1, l1), (traj.t1, t1)):
+            assert np.array_equal(got, ref)
+        pi = _spohn_rate_loop(times, f_neq, beta) if n_points >= 3 else np.empty(0)
+        assert np.array_equal(traj.pi, pi)
+
+    def test_two_solves_per_point_and_no_state_objects(self, monkeypatch, tfim5_case):
+        # one solve per point validates the state and gives S(rho), one gives
+        # the trace distance; both are batched per chunk
+        model, _, spec, rho = tfim5_case
+        times = np.linspace(0.0, 14.0, 281)
+        solves, built = [], []
+        eigvalsh, init = np.linalg.eigvalsh, mp.DensityMatrix.__init__
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            solves.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(mp.DensityMatrix, "__init__", counting_init)
+        grid = mp.evolve_spectral(spec, rho, times)
+        mp.compute_trajectory(grid, model.basis(), model.bath.beta)
+        chunks = -(-times.size // CHUNK_POINTS)
+        assert len(solves) == 2 * chunks
+        assert sum(shape[0] for shape in solves) == 2 * times.size
+        assert not built
