@@ -146,10 +146,8 @@ def _metro_config(transform: TransformSpec, args) -> MetropolisConfig:
     return dataclasses.replace(transform.metropolis, seed=args.seed)
 
 
-def _apply_transform(cfg, model, spectrum, rho, args):
-    """Returns (rho_transformed, trace_or_None); honors the configured kind."""
-    kind = cfg.transform.kind
-    basis = model.basis()
+def _apply_transform(kind, cfg, basis, spectrum, rho, args):
+    """Returns (rho_transformed, trace_or_None) for the transform ``kind``."""
     if kind == "none":
         return None, None
     if kind == "exact":
@@ -202,7 +200,7 @@ def cmd_evolve(args) -> int:
     basis = model.basis()
     beta = _beta(model)
     rho = spectrum.project_physical(_initial_state(cfg, model, args))
-    rho_prime, _ = _apply_transform(cfg, model, spectrum, rho, args)
+    rho_prime, _ = _apply_transform(cfg.transform.kind, cfg, basis, spectrum, rho, args)
     if rho_prime is not None:
         rho_prime = spectrum.project_physical(rho_prime)
     times = cfg.time_grid.times()
@@ -231,14 +229,10 @@ def cmd_mpemba(args) -> int:
     tau = spectrum.steady_state
 
     kind = cfg.transform.kind if cfg.transform.kind != "none" else "exact"
-    if kind == "exact":
-        rho_prime, _ = exact_transform(rho, basis)
-        trace = None
-    else:
-        rho_prime, trace = _apply_transform(cfg, model, spectrum, rho, args)
-        if trace is not None and not trace.converged:
-            trace.to_csv(out / "transform_trace.csv")
-            raise _NonConvergence(f"best cost {trace.best_cost:.3e}")
+    rho_prime, trace = _apply_transform(kind, cfg, basis, spectrum, rho, args)
+    if trace is not None and not trace.converged:
+        trace.to_csv(out / "transform_trace.csv")
+        raise _NonConvergence(f"best cost {trace.best_cost:.3e}")
     # superselected models: certify the physically representable state
     rho_prime = spectrum.project_physical(rho_prime)
 
@@ -298,7 +292,7 @@ def cmd_metropolis(args) -> int:
         raise ConfigError("transform.kind", "the metropolis command needs a metropolis transform")
     _, spectrum = _spectrum(model, args)
     rho = _initial_state(cfg, model, args)
-    rho_prime, trace = _apply_transform(cfg, model, spectrum, rho, args)
+    rho_prime, trace = _apply_transform(cfg.transform.kind, cfg, model.basis(), spectrum, rho, args)
     trace.to_csv(out / "trace.csv")
     np.save(out / "state_transformed.npy", rho_prime.entries)
     print(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .metropolis import MetropolisConfig
-from .models import MODEL_BUILDERS, ModelInstance, quantum_dot, single_qubit, tfim, two_level_atom
+from .models import MODEL_BUILDERS, ModelInstance
 
 _MODEL_KEYS = {
     "single_qubit": {"omega"},

@@ -167,47 +167,54 @@ def build_population_block(jumps: JumpMatrix) -> np.ndarray:
     return j2 - np.diag(j2.sum(axis=0))
 
 
-def build_coherence_diagonal(basis: SpectralBasis, jumps: JumpMatrix):
-    """Diagonal action of the generator on each coherence |n><m|, n != m.
+def build_coherence_block(basis: SpectralBasis, jumps: JumpMatrix) -> np.ndarray:
+    """Action of the generator on the coherences, as one d x d matrix.
 
-    Returns a list of ``(n, m, value)`` with
-    value = -i(h_n - h_m) - (1/2) sum_i (J[i,n]^2 + J[i,m]^2).
-    Entries for (n, m) and (m, n) are complex conjugates.  Positions in the
-    vectorized generator follow the package's row-major convention; the test
-    suite cross-validates them against :func:`build_dense_generator`.
+    Entry [n, m], n != m, is the eigenvalue of the coherence |n><m|,
+    -i(h_n - h_m) - (1/2) sum_i (J[i,n]^2 + J[i,m]^2); the diagonal, which
+    belongs to the populations, is zero.  Entries [n, m] and [m, n] are
+    complex conjugates.  Positions in the vectorized generator follow the
+    package's row-major convention; the test suite cross-validates them
+    against :func:`build_dense_generator`.
     """
     if basis.degeneracy_flag:
         raise DegenerateSpectrumError(
             "coherence block is undefined for a degenerate Hamiltonian"
         )
     escape = jumps.rates().sum(axis=0)
-    entries = []
-    for n in range(basis.dim):
-        for m in range(basis.dim):
-            if n != m:
-                value = complex(
-                    -0.5 * (escape[n] + escape[m]),
-                    -(basis.energies[n] - basis.energies[m]),
-                )
-                entries.append((n, m, value))
-    return entries
+    block = np.empty((basis.dim, basis.dim), dtype=complex)
+    block.real = -0.5 * (escape[:, None] + escape[None, :])
+    block.imag = -(basis.energies[:, None] - basis.energies[None, :])
+    np.fill_diagonal(block, 0.0)
+    return block
+
+
+def coherence_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level pairs (n, m), n != m, of the d(d-1) coherences in row-major order.
+
+    The order in which the block form lists its coherence modes.
+    """
+    return np.nonzero(~np.eye(d, dtype=bool))
 
 
 @dataclass(frozen=True)
 class DaviesGenerator:
     """A thermalizing generator in (up to) two representations.
 
-    ``pop_block``/``coh_diagonal`` form the fast block representation,
-    available only for non-degenerate Hamiltonians.  ``dense`` is the full
-    d^2 x d^2 superoperator.  Both live in the energy eigenbasis recorded in
-    ``basis``.  ``sector_labels`` optionally marks a conserved charge per
-    level (e.g. fermion parity); eigenmodes connecting different sectors are
-    then superselected away by the spectral decomposition.
+    ``pop_block``, the classical rate matrix on the populations, and
+    ``coh_block``, the d x d matrix whose entry [n, m] is the eigenvalue of
+    the coherence |n><m| (zero on the diagonal), form the fast block
+    representation, available only for non-degenerate Hamiltonians.
+    ``dense`` is the full d^2 x d^2 superoperator.  Both live in the energy
+    eigenbasis recorded in ``basis``.  ``sector_labels`` optionally marks a
+    conserved charge per level (e.g. fermion parity); eigenmodes connecting
+    different sectors are then superselected away by the spectral
+    decomposition.
     """
 
     basis: SpectralBasis
     pop_block: np.ndarray | None = None
-    coh_diagonal: tuple | None = None
+    coh_block: np.ndarray | None = None
     dense: np.ndarray | None = None
     sector_labels: tuple | None = None
     meta: dict = field(default_factory=dict, compare=False)
@@ -220,12 +227,19 @@ class DaviesGenerator:
             col_defect = float(np.abs(self.pop_block.sum(axis=0)).max())
             if col_defect > 1e-12 * max(1.0, float(np.abs(self.pop_block).max())):
                 raise ValidationError(f"population block columns sum to {col_defect:.2e}, not 0")
-            if self.coh_diagonal is None:
-                raise ValidationError("block representation requires the coherence diagonal")
-            object.__setattr__(self, "coh_diagonal", tuple(self.coh_diagonal))
-            for n, m, value in self.coh_diagonal:
-                if value.real > 1e-14:
-                    raise ValidationError(f"coherence ({n},{m}) has positive real part")
+            if self.coh_block is None:
+                raise ValidationError("block representation requires the coherence block")
+            coh = frozen(np.asarray(self.coh_block, dtype=complex))
+            square = (self.dim, self.dim)
+            if coh.shape != square:
+                raise ValidationError(f"coherence block has shape {coh.shape}, not {square}")
+            if np.any(np.diag(coh) != 0.0):
+                raise ValidationError("coherence block diagonal must be exactly zero")
+            growing = np.argwhere(coh.real > 1e-14)
+            if growing.size:
+                n, m = growing[0]
+                raise ValidationError(f"coherence ({n},{m}) has positive real part")
+            object.__setattr__(self, "coh_block", coh)
         if self.dense is not None:
             object.__setattr__(self, "dense", frozen(self.dense))
         if self.sector_labels is not None:
@@ -248,7 +262,7 @@ class DaviesGenerator:
         if not self.has_block:
             raise ValidationError("generator has no block representation")
         pop = np.linalg.eigvals(self.pop_block)
-        coh = np.array([value for _, _, value in self.coh_diagonal])
+        coh = self.coh_block[coherence_indices(self.dim)]
         return np.concatenate([pop.astype(complex), coh])
 
 
@@ -263,7 +277,7 @@ def davies_generator(
     return DaviesGenerator(
         basis=basis,
         pop_block=build_population_block(jumps),
-        coh_diagonal=build_coherence_diagonal(basis, jumps),
+        coh_block=build_coherence_block(basis, jumps),
         dense=build_dense_generator(basis, jumps) if dense else None,
         meta={"bath": bath},
     )
@@ -342,14 +356,15 @@ def export_generator(gen: DaviesGenerator, path) -> None:
     """Dump the block representation as JSON with the convention header."""
     if not gen.has_block:
         raise ValidationError("only block-form generators are exported")
+    coh = gen.coh_block
     payload = {
         "vectorization": VECTORIZATION_CONVENTION,
         "dim": gen.dim,
         "energies": list(map(float, gen.basis.energies)),
         "pop_block": [[float(x) for x in row] for row in gen.pop_block],
         "coh_diagonal": [
-            {"n": int(n), "m": int(m), "re": float(v.real), "im": float(v.imag)}
-            for n, m, v in gen.coh_diagonal
+            {"n": n, "m": m, "re": float(coh[n, m].real), "im": float(coh[n, m].imag)}
+            for n, m in np.transpose(coherence_indices(gen.dim)).tolist()
         ],
     }
     with open(path, "w") as fh:

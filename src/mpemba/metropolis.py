@@ -27,13 +27,14 @@ Two annealers operate on a decomposed generator spectrum:
   proposals permute four randomly chosen populations, which preserves both
   the population multiset and diagonality exactly.
 
-Both accept a better proposal always and a worse one with probability
-exp(-(C' - C)/T_eff); the effective temperature cools by the factor ``tau``
-on every acceptance.  The nano/micro/macro loop budgets follow the
-re-varied-parameter reading: nano re-varies the same parameter, micro
-re-selects a parameter of the same qubit, macro re-selects the qubit
-(L * M macro rounds in total).  The best state seen is returned, since the
-threshold crossing is what defines convergence.
+Both walk by one Metropolis rule: a better proposal is always accepted and
+a worse one with probability exp(-(C' - C)/T_eff); the effective
+temperature cools by the factor ``tau`` on every acceptance.  The
+nano/micro/macro loop budgets follow the re-varied-parameter reading: nano
+re-varies the same parameter, micro re-selects a parameter of the same
+qubit, macro re-selects the qubit (L * M macro rounds in total).  The best
+state seen is returned, since the threshold crossing is what defines
+convergence.
 """
 
 from __future__ import annotations
@@ -119,27 +120,54 @@ class OptimizationTrace:
         )
 
 
-class _TraceRecorder:
-    def __init__(self):
-        self.iteration = []
-        self.cost = []
-        self.t_eff = []
-        self.accepted = []
+class _Walk:
+    """The Metropolis rule both annealers share, with its bookkeeping.
 
-    def record(self, it, cost, t_eff, accepted):
-        self.iteration.append(it)
-        self.cost.append(cost)
-        self.t_eff.append(t_eff)
-        self.accepted.append(accepted)
+    Starts from a state of cost ``cost`` at T_eff = 1.  Each :meth:`step`
+    judges one priced proposal, cools T_eff by ``cooling_tau`` on
+    acceptance, keeps a copy of the best state seen and records one trace
+    row.  ``done`` turns true once the best cost falls below
+    ``threshold_eps`` or ``max_total_iterations`` proposals have been made.
+    """
 
-    def finish(self, converged, best_cost):
+    def __init__(self, cost: float, state: np.ndarray, config: MetropolisConfig):
+        self.cost = self.best_cost = cost
+        self.t_eff = 1.0
+        self.best = state.copy()
+        self.converged = self.done = cost < config.threshold_eps
+        self._tau = config.cooling_tau
+        self._eps = config.threshold_eps
+        self._budget = config.max_total_iterations
+        # one column per trace field: floats and bools are not tracked by
+        # the garbage collector, a row tuple per proposal would be
+        self._costs, self._temps, self._accepts = [], [], []
+
+    def step(self, new_cost: float, state: np.ndarray, rng) -> bool:
+        """Judge a proposal that put the walk at ``state``; True if accepted."""
+        # locals, not attributes, on this per-proposal path
+        cost, t_eff, accepts = self.cost, self.t_eff, self._accepts
+        accepted = metropolis_accept(new_cost, cost, t_eff, rng)
+        if accepted:
+            self.cost = cost = new_cost
+            self.t_eff = t_eff = t_eff * self._tau
+            if new_cost < self.best_cost:
+                self.best_cost = new_cost
+                self.best = state.copy()
+                self.converged = new_cost < self._eps
+        self._costs.append(cost)
+        self._temps.append(t_eff)
+        accepts.append(accepted)
+        self.done = self.converged or len(accepts) >= self._budget
+        return accepted
+
+    def trace(self) -> OptimizationTrace:
         return OptimizationTrace(
-            iteration=np.asarray(self.iteration, dtype=int),
-            cost=np.asarray(self.cost, dtype=float),
-            t_eff=np.asarray(self.t_eff, dtype=float),
-            accepted=np.asarray(self.accepted, dtype=bool),
-            converged=bool(converged),
-            best_cost=float(best_cost),
+            iteration=np.arange(1, len(self._accepts) + 1),
+            cost=np.asarray(self._costs, dtype=float),
+            t_eff=np.asarray(self._temps, dtype=float),
+            accepted=np.asarray(self._accepts, dtype=bool),
+            converged=bool(self.converged),
+            best_cost=float(self.best_cost),
         )
 
 
@@ -162,6 +190,7 @@ def cost(spectrum: GeneratorSpectrum, rho, target_modes) -> float:
     return float(total)
 
 
+_TWO_PI = 2.0 * np.pi
 #: Anchor offsets of the three-point fit; e^{i phi} at them are the cube roots of unity.
 _ANCHORS = np.array([0.0, 2.0 * np.pi / 3.0, -2.0 * np.pi / 3.0])
 _GRID_POINTS = 256
@@ -280,6 +309,11 @@ def unitary_metropolis(
     n_qubits = int(np.log2(d))
     if 2**n_qubits != d:
         raise ValidationError("unitary metropolis requires a 2^L-dimensional state")
+
+    def rotated(p):
+        u = build_ansatz_unitary(UnitaryAnsatz(p, fermionic=fermionic))
+        return u @ rho_m @ u.conj().T
+
     fitted = cost_fn is None
     if fitted:
         targets = config.target_modes
@@ -287,84 +321,54 @@ def unitary_metropolis(
         def cost_fn(rho_lab):
             return cost(spectrum, rho_lab, targets)
 
-        def amplitudes_at(p):
-            u = build_ansatz_unitary(UnitaryAnsatz(p, fermionic=fermionic))
-            return spectrum.amplitudes(u @ rho_m @ u.conj().T, targets)
-
     # short-circuit: a state already below threshold needs no transformation
     identity_cost = cost_fn(rho_m)
     if identity_cost < config.threshold_eps:
-        ansatz = UnitaryAnsatz(np.zeros((n_qubits, 4)), fermionic=False)
-        recorder = _TraceRecorder()
-        return (
-            DensityMatrix(rho_m),
-            ansatz,
-            recorder.finish(True, identity_cost),
-        )
+        walk = _Walk(identity_cost, np.zeros((n_qubits, 4)), config)
+        return DensityMatrix(rho_m), UnitaryAnsatz(walk.best), walk.trace()
 
     rng = np.random.default_rng(config.seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_qubits, 4))
-    ansatz = UnitaryAnsatz(params, fermionic=fermionic)
-    u = build_ansatz_unitary(ansatz)
-    current_cost = cost_fn(u @ rho_m @ u.conj().T)
-    t_eff = 1.0
+    walk = _Walk(cost_fn(rotated(params)), params, config)
 
-    best_cost = current_cost
-    best_params = params.copy()
-    recorder = _TraceRecorder()
-    iteration = 0
-    converged = best_cost < config.threshold_eps
-
-    if not converged:
-        for _macro in range(n_qubits * config.macro_big_m):
-            qubit = int(rng.integers(n_qubits))
-            for _micro in range(config.micro_m):
-                par = int(rng.integers(4))
-                if fitted:
-                    theta0 = params[qubit, par]
-                    trial = params.copy()
-                    anchors = []
-                    for shift in _ANCHORS:
-                        trial[qubit, par] = theta0 + shift
-                        anchors.append(amplitudes_at(trial))
-                    coef = _fit_coordinate(np.array(anchors))
-                    terms = list(zip(*coef.tolist()))
-                for nano in range(config.nano_n):
-                    iteration += 1
-                    old = params[qubit, par]
-                    if fitted and nano == 0 and par != 0:
-                        params[qubit, par] = (theta0 + _minimize_coordinate(coef)) % (2.0 * np.pi)
-                    else:
-                        params[qubit, par] = (old + rng.uniform(0.0, 2.0 * np.pi)) % (2.0 * np.pi)
-                    if fitted:
-                        new_cost = _fitted_cost(terms, params[qubit, par] - theta0)
-                    else:
-                        u = build_ansatz_unitary(UnitaryAnsatz(params, fermionic=fermionic))
-                        new_cost = cost_fn(u @ rho_m @ u.conj().T)
-                    accepted = metropolis_accept(new_cost, current_cost, t_eff, rng)
-                    if accepted:
-                        current_cost = new_cost
-                        t_eff *= config.cooling_tau
-                        if new_cost < best_cost:
-                            best_cost = new_cost
-                            best_params = params.copy()
-                    else:
-                        params[qubit, par] = old
-                    recorder.record(iteration, current_cost, t_eff, accepted)
-                    if best_cost < config.threshold_eps:
-                        converged = True
-                        break
-                    if iteration >= config.max_total_iterations:
-                        break
-                if converged or iteration >= config.max_total_iterations:
-                    break
-            if converged or iteration >= config.max_total_iterations:
+    for _macro in range(n_qubits * config.macro_big_m):
+        if walk.done:
+            break
+        qubit = int(rng.integers(n_qubits))
+        for _micro in range(config.micro_m):
+            if walk.done:
                 break
+            par = int(rng.integers(4))
+            if fitted:
+                theta0 = params[qubit, par]
+                trial = params.copy()
+                anchors = []
+                for shift in _ANCHORS:
+                    trial[qubit, par] = theta0 + shift
+                    anchors.append(spectrum.amplitudes(rotated(trial), targets))
+                coef = _fit_coordinate(np.array(anchors))
+                terms = list(zip(*coef.tolist()))
+            for nano in range(config.nano_n):
+                if walk.done:
+                    break
+                old = params[qubit, par]
+                if fitted and nano == 0 and par != 0:
+                    theta = (theta0 + _minimize_coordinate(coef)) % _TWO_PI
+                else:
+                    theta = (old + rng.uniform(0.0, _TWO_PI)) % _TWO_PI
+                params[qubit, par] = theta
+                if fitted:
+                    new_cost = _fitted_cost(terms, theta - theta0)
+                else:
+                    new_cost = cost_fn(rotated(params))
+                if not walk.step(new_cost, params, rng):
+                    params[qubit, par] = old
 
-    best_ansatz = UnitaryAnsatz(best_params, fermionic=fermionic)
-    u_best = build_ansatz_unitary(best_ansatz)
-    rho_best = DensityMatrix(u_best @ rho_m @ u_best.conj().T)
-    return rho_best, best_ansatz, recorder.finish(converged, best_cost)
+    return (
+        DensityMatrix(rotated(walk.best)),
+        UnitaryAnsatz(walk.best, fermionic=fermionic),
+        walk.trace(),
+    )
 
 
 def swap_metropolis(spectrum: GeneratorSpectrum, populations, config: MetropolisConfig):
@@ -396,32 +400,15 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, config: Metropolis
         return float(np.abs(lmat @ vec).sum()) if lmat.size else 0.0
 
     rng = np.random.default_rng(config.seed)
-    current_cost = pcost(p)
-    best_cost = current_cost
-    best_p = p.copy()
-    t_eff = 1.0
-    recorder = _TraceRecorder()
-    converged = best_cost < config.threshold_eps
+    walk = _Walk(pcost(p), p, config)
     n_swap = 4 if d >= 4 else 2
     perms = _PERMS4 if n_swap == 4 else _PERMS2
 
-    iteration = 0
-    while not converged and iteration < config.max_total_iterations:
-        iteration += 1
+    while not walk.done:
         idx = rng.choice(d, size=n_swap, replace=False)
         perm = perms[int(rng.integers(len(perms)))]
         proposal = p.copy()
         proposal[idx] = p[idx[list(perm)]]
-        new_cost = pcost(proposal)
-        accepted = metropolis_accept(new_cost, current_cost, t_eff, rng)
-        if accepted:
+        if walk.step(pcost(proposal), proposal, rng):
             p = proposal
-            current_cost = new_cost
-            t_eff *= config.cooling_tau
-            if new_cost < best_cost:
-                best_cost = new_cost
-                best_p = p.copy()
-        recorder.record(iteration, current_cost, t_eff, accepted)
-        if best_cost < config.threshold_eps:
-            converged = True
-    return best_p, recorder.finish(converged, best_cost)
+    return walk.best, walk.trace()

@@ -8,10 +8,10 @@ is the steady state, mode 2 defines the spectral gap.
 
 Two internal representations exist.  A dense decomposition stores all
 eigenmatrices explicitly (fine up to d ~ 16-32).  A block decomposition of a
-Davies generator keeps the population modes as vectors and the coherence
-modes as index pairs, which never touches a d^2 x d^2 array and stays
-numerically stable at low temperature, where the dense eigenbasis becomes
-exponentially ill-conditioned.  One routine,
+Davies generator keeps the population modes as vectors and reads each
+coherence mode as one entry of the state, which never touches a d^2 x d^2
+array and stays numerically stable at low temperature, where the dense
+eigenbasis becomes exponentially ill-conditioned.  One routine,
 :meth:`GeneratorSpectrum.amplitudes`, turns a state into mode amplitudes for
 both representations; every other caller (:func:`amplitude`, the annealers'
 costs) goes through it.
@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .davies import DaviesGenerator
+from .davies import DaviesGenerator, coherence_indices
 from .errors import (
     DefectiveGeneratorError,
     NoSteadyStateError,
@@ -114,30 +114,26 @@ class _States(Sequence):
 class GeneratorSpectrum:
     """Ordered eigenvalues with paired left/right eigenmatrices.
 
-    Not constructed directly; use :func:`decompose`.
+    Not constructed directly; use :func:`decompose`.  A dense spectrum
+    stores every eigenmatrix.  A block spectrum stores the population
+    eigenvectors and, per mode, where the mode is read: ``_pop_col`` is its
+    column of the population eigenvectors (-1 for a coherence) and
+    ``_flat`` the position n*d + m of a coherence |n><m| in the flattened
+    energy-basis state.  Mode tags are derived from these on request.
     """
 
-    def __init__(self, eigenvalues, basis, steady_state, mode_tags, payload):
+    def __init__(self, eigenvalues, basis, steady_state, coherent, payload, *,
+                 pop_col=None, flat=None):
         self.eigenvalues = frozen(np.asarray(eigenvalues, dtype=complex))
         self.basis = basis
         self.steady_state = steady_state
-        self._tags = tuple(mode_tags)  # ("pop", j) | ("coh", n, m) | ("dense", j)
+        self._coherent = frozen(coherent)
         self._payload = payload
+        self._pop_col = pop_col
+        self._flat = flat
         self.gap_is_complex = bool(
             self.n_modes > 1 and _is_complex_mode(self.eigenvalues, 1)
         )
-        lam = self.eigenvalues
-        if self.kind == "dense":
-            coherent = np.abs(lam.imag) > IMAG_TOL * np.maximum(1.0, np.abs(lam))
-        else:
-            coherent = np.array([tag[0] == "coh" for tag in self._tags])
-            # where each block mode is read: coherence (n, m) at n*d + m of
-            # the flattened rho_e, population mode at column j of pop_lefts
-            # (-1 marks a coherence)
-            d = basis.dim
-            self._flat = np.array([tag[1] * d + tag[2] if c else 0 for c, tag in zip(coherent, self._tags)])
-            self._pop_col = np.array([-1 if c else tag[1] for c, tag in zip(coherent, self._tags)])
-        self._coherent = frozen(coherent)
 
     # -- structure ---------------------------------------------------------
 
@@ -151,11 +147,17 @@ class GeneratorSpectrum:
 
     @property
     def kind(self) -> str:
-        return self._payload["kind"]
+        return "dense" if self._pop_col is None else "block"
 
     def mode_tag(self, k: int):
-        """Structural tag of 1-based mode k."""
-        return self._tags[_check_mode_index(k, self.n_modes)]
+        """Structural tag of 1-based mode k: ("dense", k-1), ("pop", j) or ("coh", n, m)."""
+        idx = _check_mode_index(k, self.n_modes)
+        if self._pop_col is None:
+            return ("dense", idx)
+        j = int(self._pop_col[idx])
+        if j >= 0:
+            return ("pop", j)
+        return ("coh", *divmod(int(self._flat[idx]), self.dim))
 
     def is_coherent_mode(self, k: int) -> bool:
         """True when mode k lives in the coherence sector.
@@ -183,7 +185,7 @@ class GeneratorSpectrum:
         # reads the same data as amplitudes(): the dense stacks, the
         # population columns, or the coherence's flat index n*d + m
         idx = _check_mode_index(k, self.n_modes)
-        if self.kind == "dense":
+        if self._pop_col is None:
             return self._payload["lefts" if left else "rights"][idx].copy()
         j = self._pop_col[idx]
         if j >= 0:
@@ -221,7 +223,7 @@ class GeneratorSpectrum:
             idx = np.arange(self.n_modes)
         else:
             idx = np.array([_check_mode_index(k, self.n_modes) for k in modes], dtype=np.intp)
-        if self.kind == "dense":
+        if self._pop_col is None:
             return np.einsum("knm,mn->k", self._payload["lefts"][idx], rho_e)
         out = rho_e.ravel()[self._flat[idx]]
         for i, j in enumerate(self._pop_col[idx].tolist()):
@@ -294,8 +296,11 @@ def decompose(generator, basis: SpectralBasis | None = None, *, prefer: str = "a
     return _decompose_dense(np.asarray(generator, dtype=complex), basis)
 
 
-def _mode_order(eigenvalues, digests):
-    """Ordering: zero mode first, then |Re| ascending, Im ascending, digest."""
+def _mode_order(eigenvalues, *tiebreaks):
+    """Ordering: zero mode first, then |Re| ascending, Im ascending, tiebreaks.
+
+    Modes that tie on every key keep their input order.
+    """
     zero_idx = int(np.argmin(np.abs(eigenvalues)))
     if abs(eigenvalues[zero_idx]) > ZERO_EIGENVALUE_TOL:
         raise NoSteadyStateError(
@@ -306,8 +311,9 @@ def _mode_order(eigenvalues, digests):
     # key would dominate the L=5 block decomposition
     rate = np.round(np.abs(eigenvalues.real), 12).tolist()
     freq = np.round(eigenvalues.imag, 12).tolist()
+    keys = list(zip(rate, freq, *tiebreaks))
     rest = [i for i in range(eigenvalues.size) if i != zero_idx]
-    rest.sort(key=lambda i: (rate[i], freq[i], digests[i]))
+    rest.sort(key=keys.__getitem__)
     return [zero_idx] + rest
 
 
@@ -365,14 +371,13 @@ def _decompose_dense(g_dense, basis, sector_labels=None):
         basis.from_eigenbasis(hermitize(rights[0])), psd_tol=EVOLUTION_PSD_TOL
     )
 
-    tags = [("dense", j) for j in range(n_modes)]
+    coherent = np.abs(eigvals.imag) > IMAG_TOL * np.maximum(1.0, np.abs(eigvals))
     payload = {
-        "kind": "dense",
         "rights": rights,
         "lefts": lefts,
         "sector_labels": tuple(sector_labels) if sector_labels is not None else None,
     }
-    return GeneratorSpectrum(eigvals, basis, steady, tags, payload)
+    return GeneratorSpectrum(eigvals, basis, steady, coherent, payload)
 
 
 def _obeys_detailed_balance(gp: np.ndarray, energies: np.ndarray, beta: float) -> bool:
@@ -414,19 +419,21 @@ def _decompose_block(gen: DaviesGenerator):
         pop_rights = vr
         pop_lefts = np.linalg.inv(vr).T
 
-    coh = list(gen.coh_diagonal)
-    eigvals = np.concatenate([pop_vals, np.array([v for _, _, v in coh], dtype=complex)])
-    tags = [("pop", j) for j in range(d)] + [("coh", n, m) for n, m, _ in coh]
-    digests = [(0.0,)] * len(tags)
-    order = _mode_order(eigvals, digests)
+    # the d population modes, then the coherences in row-major order, each
+    # with its population column (-1 for a coherence) and its position n*d + m
+    n, m = coherence_indices(d)
+    eigvals = np.concatenate([pop_vals, gen.coh_block[n, m]])
+    pop_col = np.concatenate([np.arange(d), np.full(n.size, -1)])
+    flat = np.concatenate([np.zeros(d, dtype=int), n * d + m])
+    order = _mode_order(eigvals)
     eigvals = eigvals[order]
-    tags = [tags[i] for i in order]
+    pop_col = frozen(pop_col[order])
+    flat = frozen(flat[order])
 
     # normalize the stationary mode to unit trace (and its left to identity)
-    zero_tag = tags[0]
-    if zero_tag[0] != "pop":
+    j0 = int(pop_col[0])
+    if j0 < 0:
         raise NoSteadyStateError("stationary mode is not in the population sector")
-    j0 = zero_tag[1]
     trace = pop_rights[:, j0].sum()
     if abs(trace) < 1e-12:
         raise NoSteadyStateError("stationary population mode is traceless")
@@ -439,17 +446,15 @@ def _decompose_block(gen: DaviesGenerator):
     steady_diag /= steady_diag.sum()
     steady = DensityMatrix(basis.from_eigenbasis(np.diag(steady_diag).astype(complex)))
 
-    gmat = np.zeros((d, d), dtype=complex)
-    for n, m, v in coh:
-        gmat[n, m] = v
     payload = {
-        "kind": "block",
         "pop_rights": pop_rights,
         "pop_lefts": pop_lefts,
         "pop_block": gp,
-        "coh_matrix": gmat,
+        "coh_block": gen.coh_block,
     }
-    return GeneratorSpectrum(eigvals, basis, steady, tags, payload)
+    return GeneratorSpectrum(
+        eigvals, basis, steady, pop_col < 0, payload, pop_col=pop_col, flat=flat
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +495,7 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
         rho_e = spectrum._to_eig(rho_i)
         p0 = np.real(np.diag(rho_e)).copy()
         pops = _propagate_populations(spectrum._payload["pop_block"], p0, times)
-        gmat = spectrum._payload["coh_matrix"]
+        gmat = spectrum._payload["coh_block"]
         diag = np.arange(basis.dim)
 
         def block_chunk(s):
@@ -529,42 +534,38 @@ def evolve_direct(generator, rho_i, times, basis: SpectralBasis | None = None) -
     rho_e = basis.to_eigenbasis(
         rho_i.entries if isinstance(rho_i, DensityMatrix) else np.asarray(rho_i, dtype=complex)
     )
-    state_vec = rho_e.reshape(-1)
-    propagators: dict[float, np.ndarray] = {}
-    prev_t = 0.0
+    states = _propagate(g_dense, rho_e.reshape(-1), times)
 
     def direct_chunk(s):
         # chunks are asked for in time order, so the stepping carries over
-        nonlocal state_vec, prev_t
-        out = np.empty((s.stop - s.start, d, d), dtype=complex)
-        for j, t in enumerate(times[s]):
-            dt = t - prev_t
-            if dt != 0.0:
-                key = round(dt, 15)
-                if key not in propagators:
-                    propagators[key] = scipy.linalg.expm(g_dense * dt)
-                state_vec = propagators[key] @ state_vec
-            prev_t = t
-            out[j] = state_vec.reshape(d, d)
-        return out
+        return np.array([next(states).reshape(d, d) for _ in range(s.stop - s.start)])
 
     return _package_states(times, direct_chunk, basis)
+
+
+def _propagate(generator: np.ndarray, vec: np.ndarray, times: np.ndarray):
+    """Yield exp(generator t) vec at each of the ascending ``times``.
+
+    Steps from one grid point to the next, reusing the propagator
+    (scipy.linalg.expm) of each distinct step length.
+    """
+    propagators: dict[float, np.ndarray] = {}
+    prev_t = 0.0
+    for t in times:
+        dt = t - prev_t
+        if dt != 0.0:
+            key = round(dt, 15)
+            if key not in propagators:
+                propagators[key] = scipy.linalg.expm(generator * dt)
+            vec = propagators[key] @ vec
+        prev_t = t
+        yield vec
 
 
 def _propagate_populations(gp: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Stepwise semigroup propagation of a population vector."""
     out = np.empty((times.size, p0.size))
-    propagators: dict[float, np.ndarray] = {}
-    p = p0.copy()
-    prev_t = 0.0
-    for j, t in enumerate(times):
-        dt = t - prev_t
-        if dt != 0.0:
-            key = round(dt, 15)
-            if key not in propagators:
-                propagators[key] = scipy.linalg.expm(gp * dt)
-            p = propagators[key] @ p
-        prev_t = t
+    for j, p in enumerate(_propagate(gp, p0, times)):
         out[j] = p
     return out
 

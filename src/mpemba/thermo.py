@@ -9,8 +9,9 @@ Central quantities (natural log, so entropies are in nats):
                 coherence, both in the energy eigenbasis.
 
 The entropy production rate is computed as Pi = -beta dF_neq/dt, which
-equals -dD/dt and is nonnegative for Davies dynamics.  (The dimensionally
-consistent beta prefactor is used; see the decisions ledger.)
+equals -dD/dt and is nonnegative for Davies dynamics.  (The beta prefactor
+makes Pi the rate of the dimensionless D, an entropy per unit time in nats;
+-dF_neq/dt alone would be an energy per unit time.)
 
 Two distances are kept deliberately distinct: ``l1_elementwise`` is the
 entrywise sum used in the distance plots, while ``trace_distance`` is half the

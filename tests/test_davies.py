@@ -111,17 +111,34 @@ class TestBlockForm:
     def test_qubit_coherence_entries(self, qubit_model):
         basis = qubit_model.basis()
         jumps = mp.build_jump_matrix(basis, qubit_model.bath)
-        entries = {(n, m): v for n, m, v in mp.build_coherence_diagonal(basis, jumps)}
-        assert entries[(0, 1)] == pytest.approx(-QUBIT_GAMMA_TOTAL / 2 + 5.0j, abs=1e-12)
-        assert entries[(1, 0)] == pytest.approx(-QUBIT_GAMMA_TOTAL / 2 - 5.0j, abs=1e-12)
+        block = mp.build_coherence_block(basis, jumps)
+        assert block[0, 1] == pytest.approx(-QUBIT_GAMMA_TOTAL / 2 + 5.0j, abs=1e-12)
+        assert block[1, 0] == pytest.approx(-QUBIT_GAMMA_TOTAL / 2 - 5.0j, abs=1e-12)
+        assert np.all(np.diag(block) == 0.0)
+
+    @pytest.mark.parametrize("length", [None, 3, 5])
+    def test_coherence_block_matches_entrywise_formula(self, length):
+        # reference: each entry -1/2 (escape_n + escape_m) - i (h_n - h_m) on its own
+        model = mp.single_qubit() if length is None else mp.tfim(length=length)
+        basis = model.basis()
+        jumps = mp.build_jump_matrix(basis, model.bath)
+        escape = jumps.rates().sum(axis=0)
+        want = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for n in range(basis.dim):
+            for m in range(basis.dim):
+                if n != m:
+                    want[n, m] = complex(
+                        -0.5 * (escape[n] + escape[m]), -(basis.energies[n] - basis.energies[m])
+                    )
+        got = mp.build_coherence_block(basis, jumps)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_conjugate_pairing_and_negative_real_parts(self, tfim3_model):
         basis = tfim3_model.basis()
         jumps = mp.build_jump_matrix(basis, tfim3_model.bath)
-        entries = {(n, m): v for n, m, v in mp.build_coherence_diagonal(basis, jumps)}
-        for (n, m), v in entries.items():
-            assert v.real <= 0.0
-            assert entries[(m, n)] == pytest.approx(np.conj(v), abs=1e-14)
+        block = mp.build_coherence_block(basis, jumps)
+        assert np.all(block.real <= 0.0)
+        assert np.abs(block.T - block.conj()).max() <= 1e-14
 
     @pytest.mark.parametrize("length", [2, 3])
     @pytest.mark.parametrize("statistics", ["fermi", "bose"])
@@ -215,4 +232,28 @@ class TestGeneratorObject:
         payload = json.loads(path.read_text())
         assert "row-major" in payload["vectorization"]
         np.testing.assert_allclose(payload["pop_block"], gen.pop_block)
-        assert len(payload["coh_diagonal"]) == 2
+        # one entry per coherence, row-major, carrying the block's values
+        assert [(e["n"], e["m"]) for e in payload["coh_diagonal"]] == [(0, 1), (1, 0)]
+        for e in payload["coh_diagonal"]:
+            assert complex(e["re"], e["im"]) == gen.coh_block[e["n"], e["m"]]
+
+    def test_coherence_block_is_frozen(self, qubit_model):
+        gen = mp.build_generator(qubit_model)
+        assert not gen.coh_block.flags.writeable
+
+    @pytest.mark.parametrize("defect", ["shape", "diagonal", "growing"])
+    def test_malformed_coherence_block_rejected(self, qubit_model, defect):
+        gen = mp.build_generator(qubit_model)
+        coh = np.array(gen.coh_block)
+        message = None
+        if defect == "shape":
+            coh = coh[:1]
+        elif defect == "diagonal":
+            coh[1, 1] = -1.0
+        else:
+            coh[1, 0] = coh[0, 1] = 1e-3 + 5.0j
+            message = r"coherence \(0,1\)"  # the first offending entry, row-major
+        with pytest.raises(ValidationError, match=message):
+            mp.DaviesGenerator(basis=gen.basis, pop_block=gen.pop_block, coh_block=coh)
+        with pytest.raises(ValidationError):
+            mp.DaviesGenerator(basis=gen.basis, pop_block=gen.pop_block)

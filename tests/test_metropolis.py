@@ -4,7 +4,11 @@ import pytest
 import mpemba as mp
 from mpemba.errors import ValidationError
 from mpemba.metropolis import (
+    _ANCHORS,
+    _PERMS2,
+    _PERMS4,
     _fit_coordinate,
+    _fitted_cost,
     _minimize_coordinate,
     metropolis_accept,
 )
@@ -329,3 +333,157 @@ class TestSwapMetropolis:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,cost,T_eff,accepted"
         assert len(lines) == len(trace) + 1
+
+
+# -- the two annealer loops as written before they shared one walk: each
+#    kept its own accept, cooling, best-state and stop bookkeeping
+
+
+def _reference_trace(rows, converged, best_cost):
+    return mp.OptimizationTrace(
+        iteration=np.asarray([r[0] for r in rows], dtype=int),
+        cost=np.asarray([r[1] for r in rows], dtype=float),
+        t_eff=np.asarray([r[2] for r in rows], dtype=float),
+        accepted=np.asarray([r[3] for r in rows], dtype=bool),
+        converged=bool(converged),
+        best_cost=float(best_cost),
+    )
+
+
+def _reference_unitary(spectrum, rho, config, fermionic=False, cost_fn=None):
+    rho_m = rho.entries
+    n_qubits = int(np.log2(rho_m.shape[0]))
+    fitted = cost_fn is None
+    targets = config.target_modes
+    if fitted:
+        def cost_fn(m):
+            return mp.cost(spectrum, m, targets)
+
+    def conj(p):
+        u = mp.build_ansatz_unitary(mp.UnitaryAnsatz(p, fermionic=fermionic))
+        return u @ rho_m @ u.conj().T
+
+    rng = np.random.default_rng(config.seed)
+    params = rng.uniform(0.0, 2.0 * np.pi, size=(n_qubits, 4))
+    current = best = cost_fn(conj(params))
+    best_params, t_eff, rows, it = params.copy(), 1.0, [], 0
+    converged = best < config.threshold_eps
+    stop = converged
+    for _macro in range(n_qubits * config.macro_big_m):
+        qubit = int(rng.integers(n_qubits))
+        for _micro in range(config.micro_m):
+            par = int(rng.integers(4))
+            if fitted:
+                theta0 = params[qubit, par]
+                trial = params.copy()
+                anchors = []
+                for shift in _ANCHORS:
+                    trial[qubit, par] = theta0 + shift
+                    anchors.append(spectrum.amplitudes(conj(trial), targets))
+                coef = _fit_coordinate(np.array(anchors))
+                terms = list(zip(*coef.tolist()))
+            for nano in range(config.nano_n):
+                it += 1
+                old = params[qubit, par]
+                if fitted and nano == 0 and par != 0:
+                    params[qubit, par] = (theta0 + _minimize_coordinate(coef)) % (2.0 * np.pi)
+                else:
+                    params[qubit, par] = (old + rng.uniform(0.0, 2.0 * np.pi)) % (2.0 * np.pi)
+                if fitted:
+                    new = _fitted_cost(terms, params[qubit, par] - theta0)
+                else:
+                    new = cost_fn(conj(params))
+                accepted = metropolis_accept(new, current, t_eff, rng)
+                if accepted:
+                    current = new
+                    t_eff *= config.cooling_tau
+                    if new < best:
+                        best, best_params = new, params.copy()
+                else:
+                    params[qubit, par] = old
+                rows.append((it, current, t_eff, accepted))
+                converged = best < config.threshold_eps
+                stop = converged or it >= config.max_total_iterations
+                if stop:
+                    break
+            if stop:
+                break
+        if stop:
+            break
+    return conj(best_params), best_params, _reference_trace(rows, converged, best)
+
+
+def _reference_swap(spectrum, p, config):
+    lmat = np.array([np.real_if_close(np.diag(spectrum.left(k))) for k in config.target_modes])
+    rng = np.random.default_rng(config.seed)
+    current = best = float(np.abs(lmat @ p).sum())
+    best_p, t_eff, rows, it = p.copy(), 1.0, [], 0
+    converged = best < config.threshold_eps
+    perms = _PERMS4 if p.size >= 4 else _PERMS2
+    while not converged and it < config.max_total_iterations:
+        it += 1
+        idx = rng.choice(p.size, size=len(perms[0]), replace=False)
+        perm = perms[int(rng.integers(len(perms)))]
+        proposal = p.copy()
+        proposal[idx] = p[idx[list(perm)]]
+        new = float(np.abs(lmat @ proposal).sum())
+        accepted = metropolis_accept(new, current, t_eff, rng)
+        if accepted:
+            p, current = proposal, new
+            t_eff *= config.cooling_tau
+            if new < best:
+                best, best_p = new, p.copy()
+        rows.append((it, current, t_eff, accepted))
+        converged = best < config.threshold_eps
+    return best_p, _reference_trace(rows, converged, best)
+
+
+def _assert_same_trace(got, want):
+    for name in ("iteration", "cost", "t_eff", "accepted"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (got.converged, got.best_cost) == (want.converged, want.best_cost)
+
+
+class TestSharedWalk:
+    @pytest.mark.parametrize("case", ["qubit", "qubit_cut", "qubit_cost_fn", "tfim3_fermionic"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_unitary_matches_reference_loop(self, case, seed, qubit_spec, tfim3_gen):
+        cost_fn = None
+        if case.startswith("qubit"):
+            spec, rho, fermionic = qubit_spec, mp.bloch_to_state(list(DEMO_BLOCH)), False
+            budget = 333 if case == "qubit_cut" else 3_000
+            if case == "qubit_cost_fn":
+                def cost_fn(m):
+                    return float(abs(spec.basis.to_eigenbasis(m)[0, 1]))
+        else:
+            spec, fermionic = mp.decompose(tfim3_gen), True
+            rho = mp.random_mixed_state(8, 50, seed=2)
+            budget = 2_000
+        cfg = mp.MetropolisConfig(
+            cooling_tau=0.99, threshold_eps=1e-7, target_modes=(2, 3), seed=seed,
+            nano_n=40, micro_m=5, max_total_iterations=budget,
+        )
+        rho_best, ansatz, trace = mp.unitary_metropolis(spec, rho, cfg, fermionic=fermionic,
+                                                        cost_fn=cost_fn)
+        want_rho, want_params, want_trace = _reference_unitary(spec, rho, cfg, fermionic, cost_fn)
+        _assert_same_trace(trace, want_trace)
+        assert np.array_equal(ansatz.params, np.mod(want_params, 2.0 * np.pi))
+        assert np.array_equal(rho_best.entries, want_rho)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_swap_matches_reference_loop(self, seed, heating_setup, qubit_model):
+        spec, p0, target = heating_setup
+        cases = [(spec, p0, target, 2_000)]
+        qubit_spec = mp.decompose(mp.build_generator(qubit_model))
+        qubit_target = next(k for k in range(2, 5) if not qubit_spec.is_coherent_mode(k))
+        cases.append((qubit_spec, np.array([0.9, 0.1]), qubit_target, 50))
+        for spectrum, p, k, budget in cases:
+            cfg = mp.MetropolisConfig(
+                cooling_tau=0.998, threshold_eps=1e-6, target_modes=(k,), seed=seed,
+                max_total_iterations=budget,
+            )
+            p_best, trace = mp.swap_metropolis(spectrum, p, cfg)
+            want_p, want_trace = _reference_swap(spectrum, p, cfg)
+            _assert_same_trace(trace, want_trace)
+            assert np.array_equal(p_best, want_p)

@@ -33,7 +33,7 @@ class TestTfim:
         assert model.hamiltonian.dim == 32
         gen = mp.build_generator(model)
         assert gen.pop_block.shape == (32, 32)
-        assert len(gen.coh_diagonal) == 32 * 31
+        assert gen.coh_block.shape == (32, 32)
 
     def test_zero_field_is_degenerate(self):
         model = mp.tfim(length=3, h_field=0.0)

@@ -200,7 +200,7 @@ class TestAmplitudeRoutine:
 
 def test_private_spectrum_state_stays_in_spectral_module():
     # every other module reaches amplitudes through the public API
-    private = {"_tags", "_payload", "_to_eig", "_amplitudes_eig"}
+    private = {"_pop_col", "_flat", "_payload", "_to_eig", "_amplitudes_eig"}
     package = Path(mp.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
@@ -227,6 +227,51 @@ def test_package_runs_in_one_thread():
                 continue
             offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in banned]
     assert not offenders, offenders
+
+
+def test_package_imports_are_used():
+    # every name a module imports is read in that module; __init__.py only re-exports
+    package = Path(mp.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n not in used]
+    assert not offenders, offenders
+
+
+class TestDerivedModeTags:
+    @pytest.mark.parametrize("model", ["qubit", "tfim3", "tfim5"])
+    def test_block_tags_cover_every_mode_once(self, model):
+        # an oracle independent of the spectrum's index arrays: the tags
+        # against the generator's coherence block and the level count
+        length = {"qubit": None, "tfim3": 3, "tfim5": 5}[model]
+        gen = mp.build_generator(mp.single_qubit() if length is None else mp.tfim(length=length))
+        spec = mp.decompose(gen)
+        d = spec.dim
+        tags = [spec.mode_tag(k) for k in range(1, spec.n_modes + 1)]
+        assert all(type(x) is int for tag in tags for x in tag[1:])
+        assert sorted(tag[1] for tag in tags if tag[0] == "pop") == list(range(d))
+        assert sorted(tag[1:] for tag in tags if tag[0] == "coh") == [
+            (n, m) for n in range(d) for m in range(d) if n != m
+        ]
+        assert len(tags) == d * d and tags[0][0] == "pop"
+        for k, tag in enumerate(tags, start=1):
+            assert spec.is_coherent_mode(k) is (tag[0] == "coh")
+            if tag[0] == "coh":
+                assert spec.eigenvalues[k - 1] == gen.coh_block[tag[1], tag[2]]
+
+    def test_dense_tags_number_the_modes(self, qubit_spec):
+        tags = [qubit_spec.mode_tag(k) for k in range(1, qubit_spec.n_modes + 1)]
+        assert tags == [("dense", j) for j in range(qubit_spec.n_modes)]
+        assert all(type(tag[1]) is int for tag in tags)
 
 
 class TestEigenmatrices:
@@ -270,7 +315,7 @@ class TestBlockEigFallback:
         np.fill_diagonal(gp, 0.0)
         np.fill_diagonal(gp, -gp.sum(axis=0))
         gen = mp.DaviesGenerator(
-            basis=basis, pop_block=gp, coh_diagonal=tfim3_gen.coh_diagonal,
+            basis=basis, pop_block=gp, coh_block=tfim3_gen.coh_block,
             meta=tfim3_gen.meta,
         )
         assert _obeys_detailed_balance(np.array(tfim3_gen.pop_block), basis.energies,
@@ -298,7 +343,7 @@ class TestBlockEigFallback:
         np.fill_diagonal(gp, -gp.sum(axis=0))
         assert not _obeys_detailed_balance(gp, basis.energies, tfim3_model.bath.beta)
         gen = mp.DaviesGenerator(
-            basis=basis, pop_block=gp, coh_diagonal=tfim3_gen.coh_diagonal,
+            basis=basis, pop_block=gp, coh_block=tfim3_gen.coh_block,
             meta=tfim3_gen.meta,
         )
         p_ss = np.real(np.diag(basis.to_eigenbasis(mp.decompose(gen).steady_state.entries)))

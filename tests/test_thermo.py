@@ -252,9 +252,7 @@ def _reference_block_states(gen, rho, times):
     pops = _propagate_populations(
         np.asarray(gen.pop_block, dtype=float), np.real(np.diag(rho_e)).copy(), times
     )
-    gmat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for n, m, v in gen.coh_diagonal:
-        gmat[n, m] = v
+    gmat = gen.coh_block
     states = []
     for j, t in enumerate(times):
         out = rho_e * np.exp(gmat * t)
