@@ -221,6 +221,10 @@ def cmd_evolve(args) -> int:
 
 def cmd_mpemba(args) -> int:
     cfg, model, out = _setup(args)
+    times = cfg.time_grid.times()
+    fit_window = 0.5 * times[-1]
+    if np.count_nonzero(times >= fit_window) < 3:
+        raise ConfigError("time_grid", "the decay-rate fit needs at least 3 grid points at or after t_max/2")
     _, spectrum = _spectrum(model, args)
     basis = model.basis()
     beta = _beta(model)
@@ -254,7 +258,6 @@ def cmd_mpemba(args) -> int:
             notes="state is already inverted-diagonal; the transform is the identity",
         )
     else:
-        times = cfg.time_grid.times()
         grid_a = evolve_spectral(spectrum, rho, times)
         grid_b = evolve_spectral(spectrum, rho_prime, times)
         traj_a = compute_trajectory(grid_a, basis, beta)
@@ -267,7 +270,6 @@ def cmd_mpemba(args) -> int:
             # a speedup is still reportable but no genuine crossing is claimable
             crossing = None
             notes = "transform did not raise the free energy; crossing not applicable"
-        fit_window = 0.5 * times[-1]
         rates = (
             fit_decay_rate(times, traj_a.l1, t_min=fit_window),
             fit_decay_rate(times, traj_b.l1, t_min=fit_window),

@@ -9,27 +9,32 @@ Two annealers operate on a decomposed generator spectrum:
   target amplitudes through ``GeneratorSpectrum.amplitudes``, the spectrum's
   one amplitude routine.  A fermionic variant appends sigma^z strings,
   U^f = prod_j U_j (sigma_j^z)^{mod(L-j, 2)}, respecting anticommutation.
-  A proposal normally re-draws its parameter uniformly (old + U(0, 2pi)).
   With the default summed-overlap cost the walk uses the Rotosolve/NFT
   structure (Ostaszewski et al., Quantum 5, 391 (2021); Nakanishi et al.,
   PRR 2, 043158 (2020)): every target amplitude is
   A + B e^{i theta} + C e^{-i theta} in the one angle a nano loop varies, so
-  three anchor evaluations at the start of the loop fit it exactly, and
-  every proposal of the loop costs O(K) scalar arithmetic for K targets
-  instead of a rebuild of the 2^L x 2^L unitary.  The first proposal of a
-  loop on beta, gamma or delta is an exact single-coordinate move: it sets
-  theta to the minimizer of the fitted summed magnitudes, drawing no random
-  number.  It counts as one proposal, writes one trace row and passes the
-  usual acceptance rule.  alpha, a global phase that moves no cost, keeps
-  its re-draw.  A search with a user ``cost_fn`` (opaque to the annealer)
-  uses re-draws only and rebuilds the unitary for every proposal.
+  three anchor evaluations at the start of the loop fit it exactly, and one
+  array expression prices every proposal of the loop instead of a rebuild
+  of the 2^L x 2^L unitary per proposal.  A nano loop of n proposals makes
+  two random draws, whatever the walk decides: its re-drawn angles, each a
+  fresh U(0, 2pi), and n acceptance uniforms.  The first proposal of a loop
+  on beta, gamma or delta is an exact single-coordinate move instead of a
+  re-draw: it sets theta to the minimizer of the fitted summed magnitudes.
+  It counts as one proposal, writes one trace row and passes the usual
+  acceptance rule.  alpha, a global phase, leaves U rho U^dag unchanged:
+  its loops build no anchors, and each of its proposals costs exactly the
+  current cost.  A search with a user ``cost_fn`` (opaque to the annealer)
+  re-draws by old + U(0, 2pi), rebuilds the unitary for every proposal and
+  draws an acceptance uniform only for an uphill move.
 * ``swap_metropolis`` specializes to states diagonal in the energy basis:
   proposals permute four randomly chosen populations, which preserves both
   the population multiset and diagonality exactly.
 
 Both walk by one Metropolis rule: a better proposal is always accepted and
 a worse one with probability exp(-(C' - C)/T_eff); the effective
-temperature cools by the factor ``tau`` on every acceptance.  The
+temperature cools by the factor ``tau`` on every acceptance.  The rule reads
+a uniform drawn up front (the fitted walk) or draws one when a move is
+uphill (``cost_fn`` searches and the swap walk).  The
 nano/micro/macro loop budgets follow the re-varied-parameter reading: nano
 re-varies the same parameter, micro re-selects a parameter of the same
 qubit, macro re-selects the qubit (L * M macro rounds in total).  The best
@@ -39,7 +44,6 @@ convergence.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -123,11 +127,12 @@ class OptimizationTrace:
 class _Walk:
     """The Metropolis rule both annealers share, with its bookkeeping.
 
-    Starts from a state of cost ``cost`` at T_eff = 1.  Each :meth:`step`
-    judges one priced proposal, cools T_eff by ``cooling_tau`` on
-    acceptance, keeps a copy of the best state seen and records one trace
-    row.  ``done`` turns true once the best cost falls below
-    ``threshold_eps`` or ``max_total_iterations`` proposals have been made.
+    Starts from a state of cost ``cost`` at T_eff = 1.  :meth:`scan` judges
+    priced proposals in order, each made from the walk's current state,
+    cools T_eff by ``cooling_tau`` on every acceptance, keeps a copy of the
+    best state seen and records one trace row per proposal.  ``done`` turns
+    true once the best cost falls below ``threshold_eps`` or
+    ``max_total_iterations`` proposals have been made.
     """
 
     def __init__(self, cost: float, state: np.ndarray, config: MetropolisConfig):
@@ -142,23 +147,51 @@ class _Walk:
         # the garbage collector, a row tuple per proposal would be
         self._costs, self._temps, self._accepts = [], [], []
 
+    @property
+    def remaining(self) -> int:
+        """Proposals left in the budget."""
+        return self._budget - len(self._accepts)
+
     def step(self, new_cost: float, state: np.ndarray, rng) -> bool:
-        """Judge a proposal that put the walk at ``state``; True if accepted."""
+        """Judge one proposal that put the walk at ``state``; True if accepted.
+
+        An uphill move draws its acceptance uniform from ``rng`` only then.
+        """
+        return self.scan((new_cost,), (None,), lambda _: state.copy(), rng) == 0
+
+    def scan(self, costs, uniforms, state_at, rng=None) -> int:
+        """Judge proposals priced ``costs`` in order; index of the last accepted, or -1.
+
+        ``uniforms`` holds each proposal's acceptance uniform, or None to
+        draw it from ``rng`` when the move is uphill.  ``state_at(i)``
+        returns the state proposal ``i`` puts the walk at; it is called once,
+        for the best proposal, if the scan finds a new best.  The scan stops
+        early once the walk is done.
+        """
         # locals, not attributes, on this per-proposal path
-        cost, t_eff, accepts = self.cost, self.t_eff, self._accepts
-        accepted = metropolis_accept(new_cost, cost, t_eff, rng)
-        if accepted:
-            self.cost = cost = new_cost
-            self.t_eff = t_eff = t_eff * self._tau
-            if new_cost < self.best_cost:
-                self.best_cost = new_cost
-                self.best = state.copy()
-                self.converged = new_cost < self._eps
-        self._costs.append(cost)
-        self._temps.append(t_eff)
-        accepts.append(accepted)
+        cost, t_eff, tau = self.cost, self.t_eff, self._tau
+        best_cost, eps = self.best_cost, self._eps
+        costs_col, temps, accepts = self._costs, self._temps, self._accepts
+        stop = self._budget - len(accepts)
+        last = best = -1
+        for i in range(len(costs)):
+            new_cost = costs[i]
+            accepted = metropolis_accept(new_cost, cost, t_eff, rng, uniforms[i])
+            if accepted:
+                cost, t_eff, last = new_cost, t_eff * tau, i
+                if new_cost < best_cost:
+                    best_cost, best = new_cost, i
+            costs_col.append(cost)
+            temps.append(t_eff)
+            accepts.append(accepted)
+            if best_cost < eps or i + 1 >= stop:
+                break
+        self.cost, self.t_eff = cost, t_eff
+        if best >= 0:
+            self.best_cost, self.best = best_cost, state_at(best)
+        self.converged = best_cost < eps
         self.done = self.converged or len(accepts) >= self._budget
-        return accepted
+        return last
 
     def trace(self) -> OptimizationTrace:
         return OptimizationTrace(
@@ -171,13 +204,19 @@ class _Walk:
         )
 
 
-def metropolis_accept(c_new: float, c_old: float, t_eff: float, rng) -> bool:
-    """Accept downhill moves always, uphill with exp(-(C'-C)/T_eff)."""
+def metropolis_accept(c_new: float, c_old: float, t_eff: float, rng, u: float | None = None) -> bool:
+    """Accept downhill moves always, uphill with exp(-(C'-C)/T_eff).
+
+    ``u`` is the proposal's acceptance uniform when it was drawn up front;
+    without it an uphill move draws one from ``rng``.
+    """
     if c_new < c_old:
         return True
     if t_eff <= 0.0:
         return c_new == c_old
-    return bool(rng.uniform() < np.exp(-(c_new - c_old) / t_eff))
+    if u is None:
+        u = rng.uniform()
+    return bool(u < np.exp(-(c_new - c_old) / t_eff))
 
 
 def cost(spectrum: GeneratorSpectrum, rho, target_modes) -> float:
@@ -196,6 +235,8 @@ _ANCHORS = np.array([0.0, 2.0 * np.pi / 3.0, -2.0 * np.pi / 3.0])
 _GRID_POINTS = 256
 _REFINE_POINTS = 17
 _REFINE_ROUNDS = 14
+#: Offsets of each refinement grid, in units of the previous grid's step.
+_REFINE_OFFSETS = np.linspace(-1.0, 1.0, _REFINE_POINTS)
 
 
 def _fit_coordinate(anchor_amps: np.ndarray) -> np.ndarray:
@@ -212,18 +253,15 @@ def _fit_coordinate(anchor_amps: np.ndarray) -> np.ndarray:
     return phases @ anchor_amps / 3.0
 
 
-def _fitted_cost(terms, phi: float) -> float:
-    """sum_k |A_k + B_k e^{i phi} + C_k e^{-i phi}| over ``terms`` = [(A_k, B_k, C_k)].
+def _fitted_costs(coef: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """sum_k |A_k + B_k e^{i phi} + C_k e^{-i phi}| at each offset of ``phi``.
 
-    Python scalars throughout: at the handful of targets a search has, this
-    is far cheaper than any array call.
+    ``coef`` = (A, B, C) as returned by :func:`_fit_coordinate`; one array
+    expression prices a whole nano loop, or a minimizer grid.
     """
-    e = cmath.exp(1j * phi)
-    ec = e.conjugate()
-    total = 0.0
-    for a, b, c in terms:
-        total += abs(a + b * e + c * ec)
-    return total
+    a, b, c = coef
+    e = np.exp(1j * phi)[:, None]
+    return np.abs(a + b * e + c * e.conj()).sum(axis=1)
 
 
 def _minimize_coordinate(coef: np.ndarray) -> float:
@@ -233,18 +271,12 @@ def _minimize_coordinate(coef: np.ndarray) -> float:
     costs more than the current value under the fit), then rounds of finer
     grids around the best point; deterministic, no random draw.
     """
-    a, b, c = coef
-
-    def objective(phi):
-        e = np.exp(1j * phi)[:, None]
-        return np.abs(a + b * e + c * e.conj()).sum(axis=1)
-
     step = 2.0 * np.pi / _GRID_POINTS
     phi = step * np.arange(_GRID_POINTS)
-    best = phi[np.argmin(objective(phi))]
+    best = phi[np.argmin(_fitted_costs(coef, phi))]
     for _ in range(_REFINE_ROUNDS):
-        phi = best + step * np.linspace(-1.0, 1.0, _REFINE_POINTS)
-        best = phi[np.argmin(objective(phi))]
+        phi = best + step * _REFINE_OFFSETS
+        best = phi[np.argmin(_fitted_costs(coef, phi))]
         step *= 2.0 / (_REFINE_POINTS - 1)
     return float(best)
 
@@ -295,11 +327,15 @@ def unitary_metropolis(
     With the default cost, each nano loop first fits the target amplitudes
     as A + B e^{i theta} + C e^{-i theta} in its parameter (three anchor
     evaluations; no other parameter moves during the loop, so the fit stays
-    exact), and every proposal of the loop is then priced from the fit in
-    O(K) scalar arithmetic for K targets, with no unitary rebuilt.  The first
+    exact).  The loop then draws all its re-drawn angles (fresh uniforms on
+    [0, 2pi)) in one call and one acceptance uniform per proposal in a
+    second, prices all its proposals from the fit in one array expression,
+    and scans them with the accept rule; no unitary is rebuilt.  The first
     proposal of a loop on beta, gamma or delta is the exact minimization of
     the summed overlaps along that parameter (no random draw); it is one
-    proposal and one trace row like any other.  alpha is always re-drawn.
+    proposal and one trace row like any other.  A loop on alpha, a global
+    phase, builds no anchors and prices each proposal at the current cost.
+    So the random stream does not depend on the walk's accept decisions.
     A ``cost_fn`` is opaque: every proposal is a uniform re-draw, priced by
     rebuilding the unitary and calling it.  The returned state is built once,
     from the best parameters.
@@ -339,30 +375,43 @@ def unitary_metropolis(
             if walk.done:
                 break
             par = int(rng.integers(4))
-            if fitted:
-                theta0 = params[qubit, par]
+            if not fitted:
+                for _nano in range(config.nano_n):
+                    if walk.done:
+                        break
+                    old = params[qubit, par]
+                    params[qubit, par] = (old + rng.uniform(0.0, _TWO_PI)) % _TWO_PI
+                    if not walk.step(cost_fn(rotated(params)), params, rng):
+                        params[qubit, par] = old
+                continue
+            # one nano loop: its angles in one draw, its acceptance uniforms
+            # in another, every proposal priced before the walk scans them
+            n = min(config.nano_n, walk.remaining)
+            theta0 = params[qubit, par]
+            if par == 0:
+                # alpha is a global phase: U rho U^dag, and so the cost, stays put
+                thetas = rng.uniform(0.0, _TWO_PI, size=n)
+                costs = np.full(n, walk.cost)
+            else:
                 trial = params.copy()
                 anchors = []
                 for shift in _ANCHORS:
                     trial[qubit, par] = theta0 + shift
                     anchors.append(spectrum.amplitudes(rotated(trial), targets))
                 coef = _fit_coordinate(np.array(anchors))
-                terms = list(zip(*coef.tolist()))
-            for nano in range(config.nano_n):
-                if walk.done:
-                    break
-                old = params[qubit, par]
-                if fitted and nano == 0 and par != 0:
-                    theta = (theta0 + _minimize_coordinate(coef)) % _TWO_PI
-                else:
-                    theta = (old + rng.uniform(0.0, _TWO_PI)) % _TWO_PI
-                params[qubit, par] = theta
-                if fitted:
-                    new_cost = _fitted_cost(terms, theta - theta0)
-                else:
-                    new_cost = cost_fn(rotated(params))
-                if not walk.step(new_cost, params, rng):
-                    params[qubit, par] = old
+                exact = (theta0 + _minimize_coordinate(coef)) % _TWO_PI
+                thetas = np.concatenate(([exact], rng.uniform(0.0, _TWO_PI, size=n - 1)))
+                costs = _fitted_costs(coef, thetas - theta0)
+            uniforms = rng.uniform(size=n)
+
+            def state_at(i):
+                state = params.copy()
+                state[qubit, par] = thetas[i]
+                return state
+
+            last = walk.scan(costs.tolist(), uniforms.tolist(), state_at)
+            if last >= 0:
+                params[qubit, par] = thetas[last]
 
     return (
         DensityMatrix(rotated(walk.best)),

@@ -45,6 +45,7 @@ class ModelInstance:
     default_params: dict = field(default_factory=dict)
     units_note: str = ""
     sector_labels: tuple | None = None
+    _basis: SpectralBasis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.bath is None) == (self.jump_ops is None):
@@ -55,7 +56,10 @@ class ModelInstance:
                     raise ValidationError("explicit dissipator rates must be nonnegative")
 
     def basis(self) -> SpectralBasis:
-        return diagonalize(self.hamiltonian)
+        """The Hamiltonian's eigenbasis, diagonalized on the first call only."""
+        if self._basis is None:
+            object.__setattr__(self, "_basis", diagonalize(self.hamiltonian))
+        return self._basis
 
 
 def build_generator(model: ModelInstance, *, dense: bool = False) -> DaviesGenerator:

@@ -9,6 +9,7 @@ import mpemba as mp
 from mpemba.cli import main
 from mpemba.config import load_config, parse_config
 from mpemba.errors import ConfigError
+from mpemba.operators import diagonalize
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -169,6 +170,38 @@ class TestCliMpemba:
             assert rc == 0
         for name in ("certificate.txt", "trajectory.csv", "trajectory_transformed.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_short_grid_rejected_before_evolution(self, tmp_path, capsys, monkeypatch):
+        # spectrum_tfim5.json has two grid points: enough for spectrum and
+        # evolve, too few for the decay-rate fit over [t_max/2, t_max]
+        config = str(CONFIGS / "spectrum_tfim5.json")
+        assert main(["spectrum", "--config", config, "--out", str(tmp_path / "spectrum")]) == 0
+        assert main(["evolve", "--config", config, "--out", str(tmp_path / "evolve")]) == 0
+        assert len((tmp_path / "evolve" / "trajectory.csv").read_text().splitlines()) == 1 + 2
+
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("evolved before rejecting the grid")
+
+        monkeypatch.setattr(mp.cli, "evolve_spectral", no_evolution)
+        rc = main(["mpemba", "--config", config, "--out", str(tmp_path / "mpemba")])
+        assert rc == 2
+        assert "time_grid" in capsys.readouterr().err
+        assert not (tmp_path / "mpemba" / "certificate.txt").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("mpemba", "qubit_demo"), ("evolve", "qubit_demo"), ("metropolis", "metropolis_swap"),
+])
+def test_one_diagonalization_per_run(command, config, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(hamiltonian):
+        calls.append(hamiltonian)
+        return diagonalize(hamiltonian)
+
+    monkeypatch.setattr(mp.models, "diagonalize", counted)
+    assert main([command, "--config", str(CONFIGS / f"{config}.json"), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 class TestCliMetropolis:

@@ -8,7 +8,7 @@ from mpemba.metropolis import (
     _PERMS2,
     _PERMS4,
     _fit_coordinate,
-    _fitted_cost,
+    _fitted_costs,
     _minimize_coordinate,
     metropolis_accept,
 )
@@ -204,6 +204,30 @@ class TestExactCoordinateMove:
                 neighbours = min(cost_at(theta_star + 1e-6), cost_at(theta_star - 1e-6))
                 assert cost_star <= neighbours + 1e-12
 
+    def test_minimizer_matches_loop_form(self):
+        # the minimizer as first written, rebuilding each refinement grid in its loop
+        def loop_form(coef):
+            a, b, c = coef
+
+            def objective(phi):
+                e = np.exp(1j * phi)[:, None]
+                return np.abs(a + b * e + c * e.conj()).sum(axis=1)
+
+            step = 2.0 * np.pi / 256
+            phi = step * np.arange(256)
+            best = phi[np.argmin(objective(phi))]
+            for _ in range(14):
+                phi = best + step * np.linspace(-1.0, 1.0, 17)
+                best = phi[np.argmin(objective(phi))]
+                step *= 2.0 / 16
+            return float(best)
+
+        rng = np.random.default_rng(8)
+        for n_targets in (1, 2, 3, 5):
+            for _ in range(25):
+                coef = rng.normal(size=(3, n_targets)) + 1j * rng.normal(size=(3, n_targets))
+                assert _minimize_coordinate(coef) == loop_form(coef)
+
 
 class TestFittedWalk:
     @pytest.mark.parametrize("setup", ["qubit", "fermionic_l3", "dot"])
@@ -350,14 +374,9 @@ def _reference_trace(rows, converged, best_cost):
     )
 
 
-def _reference_unitary(spectrum, rho, config, fermionic=False, cost_fn=None):
+def _reference_unitary(spectrum, rho, config, fermionic, cost_fn):
     rho_m = rho.entries
     n_qubits = int(np.log2(rho_m.shape[0]))
-    fitted = cost_fn is None
-    targets = config.target_modes
-    if fitted:
-        def cost_fn(m):
-            return mp.cost(spectrum, m, targets)
 
     def conj(p):
         u = mp.build_ansatz_unitary(mp.UnitaryAnsatz(p, fermionic=fermionic))
@@ -373,27 +392,79 @@ def _reference_unitary(spectrum, rho, config, fermionic=False, cost_fn=None):
         qubit = int(rng.integers(n_qubits))
         for _micro in range(config.micro_m):
             par = int(rng.integers(4))
-            if fitted:
-                theta0 = params[qubit, par]
+            for _nano in range(config.nano_n):
+                it += 1
+                old = params[qubit, par]
+                params[qubit, par] = (old + rng.uniform(0.0, 2.0 * np.pi)) % (2.0 * np.pi)
+                new = cost_fn(conj(params))
+                accepted = metropolis_accept(new, current, t_eff, rng)
+                if accepted:
+                    current = new
+                    t_eff *= config.cooling_tau
+                    if new < best:
+                        best, best_params = new, params.copy()
+                else:
+                    params[qubit, par] = old
+                rows.append((it, current, t_eff, accepted))
+                converged = best < config.threshold_eps
+                stop = converged or it >= config.max_total_iterations
+                if stop:
+                    break
+            if stop:
+                break
+        if stop:
+            break
+    return conj(best_params), best_params, _reference_trace(rows, converged, best)
+
+
+# -- the default-cost walk one proposal at a time: each nano loop draws its
+#    re-drawn angles, then one acceptance uniform per proposal; a proposal on
+#    alpha (a global phase) costs the current cost, any other is priced from
+#    the loop's three-anchor fit
+
+
+def _reference_fitted(spectrum, rho, config, fermionic):
+    rho_m = rho.entries
+    n_qubits = int(np.log2(rho_m.shape[0]))
+    targets = config.target_modes
+
+    def conj(p):
+        u = mp.build_ansatz_unitary(mp.UnitaryAnsatz(p, fermionic=fermionic))
+        return u @ rho_m @ u.conj().T
+
+    rng = np.random.default_rng(config.seed)
+    params = rng.uniform(0.0, 2.0 * np.pi, size=(n_qubits, 4))
+    current = best = mp.cost(spectrum, conj(params), targets)
+    best_params, t_eff, rows, it = params.copy(), 1.0, [], 0
+    converged = best < config.threshold_eps
+    stop = converged
+    for _macro in range(n_qubits * config.macro_big_m):
+        qubit = int(rng.integers(n_qubits))
+        for _micro in range(config.micro_m):
+            par = int(rng.integers(4))
+            n = min(config.nano_n, config.max_total_iterations - it)
+            theta0 = params[qubit, par]
+            if par == 0:
+                angles = list(rng.uniform(0.0, 2.0 * np.pi, size=n))
+            else:
                 trial = params.copy()
                 anchors = []
                 for shift in _ANCHORS:
                     trial[qubit, par] = theta0 + shift
                     anchors.append(spectrum.amplitudes(conj(trial), targets))
                 coef = _fit_coordinate(np.array(anchors))
-                terms = list(zip(*coef.tolist()))
-            for nano in range(config.nano_n):
+                exact = (theta0 + _minimize_coordinate(coef)) % (2.0 * np.pi)
+                angles = [exact] + list(rng.uniform(0.0, 2.0 * np.pi, size=n - 1))
+            uniforms = rng.uniform(size=n)
+            for theta, u in zip(angles, uniforms):
                 it += 1
                 old = params[qubit, par]
-                if fitted and nano == 0 and par != 0:
-                    params[qubit, par] = (theta0 + _minimize_coordinate(coef)) % (2.0 * np.pi)
+                params[qubit, par] = theta
+                if par == 0:
+                    new = current
                 else:
-                    params[qubit, par] = (old + rng.uniform(0.0, 2.0 * np.pi)) % (2.0 * np.pi)
-                if fitted:
-                    new = _fitted_cost(terms, params[qubit, par] - theta0)
-                else:
-                    new = cost_fn(conj(params))
-                accepted = metropolis_accept(new, current, t_eff, rng)
+                    new = _fitted_costs(coef, np.array([theta - theta0]))[0]
+                accepted = metropolis_accept(new, current, t_eff, None, u)
                 if accepted:
                     current = new
                     t_eff *= config.cooling_tau
@@ -466,10 +537,53 @@ class TestSharedWalk:
         )
         rho_best, ansatz, trace = mp.unitary_metropolis(spec, rho, cfg, fermionic=fermionic,
                                                         cost_fn=cost_fn)
-        want_rho, want_params, want_trace = _reference_unitary(spec, rho, cfg, fermionic, cost_fn)
+        if cost_fn is None:
+            want_rho, want_params, want_trace = _reference_fitted(spec, rho, cfg, fermionic)
+        else:
+            want_rho, want_params, want_trace = _reference_unitary(spec, rho, cfg, fermionic, cost_fn)
         _assert_same_trace(trace, want_trace)
         assert np.array_equal(ansatz.params, np.mod(want_params, 2.0 * np.pi))
         assert np.array_equal(rho_best.entries, want_rho)
+
+    def test_random_draws_do_not_depend_on_decisions(self, tfim3_gen, monkeypatch):
+        # searches that differ only in their cooling make different accept
+        # decisions but must draw the same random numbers, angles included
+        class Recording:
+            def __init__(self, seed):
+                self._rng, self.draws = np.random.Generator(np.random.PCG64(seed)), []
+
+            def uniform(self, *args, **kwargs):
+                out = self._rng.uniform(*args, **kwargs)
+                self.draws.append(np.array(out, copy=True))
+                return out
+
+            def integers(self, *args, **kwargs):
+                out = self._rng.integers(*args, **kwargs)
+                self.draws.append(np.array(out, copy=True))
+                return out
+
+        made = []
+
+        def default_rng(seed):
+            made.append(Recording(seed))
+            return made[-1]
+
+        spec = mp.decompose(tfim3_gen)
+        rho = mp.random_mixed_state(8, 50, seed=2)
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        traces = []
+        for tau in (0.99, 0.5):
+            cfg = mp.MetropolisConfig(
+                cooling_tau=tau, threshold_eps=1e-15, target_modes=(2, 3), seed=4,
+                nano_n=40, micro_m=5, max_total_iterations=1_500,
+            )
+            traces.append(mp.unitary_metropolis(spec, rho, cfg, fermionic=True)[-1])
+        assert [len(t) for t in traces] == [1_500, 1_500]
+        assert not np.array_equal(traces[0].accepted, traces[1].accepted)
+        first, second = (r.draws for r in made)
+        assert len(first) == len(second)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_swap_matches_reference_loop(self, seed, heating_setup, qubit_model):
