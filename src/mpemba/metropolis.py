@@ -28,13 +28,16 @@ Two annealers operate on a decomposed generator spectrum:
   draws an acceptance uniform only for an uphill move.
 * ``swap_metropolis`` specializes to states diagonal in the energy basis:
   proposals permute four randomly chosen populations, which preserves both
-  the population multiset and diagonality exactly.
+  the population multiset and diagonality exactly.  Each batch of
+  proposals draws its indices, permutations and acceptance uniforms at
+  once, and each proposal is priced by the O(4K) change of the K target
+  sums s = L p over its four swapped entries.
 
 Both walk by one Metropolis rule: a better proposal is always accepted and
 a worse one with probability exp(-(C' - C)/T_eff); the effective
 temperature cools by the factor ``tau`` on every acceptance.  The rule reads
-a uniform drawn up front (the fitted walk) or draws one when a move is
-uphill (``cost_fn`` searches and the swap walk).  The
+a uniform drawn up front (the fitted walk and the swap walk) or draws one
+when a move is uphill (``cost_fn`` searches).  The
 nano/micro/macro loop budgets follow the re-varied-parameter reading: nano
 re-varies the same parameter, micro re-selects a parameter of the same
 qubit, macro re-selects the qubit (L * M macro rounds in total).  The best
@@ -55,7 +58,10 @@ from .spectral import GeneratorSpectrum
 from .utils import SIGMA_Z, kron_chain, write_csv
 
 _PERMS4 = tuple(p for p in permutations(range(4)) if p != (0, 1, 2, 3))
-_PERMS2 = ((1, 0),)
+#: the pair swap below dimension 4, written on four slots; slots 2 and 3 stay put
+_PERMS2 = ((1, 0, 2, 3),)
+#: proposals per batch of the swap walk; each batch draws its randomness at once
+_SWAP_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -132,7 +138,10 @@ class _Walk:
     cools T_eff by ``cooling_tau`` on every acceptance, keeps a copy of the
     best state seen and records one trace row per proposal.  ``done`` turns
     true once the best cost falls below ``threshold_eps`` or
-    ``max_total_iterations`` proposals have been made.
+    ``max_total_iterations`` proposals have been made.  The swap walk prices
+    each proposal from the one before, so it judges its batches in its own
+    loop, appends to the same trace columns and ends each batch with
+    :meth:`_finish`, as :meth:`scan` does.
     """
 
     def __init__(self, cost: float, state: np.ndarray, config: MetropolisConfig):
@@ -186,12 +195,21 @@ class _Walk:
             accepts.append(accepted)
             if best_cost < eps or i + 1 >= stop:
                 break
-        self.cost, self.t_eff = cost, t_eff
-        if best >= 0:
-            self.best_cost, self.best = best_cost, state_at(best)
-        self.converged = best_cost < eps
-        self.done = self.converged or len(accepts) >= self._budget
+        self._finish(cost, t_eff, best_cost, state_at(best) if best >= 0 else None)
         return last
+
+    def _finish(self, cost: float, t_eff: float, best_cost: float, best) -> None:
+        """Take the walk's state after a run of proposals recorded in the trace.
+
+        ``best`` is the state at ``best_cost`` if the run found a new best,
+        otherwise None.  Decides ``converged`` on ``best_cost``, one of the
+        recorded costs, so the trace and the verdict agree.
+        """
+        self.cost, self.t_eff = cost, t_eff
+        if best is not None:
+            self.best_cost, self.best = best_cost, best
+        self.converged = self.best_cost < self._eps
+        self.done = self.converged or len(self._accepts) >= self._budget
 
     def trace(self) -> OptimizationTrace:
         return OptimizationTrace(
@@ -420,6 +438,21 @@ def unitary_metropolis(
     )
 
 
+def _distinct_indices(rng, d: int, n: int, m: int) -> np.ndarray:
+    """``n`` rows of ``m`` distinct indices in [0, d), each row uniform over ordered m-tuples.
+
+    Column j is drawn from [0, d - j) and mapped past the row's earlier
+    picks in ascending order, so it lands on the matching entry of the
+    indices not yet taken.
+    """
+    cols = rng.integers(0, np.arange(d, d - m, -1), size=(n, m))
+    for j in range(1, m):
+        earlier = np.sort(cols[:, :j], axis=1)
+        for k in range(j):
+            cols[:, j] += cols[:, j] >= earlier[:, k]
+    return cols
+
+
 def swap_metropolis(spectrum: GeneratorSpectrum, populations, config: MetropolisConfig):
     """Anneal population permutations to kill diagonal-mode overlaps.
 
@@ -428,12 +461,20 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, config: Metropolis
     diagonal (a population mode).  Proposals permute four distinct entries
     (two below dimension 4, a documented fallback), so the population
     multiset is preserved exactly and coherences remain zero.
+
+    The walk runs in batches of up to ``_SWAP_BATCH`` proposals.  A batch
+    draws all its randomness first, whatever the walk decides: the swapped
+    indices, one permutation and one acceptance uniform per proposal.  It
+    then re-sums the signed target sums s = L p from the populations, so
+    the walk's cost |s|_1 carries rounding from one batch at most, and
+    prices each proposal by the change of s over its swapped entries alone
+    (O(4K) for K targets, in Python floats).
     """
-    p = np.asarray(populations, dtype=float).copy()
-    d = p.size
+    p0 = np.asarray(populations, dtype=float)
+    d = p0.size
     if d != spectrum.dim:
         raise ValidationError("population vector does not match the spectrum dimension")
-    if abs(p.sum() - 1.0) > 1e-10 or np.any(p < -1e-12):
+    if abs(p0.sum() - 1.0) > 1e-10 or np.any(p0 < -1e-12):
         raise ValidationError("populations must form a probability vector")
 
     lefts = []
@@ -443,21 +484,55 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, config: Metropolis
         if off > 1e-9 * max(1.0, float(np.abs(left).max())):
             raise ValidationError(f"target mode {k} is not diagonal; swap search needs population modes")
         lefts.append(np.real_if_close(np.diag(left)))
-    lmat = np.array(lefts) if lefts else np.zeros((0, d))
+    lmat = np.array(lefts).reshape(len(lefts), d)
 
-    def pcost(vec):
-        return float(np.abs(lmat @ vec).sum()) if lmat.size else 0.0
+    # below dimension 4 a proposal swaps a pair; its two idle slots point at
+    # padding entries of zero population and zero weight, left in place
+    n_swap = 4 if d >= 4 else 2
+    perms = np.array(_PERMS4 if n_swap == 4 else _PERMS2)
+    pad = np.arange(d, d + 4 - n_swap)
+    weights = np.hstack([lmat, np.zeros((lmat.shape[0], pad.size))]).tolist()
+    p = p0.tolist() + [0.0] * pad.size
+
+    def resum(vec):
+        s = (lmat @ np.asarray(vec[:d])).tolist()
+        return s, sum([abs(x) for x in s])
 
     rng = np.random.default_rng(config.seed)
-    walk = _Walk(pcost(p), p, config)
-    n_swap = 4 if d >= 4 else 2
-    perms = _PERMS4 if n_swap == 4 else _PERMS2
+    walk = _Walk(resum(p)[1], p, config)
+    tau, eps = config.cooling_tau, config.threshold_eps
+    costs_col, temps, accepts = walk._costs, walk._temps, walk._accepts
 
     while not walk.done:
-        idx = rng.choice(d, size=n_swap, replace=False)
-        perm = perms[int(rng.integers(len(perms)))]
-        proposal = p.copy()
-        proposal[idx] = p[idx[list(perm)]]
-        if walk.step(pcost(proposal), proposal, rng):
-            p = proposal
-    return walk.best, walk.trace()
+        n = min(_SWAP_BATCH, walk.remaining)
+        idx = _distinct_indices(rng, d, n, n_swap)
+        if pad.size:
+            idx = np.hstack([idx, np.broadcast_to(pad, (n, pad.size))])
+        # each slot j takes the population of slot src[j]
+        src = np.take_along_axis(idx, perms[rng.integers(len(perms), size=n)], axis=1)
+        uniforms = rng.uniform(size=n).tolist()
+        # proposals are priced against base = |s|_1 of the re-sum, so a flat
+        # move (equal populations swapped) costs exactly base; the trace keeps
+        # recording the cost each state was accepted at, the costs that
+        # decide convergence
+        s, base = resum(p)
+        cost, t_eff, best_cost, best = walk.cost, walk.t_eff, walk.best_cost, None
+        for (i0, i1, i2, i3), (j0, j1, j2, j3), u in zip(idx.tolist(), src.tolist(), uniforms):
+            d0, d1, d2, d3 = p[j0] - p[i0], p[j1] - p[i1], p[j2] - p[i2], p[j3] - p[i3]
+            s_new = [sk + w[i0] * d0 + w[i1] * d1 + w[i2] * d2 + w[i3] * d3
+                     for sk, w in zip(s, weights)]
+            new_cost = sum([abs(x) for x in s_new])
+            accepted = metropolis_accept(new_cost, base, t_eff, None, u)
+            if accepted:
+                p[i0], p[i1], p[i2], p[i3] = p[j0], p[j1], p[j2], p[j3]
+                s, base = s_new, new_cost
+                cost, t_eff = new_cost, t_eff * tau
+                if new_cost < best_cost:
+                    best_cost, best = new_cost, p.copy()
+            costs_col.append(cost)
+            temps.append(t_eff)
+            accepts.append(accepted)
+            if best_cost < eps:
+                break
+        walk._finish(cost, t_eff, best_cost, best)
+    return np.array(walk.best[:d]), walk.trace()

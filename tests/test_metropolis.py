@@ -1,12 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.stats
 
 import mpemba as mp
 from mpemba.errors import ValidationError
 from mpemba.metropolis import (
     _ANCHORS,
-    _PERMS2,
-    _PERMS4,
+    _SWAP_BATCH,
+    _distinct_indices,
     _fit_coordinate,
     _fitted_costs,
     _minimize_coordinate,
@@ -359,6 +362,116 @@ class TestSwapMetropolis:
         assert len(lines) == len(trace) + 1
 
 
+def _swap_cost(spectrum, p, targets):
+    lmat = np.array([np.real_if_close(np.diag(spectrum.left(k))) for k in targets])
+    return float(np.abs(lmat @ p).sum())
+
+
+class TestSwapWalk:
+    """Properties of the batched swap walk; its random stream is its own."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_multiset_and_best_cost(self, seed, heating_setup, qubit_spec):
+        # the walk prices proposals by increments of s = L p; the returned
+        # populations must be a permutation of the input and cost what the
+        # trace says
+        spec, p0, target = heating_setup
+        qubit_target = next(k for k in range(2, 5) if not qubit_spec.is_coherent_mode(k))
+        for spectrum, p, k, budget in ((spec, p0, target, 3_000),
+                                       (qubit_spec, np.array([0.9, 0.1]), qubit_target, 50)):
+            cfg = mp.MetropolisConfig(
+                cooling_tau=0.998, threshold_eps=1e-6, target_modes=(k,), seed=seed,
+                max_total_iterations=budget,
+            )
+            p_best, trace = mp.swap_metropolis(spectrum, p, cfg)
+            assert np.array_equal(np.sort(p_best), np.sort(p))
+            assert abs(_swap_cost(spectrum, p_best, (k,)) - trace.best_cost) <= 1e-14
+            assert trace.best_cost == min(trace.cost.min(), _swap_cost(spectrum, p, (k,)))
+            assert trace.converged == (trace.best_cost < cfg.threshold_eps)
+
+    @pytest.mark.parametrize("budget", [25, 2_000])
+    def test_budget_ending_mid_batch(self, budget, heating_setup):
+        spec, p0, target = heating_setup
+        assert budget % _SWAP_BATCH
+        cfg = mp.MetropolisConfig(
+            cooling_tau=0.998, threshold_eps=1e-300, target_modes=(target,), seed=3,
+            max_total_iterations=budget,
+        )
+        _, trace = mp.swap_metropolis(spec, p0, cfg)
+        assert not trace.converged
+        assert len(trace) == budget
+        np.testing.assert_array_equal(trace.iteration, np.arange(1, budget + 1))
+
+    def test_three_levels_swap_pairs(self):
+        # below dimension 4 each proposal swaps two populations
+        spectrum = SimpleNamespace(dim=3, left=lambda k: np.diag([1.0, -2.0, 0.5]))
+        p0 = np.array([0.2, 0.3, 0.5])
+        cfg = mp.MetropolisConfig(
+            cooling_tau=0.9, threshold_eps=1e-300, target_modes=(2,), seed=1,
+            max_total_iterations=300,
+        )
+        p_best, trace = mp.swap_metropolis(spectrum, p0, cfg)
+        assert len(trace) == 300 and trace.accepted.any()
+        # of the six orders only (0.5, 0.3, 0.2) costs |0.5 - 0.6 + 0.1| = 0,
+        # up to rounding; the start costs 0.15
+        assert np.array_equal(p_best, [0.5, 0.3, 0.2])
+        assert abs(_swap_cost(spectrum, p_best, (2,)) - trace.best_cost) <= 1e-15
+        assert trace.best_cost <= 1e-15
+
+    def test_random_draws_do_not_depend_on_decisions(self, heating_setup, record_rngs):
+        # searches that differ only in their cooling make different accept
+        # decisions but must draw the same random numbers
+        spec, p0, target = heating_setup
+        made = record_rngs()
+        traces = []
+        for tau in (0.998, 0.5):
+            cfg = mp.MetropolisConfig(
+                cooling_tau=tau, threshold_eps=1e-300, target_modes=(target,), seed=4,
+                max_total_iterations=1_000,
+            )
+            traces.append(mp.swap_metropolis(spec, p0, cfg)[-1])
+        assert [len(t) for t in traces] == [1_000, 1_000]
+        assert not np.array_equal(traces[0].accepted, traces[1].accepted)
+        first, second = (r.draws for r in made)
+        assert len(first) == len(second)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+    def test_converges_for_most_seeds(self, heating_setup):
+        # criterion 08's swap budget and schedule, over twice its seeds, at its
+        # 80% bar
+        spec, p0, target = heating_setup
+        hits = 0
+        for seed in range(20):
+            cfg = mp.MetropolisConfig(
+                cooling_tau=0.998, threshold_eps=1e-6, target_modes=(target,), seed=seed,
+                max_total_iterations=2 * 5300,
+            )
+            hits += mp.swap_metropolis(spec, p0, cfg)[-1].converged
+        assert hits >= 16
+
+
+class TestDistinctIndices:
+    @pytest.mark.parametrize("d, m", [(4, 4), (5, 4), (32, 4), (2, 2), (3, 2)])
+    def test_rows_hold_distinct_indices(self, d, m):
+        rows = _distinct_indices(np.random.default_rng(d), d, 5_000, m)
+        assert rows.shape == (5_000, m)
+        assert rows.min() >= 0 and rows.max() < d
+        assert all(len(set(row)) == m for row in rows.tolist())
+        # every index turns up in every column
+        for j in range(m):
+            assert set(rows[:, j].tolist()) == set(range(d))
+
+    def test_ordered_tuples_are_uniform(self):
+        # d = 5 has 5 * 4 * 3 * 2 = 120 ordered 4-tuples
+        n = 120 * 200
+        rows = _distinct_indices(np.random.default_rng(12), 5, n, 4)
+        _, counts = np.unique(rows, axis=0, return_counts=True)
+        assert counts.size == 120
+        chi2 = float(((counts - n / 120) ** 2).sum() / (n / 120))
+        assert chi2 < scipy.stats.chi2.ppf(0.999, 119)
+
+
 # -- the two annealer loops as written before they shared one walk: each
 #    kept its own accept, cooling, best-state and stop bookkeeping
 
@@ -484,29 +597,37 @@ def _reference_fitted(spectrum, rho, config, fermionic):
     return conj(best_params), best_params, _reference_trace(rows, converged, best)
 
 
-def _reference_swap(spectrum, p, config):
-    lmat = np.array([np.real_if_close(np.diag(spectrum.left(k))) for k in config.target_modes])
-    rng = np.random.default_rng(config.seed)
-    current = best = float(np.abs(lmat @ p).sum())
-    best_p, t_eff, rows, it = p.copy(), 1.0, [], 0
-    converged = best < config.threshold_eps
-    perms = _PERMS4 if p.size >= 4 else _PERMS2
-    while not converged and it < config.max_total_iterations:
-        it += 1
-        idx = rng.choice(p.size, size=len(perms[0]), replace=False)
-        perm = perms[int(rng.integers(len(perms)))]
-        proposal = p.copy()
-        proposal[idx] = p[idx[list(perm)]]
-        new = float(np.abs(lmat @ proposal).sum())
-        accepted = metropolis_accept(new, current, t_eff, rng)
-        if accepted:
-            p, current = proposal, new
-            t_eff *= config.cooling_tau
-            if new < best:
-                best, best_p = new, p.copy()
-        rows.append((it, current, t_eff, accepted))
-        converged = best < config.threshold_eps
-    return best_p, _reference_trace(rows, converged, best)
+class _RecordingRng:
+    """A seeded generator that keeps a copy of every draw."""
+
+    def __init__(self, seed):
+        self._rng, self.draws = np.random.Generator(np.random.PCG64(seed)), []
+
+    def uniform(self, *args, **kwargs):
+        out = self._rng.uniform(*args, **kwargs)
+        self.draws.append(np.array(out, copy=True))
+        return out
+
+    def integers(self, *args, **kwargs):
+        out = self._rng.integers(*args, **kwargs)
+        self.draws.append(np.array(out, copy=True))
+        return out
+
+
+@pytest.fixture
+def record_rngs(monkeypatch):
+    """Call to make every later ``np.random.default_rng`` record its draws; returns their list."""
+    made = []
+
+    def default_rng(seed):
+        made.append(_RecordingRng(seed))
+        return made[-1]
+
+    def start():
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        return made
+
+    return start
 
 
 def _assert_same_trace(got, want):
@@ -545,32 +666,12 @@ class TestSharedWalk:
         assert np.array_equal(ansatz.params, np.mod(want_params, 2.0 * np.pi))
         assert np.array_equal(rho_best.entries, want_rho)
 
-    def test_random_draws_do_not_depend_on_decisions(self, tfim3_gen, monkeypatch):
+    def test_random_draws_do_not_depend_on_decisions(self, tfim3_gen, record_rngs):
         # searches that differ only in their cooling make different accept
         # decisions but must draw the same random numbers, angles included
-        class Recording:
-            def __init__(self, seed):
-                self._rng, self.draws = np.random.Generator(np.random.PCG64(seed)), []
-
-            def uniform(self, *args, **kwargs):
-                out = self._rng.uniform(*args, **kwargs)
-                self.draws.append(np.array(out, copy=True))
-                return out
-
-            def integers(self, *args, **kwargs):
-                out = self._rng.integers(*args, **kwargs)
-                self.draws.append(np.array(out, copy=True))
-                return out
-
-        made = []
-
-        def default_rng(seed):
-            made.append(Recording(seed))
-            return made[-1]
-
         spec = mp.decompose(tfim3_gen)
         rho = mp.random_mixed_state(8, 50, seed=2)
-        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        made = record_rngs()
         traces = []
         for tau in (0.99, 0.5):
             cfg = mp.MetropolisConfig(
@@ -584,20 +685,3 @@ class TestSharedWalk:
         assert len(first) == len(second)
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_swap_matches_reference_loop(self, seed, heating_setup, qubit_model):
-        spec, p0, target = heating_setup
-        cases = [(spec, p0, target, 2_000)]
-        qubit_spec = mp.decompose(mp.build_generator(qubit_model))
-        qubit_target = next(k for k in range(2, 5) if not qubit_spec.is_coherent_mode(k))
-        cases.append((qubit_spec, np.array([0.9, 0.1]), qubit_target, 50))
-        for spectrum, p, k, budget in cases:
-            cfg = mp.MetropolisConfig(
-                cooling_tau=0.998, threshold_eps=1e-6, target_modes=(k,), seed=seed,
-                max_total_iterations=budget,
-            )
-            p_best, trace = mp.swap_metropolis(spectrum, p, cfg)
-            want_p, want_trace = _reference_swap(spectrum, p, cfg)
-            _assert_same_trace(trace, want_trace)
-            assert np.array_equal(p_best, want_p)

@@ -124,6 +124,24 @@ class TestDistances:
         oracle = sum(abs(a[i, j] - b[i, j]) for i in range(2) for j in range(2))
         assert mp.l1_elementwise(rho, tau, basis) == pytest.approx(oracle, abs=1e-14)
 
+    @pytest.mark.parametrize("case", ["tfim3_block", "qubit_dense"])
+    def test_trace_distance_is_the_t1_oracle(self, case, qubit_model, qubit_spec, tfim3_model):
+        # the trajectory's batched T1 column against the one-state routine
+        if case == "tfim3_block":
+            model, spec = tfim3_model, mp.decompose(mp.build_generator(tfim3_model))
+            rho, t_max = mp.random_mixed_state(8, 4, seed=11), 6.0
+        else:
+            model, spec = qubit_model, qubit_spec
+            rho, t_max = mp.bloch_to_state(list(DEMO_BLOCH)), 4.0
+        assert spec.kind == case.split("_")[1]
+        basis, beta = model.basis(), model.bath.beta
+        grid = mp.evolve_spectral(spec, rho, np.linspace(0.0, t_max, 41))
+        traj = mp.compute_trajectory(grid, basis, beta)
+        tau = mp.thermal_state(basis, beta)
+        oracle = [mp.trace_distance(state, tau) for state in grid.states]
+        np.testing.assert_allclose(traj.t1, oracle, rtol=0, atol=1e-12)
+        assert traj.t1[0] > 0.05
+
     def test_pinsker(self, qubit_model, qubit_setup):
         basis, beta, grid, traj = qubit_setup
         # D >= ||rho - tau||_1^2 / 2 with the Schatten-1 norm (= 2 T1)
