@@ -63,7 +63,6 @@ from .operators import (
 from .spectral import (
     EvolutionGrid,
     GeneratorSpectrum,
-    amplitude,
     decompose,
     evolve_direct,
     evolve_spectral,

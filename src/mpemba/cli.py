@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, TransformSpec, load_config
-from .davies import DaviesGenerator
+from .config import ExperimentConfig, load_config
 from .errors import ConfigError, ValidationError
-from .metropolis import MetropolisConfig, swap_metropolis, unitary_metropolis
+from .metropolis import swap_metropolis, unitary_metropolis
 from .models import GHZ_PER_KELVIN, ModelInstance, build_generator
 from .operators import DensityMatrix, bloch_to_state, random_mixed_state, thermal_state
 from .spectral import GeneratorSpectrum, decompose, evolve_spectral, spectral_gap
@@ -96,19 +95,14 @@ def _setup(args) -> tuple[ExperimentConfig, ModelInstance, Path]:
     return cfg, model, out
 
 
-def _generator(model: ModelInstance, args) -> DaviesGenerator:
+def _spectrum(model: ModelInstance, args) -> GeneratorSpectrum:
     if model.basis().degeneracy_flag and not args.dense_fallback:
         raise ValidationError(
             f"model {model.name!r} has a degenerate Hamiltonian, so the block "
             "construction is refused; rerun with --dense-fallback to take the "
             "dense superoperator path"
         )
-    return build_generator(model)
-
-
-def _spectrum(model: ModelInstance, args) -> tuple[DaviesGenerator, GeneratorSpectrum]:
-    gen = _generator(model, args)
-    return gen, decompose(gen)
+    return decompose(build_generator(model))
 
 
 def _beta(model: ModelInstance) -> float:
@@ -136,14 +130,14 @@ def _initial_state(cfg: ExperimentConfig, model: ModelInstance, args) -> Density
         d = model.hamiltonian.dim
         v = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
         return DensityMatrix(np.outer(v, v.conj()))
-    data = np.load(spec.path)
-    return DensityMatrix(np.asarray(data, dtype=complex))
-
-
-def _metro_config(transform: TransformSpec, args) -> MetropolisConfig:
-    if args.seed is None:
-        return transform.metropolis
-    return dataclasses.replace(transform.metropolis, seed=args.seed)
+    d = model.hamiltonian.dim
+    try:
+        data = np.load(spec.path)
+        if np.shape(data) != (d, d):
+            raise ValueError(f"expected a {d}x{d} density matrix, got shape {np.shape(data)}")
+        return DensityMatrix(np.asarray(data, dtype=complex))
+    except (OSError, ValueError) as exc:  # ValidationError is a ValueError
+        raise ConfigError("initial_state.path", f"{spec.path}: {exc}")
 
 
 def _apply_transform(kind, cfg, basis, spectrum, rho, args):
@@ -153,7 +147,9 @@ def _apply_transform(kind, cfg, basis, spectrum, rho, args):
     if kind == "exact":
         rho_prime, _ = exact_transform(rho, basis)
         return rho_prime, None
-    metro = _metro_config(cfg.transform, args)
+    metro = cfg.transform.metropolis
+    if args.seed is not None:
+        metro = dataclasses.replace(metro, seed=args.seed)
     if kind == "unitary-metropolis":
         rho_prime, _, trace = unitary_metropolis(
             spectrum, rho, metro, fermionic=cfg.transform.fermionic
@@ -178,7 +174,7 @@ def _apply_transform(kind, cfg, basis, spectrum, rho, args):
 
 def cmd_spectrum(args) -> int:
     cfg, model, out = _setup(args)
-    _, spectrum = _spectrum(model, args)
+    spectrum = _spectrum(model, args)
     gap = spectral_gap(spectrum)
     path = out / "spectrum.tsv"
     with open(path, "w") as fh:
@@ -196,7 +192,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_evolve(args) -> int:
     cfg, model, out = _setup(args)
-    _, spectrum = _spectrum(model, args)
+    spectrum = _spectrum(model, args)
     basis = model.basis()
     beta = _beta(model)
     rho = spectrum.project_physical(_initial_state(cfg, model, args))
@@ -225,7 +221,7 @@ def cmd_mpemba(args) -> int:
     fit_window = 0.5 * times[-1]
     if np.count_nonzero(times >= fit_window) < 3:
         raise ConfigError("time_grid", "the decay-rate fit needs at least 3 grid points at or after t_max/2")
-    _, spectrum = _spectrum(model, args)
+    spectrum = _spectrum(model, args)
     basis = model.basis()
     beta = _beta(model)
     h_lab = basis.hamiltonian()
@@ -292,7 +288,7 @@ def cmd_metropolis(args) -> int:
     cfg, model, out = _setup(args)
     if cfg.transform.kind not in ("unitary-metropolis", "swap-metropolis"):
         raise ConfigError("transform.kind", "the metropolis command needs a metropolis transform")
-    _, spectrum = _spectrum(model, args)
+    spectrum = _spectrum(model, args)
     rho = _initial_state(cfg, model, args)
     rho_prime, trace = _apply_transform(cfg.transform.kind, cfg, model.basis(), spectrum, rho, args)
     trace.to_csv(out / "trace.csv")

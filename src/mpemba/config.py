@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,18 +52,15 @@ class TransformSpec:
 
 @dataclass(frozen=True)
 class TimeGridSpec:
+    """``n_points`` times spaced linearly from 0 to ``t_max`` (just ``t_max`` for one point)."""
+
     t_max: float
     n_points: int = 200
-    spacing: str = "linear"
-    t_min: float = 0.0
 
     def times(self) -> np.ndarray:
         if self.n_points == 1:
             return np.array([self.t_max])
-        if self.spacing == "log":
-            start = self.t_min if self.t_min > 0 else self.t_max / self.n_points * 1e-3
-            return np.geomspace(start, self.t_max, self.n_points)
-        return np.linspace(self.t_min, self.t_max, self.n_points)
+        return np.linspace(0.0, self.t_max, self.n_points)
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,6 @@ class ExperimentConfig:
     transform: TransformSpec
     time_grid: TimeGridSpec
     outputs: OutputSpec
-    raw: dict = field(compare=False, default_factory=dict)
 
     def build_model(self) -> ModelInstance:
         return _assemble_model(self.model_name, self.model_params, self.bath_params)
@@ -106,11 +102,19 @@ def _check_keys(node, path, allowed, required=()):
 def _number(node, path, *, positive=False, integer=False):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(path, "expected a number")
+    if isinstance(node, float) and not math.isfinite(node):  # json reads NaN and Infinity
+        raise ConfigError(path, "expected a finite number")
     if integer and int(node) != node:
         raise ConfigError(path, "expected an integer")
     if positive and node <= 0:
         raise ConfigError(path, "must be positive")
     return int(node) if integer else float(node)
+
+
+def _boolean(node, path):
+    if not isinstance(node, bool):
+        raise ConfigError(path, "expected true or false")
+    return node
 
 
 def load_config(path) -> ExperimentConfig:
@@ -136,17 +140,23 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "name" not in model_node:
         raise ConfigError("model", "missing required key 'name'")
     name = model_node["name"]
-    if name not in MODEL_BUILDERS:
+    if not isinstance(name, str) or name not in MODEL_BUILDERS:
         raise ConfigError("model.name", f"unknown model {name!r}; choose from {sorted(MODEL_BUILDERS)}")
     params = {k: v for k, v in model_node.items() if k != "name"}
-    for key in params:
+    for key, value in params.items():
+        path = f"model.{key}"
         if key not in _MODEL_KEYS[name]:
-            raise ConfigError(f"model.{key}", f"unknown parameter for model {name!r}")
+            raise ConfigError(path, f"unknown parameter for model {name!r}")
+        params[key] = (_boolean(value, path) if key == "energy_resolved"
+                       else _number(value, path, integer=key == "length"))
 
     bath_node = raw.get("bath", {})
     _check_keys(bath_node, "bath", _BATH_KEYS)
     if "temperature" in bath_node and "beta" in bath_node:
         raise ConfigError("bath", "give temperature or beta, not both")
+    # temperatures and beta are inverted, so they must be positive
+    bath = {k: v if k == "statistics" else _number(v, f"bath.{k}", positive=k != "gamma")
+            for k, v in bath_node.items()}
 
     state = _parse_initial_state(raw["initial_state"])
     transform = _parse_transform(raw.get("transform", {"kind": "none"}))
@@ -154,9 +164,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     outputs = _parse_outputs(raw.get("outputs", {}))
 
     cfg = ExperimentConfig(
-        model_name=name, model_params=params, bath_params=dict(bath_node),
-        initial_state=state, transform=transform, time_grid=grid,
-        outputs=outputs, raw=raw,
+        model_name=name, model_params=params, bath_params=bath,
+        initial_state=state, transform=transform, time_grid=grid, outputs=outputs,
     )
     cfg.build_model()  # surface parameter errors at load time
     return cfg
@@ -165,7 +174,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 def _parse_initial_state(node) -> InitialStateSpec:
     _expect_mapping(node, "initial_state")
     kind = node.get("kind")
-    if kind not in _STATE_KINDS:
+    if not isinstance(kind, str) or kind not in _STATE_KINDS:
         raise ConfigError("initial_state.kind", f"expected one of {sorted(_STATE_KINDS)}")
     if kind == "bloch":
         _check_keys(node, "initial_state", {"kind", "r"}, required=("r",))
@@ -198,7 +207,7 @@ def _parse_initial_state(node) -> InitialStateSpec:
 def _parse_transform(node) -> TransformSpec:
     _expect_mapping(node, "transform")
     kind = node.get("kind", "none")
-    if kind not in _TRANSFORM_KINDS:
+    if not isinstance(kind, str) or kind not in _TRANSFORM_KINDS:
         raise ConfigError("transform.kind", f"expected one of {sorted(_TRANSFORM_KINDS)}")
     if kind in ("none", "exact"):
         _check_keys(node, "transform", {"kind"})
@@ -224,19 +233,15 @@ def _parse_transform(node) -> TransformSpec:
         )
     except ValidationError as exc:
         raise ConfigError("transform", str(exc))
-    return TransformSpec(kind=kind, metropolis=metro, fermionic=bool(node.get("fermionic", False)))
+    fermionic = _boolean(node.get("fermionic", False), "transform.fermionic")
+    return TransformSpec(kind=kind, metropolis=metro, fermionic=fermionic)
 
 
 def _parse_time_grid(node) -> TimeGridSpec:
-    _check_keys(node, "time_grid", {"t_max", "n_points", "spacing", "t_min"}, required=("t_max",))
-    spacing = node.get("spacing", "linear")
-    if spacing not in ("linear", "log"):
-        raise ConfigError("time_grid.spacing", "expected 'linear' or 'log'")
+    _check_keys(node, "time_grid", {"t_max", "n_points"}, required=("t_max",))
     return TimeGridSpec(
         t_max=_number(node["t_max"], "time_grid.t_max", positive=True),
         n_points=_number(node.get("n_points", 200), "time_grid.n_points", positive=True, integer=True),
-        spacing=spacing,
-        t_min=_number(node.get("t_min", 0.0), "time_grid.t_min"),
     )
 
 
@@ -244,8 +249,8 @@ def _parse_outputs(node) -> OutputSpec:
     _check_keys(node, "outputs", {"directory", "dump_states", "gnuplot"})
     return OutputSpec(
         directory=str(node.get("directory", "out")),
-        dump_states=bool(node.get("dump_states", False)),
-        gnuplot=bool(node.get("gnuplot", False)),
+        dump_states=_boolean(node.get("dump_states", False), "outputs.dump_states"),
+        gnuplot=_boolean(node.get("gnuplot", False), "outputs.gnuplot"),
     )
 
 

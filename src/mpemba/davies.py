@@ -19,7 +19,6 @@ balance), which is what makes the Gibbs state the fixed point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +29,6 @@ from .utils import frozen
 
 #: Tolerance for the block/dense eigenvalue multiset comparison.
 SPECTRUM_MATCH_TOL = 1e-8
-
-VECTORIZATION_CONVENTION = "row-major: vec(|n><m|) -> index n*d + m"
 
 
 @dataclass(frozen=True)
@@ -350,22 +347,3 @@ def verify_detailed_balance(g_dense: np.ndarray, energies, tau_populations) -> f
     diss_adj = (g_dense - unitary_part).conj().T
     weighted = np.tile(tau, d)[:, None] * diss_adj  # Omega D^dag
     return float(np.abs(weighted - weighted.conj().T).max())
-
-
-def export_generator(gen: DaviesGenerator, path) -> None:
-    """Dump the block representation as JSON with the convention header."""
-    if not gen.has_block:
-        raise ValidationError("only block-form generators are exported")
-    coh = gen.coh_block
-    payload = {
-        "vectorization": VECTORIZATION_CONVENTION,
-        "dim": gen.dim,
-        "energies": list(map(float, gen.basis.energies)),
-        "pop_block": [[float(x) for x in row] for row in gen.pop_block],
-        "coh_diagonal": [
-            {"n": n, "m": m, "re": float(coh[n, m].real), "im": float(coh[n, m].imag)}
-            for n, m in np.transpose(coherence_indices(gen.dim)).tolist()
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)

@@ -43,7 +43,6 @@ class ModelInstance:
     bath: BathSpec | None = None
     jump_ops: tuple | None = None
     default_params: dict = field(default_factory=dict)
-    units_note: str = ""
     sector_labels: tuple | None = None
     _basis: SpectralBasis | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -87,7 +86,6 @@ def single_qubit(omega: float = 5.0, t_bath: float = 10.0, gamma: float = 1.0) -
         hamiltonian=h,
         bath=bath,
         default_params={"omega": omega, "t_bath": t_bath, "gamma": gamma},
-        units_note="energies in units of J; hbar = k_B = 1",
     )
 
 
@@ -125,7 +123,6 @@ def tfim(
             "length": length, "coupling": coupling, "h_field": h_field,
             "t_bath": t_bath, "gamma": gamma, "statistics": statistics,
         },
-        units_note="energies in units of J; hbar = k_B = 1",
     )
 
 
@@ -165,7 +162,6 @@ def two_level_atom(
             "epsilon": epsilon, "gamma": gamma,
             "t_bath_kelvin": t_bath_kelvin, "beta": beta, "n_bose": n_bose,
         },
-        units_note=f"energies in GHz; T[K] -> {GHZ_PER_KELVIN} GHz/K; hbar = k_B = 1",
     )
 
 
@@ -238,7 +234,6 @@ def quantum_dot(
             "t_bath_kelvin": t_bath_kelvin, "beta": beta,
             "energy_resolved": energy_resolved,
         },
-        units_note=f"energies in GHz; T[K] -> {GHZ_PER_KELVIN} GHz/K; hbar = k_B = 1",
         sector_labels=(0, 1, 1, 0),
     )
 

@@ -110,10 +110,8 @@ class DensityMatrix:
         self.entries = frozen(entries)
         self.dim = entries.shape[0]
 
-    def populations(self, basis: SpectralBasis | None = None) -> np.ndarray:
-        """Diagonal of the state, optionally in the given energy eigenbasis."""
-        if basis is None:
-            return np.real(np.diag(self.entries)).copy()
+    def populations(self, basis: SpectralBasis) -> np.ndarray:
+        """Diagonal of the state in the given energy eigenbasis."""
         return np.real(np.diag(basis.to_eigenbasis(self.entries))).copy()
 
     def purity(self) -> float:

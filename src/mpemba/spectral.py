@@ -13,8 +13,8 @@ coherence mode as one entry of the state, which never touches a d^2 x d^2
 array and stays numerically stable at low temperature, where the dense
 eigenbasis becomes exponentially ill-conditioned.  One routine,
 :meth:`GeneratorSpectrum.amplitudes`, turns a state into mode amplitudes for
-both representations; every other caller (:func:`amplitude`, the annealers'
-costs) goes through it.
+both representations; every other caller (the transform's overlap check, the
+annealers' costs) goes through it.
 """
 
 from __future__ import annotations
@@ -131,9 +131,6 @@ class GeneratorSpectrum:
         self._payload = payload
         self._pop_col = pop_col
         self._flat = flat
-        self.gap_is_complex = bool(
-            self.n_modes > 1 and _is_complex_mode(self.eigenvalues, 1)
-        )
 
     # -- structure ---------------------------------------------------------
 
@@ -159,16 +156,12 @@ class GeneratorSpectrum:
             return ("pop", j)
         return ("coh", *divmod(int(self._flat[idx]), self.dim))
 
-    def is_coherent_mode(self, k: int) -> bool:
-        """True when mode k lives in the coherence sector.
-
-        Block spectra know this structurally; for dense spectra the criterion
-        is a nonzero imaginary part of the eigenvalue.
-        """
-        return bool(self._coherent[_check_mode_index(k, self.n_modes)])
-
     def coherent_modes(self) -> list[int]:
-        """1-based indices of all coherence-sector modes."""
+        """1-based indices of all coherence-sector modes.
+
+        Block spectra know the sector structurally; for dense spectra the
+        criterion is a nonzero imaginary part of the eigenvalue.
+        """
         return (np.flatnonzero(self._coherent[1:]) + 2).tolist()
 
     # -- eigenmatrices -----------------------------------------------------
@@ -194,16 +187,6 @@ class GeneratorSpectrum:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         out[(m, n) if left else (n, m)] = 1.0
         return out
-
-    @property
-    def rights(self) -> list[np.ndarray]:
-        """All right eigenmatrices (materializes block modes on access)."""
-        return [self.right(k) for k in range(1, self.n_modes + 1)]
-
-    @property
-    def lefts(self) -> list[np.ndarray]:
-        """All left eigenmatrices (materializes block modes on access)."""
-        return [self.left(k) for k in range(1, self.n_modes + 1)]
 
     # -- amplitudes ---------------------------------------------------------
 
@@ -470,11 +453,6 @@ def spectral_gap(spectrum: GeneratorSpectrum) -> GapInfo:
         float(abs(spectrum.eigenvalues[1].real)),
         _is_complex_mode(spectrum.eigenvalues, 1),
     )
-
-
-def amplitude(spectrum: GeneratorSpectrum, k: int, rho) -> complex:
-    """Overlap Tr(l_k rho) of 1-based mode k with a state."""
-    return complex(spectrum.amplitudes(rho, (k,))[0])
 
 
 def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:

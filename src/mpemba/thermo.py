@@ -22,7 +22,7 @@ D >= ||rho - tau||_1^2 / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,7 +179,6 @@ class ThermoTrajectory:
     pi: np.ndarray
     beta: float
     f_eq: float
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         for name in ("times", "f_neq", "d_rel", "p_classical", "c_coherence", "l1", "t1", "pi"):
@@ -199,7 +198,7 @@ class ThermoTrajectory:
 
 
 def compute_trajectory(
-    grid: EvolutionGrid, basis: SpectralBasis, beta: float, **meta
+    grid: EvolutionGrid, basis: SpectralBasis, beta: float
 ) -> ThermoTrajectory:
     """Evaluate all diagnostics for every state of an evolution grid.
 
@@ -240,7 +239,7 @@ def compute_trajectory(
     pi = spohn_rate(grid.times, f_neq, beta) if n >= 3 else np.empty(0)
     return ThermoTrajectory(
         times=grid.times, f_neq=f_neq, d_rel=p_cl + c_coh, p_classical=p_cl,
-        c_coherence=c_coh, l1=l1, t1=t1, pi=pi, beta=beta, f_eq=f_eq, meta=meta,
+        c_coherence=c_coh, l1=l1, t1=t1, pi=pi, beta=beta, f_eq=f_eq,
     )
 
 

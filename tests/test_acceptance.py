@@ -345,9 +345,7 @@ def test_criterion_09_physical_instances():
         max_total_iterations=400_000,
     )
     rho_d_prime, _, trace = mp.unitary_metropolis(spec_d, rho_d, cfg, fermionic=True)
-    overlap = 2.0 * max(
-        abs(mp.amplitude(spec_d, k, rho_d_prime)) for k in loaded
-    )
+    overlap = 2.0 * np.abs(spec_d.amplitudes(rho_d_prime, loaded)).max()
     ok_dot = (not gap_d.complex_pair) and trace.converged and overlap < 2e-5
 
     _report(9, "mesoscopic instances (atom complex gap, dot real gap)",

@@ -76,6 +76,30 @@ class TestSchema:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize("stem, section, key, value", [
+        ("qubit_demo", "outputs", "gnuplot", "false"),
+        ("qubit_demo", "outputs", "dump_states", "no"),
+        ("dot_metropolis", "transform", "fermionic", "false"),
+        ("dot_metropolis", "model", "energy_resolved", "false"),
+        ("qubit_demo", "model", "omega", "5"),
+        ("qubit_demo", "model", "omega", float("nan")),
+        ("qubit_demo", "time_grid", "t_max", float("inf")),
+        ("chain_demo", "model", "length", 5.5),
+        ("qubit_demo", "bath", "temperature", "10"),
+        ("qubit_demo", "bath", "temperature", 0.0),
+        ("qubit_demo", "model", "name", ["single_qubit"]),
+        ("qubit_demo", "initial_state", "kind", ["bloch"]),
+        ("qubit_demo", "transform", "kind", ["exact"]),
+        ("qubit_demo", "time_grid", "spacing", "log"),
+        ("qubit_demo", "time_grid", "t_min", 0.0),
+    ])
+    def test_mistyped_or_unknown_entry_exits_2(self, tmp_path, capsys, stem, section, key, value):
+        payload = json.loads((CONFIGS / f"{stem}.json").read_text())
+        payload[section][key] = value
+        rc = main(["spectrum", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"config error: {section}.{key}: " in capsys.readouterr().err
+
     def test_checked_in_configs_all_parse(self):
         for path in sorted(CONFIGS.glob("*.json")):
             load_config(path)
@@ -187,6 +211,30 @@ class TestCliMpemba:
         assert rc == 2
         assert "time_grid" in capsys.readouterr().err
         assert not (tmp_path / "mpemba" / "certificate.txt").exists()
+
+
+class TestFileState:
+    def test_saved_state_certifies_like_its_source(self, tmp_path):
+        # the demo Bloch state saved with np.save gives the Bloch config's certificate
+        state = tmp_path / "state.npy"
+        np.save(state, mp.bloch_to_state(BASE["initial_state"]["r"]).entries)
+        from_file = dict(BASE, initial_state={"kind": "file", "path": str(state)})
+        for sub, payload in (("bloch", BASE), ("file", from_file)):
+            cfg = write_config(tmp_path, payload, name=f"{sub}.json")
+            assert main(["mpemba", "--config", str(cfg), "--out", str(tmp_path / sub)]) == 0
+        text = (tmp_path / "file" / "certificate.txt").read_bytes()
+        assert b"status: ok" in text
+        assert text == (tmp_path / "bloch" / "certificate.txt").read_bytes()
+
+    @pytest.mark.parametrize("defect", ["missing", "shape"])
+    def test_unreadable_state_exits_2(self, tmp_path, capsys, defect):
+        state = tmp_path / "state.npy"
+        if defect == "shape":
+            np.save(state, np.eye(8, dtype=complex) / 8)  # a three-qubit state for a qubit model
+        payload = dict(BASE, initial_state={"kind": "file", "path": str(state)})
+        rc = main(["mpemba", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error: initial_state.path: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, config", [

@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 import mpemba as mp
 from mpemba.davies import (
     eigenvalue_multiset_distance,
-    export_generator,
     occupation_factors,
     vectorized_lindbladian,
 )
@@ -224,18 +221,6 @@ class TestGeneratorObject:
     def test_requires_some_representation(self, qubit_model):
         with pytest.raises(ValidationError):
             mp.DaviesGenerator(basis=qubit_model.basis())
-
-    def test_export_round_trip(self, tmp_path, qubit_model):
-        gen = mp.build_generator(qubit_model)
-        path = tmp_path / "gen.json"
-        export_generator(gen, path)
-        payload = json.loads(path.read_text())
-        assert "row-major" in payload["vectorization"]
-        np.testing.assert_allclose(payload["pop_block"], gen.pop_block)
-        # one entry per coherence, row-major, carrying the block's values
-        assert [(e["n"], e["m"]) for e in payload["coh_diagonal"]] == [(0, 1), (1, 0)]
-        for e in payload["coh_diagonal"]:
-            assert complex(e["re"], e["im"]) == gen.coh_block[e["n"], e["m"]]
 
     def test_coherence_block_is_frozen(self, qubit_model):
         gen = mp.build_generator(qubit_model)

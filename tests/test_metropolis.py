@@ -85,7 +85,7 @@ class TestCost:
 
     def test_matches_amplitude_sum(self, qubit_spec):
         rho = mp.bloch_to_state(list(DEMO_BLOCH))
-        expected = abs(mp.amplitude(qubit_spec, 2, rho)) + abs(mp.amplitude(qubit_spec, 3, rho))
+        expected = np.abs(qubit_spec.amplitudes(rho, (2, 3))).sum()
         assert mp.cost(qubit_spec, rho, [2, 3]) == pytest.approx(expected, abs=1e-14)
 
 
@@ -339,14 +339,16 @@ class TestSwapMetropolis:
     def test_small_dimension_falls_back_to_pair_swaps(self, qubit_model, qubit_spec):
         basis = qubit_model.basis()
         p0 = mp.thermal_populations(basis, 1.0)
-        target = next(k for k in range(2, 5) if not qubit_spec.is_coherent_mode(k))
+        target = next(k for k in range(2, 5) if k not in qubit_spec.coherent_modes())
+        # the starting cost is about 0.52 and the swapped order's about 0.87,
+        # so no order converges and the walk spends its whole budget
         cfg = mp.MetropolisConfig(
-            cooling_tau=0.99, threshold_eps=1e3, target_modes=(target,), seed=0,
+            cooling_tau=0.99, threshold_eps=1e-3, target_modes=(target,), seed=0,
             max_total_iterations=10,
         )
         p_best, trace = mp.swap_metropolis(qubit_spec, p0, cfg)
-        assert trace.converged  # threshold is huge; the point is it runs at d=2
-        np.testing.assert_allclose(np.sort(p_best), np.sort(p0), atol=1e-15)
+        assert len(trace) == 10 and not trace.converged
+        assert np.sort(p_best).tobytes() == np.sort(p0).tobytes()
 
     def test_csv_round_trip(self, tmp_path, heating_setup):
         spec, p0, target = heating_setup
@@ -376,7 +378,7 @@ class TestSwapWalk:
         # populations must be a permutation of the input and cost what the
         # trace says
         spec, p0, target = heating_setup
-        qubit_target = next(k for k in range(2, 5) if not qubit_spec.is_coherent_mode(k))
+        qubit_target = next(k for k in range(2, 5) if k not in qubit_spec.coherent_modes())
         for spectrum, p, k, budget in ((spec, p0, target, 3_000),
                                        (qubit_spec, np.array([0.9, 0.1]), qubit_target, 50)):
             cfg = mp.MetropolisConfig(

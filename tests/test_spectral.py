@@ -27,7 +27,6 @@ class TestDecompose:
         gap = mp.spectral_gap(qubit_spec)
         assert gap.value == pytest.approx(QUBIT_GAMMA_TOTAL / 2, rel=1e-10)
         assert gap.complex_pair
-        assert qubit_spec.gap_is_complex
 
     def test_steady_state_is_gibbs(self, qubit_model, qubit_spec):
         tau = mp.thermal_state(qubit_model.basis(), qubit_model.bath.beta)
@@ -36,15 +35,16 @@ class TestDecompose:
     def test_left_one_is_identity(self, qubit_spec):
         assert np.abs(qubit_spec.left(1) - np.eye(2)).max() <= 1e-9
 
-    def test_biorthonormality(self, tfim3_gen):
-        spec = mp.decompose(tfim3_gen, prefer="dense")
-        lefts, rights = spec.lefts, spec.rights
-        worst = max(
-            abs(np.trace(lefts[j] @ rights[k]) - (1.0 if j == k else 0.0))
-            for j in range(spec.n_modes)
-            for k in range(spec.n_modes)
-        )
-        assert worst <= 1e-8
+    def test_biorthonormality(self, spectrum_case):
+        spec, _ = spectrum_case
+        modes = range(1, spec.n_modes + 1)
+        pairs = [(spec.left(k), spec.right(k)) for k in modes]
+        for matrix in (m for pair in pairs for m in pair):
+            assert matrix.dtype == complex and matrix.shape == (spec.dim, spec.dim)
+            assert matrix.flags.c_contiguous and matrix.flags.writeable
+        lefts, rights = (np.stack(side) for side in zip(*pairs))
+        gram = np.einsum("jnm,kmn->jk", lefts, rights)
+        assert np.abs(gram - np.eye(spec.n_modes)).max() <= 1e-8
 
     def test_decaying_modes_traceless(self, tfim3_gen):
         spec = mp.decompose(tfim3_gen, prefer="dense")
@@ -102,18 +102,18 @@ class TestAmplitudes:
     def test_steady_state_has_no_decaying_amplitude(self, qubit_model, qubit_spec):
         tau = mp.thermal_state(qubit_model.basis(), qubit_model.bath.beta)
         for k in range(2, 5):
-            assert abs(mp.amplitude(qubit_spec, k, tau)) <= 1e-9
+            assert abs(qubit_spec.amplitudes(tau, (k,))[0]) <= 1e-9
 
     def test_diagonal_state_misses_coherent_modes(self, tfim3_model, tfim3_gen):
         spec = mp.decompose(tfim3_gen)
         basis = tfim3_model.basis()
         rho = mp.dephase(mp.random_mixed_state(8, 5, seed=3), basis)
         for k in spec.coherent_modes():
-            assert abs(mp.amplitude(spec, k, rho)) <= 1e-10
+            assert abs(spec.amplitudes(rho, (k,))[0]) <= 1e-10
 
     def test_demo_state_has_visible_overlap(self, qubit_spec):
         rho = mp.bloch_to_state(list(DEMO_BLOCH))
-        total = abs(mp.amplitude(qubit_spec, 2, rho)) + abs(mp.amplitude(qubit_spec, 3, rho))
+        total = np.abs(qubit_spec.amplitudes(rho, (2, 3))).sum()
         assert total > 0.1
 
     def test_block_dense_mode_contributions_agree(self, tfim3_gen):
@@ -160,7 +160,7 @@ class TestAmplitudeRoutine:
             part = spec.amplitudes(rho, tuple(modes.tolist()))
             assert part.tobytes() == full[modes - 1].tobytes()
         for k in range(1, spec.n_modes + 1):
-            assert mp.amplitude(spec, k, rho) == full[k - 1]
+            assert spec.amplitudes(rho, (k,))[0] == full[k - 1]
         assert spec.amplitudes(rho, ()).shape == (0,)
 
     def test_matches_trace_with_left_eigenmatrix(self, spectrum_case):
@@ -179,8 +179,6 @@ class TestAmplitudeRoutine:
         for modes in ((0,), (spec.n_modes + 1,), (2, spec.n_modes + 1)):
             with pytest.raises(ValidationError):
                 spec.amplitudes(rho, modes)
-        with pytest.raises(ValidationError):
-            mp.amplitude(spec, spec.n_modes + 1, rho)
 
     def test_coherent_modes_follow_per_mode_definition(self, spectrum_case):
         spec, _ = spectrum_case
@@ -194,8 +192,6 @@ class TestAmplitudeRoutine:
 
         expected = [k for k in range(2, spec.n_modes + 1) if coherent(k)]
         assert spec.coherent_modes() == expected and expected
-        for k in range(1, spec.n_modes + 1):
-            assert spec.is_coherent_mode(k) is coherent(k)
 
 
 def test_private_spectrum_state_stays_in_spectral_module():
@@ -263,8 +259,9 @@ class TestDerivedModeTags:
             (n, m) for n in range(d) for m in range(d) if n != m
         ]
         assert len(tags) == d * d and tags[0][0] == "pop"
+        coherent = spec.coherent_modes()
         for k, tag in enumerate(tags, start=1):
-            assert spec.is_coherent_mode(k) is (tag[0] == "coh")
+            assert (k in coherent) is (tag[0] == "coh")
             if tag[0] == "coh":
                 assert spec.eigenvalues[k - 1] == gen.coh_block[tag[1], tag[2]]
 
@@ -275,28 +272,6 @@ class TestDerivedModeTags:
 
 
 class TestEigenmatrices:
-    @staticmethod
-    def tagged(spec, k, left):
-        """Reference: the eigenmatrix built from the mode's structural tag."""
-        tag = spec.mode_tag(k)
-        d = spec.dim
-        if tag[0] == "dense":
-            return spec._payload["lefts" if left else "rights"][tag[1]].copy()
-        if tag[0] == "pop":
-            return np.diag(spec._payload["pop_lefts" if left else "pop_rights"][:, tag[1]]).astype(complex)
-        out = np.zeros((d, d), dtype=complex)
-        out[(tag[2], tag[1]) if left else (tag[1], tag[2])] = 1.0
-        return out
-
-    def test_match_tag_dispatch_bitwise(self, spectrum_case):
-        spec, _ = spectrum_case
-        for k in range(1, spec.n_modes + 1):
-            for left, got in ((False, spec.right(k)), (True, spec.left(k))):
-                want = self.tagged(spec, k, left)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.flags.c_contiguous and got.flags.writeable
-                assert np.array_equal(got, want), (k, left)
-
     def test_out_of_range_mode_rejected(self, spectrum_case):
         spec, _ = spectrum_case
         for k in (0, spec.n_modes + 1):

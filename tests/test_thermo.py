@@ -282,7 +282,7 @@ def _reference_block_states(gen, rho, times):
 def _reference_dense_states(spec, rho, times):
     basis = spec.basis
     amps = spec.amplitudes(rho)
-    rights = np.stack(spec.rights)
+    rights = np.stack([spec.right(k) for k in range(1, spec.n_modes + 1)])
     tau_e = basis.to_eigenbasis(spec.steady_state.entries)
     phases = np.exp(np.outer(times, spec.eigenvalues[1:]))
     deltas = np.einsum("tk,k,knm->tnm", phases, amps[1:], rights[1:], optimize=True)
