@@ -23,9 +23,9 @@ from . import __version__
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, ValidationError
 from .metropolis import swap_metropolis, unitary_metropolis
-from .models import GHZ_PER_KELVIN, ModelInstance, build_generator
+from .models import ModelInstance, build_generator
 from .operators import DensityMatrix, bloch_to_state, random_mixed_state, thermal_state
-from .spectral import GeneratorSpectrum, decompose, evolve_spectral, spectral_gap
+from .spectral import decompose, evolve_spectral, spectral_gap
 from .thermo import ThermoTrajectory, compute_trajectory, fit_decay_rate, noneq_free_energy
 from .transform import MpembaCertificate, detect_crossing, exact_transform, verify_overlap_elimination
 
@@ -74,10 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides env and config)")
         p.add_argument("--seed", type=int, default=None, help="override all configured seeds")
-        p.add_argument(
-            "--dense-fallback", action="store_true",
-            help="allow the dense superoperator path when the block form is refused",
-        )
         p.set_defaults(func=func)
     return parser
 
@@ -95,22 +91,6 @@ def _setup(args) -> tuple[ExperimentConfig, ModelInstance, Path]:
     return cfg, model, out
 
 
-def _spectrum(model: ModelInstance, args) -> GeneratorSpectrum:
-    if model.basis().degeneracy_flag and not args.dense_fallback:
-        raise ValidationError(
-            f"model {model.name!r} has a degenerate Hamiltonian, so the block "
-            "construction is refused; rerun with --dense-fallback to take the "
-            "dense superoperator path"
-        )
-    return decompose(build_generator(model))
-
-
-def _beta(model: ModelInstance) -> float:
-    if model.bath is not None:
-        return model.bath.beta
-    return model.default_params["beta"]
-
-
 def _initial_state(cfg: ExperimentConfig, model: ModelInstance, args) -> DensityMatrix:
     spec = cfg.initial_state
     basis = model.basis()
@@ -119,10 +99,7 @@ def _initial_state(cfg: ExperimentConfig, model: ModelInstance, args) -> Density
             raise ConfigError("initial_state", "bloch states need a two-level model")
         return bloch_to_state(list(spec.bloch))
     if spec.kind == "thermal":
-        temp = spec.temperature
-        if model.name in ("two_level_atom", "quantum_dot"):
-            temp *= GHZ_PER_KELVIN  # config gives Kelvin for the mesoscopic models
-        return thermal_state(basis, 1.0 / temp)
+        return thermal_state(basis, 1.0 / spec.temperature)
     if spec.kind == "random-mixed":
         seed = args.seed if args.seed is not None else spec.seed
         return random_mixed_state(model.hamiltonian.dim, spec.n_samples, seed)
@@ -174,7 +151,7 @@ def _apply_transform(kind, cfg, basis, spectrum, rho, args):
 
 def cmd_spectrum(args) -> int:
     cfg, model, out = _setup(args)
-    spectrum = _spectrum(model, args)
+    spectrum = decompose(build_generator(model))
     gap = spectral_gap(spectrum)
     path = out / "spectrum.tsv"
     with open(path, "w") as fh:
@@ -192,9 +169,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_evolve(args) -> int:
     cfg, model, out = _setup(args)
-    spectrum = _spectrum(model, args)
+    spectrum = decompose(build_generator(model))
     basis = model.basis()
-    beta = _beta(model)
     rho = spectrum.project_physical(_initial_state(cfg, model, args))
     rho_prime, _ = _apply_transform(cfg.transform.kind, cfg, basis, spectrum, rho, args)
     if rho_prime is not None:
@@ -203,7 +179,7 @@ def cmd_evolve(args) -> int:
 
     def run(state):
         grid = evolve_spectral(spectrum, state, times)
-        return grid, compute_trajectory(grid, basis, beta)
+        return grid, compute_trajectory(grid, basis, model.beta)
 
     grid_a, traj_a = run(rho)
     grid_b, traj_b = run(rho_prime) if rho_prime is not None else (None, None)
@@ -221,9 +197,9 @@ def cmd_mpemba(args) -> int:
     fit_window = 0.5 * times[-1]
     if np.count_nonzero(times >= fit_window) < 3:
         raise ConfigError("time_grid", "the decay-rate fit needs at least 3 grid points at or after t_max/2")
-    spectrum = _spectrum(model, args)
+    spectrum = decompose(build_generator(model))
     basis = model.basis()
-    beta = _beta(model)
+    beta = model.beta
     h_lab = basis.hamiltonian()
     rho = spectrum.project_physical(_initial_state(cfg, model, args))
     tau = spectrum.steady_state
@@ -288,7 +264,7 @@ def cmd_metropolis(args) -> int:
     cfg, model, out = _setup(args)
     if cfg.transform.kind not in ("unitary-metropolis", "swap-metropolis"):
         raise ConfigError("transform.kind", "the metropolis command needs a metropolis transform")
-    spectrum = _spectrum(model, args)
+    spectrum = decompose(build_generator(model))
     rho = _initial_state(cfg, model, args)
     rho_prime, trace = _apply_transform(cfg.transform.kind, cfg, model.basis(), spectrum, rho, args)
     trace.to_csv(out / "trace.csv")

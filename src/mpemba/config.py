@@ -16,25 +16,30 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .metropolis import MetropolisConfig
-from .models import MODEL_BUILDERS, ModelInstance
+from .models import GHZ_PER_KELVIN, MODEL_BUILDERS, ModelInstance
 
-_MODEL_KEYS = {
-    "single_qubit": {"omega"},
-    "tfim": {"length", "coupling", "h_field"},
-    "two_level_atom": {"epsilon", "gamma"},
-    "quantum_dot": {"epsilon", "e_charging", "gamma", "energy_resolved"},
+# Per model: its parameter keys, and each bath key it takes mapped to the
+# builder keyword that key sets (``beta`` sets ``t_bath`` to 1/beta).  A
+# model whose bath takes ``temperature_kelvin`` reads every temperature in
+# Kelvin, the thermal initial state's too.
+_SPIN_BATH = {"temperature": "t_bath", "beta": "t_bath", "gamma": "gamma"}
+_KELVIN_BATH = {"temperature_kelvin": "t_bath_kelvin"}
+_MODELS = {
+    "single_qubit": ({"omega"}, _SPIN_BATH),
+    "tfim": ({"length", "coupling", "h_field"}, {**_SPIN_BATH, "statistics": "statistics"}),
+    "two_level_atom": ({"epsilon", "gamma"}, _KELVIN_BATH),
+    "quantum_dot": ({"epsilon", "e_charging", "gamma", "energy_resolved"}, _KELVIN_BATH),
 }
-_BATH_KEYS = {"temperature", "beta", "statistics", "gamma", "temperature_kelvin"}
 _STATE_KINDS = {"bloch", "thermal", "random-mixed", "pure-plus", "file"}
 _TRANSFORM_KINDS = {"none", "exact", "unitary-metropolis", "swap-metropolis"}
-_METRO_KEYS = {
-    "cooling_tau", "threshold_eps", "nano_n", "micro_m", "macro_m",
-    "target_modes", "seed", "max_total_iterations", "fermionic",
-}
+_METRO_KEYS = {"cooling_tau", "threshold_eps", "target_modes", "seed", "max_total_iterations"}
+_UNITARY_KEYS = {"nano_n", "micro_m", "macro_m", "fermionic"}
 
 
 @dataclass(frozen=True)
 class InitialStateSpec:
+    """``temperature`` is in the model's energy units (Kelvin converted at parse time)."""
+
     kind: str
     bloch: tuple | None = None
     temperature: float | None = None
@@ -72,16 +77,15 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model_name: str
-    model_params: dict
-    bath_params: dict
+    model: ModelInstance
     initial_state: InitialStateSpec
     transform: TransformSpec
     time_grid: TimeGridSpec
     outputs: OutputSpec
 
     def build_model(self) -> ModelInstance:
-        return _assemble_model(self.model_name, self.model_params, self.bath_params)
+        """The model built at parse time (a method, so perfbench's traced runs can wrap it)."""
+        return self.model
 
 
 def _expect_mapping(node, path):
@@ -140,38 +144,46 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "name" not in model_node:
         raise ConfigError("model", "missing required key 'name'")
     name = model_node["name"]
-    if not isinstance(name, str) or name not in MODEL_BUILDERS:
-        raise ConfigError("model.name", f"unknown model {name!r}; choose from {sorted(MODEL_BUILDERS)}")
-    params = {k: v for k, v in model_node.items() if k != "name"}
-    for key, value in params.items():
+    if not isinstance(name, str) or name not in _MODELS:
+        raise ConfigError("model.name", f"unknown model {name!r}; choose from {sorted(_MODELS)}")
+    model_keys, bath_keywords = _MODELS[name]
+    kwargs = {}
+    for key, value in model_node.items():
+        if key == "name":
+            continue
         path = f"model.{key}"
-        if key not in _MODEL_KEYS[name]:
+        if key not in model_keys:
             raise ConfigError(path, f"unknown parameter for model {name!r}")
-        params[key] = (_boolean(value, path) if key == "energy_resolved"
+        kwargs[key] = (_boolean(value, path) if key == "energy_resolved"
                        else _number(value, path, integer=key == "length"))
 
     bath_node = raw.get("bath", {})
-    _check_keys(bath_node, "bath", _BATH_KEYS)
+    _expect_mapping(bath_node, "bath")
     if "temperature" in bath_node and "beta" in bath_node:
         raise ConfigError("bath", "give temperature or beta, not both")
-    # temperatures and beta are inverted, so they must be positive
-    bath = {k: v if k == "statistics" else _number(v, f"bath.{k}", positive=k != "gamma")
-            for k, v in bath_node.items()}
+    for key, value in bath_node.items():
+        path = f"bath.{key}"
+        if key not in bath_keywords:
+            raise ConfigError(path, f"model {name!r} takes the bath keys {sorted(bath_keywords)}")
+        if key != "statistics":
+            # temperatures and beta are inverted, so they must be positive
+            value = _number(value, path, positive=key != "gamma")
+        kwargs[bath_keywords[key]] = 1.0 / value if key == "beta" else value
 
-    state = _parse_initial_state(raw["initial_state"])
+    state = _parse_initial_state(raw["initial_state"], kelvin="temperature_kelvin" in bath_keywords)
     transform = _parse_transform(raw.get("transform", {"kind": "none"}))
     grid = _parse_time_grid(raw["time_grid"])
     outputs = _parse_outputs(raw.get("outputs", {}))
-
-    cfg = ExperimentConfig(
-        model_name=name, model_params=params, bath_params=bath,
-        initial_state=state, transform=transform, time_grid=grid, outputs=outputs,
+    try:
+        model = MODEL_BUILDERS[name](**kwargs)
+    except ValidationError as exc:
+        raise ConfigError("model", str(exc))
+    return ExperimentConfig(
+        model=model, initial_state=state, transform=transform, time_grid=grid, outputs=outputs,
     )
-    cfg.build_model()  # surface parameter errors at load time
-    return cfg
 
 
-def _parse_initial_state(node) -> InitialStateSpec:
+def _parse_initial_state(node, kelvin: bool) -> InitialStateSpec:
     _expect_mapping(node, "initial_state")
     kind = node.get("kind")
     if not isinstance(kind, str) or kind not in _STATE_KINDS:
@@ -187,9 +199,10 @@ def _parse_initial_state(node) -> InitialStateSpec:
         return InitialStateSpec(kind=kind, bloch=vec)
     if kind == "thermal":
         _check_keys(node, "initial_state", {"kind", "temperature"}, required=("temperature",))
-        return InitialStateSpec(
-            kind=kind, temperature=_number(node["temperature"], "initial_state.temperature", positive=True)
-        )
+        temperature = _number(node["temperature"], "initial_state.temperature", positive=True)
+        if kelvin:
+            temperature *= GHZ_PER_KELVIN
+        return InitialStateSpec(kind=kind, temperature=temperature)
     if kind == "random-mixed":
         _check_keys(node, "initial_state", {"kind", "n_samples", "seed"}, required=("n_samples",))
         return InitialStateSpec(
@@ -212,7 +225,9 @@ def _parse_transform(node) -> TransformSpec:
     if kind in ("none", "exact"):
         _check_keys(node, "transform", {"kind"})
         return TransformSpec(kind=kind)
-    _check_keys(node, "transform", _METRO_KEYS | {"kind"},
+    # the swap walk has no nano loops and no Jordan-Wigner strings
+    unitary_keys = _UNITARY_KEYS if kind == "unitary-metropolis" else set()
+    _check_keys(node, "transform", _METRO_KEYS | unitary_keys | {"kind"},
                 required=("cooling_tau", "threshold_eps", "target_modes"))
     modes = node["target_modes"]
     if not (isinstance(modes, list) and modes and all(isinstance(k, int) for k in modes)):
@@ -252,37 +267,3 @@ def _parse_outputs(node) -> OutputSpec:
         dump_states=_boolean(node.get("dump_states", False), "outputs.dump_states"),
         gnuplot=_boolean(node.get("gnuplot", False), "outputs.gnuplot"),
     )
-
-
-def _assemble_model(name: str, params: dict, bath: dict) -> ModelInstance:
-    """Merge bath overrides into the model constructor call."""
-    try:
-        if name in ("single_qubit", "tfim"):
-            kwargs = dict(params)
-            if "temperature" in bath:
-                kwargs["t_bath"] = bath["temperature"]
-            elif "beta" in bath:
-                kwargs["t_bath"] = 1.0 / bath["beta"]
-            if "gamma" in bath:
-                kwargs["gamma"] = bath["gamma"]
-            if "statistics" in bath:
-                if name == "single_qubit":
-                    raise ConfigError("bath.statistics", "the single-qubit bath is bosonic")
-                kwargs["statistics"] = bath["statistics"]
-            if "temperature_kelvin" in bath:
-                raise ConfigError("bath.temperature_kelvin", f"not applicable to model {name!r}")
-            return MODEL_BUILDERS[name](**kwargs)
-        kwargs = dict(params)
-        if "temperature_kelvin" in bath:
-            kwargs["t_bath_kelvin"] = bath["temperature_kelvin"]
-        for key in ("temperature", "beta", "statistics"):
-            if key in bath:
-                raise ConfigError(
-                    f"bath.{key}",
-                    f"model {name!r} takes its bath via temperature_kelvin",
-                )
-        if "gamma" in bath:
-            kwargs["gamma"] = bath["gamma"]
-        return MODEL_BUILDERS[name](**kwargs)
-    except ValidationError as exc:
-        raise ConfigError("model", str(exc))

@@ -19,16 +19,13 @@ balance), which is what makes the Gibbs state the fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
 from .operators import SpectralBasis
 from .utils import frozen
-
-#: Tolerance for the block/dense eigenvalue multiset comparison.
-SPECTRUM_MATCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -206,7 +203,7 @@ class DaviesGenerator:
     eigenbasis recorded in ``basis``.  ``sector_labels`` optionally marks a
     conserved charge per level (e.g. fermion parity); eigenmodes connecting
     different sectors are then superselected away by the spectral
-    decomposition.
+    decomposition.  ``bath`` is the recipe a block form was built from.
     """
 
     basis: SpectralBasis
@@ -214,7 +211,7 @@ class DaviesGenerator:
     coh_block: np.ndarray | None = None
     dense: np.ndarray | None = None
     sector_labels: tuple | None = None
-    meta: dict = field(default_factory=dict, compare=False)
+    bath: BathSpec | None = None
 
     def __post_init__(self):
         if self.pop_block is None and self.dense is None:
@@ -276,7 +273,7 @@ def davies_generator(
         pop_block=build_population_block(jumps),
         coh_block=build_coherence_block(basis, jumps),
         dense=build_dense_generator(basis, jumps) if dense else None,
-        meta={"bath": bath},
+        bath=bath,
     )
 
 
@@ -294,11 +291,11 @@ def generator_from_operators(
     return DaviesGenerator(basis=basis, dense=dense, sector_labels=sector_labels)
 
 
-def verify_block_dense_spectrum(gen: DaviesGenerator, tol: float = SPECTRUM_MATCH_TOL) -> float:
+def verify_block_dense_spectrum(gen: DaviesGenerator) -> float:
     """Greedy multiset distance between block and dense eigenvalues.
 
     Returns the largest matching discrepancy; raises if either form is
-    missing.  A value above ``tol`` means the two constructions disagree.
+    missing.  The caller judges the discrepancy against its tolerance.
     """
     if not (gen.has_block and gen.has_dense):
         raise ValidationError("need both block and dense representations to compare")

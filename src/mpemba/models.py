@@ -1,8 +1,8 @@
 """Model zoo: the four systems whose thermalization the package studies.
 
 Each constructor returns a :class:`ModelInstance` bundling the Hamiltonian,
-a bath recipe (generic jump-matrix construction) or explicit dissipators
-(with rates), and the default parameters of the demonstration experiments.
+the bath's inverse temperature, and a bath recipe (generic jump-matrix
+construction) or explicit dissipators (with rates).
 
 Energy units: the spin models use the coupling J as the unit; the two
 mesoscopic models use GHz with the Kelvin bridge k_B/hbar = 20.8366 GHz/K
@@ -29,6 +29,8 @@ GHZ_PER_KELVIN = 20.8366
 class ModelInstance:
     """A named Hamiltonian plus its dissipation specification.
 
+    ``beta`` is the bath's inverse temperature, which fixes the Gibbs state
+    the dissipation relaxes to; a bath recipe must carry the same value.
     ``bath`` drives the generic Davies jump-matrix recipe; ``jump_ops`` is a
     list of ``(operator, rate)`` pairs for models whose Lindblad dissipators
     are written out explicitly (the rate multiplies the dissipator, so the
@@ -40,15 +42,17 @@ class ModelInstance:
 
     name: str
     hamiltonian: HermitianOperator
+    beta: float
     bath: BathSpec | None = None
     jump_ops: tuple | None = None
-    default_params: dict = field(default_factory=dict)
     sector_labels: tuple | None = None
     _basis: SpectralBasis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.bath is None) == (self.jump_ops is None):
             raise ValidationError("exactly one of bath / jump_ops must be given")
+        if self.bath is not None and self.bath.beta != self.beta:
+            raise ValidationError("the bath recipe's beta differs from the model's")
         if self.jump_ops is not None:
             for _, rate in self.jump_ops:
                 if rate < 0:
@@ -81,12 +85,7 @@ def single_qubit(omega: float = 5.0, t_bath: float = 10.0, gamma: float = 1.0) -
         raise ValidationError("omega must be positive")
     h = HermitianOperator(0.5 * omega * SIGMA_Z)
     bath = BathSpec(beta=1.0 / t_bath, statistics="bose", gamma=gamma)
-    return ModelInstance(
-        name="single_qubit",
-        hamiltonian=h,
-        bath=bath,
-        default_params={"omega": omega, "t_bath": t_bath, "gamma": gamma},
-    )
+    return ModelInstance(name="single_qubit", hamiltonian=h, beta=bath.beta, bath=bath)
 
 
 def tfim(
@@ -115,15 +114,7 @@ def tfim(
     for j in range(length):
         h_matrix += h_field * embed_site_operator(SIGMA_X, j, length)
     bath = BathSpec(beta=1.0 / t_bath, statistics=statistics, gamma=gamma)
-    return ModelInstance(
-        name="tfim",
-        hamiltonian=HermitianOperator(h_matrix),
-        bath=bath,
-        default_params={
-            "length": length, "coupling": coupling, "h_field": h_field,
-            "t_bath": t_bath, "gamma": gamma, "statistics": statistics,
-        },
-    )
+    return ModelInstance(name="tfim", hamiltonian=HermitianOperator(h_matrix), beta=bath.beta, bath=bath)
 
 
 def _site_pair(op2, j, length):
@@ -154,15 +145,7 @@ def two_level_atom(
     sigma_plus = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
     sigma_minus = sigma_plus.conj().T
     ops = ((sigma_plus, gamma * n_bose), (sigma_minus, gamma * (n_bose + 1.0)))
-    return ModelInstance(
-        name="two_level_atom",
-        hamiltonian=h,
-        jump_ops=ops,
-        default_params={
-            "epsilon": epsilon, "gamma": gamma,
-            "t_bath_kelvin": t_bath_kelvin, "beta": beta, "n_bose": n_bose,
-        },
-    )
+    return ModelInstance(name="two_level_atom", hamiltonian=h, beta=beta, jump_ops=ops)
 
 
 def quantum_dot(
@@ -228,12 +211,8 @@ def quantum_dot(
     return ModelInstance(
         name="quantum_dot",
         hamiltonian=h,
+        beta=beta,
         jump_ops=tuple(ops),
-        default_params={
-            "epsilon": epsilon, "e_charging": e_charging, "gamma": gamma,
-            "t_bath_kelvin": t_bath_kelvin, "beta": beta,
-            "energy_resolved": energy_resolved,
-        },
         sector_labels=(0, 1, 1, 0),
     )
 

@@ -48,7 +48,7 @@ class SpectralBasis:
     degenerate bases are rejected by the block-form generator constructors.
     """
 
-    def __init__(self, energies, vectors, degeneracy_flag=None):
+    def __init__(self, energies, vectors):
         energies = np.asarray(energies, dtype=float)
         vectors = np.asarray(vectors, dtype=complex)
         d = energies.size
@@ -58,9 +58,6 @@ class SpectralBasis:
             raise ValidationError("energies must be sorted ascending")
         if np.abs(vectors.conj().T @ vectors - np.eye(d)).max() > UNITARITY_TOL:
             raise ValidationError("eigenvector matrix is not unitary")
-        if degeneracy_flag is None:
-            tol = DEGENERACY_RTOL * max(1.0, float(np.abs(energies).max()))
-            degeneracy_flag = bool(d > 1 and np.min(np.diff(energies)) < tol)
         self.energies = frozen(energies)
         self.vectors = frozen(vectors)
         # V^dag, built once; a transposed view keeps the layout the BLAS calls
@@ -68,7 +65,8 @@ class SpectralBasis:
         conj = self.vectors.conj()
         conj.setflags(write=False)
         self._vectors_h = conj.T
-        self.degeneracy_flag = bool(degeneracy_flag)
+        tol = DEGENERACY_RTOL * max(1.0, float(np.abs(energies).max()))
+        self.degeneracy_flag = bool(d > 1 and np.min(np.diff(energies)) < tol)
         self.dim = d
 
     def hamiltonian(self) -> np.ndarray:

@@ -379,7 +379,7 @@ def _decompose_block(gen: DaviesGenerator):
     d = basis.dim
     gp = np.asarray(gen.pop_block, dtype=float)
 
-    bath = gen.meta.get("bath")
+    bath = gen.bath
     if bath is not None and _obeys_detailed_balance(gp, basis.energies, bath.beta):
         # Detailed balance makes D^{-1/2} G_p D^{1/2} symmetric (D = Gibbs
         # weights); an eigh of that form gives exactly biorthonormal pairs

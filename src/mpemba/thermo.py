@@ -34,6 +34,9 @@ from .utils import chunk_slices, frozen, log_gibbs_weights, write_csv, xlogx
 #: Eigenvalue threshold below which a state direction counts as unsupported.
 SUPPORT_TOL = 1e-12
 
+#: Values at or below this are left out of a decay-rate fit.
+DECAY_FIT_FLOOR = 1e-12
+
 CSV_COLUMNS = ("t", "F_neq", "D", "P", "C", "L1", "T1", "Pi")
 
 
@@ -243,15 +246,15 @@ def compute_trajectory(
     )
 
 
-def fit_decay_rate(times, values, t_min=None, floor=1e-12) -> float:
+def fit_decay_rate(times, values, t_min=None) -> float:
     """Least-squares slope of ln(values) over the usable tail.
 
-    Points before ``t_min`` or with values at/below ``floor`` are excluded;
-    the fit needs at least three surviving points.
+    Points before ``t_min`` or with values at/below ``DECAY_FIT_FLOOR`` are
+    excluded; the fit needs at least three surviving points.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    mask = values > floor
+    mask = values > DECAY_FIT_FLOOR
     if t_min is not None:
         mask &= times >= t_min
     if mask.sum() < 3:

@@ -44,13 +44,11 @@ def exact_transform(rho, basis: SpectralBasis) -> tuple[DensityMatrix, np.ndarra
     return rho_prime, u
 
 
-def verify_overlap_elimination(
-    spectrum: GeneratorSpectrum, rho_prime, tol: float = ELIMINATION_TOL
-) -> dict[int, float]:
+def verify_overlap_elimination(spectrum: GeneratorSpectrum, rho_prime) -> dict[int, float]:
     """|Tr(l_k rho')| for every coherence-sector mode k.
 
-    The caller asserts against ``tol``; this function only reports, so
-    negative controls (untransformed states) can use it too.
+    The caller asserts against ``ELIMINATION_TOL``; this function only
+    reports, so negative controls (untransformed states) can use it too.
     """
     amps = spectrum.amplitudes(rho_prime)
     return {k: float(abs(amps[k - 1])) for k in spectrum.coherent_modes()}

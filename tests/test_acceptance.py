@@ -33,10 +33,6 @@ def _zoo():
     ]
 
 
-def _model_beta(model):
-    return model.bath.beta if model.bath is not None else model.default_params["beta"]
-
-
 @pytest.fixture(scope="module")
 def tfim5():
     model = mp.tfim()
@@ -50,7 +46,7 @@ def test_criterion_01_fixed_point():
     worst = 0.0
     for model in _zoo():
         basis = model.basis()
-        beta = _model_beta(model)
+        beta = model.beta
         tau_e = basis.to_eigenbasis(mp.thermal_state(basis, beta).entries)
         if model.bath is not None and not basis.degeneracy_flag and model.hamiltonian.dim > 8:
             gen = mp.build_generator(model)
@@ -210,7 +206,7 @@ def test_criterion_06_identity_suite(qubit_model, qubit_spec):
     def check(model, spec, rho):
         nonlocal worst_id6, worst_id7, worst_monotone, worst_pi
         basis = model.basis()
-        beta = _model_beta(model)
+        beta = model.beta
         gap = mp.spectral_gap(spec).value
         lam_max = np.abs(spec.eigenvalues).max()
         t_max = 4.0 / gap

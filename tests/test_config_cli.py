@@ -1,12 +1,14 @@
 import io
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mpemba as mp
-from mpemba.cli import main
+from mpemba.cli import _build_parser, main
 from mpemba.config import load_config, parse_config
 from mpemba.errors import ConfigError
 from mpemba.operators import diagonalize
@@ -34,7 +36,7 @@ BASE = {
 class TestSchema:
     def test_valid_config_parses(self, tmp_path):
         cfg = load_config(write_config(tmp_path, BASE))
-        assert cfg.model_name == "single_qubit"
+        assert cfg.model.name == "single_qubit"
         assert cfg.transform.kind == "exact"
         assert cfg.time_grid.times().size == 101
 
@@ -92,6 +94,14 @@ class TestSchema:
         ("qubit_demo", "transform", "kind", ["exact"]),
         ("qubit_demo", "time_grid", "spacing", "log"),
         ("qubit_demo", "time_grid", "t_min", 0.0),
+        # the swap walk has no nano loops and no Jordan-Wigner strings
+        ("metropolis_swap", "transform", "nano_n", 200),
+        ("metropolis_swap", "transform", "micro_m", 20),
+        ("metropolis_swap", "transform", "macro_m", 20),
+        ("metropolis_swap", "transform", "fermionic", True),
+        # the mesoscopic models take gamma under model, temperatures in Kelvin
+        ("atom_exact", "bath", "gamma", 123.0),
+        ("dot_metropolis", "bath", "temperature", 0.1),
     ])
     def test_mistyped_or_unknown_entry_exits_2(self, tmp_path, capsys, stem, section, key, value):
         payload = json.loads((CONFIGS / f"{stem}.json").read_text())
@@ -126,16 +136,16 @@ class TestCliSpectrum:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_degenerate_model_names_fallback_flag(self, tmp_path, capsys):
+    def test_degenerate_models(self, tmp_path, capsys):
+        # explicit dissipators decompose densely; a degenerate bath recipe has no jump matrix
         rc = main(["spectrum", "--config", str(CONFIGS / "dot_metropolis.json"), "--out", str(tmp_path)])
-        assert rc == 3
-        assert "--dense-fallback" in capsys.readouterr().err
-        rc = main([
-            "spectrum", "--config", str(CONFIGS / "dot_metropolis.json"),
-            "--out", str(tmp_path), "--dense-fallback",
-        ])
         assert rc == 0
         assert "real" in (tmp_path / "spectrum.tsv").read_text().splitlines()[0]
+        payload = json.loads((CONFIGS / "spectrum_tfim5.json").read_text())
+        payload["model"]["h_field"] = 0.0
+        rc = main(["spectrum", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "degenerate" in capsys.readouterr().err
 
 
 class TestCliEvolve:
@@ -241,15 +251,38 @@ class TestFileState:
     ("mpemba", "qubit_demo"), ("evolve", "qubit_demo"), ("metropolis", "metropolis_swap"),
 ])
 def test_one_diagonalization_per_run(command, config, tmp_path, monkeypatch):
-    calls = []
+    """One model build and one diagonalization per CLI run."""
+    diagonalized, built = [], []
 
     def counted(hamiltonian):
-        calls.append(hamiltonian)
+        diagonalized.append(hamiltonian)
         return diagonalize(hamiltonian)
 
+    def counting(builder):
+        def build(**kwargs):
+            built.append(kwargs)
+            return builder(**kwargs)
+        return build
+
     monkeypatch.setattr(mp.models, "diagonalize", counted)
+    for name, builder in list(mp.models.MODEL_BUILDERS.items()):
+        monkeypatch.setitem(mp.models.MODEL_BUILDERS, name, counting(builder))
     assert main([command, "--config", str(CONFIGS / f"{config}.json"), "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1
+    assert len(diagonalized) == 1
+    assert len(built) == 1
+
+
+def test_readme_command_lines_parse():
+    """Every CLI line in the README parses, and names a config that exists."""
+    parser = _build_parser()
+    lines = re.findall(r"^(?:python -m )?mpemba (.+)$", (REPO / "README.md").read_text(), re.M)
+    assert len(lines) >= 10
+    for line in lines:
+        try:
+            args = parser.parse_args(shlex.split(line))
+        except SystemExit:
+            pytest.fail(f"README line does not parse: mpemba {line}")
+        assert (REPO / args.config).is_file(), line
 
 
 class TestCliMetropolis:

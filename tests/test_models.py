@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,7 @@ class TestQuantumDot:
         model = mp.quantum_dot(energy_resolved=True)
         gen = mp.build_generator(model)
         basis = model.basis()
-        tau = mp.thermal_state(basis, model.default_params["beta"])
+        tau = mp.thermal_state(basis, model.beta)
         residual = gen.dense @ basis.to_eigenbasis(tau.entries).reshape(-1)
         assert np.abs(residual).max() <= 1e-10
 
@@ -152,7 +154,7 @@ class TestQuantumDot:
         model = mp.quantum_dot(energy_resolved=False)
         gen = mp.build_generator(model)
         basis = model.basis()
-        tau = mp.thermal_state(basis, model.default_params["beta"])
+        tau = mp.thermal_state(basis, model.beta)
         residual = gen.dense @ basis.to_eigenbasis(tau.entries).reshape(-1)
         assert np.abs(residual).max() > 1e-6
 
@@ -211,8 +213,12 @@ class TestZooProperties:
         model = factory(**kwargs)
         gen = mp.build_generator(model, dense=(model.bath is not None))
         basis = model.basis()
-        beta = model.bath.beta if model.bath else model.default_params["beta"]
-        tau = mp.thermal_state(basis, beta)
+        tau = mp.thermal_state(basis, model.beta)
         assert np.abs(gen.dense @ basis.to_eigenbasis(tau.entries).reshape(-1)).max() <= 1e-10
         ident = np.eye(basis.dim, dtype=complex).reshape(-1)
         assert np.abs(gen.dense.conj().T @ ident).max() <= 1e-10
+
+    def test_bath_recipe_must_carry_the_model_beta(self):
+        model = mp.tfim(length=2)
+        with pytest.raises(ValidationError, match="beta"):
+            dataclasses.replace(model, beta=2.0 * model.beta)

@@ -291,7 +291,7 @@ class TestBlockEigFallback:
         np.fill_diagonal(gp, -gp.sum(axis=0))
         gen = mp.DaviesGenerator(
             basis=basis, pop_block=gp, coh_block=tfim3_gen.coh_block,
-            meta=tfim3_gen.meta,
+            bath=tfim3_gen.bath,
         )
         assert _obeys_detailed_balance(np.array(tfim3_gen.pop_block), basis.energies,
                                        tfim3_model.bath.beta)
@@ -319,7 +319,7 @@ class TestBlockEigFallback:
         assert not _obeys_detailed_balance(gp, basis.energies, tfim3_model.bath.beta)
         gen = mp.DaviesGenerator(
             basis=basis, pop_block=gp, coh_block=tfim3_gen.coh_block,
-            meta=tfim3_gen.meta,
+            bath=tfim3_gen.bath,
         )
         p_ss = np.real(np.diag(basis.to_eigenbasis(mp.decompose(gen).steady_state.entries)))
         w, v = np.linalg.eig(gp)
