@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -42,8 +43,7 @@ class _NonConvergence(RuntimeError):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -57,7 +57,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use and shared by every later call in the process;
+    # parse_args keeps no state on the parser, so no flag leaks between calls
     parser = argparse.ArgumentParser(
         prog="mpemba",
         description="Davies-map thermalization and quantum Mpemba experiments",
@@ -158,8 +161,7 @@ def cmd_spectrum(args) -> int:
         fh.write(f"# model={model.name} gap={gap.value:.17g} "
                  f"classification={'complex-pair' if gap.complex_pair else 'real'}\n")
         fh.write("k\tre\tim\tgap\n")
-        for k in range(1, spectrum.n_modes + 1):
-            lam = spectrum.eigenvalues[k - 1]
+        for k, lam in enumerate(spectrum.eigenvalues.tolist(), start=1):
             is_gap = int(abs(abs(lam.real) - gap.value) <= 1e-12 * max(1.0, gap.value) and k > 1)
             fh.write(f"{k}\t{lam.real:.17g}\t{lam.imag:.17g}\t{is_gap}\n")
     print(f"wrote {path} ({spectrum.n_modes} modes, gap {gap.value:.6g}, "

@@ -43,10 +43,19 @@ ZERO_EIGENVALUE_TOL = 1e-9
 IMAG_TOL = 1e-9
 #: Positivity slack for states reconstructed along an evolution.
 EVOLUTION_PSD_TOL = 1e-8
-#: Time points whose states are validated and rotated as one stack, by the
-#: evolutions here and by ``thermo.compute_trajectory``; bounds the size of
-#: the temporary (n, d, d) stacks.
-CHUNK_POINTS = 16
+
+
+def chunk_points(d: int) -> int:
+    """Time points whose d x d states are validated and rotated as one stack.
+
+    The one chunk rule of the evolutions here and of
+    ``thermo.compute_trajectory``: 4096 matrix entries per (n, d, d) stack
+    (64 KiB of complex128), but at least 16 points, so 1024 points at d=2,
+    64 at d=8 and 16 for every d >= 16.  Every batched operation on a stack
+    works per matrix, so the chunk length changes no result; small systems
+    just pay the per-call overhead of numpy fewer times.
+    """
+    return max(16, 4096 // (d * d))
 
 
 class GapInfo(NamedTuple):
@@ -464,7 +473,7 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     (equivalent to the mode sum, but immune to the exponentially large
     expansion coefficients that appear at low temperature) and each
     coherence by its closed-form exponential.  The states are built and
-    validated :data:`CHUNK_POINTS` time points at a time; the grid holds
+    validated :func:`chunk_points` time points at a time; the grid holds
     them in the lab basis together with their spectra.
     """
     times = np.asarray(times, dtype=float)
@@ -525,14 +534,19 @@ def _propagate(generator: np.ndarray, vec: np.ndarray, times: np.ndarray):
     """Yield exp(generator t) vec at each of the ascending ``times``.
 
     Steps from one grid point to the next, reusing the propagator
-    (scipy.linalg.expm) of each distinct step length.
+    (scipy.linalg.expm) of each distinct step length rounded to 15 decimals.
+    Each exact step length is rounded once: ``round`` on a numpy scalar
+    costs more than the step itself at small d.
     """
     propagators: dict[float, np.ndarray] = {}
+    keys: dict[float, float] = {}
     prev_t = 0.0
     for t in times:
         dt = t - prev_t
         if dt != 0.0:
-            key = round(dt, 15)
+            key = keys.get(dt)
+            if key is None:
+                key = keys[dt] = round(dt, 15)
             if key not in propagators:
                 propagators[key] = scipy.linalg.expm(generator * dt)
             vec = propagators[key] @ vec
@@ -549,7 +563,7 @@ def _propagate_populations(gp: np.ndarray, p0: np.ndarray, times: np.ndarray) ->
 
 
 def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> EvolutionGrid:
-    """Validate evolved states and store them, :data:`CHUNK_POINTS` at a time.
+    """Validate evolved states and store them, ``chunk_points(d)`` at a time.
 
     ``chunk(s)`` returns the (n, d, d) energy-basis matrices of the time
     points in slice ``s``; the slices come in time order.  Each matrix must
@@ -565,7 +579,7 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
     d = basis.dim
     entries = np.empty((times.size, d, d), dtype=complex)
     spectra = np.empty((times.size, d))
-    for s in chunk_slices(times.size, CHUNK_POINTS):
+    for s in chunk_slices(times.size, chunk_points(d)):
         m = chunk(s)
         defect = herm_defect(m)
         broken = defect > 1e-9 * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))

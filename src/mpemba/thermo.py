@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import ValidationError
 from .operators import DensityMatrix, SpectralBasis, thermal_populations
-from .spectral import CHUNK_POINTS, EvolutionGrid
+from .spectral import EvolutionGrid
 from .utils import chunk_slices, frozen, log_gibbs_weights, write_csv, xlogx
 
 #: Eigenvalue threshold below which a state direction counts as unsupported.
@@ -205,10 +206,11 @@ def compute_trajectory(
 ) -> ThermoTrajectory:
     """Evaluate all diagnostics for every state of an evolution grid.
 
-    Works on the grid's lab-basis ``entries``, :data:`CHUNK_POINTS` time
-    points at a time.  S(rho) is read from ``grid.spectra``, the eigenvalues
-    the evolution computed when it validated each state, so the trace
-    distance is the only eigen-solve made here.
+    Works on the grid's lab-basis ``entries`` in the chunks the evolution
+    used, :func:`mpemba.spectral.chunk_points` time points at a time (16
+    for d >= 16, more below).  S(rho) is read from ``grid.spectra``, the
+    eigenvalues the evolution computed when it validated each state, so the
+    trace distance is the only eigen-solve made here.
     """
     h = basis.hamiltonian()
     tau_p = thermal_populations(basis, beta)
@@ -223,7 +225,7 @@ def compute_trajectory(
     c_coh = np.empty(n)
     l1 = np.empty(n)
     t1 = np.empty(n)
-    for s in chunk_slices(n, CHUNK_POINTS):
+    for s in chunk_slices(n, spectral.chunk_points(basis.dim)):
         lab = grid.entries[s]
         rho_e = basis.to_eigenbasis(lab)
         pops = np.clip(np.real(np.diagonal(rho_e, axis1=1, axis2=2)), 0.0, None)

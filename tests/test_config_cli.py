@@ -285,6 +285,45 @@ def test_readme_command_lines_parse():
         assert (REPO / args.config).is_file(), line
 
 
+def test_parser_built_once_and_leaks_no_flag(tmp_path):
+    """main reuses one parser; a flag given to one call is not seen by the next."""
+    config = str(CONFIGS / "metropolis_swap.json")
+
+    def trace(sub):
+        return (tmp_path / sub / "trace.csv").read_bytes()
+
+    _build_parser.cache_clear()
+    assert main(["metropolis", "--config", config, "--seed", "5", "--out", str(tmp_path / "seeded")]) == 0
+    assert main(["metropolis", "--config", config, "--out", str(tmp_path / "after")]) == 0
+    assert main(["spectrum", "--config", config, "--out", str(tmp_path / "spectrum")]) == 0
+    assert _build_parser.cache_info().misses == 1
+    _build_parser.cache_clear()
+    assert main(["metropolis", "--config", config, "--out", str(tmp_path / "fresh")]) == 0
+    assert trace("seeded") != trace("fresh")
+    assert trace("after") == trace("fresh")
+
+
+@pytest.mark.parametrize("config", ["qubit_demo", "atom_exact"])
+def test_chunk_length_changes_no_output_byte(config, tmp_path, monkeypatch):
+    """Evolutions and trajectories round the same in chunks of one point as in the default chunks."""
+    args = ["mpemba", "--config", str(CONFIGS / f"{config}.json"), "--out"]
+    assert main(args + [str(tmp_path / "default")]) == 0
+    chunked = []
+
+    def one_point(d):
+        chunked.append(d)
+        return 1
+
+    monkeypatch.setattr(mp.spectral, "chunk_points", one_point)
+    assert main(args + [str(tmp_path / "single")]) == 0
+    assert len(chunked) == 4  # two evolutions, two trajectories
+    names = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert "trajectory.csv" in names
+    assert names == sorted(p.name for p in (tmp_path / "single").iterdir())
+    for name in names:
+        assert (tmp_path / "single" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
 class TestCliMetropolis:
     def test_swap_config_converges(self, tmp_path):
         rc = main(["metropolis", "--config", str(CONFIGS / "metropolis_swap.json"), "--out", str(tmp_path)])

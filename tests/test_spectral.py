@@ -8,11 +8,11 @@ import mpemba as mp
 from mpemba.davies import eigenvalue_multiset_distance, vectorized_lindbladian
 from mpemba.errors import DefectiveGeneratorError, NoSteadyStateError, ValidationError
 from mpemba.spectral import (
-    CHUNK_POINTS,
     IMAG_TOL,
     _mode_order,
     _obeys_detailed_balance,
     _package_states,
+    chunk_points,
 )
 
 from conftest import DEMO_BLOCH, QUBIT_GAMMA_TOTAL, reference_package_state
@@ -420,11 +420,16 @@ class TestDecayRates:
 
 
 class TestChunkedPackaging:
-    """Evolved states are checked and stored CHUNK_POINTS time points at a time."""
+    """Evolved states are checked and stored chunk_points(d) time points at a time."""
+
+    def test_chunk_rule(self):
+        # 4096 entries per stack, at least 16 points: d >= 16 keeps 16
+        assert [chunk_points(d) for d in (2, 4, 8, 16, 32, 64)] == [1024, 256, 64, 16, 16, 16]
 
     def test_states_are_validated_views_of_entries(self, tfim3_gen):
         spec = mp.decompose(tfim3_gen)
-        n = 2 * CHUNK_POINTS + 5
+        chunk = chunk_points(spec.dim)
+        n = 2 * chunk + 5
         rho = mp.random_mixed_state(8, 4, seed=3)
         grid = mp.evolve_spectral(spec, rho, np.linspace(0.0, 6.0, n))
         basis = spec.basis
@@ -439,7 +444,7 @@ class TestChunkedPackaging:
         picked = {
             -1: states[-1],
             -n: states[-n],
-            CHUNK_POINTS: states[CHUNK_POINTS],
+            chunk: states[chunk],
         }
         for j, state in picked.items():
             assert isinstance(state, mp.DensityMatrix)
@@ -482,11 +487,12 @@ class TestChunkedPackaging:
         # the error and message of the per-point reference
         basis = tfim3_model.basis()
         d = basis.dim
-        n = CHUNK_POINTS + 5
+        chunk = chunk_points(d)
+        n = chunk + 5
         stack = np.repeat(np.diag(np.full(d, 1.0 / d)).astype(complex)[None], n, axis=0)
         negative = np.full(d, (1.0 + 1e-6) / (d - 1))
         negative[0] = -1e-6
-        first, second = CHUNK_POINTS + 1, CHUNK_POINTS + 3
+        first, second = chunk + 1, chunk + 3
         neg_at, skew_at = (first, second) if order == "negative_first" else (second, first)
         stack[neg_at] = np.diag(negative)
         stack[skew_at, 0, 1] = 1e-3

@@ -7,7 +7,7 @@ import scipy.linalg
 
 import mpemba as mp
 from mpemba.errors import ValidationError
-from mpemba.spectral import CHUNK_POINTS, _propagate_populations
+from mpemba.spectral import _propagate, _propagate_populations, chunk_points
 from mpemba.thermo import CSV_COLUMNS, _one_sided
 from mpemba.utils import log_gibbs_weights, xlogx
 
@@ -363,9 +363,12 @@ class TestBatchedTrajectory:
         return model, (lambda t: mp.evolve_spectral(spec, rho, t)), \
             (lambda t: _reference_dense_states(spec, rho, t)), t_max
 
-    @pytest.mark.parametrize("n_points", [281, 17, 1])
+    @pytest.mark.parametrize("n_points", [281, 17, 1, "two_chunks_ragged"])
     def test_bitwise_equal_to_pointwise_reference(self, case, n_points):
         model, evolve, reference, t_max = case
+        if n_points == "two_chunks_ragged":
+            # two full chunks and a short third: 2053 points at d=2, 133 at d=8
+            n_points = 2 * chunk_points(model.basis().dim) + 5
         times = np.linspace(0.0, t_max, n_points) if n_points > 1 else np.array([t_max / 3])
         basis, beta = model.basis(), model.bath.beta
         grid = evolve(times)
@@ -404,7 +407,49 @@ class TestBatchedTrajectory:
         monkeypatch.setattr(mp.DensityMatrix, "__init__", counting_init)
         grid = mp.evolve_spectral(spec, rho, times)
         mp.compute_trajectory(grid, model.basis(), model.bath.beta)
-        chunks = -(-times.size // CHUNK_POINTS)
+        chunks = -(-times.size // chunk_points(model.basis().dim))
         assert len(solves) == 2 * chunks
         assert sum(shape[0] for shape in solves) == 2 * times.size
         assert not built
+
+
+class TestPropagate:
+    """The stepwise propagator behind evolve_direct and the population sector."""
+
+    @pytest.mark.parametrize("grid", ["linspace", "irregular"])
+    def test_one_expm_per_rounded_step_one_round_per_exact_step(
+        self, monkeypatch, qubit_gen, grid
+    ):
+        if grid == "linspace":
+            times = np.linspace(0.0, 4.0, 401)
+        else:
+            rng = np.random.default_rng(5)
+            times = np.cumsum(np.r_[0.05, rng.choice([0.01, 0.03, 0.2], 120)])
+        steps = [t - prev for prev, t in zip(np.r_[0.0, times[:-1]], times) if t != prev]
+        exact, rounded = set(steps), {round(dt, 15) for dt in steps}
+        # jittered steps: more exact step lengths than rounded ones
+        assert len(exact) > len(rounded)
+        rho = mp.bloch_to_state(list(DEMO_BLOCH))
+        basis, d = qubit_gen.basis, qubit_gen.basis.dim
+        want = _reference_direct_states(qubit_gen, rho, times)
+
+        rounds, expms = [], []
+        expm = scipy.linalg.expm
+
+        def counting_round(x, ndigits):
+            rounds.append(x)
+            return round(x, ndigits)
+
+        def counting_expm(a):
+            expms.append(1)
+            return expm(a)
+
+        monkeypatch.setattr(mp.spectral, "round", counting_round, raising=False)
+        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        vecs = list(_propagate(qubit_gen.dense, basis.to_eigenbasis(rho.entries).reshape(-1), times))
+        assert sorted(rounds) == sorted(exact)
+        assert len(expms) == len(rounded)
+        assert len(vecs) == times.size
+        for vec, state in zip(vecs, want):
+            got = reference_package_state(vec.reshape(d, d), basis)
+            assert np.array_equal(got.entries, state.entries)
