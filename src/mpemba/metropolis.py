@@ -5,23 +5,27 @@ Two annealers operate on a decomposed generator spectrum:
 * ``unitary_metropolis`` walks over products of single-qubit unitaries
   U_j = exp(i alpha) R_z(beta) R_x(gamma) R_z(delta), one parameter per
   proposal, minimizing the summed overlap magnitude sum_k |Tr(l_k rho)| with
-  a set of target modes.  The cost and the fit anchors below read the
-  target amplitudes through ``GeneratorSpectrum.amplitudes``, the spectrum's
-  one amplitude routine.  A fermionic variant appends sigma^z strings,
+  a set of target modes.  The cost reads the target amplitudes through
+  ``GeneratorSpectrum.amplitudes``, the spectrum's one amplitude routine.
+  A fermionic variant appends sigma^z strings,
   U^f = prod_j U_j (sigma_j^z)^{mod(L-j, 2)}, respecting anticommutation.
   With the default summed-overlap cost the walk uses the Rotosolve/NFT
   structure (Ostaszewski et al., Quantum 5, 391 (2021); Nakanishi et al.,
   PRR 2, 043158 (2020)): every target amplitude is
   A + B e^{i theta} + C e^{-i theta} in the one angle a nano loop varies, so
   three anchor evaluations at the start of the loop fit it exactly, and one
-  array expression prices every proposal of the loop instead of a rebuild
-  of the 2^L x 2^L unitary per proposal.  A nano loop of n proposals makes
-  two random draws, whatever the walk decides: its re-drawn angles, each a
-  fresh U(0, 2pi), and n acceptance uniforms.  The first proposal of a loop
-  on beta, gamma or delta is an exact single-coordinate move instead of a
-  re-draw: it sets theta to the minimizer of the fitted summed magnitudes.
-  It counts as one proposal, writes one trace row and passes the usual
-  acceptance rule.  alpha, a global phase, leaves U rho U^dag unchanged:
+  array expression prices every proposal of the loop.  The anchors are
+  read in the Heisenberg picture, a_k = Tr(l_k Y^dag rho Y) with
+  Y = U^dag V restricted to the energy-basis columns that the target lefts
+  (``GeneratorSpectrum.left``) touch, each single-site factor acting as a
+  2 x 2 matrix on V; no 2^L x 2^L unitary is built inside a fitted search,
+  only for its start state and for the state it returns.  A nano loop of n
+  proposals makes two random draws, whatever the walk decides: its re-drawn
+  angles, each a fresh U(0, 2pi), and n acceptance uniforms.  The first
+  proposal of a loop on beta, gamma or delta is an exact single-coordinate
+  move instead of a re-draw: it sets theta to the minimizer of the fitted
+  summed magnitudes.  It counts as one proposal, writes one trace row and
+  passes the usual acceptance rule.  alpha, a global phase, leaves U rho U^dag unchanged:
   its loops build no anchors, and each of its proposals costs exactly the
   current cost.  A search with a user ``cost_fn`` (opaque to the annealer)
   re-draws by old + U(0, 2pi), rebuilds the unitary for every proposal and
@@ -299,13 +303,34 @@ def _minimize_coordinate(coef: np.ndarray) -> float:
     return float(best)
 
 
-def _rz(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]])
+def _rz(theta) -> np.ndarray:
+    out = np.zeros(np.shape(theta) + (2, 2), dtype=complex)
+    out[..., 0, 0] = np.exp(-0.5j * theta)
+    out[..., 1, 1] = np.exp(0.5j * theta)
+    return out
 
 
-def _rx(theta: float) -> np.ndarray:
+def _rx(theta) -> np.ndarray:
     c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    return np.array([[c, -1j * s], [-1j * s, c]])
+    out = np.empty(np.shape(theta) + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1] = out[..., 1, 0] = -1j * s
+    return out
+
+
+def _euler_factors(params: np.ndarray) -> np.ndarray:
+    """Single-site factors exp(i alpha) R_z(beta) R_x(gamma) R_z(delta), one per row.
+
+    ``params`` has shape (n, 4), the result (n, 2, 2).  Each factor is the
+    same product of the same 2 x 2 matrices as one built on its own.
+    """
+    a, b, g, d = params.T
+    return np.exp(1j * a)[:, None, None] * (_rz(b) @ _rx(g) @ _rz(d))
+
+
+def _string_sites(n_qubits: int, fermionic: bool) -> np.ndarray:
+    """Mask of the sites whose factor carries sigma^z: mod(L - j, 2) = 1 for 1-based j."""
+    return fermionic & ((n_qubits - 1 - np.arange(n_qubits)) % 2 == 1)
 
 
 def build_ansatz_unitary(ansatz: UnitaryAnsatz) -> np.ndarray:
@@ -315,15 +340,53 @@ def build_ansatz_unitary(ansatz: UnitaryAnsatz) -> np.ndarray:
     (1-based j), the alternating Jordan-Wigner string pattern; since all factors act
     on distinct sites the product collapses to one Kronecker chain.
     """
-    n = ansatz.n_qubits
-    factors = []
-    for j in range(n):
-        a, b, g, d = ansatz.params[j]
-        u_j = np.exp(1j * a) * (_rz(b) @ _rx(g) @ _rz(d))
-        if ansatz.fermionic and (n - (j + 1)) % 2 == 1:
-            u_j = u_j @ SIGMA_Z
-        factors.append(u_j)
+    factors = list(_euler_factors(ansatz.params))
+    for j in np.flatnonzero(_string_sites(ansatz.n_qubits, ansatz.fermionic)):
+        factors[j] = factors[j] @ SIGMA_Z
     return kron_chain(factors)
+
+
+def _sitewise_anchors(spectrum: GeneratorSpectrum, rho_m: np.ndarray, targets, fermionic: bool):
+    """The anchor amplitudes of a fitted nano loop, read in the Heisenberg picture.
+
+    Returns ``anchors(params, qubit, par)``: the target amplitudes, shape
+    (3, K), of U rho U^dag at the three parameter sets that move
+    ``params[qubit, par]`` by each offset of ``_ANCHORS``.  In the energy
+    basis V, a_k = Tr(l_k V^dag U rho U^dag V) = Tr(l_k Y^dag rho Y) with
+    Y = U^dag V, and only the columns of Y that the lefts touch enter: two
+    for a block coherence target, all d for a population or dense target.
+    Y is derived from ``params`` on every call, each u_j^dag a 2 x 2 action
+    on a (2^j, 2, rest) reshape of V[:, cols], so no 2^L x 2^L unitary is
+    built and nothing carries over from one loop to the next.  The
+    fermionic strings multiply U^dag by the fixed diagonal S = prod sigma_j^z
+    on the left, so rho is conjugated by S once, here.
+    """
+    lefts = np.array([spectrum.left(k) for k in targets])
+    nonzero = lefts != 0
+    cols = np.flatnonzero(nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2)))
+    lefts = lefts[:, cols[:, None], cols]
+    vectors = spectrum.basis.vectors[:, cols]
+    n_qubits = int(np.log2(vectors.shape[0]))
+    signs = np.ones(1)
+    for string in _string_sites(n_qubits, fermionic):
+        signs = np.kron(signs, (1.0, -1.0) if string else (1.0, 1.0))
+    rho_s = rho_m * np.outer(signs, signs)
+
+    def anchors(params, qubit, par):
+        # the L site factors, then the three anchor factors of site `qubit`
+        rows = np.concatenate([params, params[[qubit] * 3]])
+        rows[n_qubits:, par] += _ANCHORS
+        daggers = _euler_factors(rows).conj().swapaxes(1, 2)
+        y = vectors
+        for j in range(n_qubits):
+            if j != qubit:
+                y = (daggers[j] @ y.reshape(2**j, 2, -1)).reshape(y.shape)
+        y3 = daggers[n_qubits:, None] @ y.reshape(2**qubit, 2, -1)
+        y3 = y3.reshape(3, *y.shape)
+        blocks = y3.conj().swapaxes(1, 2) @ rho_s @ y3
+        return np.einsum("kab,sba->sk", lefts, blocks)
+
+    return anchors
 
 
 def unitary_metropolis(
@@ -345,15 +408,21 @@ def unitary_metropolis(
     With the default cost, each nano loop first fits the target amplitudes
     as A + B e^{i theta} + C e^{-i theta} in its parameter (three anchor
     evaluations; no other parameter moves during the loop, so the fit stays
-    exact).  The loop then draws all its re-drawn angles (fresh uniforms on
-    [0, 2pi)) in one call and one acceptance uniform per proposal in a
-    second, prices all its proposals from the fit in one array expression,
-    and scans them with the accept rule; no unitary is rebuilt.  The first
-    proposal of a loop on beta, gamma or delta is the exact minimization of
-    the summed overlaps along that parameter (no random draw); it is one
-    proposal and one trace row like any other.  A loop on alpha, a global
-    phase, builds no anchors and prices each proposal at the current cost.
-    So the random stream does not depend on the walk's accept decisions.
+    exact).  The anchors are read sitewise from Y = U^dag V on the
+    energy-basis columns the target lefts touch (two for a block coherence
+    target, all d for a population or dense one), with Y derived from the
+    parameters at the start of each loop, so no full unitary is built
+    inside the search: a search builds one for its start cost and one for
+    the returned state, whatever its budget.  The loop then draws all its
+    re-drawn angles (fresh uniforms on [0, 2pi)) in one call and one
+    acceptance uniform per proposal in a second, prices all its proposals
+    from the fit in one array expression, and scans them with the accept
+    rule.  The first proposal of a loop on beta, gamma or delta is the exact
+    minimization of the summed overlaps along that parameter (no random
+    draw); it is one proposal and one trace row like any other.  A loop on
+    alpha, a global phase, builds no anchors and prices each proposal at the
+    current cost.  So the random stream does not depend on the walk's accept
+    decisions.
     A ``cost_fn`` is opaque: every proposal is a uniform re-draw, priced by
     rebuilding the unitary and calling it.  The returned state is built once,
     from the best parameters.
@@ -381,6 +450,8 @@ def unitary_metropolis(
         walk = _Walk(identity_cost, np.zeros((n_qubits, 4)), config)
         return DensityMatrix(rho_m), UnitaryAnsatz(walk.best), walk.trace()
 
+    if fitted:
+        anchors = _sitewise_anchors(spectrum, rho_m, targets, fermionic)
     rng = np.random.default_rng(config.seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_qubits, 4))
     walk = _Walk(cost_fn(rotated(params)), params, config)
@@ -411,12 +482,7 @@ def unitary_metropolis(
                 thetas = rng.uniform(0.0, _TWO_PI, size=n)
                 costs = np.full(n, walk.cost)
             else:
-                trial = params.copy()
-                anchors = []
-                for shift in _ANCHORS:
-                    trial[qubit, par] = theta0 + shift
-                    anchors.append(spectrum.amplitudes(rotated(trial), targets))
-                coef = _fit_coordinate(np.array(anchors))
+                coef = _fit_coordinate(anchors(params, qubit, par))
                 exact = (theta0 + _minimize_coordinate(coef)) % _TWO_PI
                 thetas = np.concatenate(([exact], rng.uniform(0.0, _TWO_PI, size=n - 1)))
                 costs = _fitted_costs(coef, thetas - theta0)
@@ -457,10 +523,13 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, config: Metropolis
     """Anneal population permutations to kill diagonal-mode overlaps.
 
     ``populations`` is the energy-basis population vector of a state that is
-    diagonal in the energy eigenbasis.  Every targeted mode must itself be
-    diagonal (a population mode).  Proposals permute four distinct entries
-    (two below dimension 4, a documented fallback), so the population
-    multiset is preserved exactly and coherences remain zero.
+    diagonal in the energy eigenbasis.  Of ``config`` the walk reads five
+    fields: ``cooling_tau``, ``threshold_eps``, ``target_modes``, ``seed``
+    and ``max_total_iterations``; the nano/micro/macro budgets belong to
+    :func:`unitary_metropolis` and are ignored here.  Every targeted mode
+    must itself be diagonal (a population mode).  Proposals permute four
+    distinct entries (two below dimension 4, a documented fallback), so the
+    population multiset is preserved exactly and coherences remain zero.
 
     The walk runs in batches of up to ``_SWAP_BATCH`` proposals.  A batch
     draws all its randomness first, whatever the walk decides: the swapped

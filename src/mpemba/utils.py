@@ -93,13 +93,17 @@ def write_csv(path, header: str, columns, row_format: str) -> None:
     printf-style pattern for a whole row, newline included; ``%.17g`` keeps
     every bit of a double and prints inf, -inf and nan as such.  Python copies
     of the columns are made a chunk at a time: copies of whole columns would
-    raise peak memory well above what the arrays hold.
+    raise peak memory well above what the arrays hold.  Each chunk is one
+    ``(row_format * rows) % cells`` call on its cells in row order.
     """
+    n_cols = len(columns)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for part in chunk_slices(len(columns[0]), _CSV_CHUNK_ROWS):
-            rows = zip(*(col[part].tolist() for col in columns))
-            fh.write("".join(row_format % row for row in rows))
+            cells = [None] * (n_cols * (part.stop - part.start))
+            for j, col in enumerate(columns):
+                cells[j::n_cols] = col[part].tolist()
+            fh.write((row_format * (part.stop - part.start)) % tuple(cells))
 
 
 def chunk_slices(n: int, size: int):

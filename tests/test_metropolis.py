@@ -10,12 +10,14 @@ from mpemba.metropolis import (
     _ANCHORS,
     _SWAP_BATCH,
     _distinct_indices,
+    _euler_factors,
     _fit_coordinate,
     _fitted_costs,
     _minimize_coordinate,
+    _sitewise_anchors,
     metropolis_accept,
 )
-from mpemba.utils import _CSV_CHUNK_ROWS, SIGMA_Z
+from mpemba.utils import _CSV_CHUNK_ROWS, SIGMA_Z, kron_chain
 
 from conftest import DEMO_BLOCH
 
@@ -97,6 +99,14 @@ class TestUnitaryMetropolis:
         assert trace.converged and len(trace) == 0
         np.testing.assert_allclose(rho_best.entries, tau.entries, atol=1e-14)
         np.testing.assert_allclose(mp.build_ansatz_unitary(ansatz), np.eye(2), atol=1e-14)
+
+    def test_empty_target_set_needs_no_search(self, qubit_spec):
+        # no target costs nothing, so any state is already converged
+        rho = mp.bloch_to_state(list(DEMO_BLOCH))
+        cfg = mp.MetropolisConfig(cooling_tau=0.99, threshold_eps=1e-6, target_modes=(), seed=0)
+        rho_best, _, trace = mp.unitary_metropolis(qubit_spec, rho, cfg)
+        assert trace.converged and len(trace) == 0
+        assert np.array_equal(rho_best.entries, rho.entries)
 
     def test_qubit_converges(self, qubit_spec):
         rho = mp.bloch_to_state(list(DEMO_BLOCH))
@@ -258,6 +268,91 @@ class TestFittedWalk:
             assert len(trace) > 0
             direct = mp.cost(spec, rho_best, targets)
             assert abs(direct - trace.best_cost) <= 1e-12 + 1e-9 * trace.best_cost
+
+
+class TestSitewiseAnchors:
+    """The anchors of a fitted loop, read from U^dag V, against a full rebuild."""
+
+    @staticmethod
+    def _case(name, qubit_spec, tfim3_model):
+        if name == "qubit":
+            return qubit_spec, mp.bloch_to_state(list(DEMO_BLOCH)), (2, 3), False
+        if name == "tfim3_fermionic":
+            spec = mp.decompose(mp.build_generator(tfim3_model))
+            return spec, mp.random_mixed_state(8, 5, seed=3), (2, 3), True
+        if name == "tfim3_population":
+            spec = mp.decompose(mp.build_generator(mp.tfim(length=3, t_bath=4.0)))
+            pops = [k for k in range(2, spec.n_modes + 1) if spec.mode_tag(k)[0] == "pop"]
+            return spec, mp.random_mixed_state(8, 5, seed=4), tuple(pops[:2]), False
+        dot = mp.quantum_dot(energy_resolved=True)
+        spec = mp.decompose(mp.build_generator(dot))
+        rho = mp.thermal_state(dot.basis(), 1.0 / (0.1 * mp.models.GHZ_PER_KELVIN))
+        return spec, rho, (2, 3, 4, 5, 6), True
+
+    @pytest.mark.parametrize("name, kind", [
+        ("qubit", "dense"), ("tfim3_fermionic", "coh"), ("tfim3_population", "pop"),
+        ("dot", "dense"),
+    ])
+    def test_anchors_match_full_rebuild(self, name, kind, qubit_spec, tfim3_model):
+        spec, rho, targets, fermionic = self._case(name, qubit_spec, tfim3_model)
+        assert {spec.mode_tag(k)[0] for k in targets} == {kind}
+        anchors = _sitewise_anchors(spec, rho.entries, targets, fermionic)
+        n_qubits = int(np.log2(spec.dim))
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            params = rng.uniform(0.0, 2 * np.pi, size=(n_qubits, 4))
+            for qubit in range(n_qubits):
+                for par in range(4):
+                    want = []
+                    for shift in _ANCHORS:
+                        moved = params.copy()
+                        moved[qubit, par] += shift
+                        u = mp.build_ansatz_unitary(mp.UnitaryAnsatz(moved, fermionic=fermionic))
+                        want.append(spec.amplitudes(u @ rho.entries @ u.conj().T, targets))
+                    got = anchors(params, qubit, par)
+                    assert got.shape == (3, len(targets))
+                    np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-14)
+
+    def test_site_factors_bitwise_equal_to_per_site_product(self):
+        # the factors build_ansatz_unitary multiplies, as it built them one site at a time
+        def rz(theta):
+            return np.array([[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]])
+
+        def rx(theta):
+            c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+            return np.array([[c, -1j * s], [-1j * s, c]])
+
+        rng = np.random.default_rng(2)
+        for _ in range(400):
+            params = np.mod(rng.uniform(-10.0, 20.0, size=(5, 4)), 2 * np.pi)
+            want = [np.exp(1j * a) * (rz(b) @ rx(g) @ rz(d)) for a, b, g, d in params]
+            assert _euler_factors(params).tobytes() == np.array(want).tobytes()
+            for fermionic in (False, True):
+                factors = [w @ SIGMA_Z if fermionic and (5 - j) % 2 == 1 else w
+                           for j, w in enumerate(want, start=1)]
+                u = mp.build_ansatz_unitary(mp.UnitaryAnsatz(params, fermionic=fermionic))
+                assert u.tobytes() == kron_chain(factors).tobytes()
+
+    @pytest.mark.parametrize("budget", [300, 3_000])
+    def test_fitted_search_builds_two_unitaries(self, budget, tfim3_model, monkeypatch):
+        # one for the start cost, one for the returned state, whatever the budget
+        spec = mp.decompose(mp.build_generator(tfim3_model))
+        calls = []
+        build = mp.metropolis.build_ansatz_unitary
+
+        def counted(ansatz):
+            calls.append(1)
+            return build(ansatz)
+
+        monkeypatch.setattr(mp.metropolis, "build_ansatz_unitary", counted)
+        cfg = mp.MetropolisConfig(
+            cooling_tau=0.99, threshold_eps=1e-300, target_modes=(2, 3), seed=1,
+            nano_n=40, micro_m=5, max_total_iterations=budget,
+        )
+        trace = mp.unitary_metropolis(spec, mp.random_mixed_state(8, 50, seed=2), cfg,
+                                      fermionic=True)[-1]
+        assert len(trace) == budget
+        assert len(calls) == 2
 
 
 class TestTraceCsv:
@@ -535,7 +630,8 @@ def _reference_unitary(spectrum, rho, config, fermionic, cost_fn):
 # -- the default-cost walk one proposal at a time: each nano loop draws its
 #    re-drawn angles, then one acceptance uniform per proposal; a proposal on
 #    alpha (a global phase) costs the current cost, any other is priced from
-#    the loop's three-anchor fit
+#    the loop's three-anchor fit; the anchors come from the sitewise routine,
+#    which TestSitewiseAnchors checks against a full rebuild
 
 
 def _reference_fitted(spectrum, rho, config, fermionic):
@@ -547,6 +643,7 @@ def _reference_fitted(spectrum, rho, config, fermionic):
         u = mp.build_ansatz_unitary(mp.UnitaryAnsatz(p, fermionic=fermionic))
         return u @ rho_m @ u.conj().T
 
+    anchors_at = _sitewise_anchors(spectrum, rho_m, targets, fermionic)
     rng = np.random.default_rng(config.seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_qubits, 4))
     current = best = mp.cost(spectrum, conj(params), targets)
@@ -562,12 +659,7 @@ def _reference_fitted(spectrum, rho, config, fermionic):
             if par == 0:
                 angles = list(rng.uniform(0.0, 2.0 * np.pi, size=n))
             else:
-                trial = params.copy()
-                anchors = []
-                for shift in _ANCHORS:
-                    trial[qubit, par] = theta0 + shift
-                    anchors.append(spectrum.amplitudes(conj(trial), targets))
-                coef = _fit_coordinate(np.array(anchors))
+                coef = _fit_coordinate(anchors_at(params, qubit, par))
                 exact = (theta0 + _minimize_coordinate(coef)) % (2.0 * np.pi)
                 angles = [exact] + list(rng.uniform(0.0, 2.0 * np.pi, size=n - 1))
             uniforms = rng.uniform(size=n)
