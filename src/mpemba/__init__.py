@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .metropolis import (
+    AnnealSchedule,
     MetropolisConfig,
     OptimizationTrace,
     UnitaryAnsatz,

@@ -76,9 +76,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides env and config)")
-        p.add_argument("--seed", type=int, default=None, help="override all configured seeds")
+        p.add_argument("--seed", type=_seed, default=None, help="override all configured seeds")
         p.set_defaults(func=func)
     return parser
+
+
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer, since numpy's generators refuse negative seeds."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +135,9 @@ def _apply_transform(kind, cfg, basis, spectrum, rho, args):
         rho_prime, _ = exact_transform(rho, basis)
         return rho_prime, None
     metro = cfg.transform.metropolis
+    top = max(metro.target_modes)
+    if top > spectrum.n_modes:  # the mode count is first known after the decomposition
+        raise ConfigError("transform.target_modes", f"mode {top} outside 2..{spectrum.n_modes}")
     if args.seed is not None:
         metro = dataclasses.replace(metro, seed=args.seed)
     if kind == "unitary-metropolis":
@@ -135,8 +145,9 @@ def _apply_transform(kind, cfg, basis, spectrum, rho, args):
             spectrum, rho, metro, fermionic=cfg.transform.fermionic
         )
         return rho_prime, trace
-    pops = rho.populations(basis)
-    offdiag = np.abs(basis.to_eigenbasis(rho.entries) - np.diag(pops.astype(complex))).max()
+    rho_e = basis.to_eigenbasis(rho.entries)
+    pops = np.real(np.diag(rho_e))
+    offdiag = np.abs(rho_e - np.diag(pops.astype(complex))).max()
     if offdiag > 1e-10:
         raise ValidationError(
             "swap metropolis needs a state diagonal in the energy eigenbasis "

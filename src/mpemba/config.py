@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .metropolis import MetropolisConfig
+from .metropolis import AnnealSchedule, MetropolisConfig
 from .models import GHZ_PER_KELVIN, MODEL_BUILDERS, ModelInstance
 
 # Per model: its parameter keys, and each bath key it takes mapped to the
@@ -51,7 +51,7 @@ class InitialStateSpec:
 @dataclass(frozen=True)
 class TransformSpec:
     kind: str
-    metropolis: MetropolisConfig | None = None
+    metropolis: AnnealSchedule | None = None
     fermionic: bool = False
 
 
@@ -113,6 +113,14 @@ def _number(node, path, *, positive=False, integer=False):
     if positive and node <= 0:
         raise ConfigError(path, "must be positive")
     return int(node) if integer else float(node)
+
+
+def _seed(node, path):
+    """The optional ``seed`` of ``node``, 0 if absent; numpy's generators refuse negative seeds."""
+    seed = _number(node.get("seed", 0), path, integer=True)
+    if seed < 0:
+        raise ConfigError(path, "must be a non-negative integer")
+    return seed
 
 
 def _boolean(node, path):
@@ -208,7 +216,7 @@ def _parse_initial_state(node, kelvin: bool) -> InitialStateSpec:
         return InitialStateSpec(
             kind=kind,
             n_samples=_number(node["n_samples"], "initial_state.n_samples", positive=True, integer=True),
-            seed=_number(node.get("seed", 0), "initial_state.seed", integer=True),
+            seed=_seed(node, "initial_state.seed"),
         )
     if kind == "file":
         _check_keys(node, "initial_state", {"kind", "path"}, required=("path",))
@@ -232,20 +240,28 @@ def _parse_transform(node) -> TransformSpec:
     modes = node["target_modes"]
     if not (isinstance(modes, list) and modes and all(isinstance(k, int) for k in modes)):
         raise ConfigError("transform.target_modes", "expected a nonempty list of mode indices")
+    if min(modes) < 2:
+        raise ConfigError("transform.target_modes", "target modes are 1-based decaying modes (k >= 2)")
+    schedule = dict(
+        cooling_tau=_number(node["cooling_tau"], "transform.cooling_tau", positive=True),
+        threshold_eps=_number(node["threshold_eps"], "transform.threshold_eps", positive=True),
+        target_modes=tuple(modes),
+        seed=_seed(node, "transform.seed"),
+        max_total_iterations=_number(
+            node.get("max_total_iterations", 1_000_000),
+            "transform.max_total_iterations", positive=True, integer=True,
+        ),
+    )
     try:
-        metro = MetropolisConfig(
-            cooling_tau=_number(node["cooling_tau"], "transform.cooling_tau", positive=True),
-            threshold_eps=_number(node["threshold_eps"], "transform.threshold_eps", positive=True),
-            nano_n=_number(node.get("nano_n", 200), "transform.nano_n", positive=True, integer=True),
-            micro_m=_number(node.get("micro_m", 20), "transform.micro_m", positive=True, integer=True),
-            macro_big_m=_number(node.get("macro_m", 20), "transform.macro_m", positive=True, integer=True),
-            target_modes=tuple(modes),
-            seed=_number(node.get("seed", 0), "transform.seed", integer=True),
-            max_total_iterations=_number(
-                node.get("max_total_iterations", 1_000_000),
-                "transform.max_total_iterations", positive=True, integer=True,
-            ),
-        )
+        if kind == "swap-metropolis":
+            metro = AnnealSchedule(**schedule)
+        else:
+            metro = MetropolisConfig(
+                **schedule,
+                nano_n=_number(node.get("nano_n", 200), "transform.nano_n", positive=True, integer=True),
+                micro_m=_number(node.get("micro_m", 20), "transform.micro_m", positive=True, integer=True),
+                macro_big_m=_number(node.get("macro_m", 20), "transform.macro_m", positive=True, integer=True),
+            )
     except ValidationError as exc:
         raise ConfigError("transform", str(exc))
     fermionic = _boolean(node.get("fermionic", False), "transform.fermionic")

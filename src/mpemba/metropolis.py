@@ -41,17 +41,19 @@ Both walk by one Metropolis rule: a better proposal is always accepted and
 a worse one with probability exp(-(C' - C)/T_eff); the effective
 temperature cools by the factor ``tau`` on every acceptance.  The rule reads
 a uniform drawn up front (the fitted walk and the swap walk) or draws one
-when a move is uphill (``cost_fn`` searches).  The
-nano/micro/macro loop budgets follow the re-varied-parameter reading: nano
-re-varies the same parameter, micro re-selects a parameter of the same
-qubit, macro re-selects the qubit (L * M macro rounds in total).  The best
-state seen is returned, since the threshold crossing is what defines
-convergence.
+when a move is uphill (``cost_fn`` searches).  The walk is configured by an
+``AnnealSchedule`` (cooling, threshold, target modes, seed, total budget),
+which is all the swap search takes.  The unitary search takes a
+``MetropolisConfig``, the schedule plus its nano/micro/macro loop budgets,
+which follow the re-varied-parameter reading: nano re-varies the same
+parameter, micro re-selects a parameter of the same qubit, macro re-selects
+the qubit (L * M macro rounds in total).  The best state seen is returned,
+since the threshold crossing is what defines convergence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from itertools import permutations
 
 import numpy as np
@@ -69,14 +71,15 @@ _SWAP_BATCH = 256
 
 
 @dataclass(frozen=True)
-class MetropolisConfig:
-    """Annealing schedule and loop budgets."""
+class AnnealSchedule:
+    """What the shared Metropolis walk reads: cooling, stop rule, targets and seed.
+
+    Every field after ``threshold_eps`` is keyword-only.
+    """
 
     cooling_tau: float
     threshold_eps: float
-    nano_n: int = 200
-    micro_m: int = 20
-    macro_big_m: int = 20
+    _: KW_ONLY
     target_modes: tuple = (2,)
     seed: int = 0
     max_total_iterations: int = 1_000_000
@@ -86,13 +89,28 @@ class MetropolisConfig:
             raise ValidationError("cooling_tau must lie in (0, 1)")
         if self.threshold_eps <= 0:
             raise ValidationError("threshold_eps must be positive")
-        for name in ("nano_n", "micro_m", "macro_big_m", "max_total_iterations"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be a positive integer")
+        if self.max_total_iterations < 1:
+            raise ValidationError("max_total_iterations must be a positive integer")
         object.__setattr__(self, "target_modes", tuple(int(k) for k in self.target_modes))
         for k in self.target_modes:
             if k < 2:
                 raise ValidationError("target modes are 1-based decaying modes (k >= 2)")
+
+
+@dataclass(frozen=True)
+class MetropolisConfig(AnnealSchedule):
+    """An :class:`AnnealSchedule` plus the nano/micro/macro loop budgets of the unitary search."""
+
+    _: KW_ONLY
+    nano_n: int = 200
+    micro_m: int = 20
+    macro_big_m: int = 20
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("nano_n", "micro_m", "macro_big_m"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -148,14 +166,14 @@ class _Walk:
     :meth:`_finish`, as :meth:`scan` does.
     """
 
-    def __init__(self, cost: float, state: np.ndarray, config: MetropolisConfig):
+    def __init__(self, cost: float, state: np.ndarray, schedule: AnnealSchedule):
         self.cost = self.best_cost = cost
         self.t_eff = 1.0
         self.best = state.copy()
-        self.converged = self.done = cost < config.threshold_eps
-        self._tau = config.cooling_tau
-        self._eps = config.threshold_eps
-        self._budget = config.max_total_iterations
+        self.converged = self.done = cost < schedule.threshold_eps
+        self._tau = schedule.cooling_tau
+        self._eps = schedule.threshold_eps
+        self._budget = schedule.max_total_iterations
         # one column per trace field: floats and bools are not tracked by
         # the garbage collector, a row tuple per proposal would be
         self._costs, self._temps, self._accepts = [], [], []
@@ -400,9 +418,10 @@ def unitary_metropolis(
     """Anneal a product-of-single-qubit-unitaries to kill target overlaps.
 
     Returns ``(rho_best, ansatz_best, trace)``.  ``rho`` must live on
-    qubits (dim = 2^L, lab basis).  ``cost_fn(rho_lab_matrix) -> float``
-    optionally replaces the default summed-overlap cost (used e.g. to
-    prepare states at a chosen overlap).  Non-convergence within the budgets
+    qubits (dim = 2^L, lab basis).  ``config`` is the walk's schedule plus
+    the nano/micro/macro loop budgets, which only this search reads.
+    ``cost_fn(rho_lab_matrix) -> float`` optionally replaces the default
+    summed-overlap cost (used e.g. to prepare states at a chosen overlap).  Non-convergence within the budgets
     is reported through ``trace.converged``, not an exception.
 
     With the default cost, each nano loop first fits the target amplitudes
@@ -519,14 +538,11 @@ def _distinct_indices(rng, d: int, n: int, m: int) -> np.ndarray:
     return cols
 
 
-def swap_metropolis(spectrum: GeneratorSpectrum, populations, config: MetropolisConfig):
+def swap_metropolis(spectrum: GeneratorSpectrum, populations, schedule: AnnealSchedule):
     """Anneal population permutations to kill diagonal-mode overlaps.
 
     ``populations`` is the energy-basis population vector of a state that is
-    diagonal in the energy eigenbasis.  Of ``config`` the walk reads five
-    fields: ``cooling_tau``, ``threshold_eps``, ``target_modes``, ``seed``
-    and ``max_total_iterations``; the nano/micro/macro budgets belong to
-    :func:`unitary_metropolis` and are ignored here.  Every targeted mode
+    diagonal in the energy eigenbasis.  Every targeted mode of ``schedule``
     must itself be diagonal (a population mode).  Proposals permute four
     distinct entries (two below dimension 4, a documented fallback), so the
     population multiset is preserved exactly and coherences remain zero.
@@ -547,7 +563,7 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, config: Metropolis
         raise ValidationError("populations must form a probability vector")
 
     lefts = []
-    for k in config.target_modes:
+    for k in schedule.target_modes:
         left = spectrum.left(k)
         off = np.abs(left - np.diag(np.diag(left))).max()
         if off > 1e-9 * max(1.0, float(np.abs(left).max())):
@@ -567,9 +583,9 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, config: Metropolis
         s = (lmat @ np.asarray(vec[:d])).tolist()
         return s, sum([abs(x) for x in s])
 
-    rng = np.random.default_rng(config.seed)
-    walk = _Walk(resum(p)[1], p, config)
-    tau, eps = config.cooling_tau, config.threshold_eps
+    rng = np.random.default_rng(schedule.seed)
+    walk = _Walk(resum(p)[1], p, schedule)
+    tau, eps = schedule.cooling_tau, schedule.threshold_eps
     costs_col, temps, accepts = walk._costs, walk._temps, walk._accepts
 
     while not walk.done:

@@ -273,7 +273,7 @@ def test_criterion_08_metropolis_convergence():
     swap_budget = 2 * 5300
     swap_hits = 0
     for seed in range(10):
-        cfg = mp.MetropolisConfig(
+        cfg = mp.AnnealSchedule(
             cooling_tau=0.998, threshold_eps=1e-6, target_modes=(target,), seed=seed,
             max_total_iterations=swap_budget,
         )

@@ -99,6 +99,10 @@ class TestSchema:
         ("metropolis_swap", "transform", "micro_m", 20),
         ("metropolis_swap", "transform", "macro_m", 20),
         ("metropolis_swap", "transform", "fermionic", True),
+        # numpy's generators refuse negative seeds; modes count from 1, mode 1 is the fixed point
+        ("metropolis_swap", "transform", "seed", -1),
+        ("chain_demo", "initial_state", "seed", -1),
+        ("metropolis_swap", "transform", "target_modes", [1]),
         # the mesoscopic models take gamma under model, temperatures in Kelvin
         ("atom_exact", "bath", "gamma", 123.0),
         ("dot_metropolis", "bath", "temperature", 0.1),
@@ -113,6 +117,13 @@ class TestSchema:
     def test_checked_in_configs_all_parse(self):
         for path in sorted(CONFIGS.glob("*.json")):
             load_config(path)
+
+    def test_each_annealer_gets_the_config_it_reads(self):
+        swap = load_config(CONFIGS / "metropolis_swap.json").transform.metropolis
+        unitary = load_config(CONFIGS / "metropolis_unitary.json").transform.metropolis
+        assert type(swap) is mp.AnnealSchedule
+        assert type(unitary) is mp.MetropolisConfig
+        assert (unitary.nano_n, unitary.micro_m, unitary.macro_big_m) == (200, 20, 20)
 
 
 class TestCliSpectrum:
@@ -338,6 +349,23 @@ class TestCliMetropolis:
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a/trace.csv").read_bytes() == (tmp_path / "b/trace.csv").read_bytes()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        args = ["metropolis", "--config", str(CONFIGS / "metropolis_swap.json"), "--seed", "-1"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("stem", ["metropolis_swap", "metropolis_unitary"])
+    def test_target_mode_beyond_the_spectrum_exits_2(self, stem, tmp_path, capsys):
+        # the L=5 chain has 1024 modes, known only after the decomposition
+        payload = json.loads((CONFIGS / f"{stem}.json").read_text())
+        payload["transform"]["target_modes"] = [2, 2000]
+        rc = main(["metropolis", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error: transform.target_modes: mode 2000 outside 2..1024" in capsys.readouterr().err
 
     def test_budget_exhaustion_exit_code(self, tmp_path, capsys):
         payload = json.loads((CONFIGS / "metropolis_swap.json").read_text())

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,12 +25,29 @@ from conftest import DEMO_BLOCH
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            mp.MetropolisConfig(cooling_tau=1.0, threshold_eps=1e-6)
-        with pytest.raises(ValidationError):
-            mp.MetropolisConfig(cooling_tau=0.99, threshold_eps=0.0)
-        with pytest.raises(ValidationError):
-            mp.MetropolisConfig(cooling_tau=0.99, threshold_eps=1e-6, target_modes=(1,))
+        # the schedule validates its fields, also inside the unitary config
+        for cls in (mp.AnnealSchedule, mp.MetropolisConfig):
+            with pytest.raises(ValidationError):
+                cls(cooling_tau=1.0, threshold_eps=1e-6)
+            with pytest.raises(ValidationError):
+                cls(cooling_tau=0.99, threshold_eps=0.0)
+            with pytest.raises(ValidationError):
+                cls(cooling_tau=0.99, threshold_eps=1e-6, target_modes=(1,))
+            with pytest.raises(ValidationError):
+                cls(cooling_tau=0.99, threshold_eps=1e-6, max_total_iterations=0)
+
+    @pytest.mark.parametrize("budget", ["nano_n", "micro_m", "macro_big_m"])
+    def test_loop_budgets_validated(self, budget):
+        with pytest.raises(ValidationError, match=budget):
+            mp.MetropolisConfig(cooling_tau=0.99, threshold_eps=1e-6, **{budget: 0})
+
+    def test_fields_past_threshold_are_keyword_only(self):
+        # the split reordered the fields: a positional budget must not bind a schedule field
+        with pytest.raises(TypeError):
+            mp.MetropolisConfig(0.99, 1e-6, 200, 20)
+        with pytest.raises(TypeError):
+            mp.AnnealSchedule(0.99, 1e-6, (2,))
+        assert isinstance(mp.MetropolisConfig(0.99, 1e-6), mp.AnnealSchedule)
 
 
 class TestAnsatz:
@@ -403,7 +421,7 @@ def heating_setup():
 class TestSwapMetropolis:
     def test_converges_on_heating_scenario(self, heating_setup):
         spec, p0, target = heating_setup
-        cfg = mp.MetropolisConfig(
+        cfg = mp.AnnealSchedule(
             cooling_tau=0.998, threshold_eps=1e-6, target_modes=(target,), seed=0,
             max_total_iterations=50_000,
         )
@@ -416,7 +434,7 @@ class TestSwapMetropolis:
         tau_p = np.clip(np.real(np.diag(spec.steady_state.entries)), 0, None)
         tau_p = spec.basis.to_eigenbasis(spec.steady_state.entries)
         populations = np.real(np.diag(tau_p))
-        cfg = mp.MetropolisConfig(
+        cfg = mp.AnnealSchedule(
             cooling_tau=0.998, threshold_eps=1e-6, target_modes=(target,), seed=0,
         )
         _, trace = mp.swap_metropolis(spec, populations, cfg)
@@ -425,7 +443,7 @@ class TestSwapMetropolis:
     def test_rejects_coherence_targets(self, heating_setup):
         spec, p0, _ = heating_setup
         coh = spec.coherent_modes()[0]
-        cfg = mp.MetropolisConfig(
+        cfg = mp.AnnealSchedule(
             cooling_tau=0.998, threshold_eps=1e-6, target_modes=(coh,), seed=0,
         )
         with pytest.raises(ValidationError):
@@ -437,7 +455,7 @@ class TestSwapMetropolis:
         target = next(k for k in range(2, 5) if k not in qubit_spec.coherent_modes())
         # the starting cost is about 0.52 and the swapped order's about 0.87,
         # so no order converges and the walk spends its whole budget
-        cfg = mp.MetropolisConfig(
+        cfg = mp.AnnealSchedule(
             cooling_tau=0.99, threshold_eps=1e-3, target_modes=(target,), seed=0,
             max_total_iterations=10,
         )
@@ -447,7 +465,7 @@ class TestSwapMetropolis:
 
     def test_csv_round_trip(self, tmp_path, heating_setup):
         spec, p0, target = heating_setup
-        cfg = mp.MetropolisConfig(
+        cfg = mp.AnnealSchedule(
             cooling_tau=0.998, threshold_eps=1e-3, target_modes=(target,), seed=4,
             max_total_iterations=5_000,
         )
@@ -476,7 +494,7 @@ class TestSwapWalk:
         qubit_target = next(k for k in range(2, 5) if k not in qubit_spec.coherent_modes())
         for spectrum, p, k, budget in ((spec, p0, target, 3_000),
                                        (qubit_spec, np.array([0.9, 0.1]), qubit_target, 50)):
-            cfg = mp.MetropolisConfig(
+            cfg = mp.AnnealSchedule(
                 cooling_tau=0.998, threshold_eps=1e-6, target_modes=(k,), seed=seed,
                 max_total_iterations=budget,
             )
@@ -490,7 +508,7 @@ class TestSwapWalk:
     def test_budget_ending_mid_batch(self, budget, heating_setup):
         spec, p0, target = heating_setup
         assert budget % _SWAP_BATCH
-        cfg = mp.MetropolisConfig(
+        cfg = mp.AnnealSchedule(
             cooling_tau=0.998, threshold_eps=1e-300, target_modes=(target,), seed=3,
             max_total_iterations=budget,
         )
@@ -503,7 +521,7 @@ class TestSwapWalk:
         # below dimension 4 each proposal swaps two populations
         spectrum = SimpleNamespace(dim=3, left=lambda k: np.diag([1.0, -2.0, 0.5]))
         p0 = np.array([0.2, 0.3, 0.5])
-        cfg = mp.MetropolisConfig(
+        cfg = mp.AnnealSchedule(
             cooling_tau=0.9, threshold_eps=1e-300, target_modes=(2,), seed=1,
             max_total_iterations=300,
         )
@@ -522,7 +540,7 @@ class TestSwapWalk:
         made = record_rngs()
         traces = []
         for tau in (0.998, 0.5):
-            cfg = mp.MetropolisConfig(
+            cfg = mp.AnnealSchedule(
                 cooling_tau=tau, threshold_eps=1e-300, target_modes=(target,), seed=4,
                 max_total_iterations=1_000,
             )
@@ -534,13 +552,31 @@ class TestSwapWalk:
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
+    def test_unitary_config_walks_like_its_schedule(self, heating_setup):
+        # a MetropolisConfig is an AnnealSchedule plus loop budgets the swap
+        # walk never reads: the same schedule gives the same walk
+        spec, p0, target = heating_setup
+        schedule = mp.AnnealSchedule(
+            cooling_tau=0.998, threshold_eps=1e-300, target_modes=(target,), seed=5,
+            max_total_iterations=3_000,
+        )
+        fields = {f.name: getattr(schedule, f.name) for f in dataclasses.fields(schedule)}
+        config = mp.MetropolisConfig(**fields, nano_n=7, micro_m=3, macro_big_m=2)
+        p_a, trace_a = mp.swap_metropolis(spec, p0, schedule)
+        p_b, trace_b = mp.swap_metropolis(spec, p0, config)
+        assert p_a.tobytes() == p_b.tobytes()
+        for name in ("iteration", "cost", "t_eff", "accepted"):
+            assert getattr(trace_a, name).tobytes() == getattr(trace_b, name).tobytes()
+        assert (trace_a.converged, trace_a.best_cost) == (trace_b.converged, trace_b.best_cost)
+        assert len(trace_a) == 3_000 and trace_a.accepted.any()
+
     def test_converges_for_most_seeds(self, heating_setup):
         # criterion 08's swap budget and schedule, over twice its seeds, at its
         # 80% bar
         spec, p0, target = heating_setup
         hits = 0
         for seed in range(20):
-            cfg = mp.MetropolisConfig(
+            cfg = mp.AnnealSchedule(
                 cooling_tau=0.998, threshold_eps=1e-6, target_modes=(target,), seed=seed,
                 max_total_iterations=2 * 5300,
             )
