@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, ValidationError
-from .metropolis import swap_metropolis, unitary_metropolis
+from .metropolis import population_weights, swap_metropolis, unitary_metropolis
 from .models import ModelInstance, build_generator
 from .operators import DensityMatrix, bloch_to_state, random_mixed_state, thermal_state
 from .spectral import decompose, evolve_spectral, spectral_gap
@@ -145,13 +145,20 @@ def _apply_transform(kind, cfg, basis, spectrum, rho, args):
             spectrum, rho, metro, fermionic=cfg.transform.fermionic
         )
         return rho_prime, trace
+    # the swap walk's preconditions are fixed by the config: check them before it starts
+    for k in metro.target_modes:
+        if population_weights(spectrum, k) is None:
+            raise ConfigError(
+                "transform.target_modes", f"mode {k} is not a population mode; swap-metropolis needs diagonal modes"
+            )
     rho_e = basis.to_eigenbasis(rho.entries)
     pops = np.real(np.diag(rho_e))
     offdiag = np.abs(rho_e - np.diag(pops.astype(complex))).max()
     if offdiag > 1e-10:
-        raise ValidationError(
-            "swap metropolis needs a state diagonal in the energy eigenbasis "
-            f"(off-diagonal weight {offdiag:.2e})"
+        raise ConfigError(
+            "initial_state",
+            "swap-metropolis needs a state diagonal in the energy eigenbasis "
+            f"(off-diagonal weight {offdiag:.2e})",
         )
     p_best, trace = swap_metropolis(spectrum, pops, metro)
     rho_prime = DensityMatrix(basis.from_eigenbasis(np.diag(p_best).astype(complex)))

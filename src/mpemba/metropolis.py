@@ -24,12 +24,14 @@ Two annealers operate on a decomposed generator spectrum:
   angles, each a fresh U(0, 2pi), and n acceptance uniforms.  The first
   proposal of a loop on beta, gamma or delta is an exact single-coordinate
   move instead of a re-draw: it sets theta to the minimizer of the fitted
-  summed magnitudes.  It counts as one proposal, writes one trace row and
-  passes the usual acceptance rule.  alpha, a global phase, leaves U rho U^dag unchanged:
-  its loops build no anchors, and each of its proposals costs exactly the
-  current cost.  A search with a user ``cost_fn`` (opaque to the annealer)
-  re-draws by old + U(0, 2pi), rebuilds the unitary for every proposal and
-  draws an acceptance uniform only for an uphill move.
+  summed magnitudes, found on a 256-point grid and refined by a bracketed
+  Newton step on the fit's analytic derivatives.  It counts as one
+  proposal, writes one trace row and passes the usual acceptance rule.
+  alpha, a global phase, leaves U rho U^dag unchanged: its loops build no
+  anchors, and each of its proposals costs exactly the current cost.  A
+  search with a user ``cost_fn`` (opaque to the annealer) re-draws by
+  old + U(0, 2pi), rebuilds the unitary for every proposal and draws an
+  acceptance uniform only for an uphill move.
 * ``swap_metropolis`` specializes to states diagonal in the energy basis:
   proposals permute four randomly chosen populations, which preserves both
   the population multiset and diagonality exactly.  Each batch of
@@ -37,8 +39,9 @@ Two annealers operate on a decomposed generator spectrum:
   once, and each proposal is priced by the O(4K) change of the K target
   sums s = L p over its four swapped entries.
 
-Both walk by one Metropolis rule: a better proposal is always accepted and
-a worse one with probability exp(-(C' - C)/T_eff); the effective
+Both walk by one Metropolis rule, :func:`metropolis_accept`: a better
+proposal is always accepted and a worse one with probability
+exp(-(C' - C)/T_eff), evaluated in Python floats; the effective
 temperature cools by the factor ``tau`` on every acceptance.  The rule reads
 a uniform drawn up front (the fitted walk and the swap walk) or draws one
 when a move is uphill (``cost_fn`` searches).  The walk is configured by an
@@ -53,6 +56,7 @@ since the threshold crossing is what defines convergence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import KW_ONLY, dataclass
 from itertools import permutations
 
@@ -245,10 +249,14 @@ class _Walk:
 
 
 def metropolis_accept(c_new: float, c_old: float, t_eff: float, rng, u: float | None = None) -> bool:
-    """Accept downhill moves always, uphill with exp(-(C'-C)/T_eff).
+    """Accept downhill moves always, uphill with exp(-(C'-C)/T_eff); a Python bool.
 
     ``u`` is the proposal's acceptance uniform when it was drawn up front;
-    without it an uphill move draws one from ``rng``.
+    without it an uphill move draws one from ``rng``.  The rule is
+    ``u < math.exp(...)`` on Python floats, so it does not depend on which
+    SIMD kernel numpy dispatches.  The exponent is never positive; a NaN
+    cost gives a NaN exponent and is rejected, and an exponent that
+    underflows gives exp = 0, which rejects without a warning.
     """
     if c_new < c_old:
         return True
@@ -256,7 +264,7 @@ def metropolis_accept(c_new: float, c_old: float, t_eff: float, rng, u: float | 
         return c_new == c_old
     if u is None:
         u = rng.uniform()
-    return bool(u < np.exp(-(c_new - c_old) / t_eff))
+    return u < math.exp(-(c_new - c_old) / t_eff)
 
 
 def cost(spectrum: GeneratorSpectrum, rho, target_modes) -> float:
@@ -273,10 +281,8 @@ _TWO_PI = 2.0 * np.pi
 #: Anchor offsets of the three-point fit; e^{i phi} at them are the cube roots of unity.
 _ANCHORS = np.array([0.0, 2.0 * np.pi / 3.0, -2.0 * np.pi / 3.0])
 _GRID_POINTS = 256
-_REFINE_POINTS = 17
-_REFINE_ROUNDS = 14
-#: Offsets of each refinement grid, in units of the previous grid's step.
-_REFINE_OFFSETS = np.linspace(-1.0, 1.0, _REFINE_POINTS)
+#: Iteration cap of the bracketed Newton step that refines the grid's best point.
+_NEWTON_ITERATIONS = 64
 
 
 def _fit_coordinate(anchor_amps: np.ndarray) -> np.ndarray:
@@ -305,20 +311,57 @@ def _fitted_costs(coef: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _minimize_coordinate(coef: np.ndarray) -> float:
-    """Offset phi minimizing sum_k |A_k + B_k e^{i phi} + C_k e^{-i phi}|.
+    """Offset phi minimizing f(phi) = sum_k |A_k + B_k e^{i phi} + C_k e^{-i phi}|.
 
-    A grid over the full circle (which contains phi = 0, so the result never
-    costs more than the current value under the fit), then rounds of finer
-    grids around the best point; deterministic, no random draw.
+    A 256-point grid over the full circle, which contains phi = 0, picks the
+    best point g.  Newton's method on f' then refines it inside the bracket
+    [g - step, g + step], in Python complex scalars, with the analytic
+    z' = i(B e^{i phi} - C e^{-i phi}) and z'' = -(B e^{i phi} + C e^{-i phi})
+    of each amplitude z.  Each iterate shrinks the bracket by the sign of f'
+    (one-sided at a kink, where some |z_k| is exactly 0, and a point whose
+    one-sided derivatives bracket 0 stops the search); the step bisects the
+    bracket whenever f'' <= 0, the Newton point leaves the closed bracket or
+    the iterate sits on a kink.  The search stops once x stops moving or after
+    ``_NEWTON_ITERATIONS`` iterates.  The result is whichever of g and the
+    Newton point costs less under the fit (g on a tie), so it never costs
+    more than the grid's best point, nor than the current value.
+    Deterministic, no random draw.
     """
-    step = 2.0 * np.pi / _GRID_POINTS
-    phi = step * np.arange(_GRID_POINTS)
-    best = phi[np.argmin(_fitted_costs(coef, phi))]
-    for _ in range(_REFINE_ROUNDS):
-        phi = best + step * _REFINE_OFFSETS
-        best = phi[np.argmin(_fitted_costs(coef, phi))]
-        step *= 2.0 / (_REFINE_POINTS - 1)
-    return float(best)
+    step = _TWO_PI / _GRID_POINTS
+    grid = step * np.arange(_GRID_POINTS)
+    g = float(grid[np.argmin(_fitted_costs(coef, grid))])
+    terms = list(zip(*coef.tolist()))
+    lo, hi, x = g - step, g + step, g
+    for _ in range(_NEWTON_ITERATIONS):
+        e = complex(math.cos(x), math.sin(x))
+        ec = e.conjugate()
+        slope = curvature = kink = 0.0
+        on_kink = False
+        for a, b, c in terms:
+            be, ce = b * e, c * ec
+            z, z1, z2 = a + be + ce, 1j * (be - ce), -(be + ce)
+            r = abs(z)
+            if r == 0.0:
+                on_kink = True
+                kink += abs(z1)
+                continue
+            dr = (z.real * z1.real + z.imag * z1.imag) / r  # d|z|/dphi
+            slope += dr
+            dz1 = z1.real * z1.real + z1.imag * z1.imag
+            curvature += (dz1 + z.real * z2.real + z.imag * z2.imag - dr * dr) / r
+        if slope + kink < 0.0:
+            lo = x
+        elif slope - kink > 0.0:
+            hi = x
+        else:  # a stationary point, a kink minimum, or a NaN fit
+            break
+        newton = x - slope / curvature if curvature > 0.0 and not on_kink else math.nan
+        x_new = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+        if x_new == lo or x_new == hi:  # x stops moving, or would step back onto a priced end
+            break
+        x = x_new
+    ends = _fitted_costs(coef, np.array([g, x]))
+    return x if ends[1] < ends[0] else g
 
 
 def _rz(theta) -> np.ndarray:
@@ -538,6 +581,20 @@ def _distinct_indices(rng, d: int, n: int, m: int) -> np.ndarray:
     return cols
 
 
+def population_weights(spectrum: GeneratorSpectrum, k: int) -> np.ndarray | None:
+    """The diagonal of mode ``k``'s left eigenmatrix, or None if that matrix is not diagonal.
+
+    A diagonal left (a population mode) reads only the energy-basis
+    populations, the one kind of target the swap walk can price.  Dense
+    spectra carry no population tag, so the matrix itself is tested.
+    """
+    left = spectrum.left(k)
+    off = np.abs(left - np.diag(np.diag(left))).max()
+    if off > 1e-9 * max(1.0, float(np.abs(left).max())):
+        return None
+    return np.real_if_close(np.diag(left))
+
+
 def swap_metropolis(spectrum: GeneratorSpectrum, populations, schedule: AnnealSchedule):
     """Anneal population permutations to kill diagonal-mode overlaps.
 
@@ -564,11 +621,10 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, schedule: AnnealSc
 
     lefts = []
     for k in schedule.target_modes:
-        left = spectrum.left(k)
-        off = np.abs(left - np.diag(np.diag(left))).max()
-        if off > 1e-9 * max(1.0, float(np.abs(left).max())):
+        weights = population_weights(spectrum, k)
+        if weights is None:
             raise ValidationError(f"target mode {k} is not diagonal; swap search needs population modes")
-        lefts.append(np.real_if_close(np.diag(left)))
+        lefts.append(weights)
     lmat = np.array(lefts).reshape(len(lefts), d)
 
     # below dimension 4 a proposal swaps a pair; its two idle slots point at

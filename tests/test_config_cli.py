@@ -367,6 +367,25 @@ class TestCliMetropolis:
         assert rc == 2
         assert "config error: transform.target_modes: mode 2000 outside 2..1024" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["transform"].update(target_modes=[2]),
+             "config error: transform.target_modes: mode 2 is not a population mode"),
+            (lambda p: p.update(initial_state={"kind": "random-mixed", "n_samples": 1000}),
+             "config error: initial_state: swap-metropolis needs a state diagonal in the energy eigenbasis"),
+        ],
+        ids=["coherence_target", "non_diagonal_state"],
+    )
+    def test_swap_precondition_exits_2_before_the_walk(self, edit, message, tmp_path, capsys, monkeypatch):
+        payload = json.loads((CONFIGS / "metropolis_swap.json").read_text())
+        edit(payload)
+        monkeypatch.setattr(mp.cli, "swap_metropolis", lambda *_: pytest.fail("the walk started"))
+        rc = main(["metropolis", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_budget_exhaustion_exit_code(self, tmp_path, capsys):
         payload = json.loads((CONFIGS / "metropolis_swap.json").read_text())
         payload["transform"]["max_total_iterations"] = 25
