@@ -251,14 +251,6 @@ class DaviesGenerator:
     def has_dense(self) -> bool:
         return self.dense is not None
 
-    def block_eigenvalues(self) -> np.ndarray:
-        """Eigenvalue multiset of the block form (populations + coherences)."""
-        if not self.has_block:
-            raise ValidationError("generator has no block representation")
-        pop = np.linalg.eigvals(self.pop_block)
-        coh = self.coh_block[coherence_indices(self.dim)]
-        return np.concatenate([pop.astype(complex), coh])
-
 
 def davies_generator(
     basis: SpectralBasis, bath: BathSpec, *, dense: bool = False
@@ -299,7 +291,8 @@ def verify_block_dense_spectrum(gen: DaviesGenerator) -> float:
     """
     if not (gen.has_block and gen.has_dense):
         raise ValidationError("need both block and dense representations to compare")
-    block = gen.block_eigenvalues()
+    pop = np.linalg.eigvals(gen.pop_block).astype(complex)
+    block = np.concatenate([pop, gen.coh_block[coherence_indices(gen.dim)]])
     dense = np.linalg.eigvals(gen.dense)
     return eigenvalue_multiset_distance(block, dense)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .davies import BathSpec, DaviesGenerator, davies_generator, generator_from_operators
+from .davies import BathSpec, DaviesGenerator, davies_generator, generator_from_operators, occupation_factors
 from .errors import ValidationError
 from .operators import HermitianOperator, SpectralBasis, diagonalize
 from .utils import IDENTITY_2, SIGMA_X, SIGMA_Z, embed_site_operator, kron_chain
@@ -110,17 +110,12 @@ def tfim(
     dim = 2**length
     h_matrix = np.zeros((dim, dim), dtype=complex)
     for j in range(length - 1):
-        h_matrix -= coupling * _site_pair(SIGMA_Z, j, length)
+        pair = (SIGMA_Z if k in (j, j + 1) else IDENTITY_2 for k in range(length))
+        h_matrix -= coupling * kron_chain(pair)
     for j in range(length):
         h_matrix += h_field * embed_site_operator(SIGMA_X, j, length)
     bath = BathSpec(beta=1.0 / t_bath, statistics=statistics, gamma=gamma)
     return ModelInstance(name="tfim", hamiltonian=HermitianOperator(h_matrix), beta=bath.beta, bath=bath)
-
-
-def _site_pair(op2, j, length):
-    return kron_chain(
-        op2 if k in (j, j + 1) else IDENTITY_2 for k in range(length)
-    )
 
 
 def two_level_atom(
@@ -139,12 +134,11 @@ def two_level_atom(
         raise ValidationError("epsilon and gamma must be positive")
     t_bath = t_bath_kelvin * GHZ_PER_KELVIN
     beta = 1.0 / t_bath
-    # beyond beta*eps ~ 700 the occupation underflows; exp(-x) is the limit
-    n_bose = math.exp(-beta * epsilon) if beta * epsilon > 700 else 1.0 / math.expm1(beta * epsilon)
+    w_down, w_up = occupation_factors(epsilon, BathSpec(beta, "bose", gamma))
     h = HermitianOperator(np.diag([0.0, epsilon]).astype(complex))
     sigma_plus = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
     sigma_minus = sigma_plus.conj().T
-    ops = ((sigma_plus, gamma * n_bose), (sigma_minus, gamma * (n_bose + 1.0)))
+    ops = ((sigma_plus, gamma * w_up), (sigma_minus, gamma * w_down))
     return ModelInstance(name="two_level_atom", hamiltonian=h, beta=beta, jump_ops=ops)
 
 
@@ -185,28 +179,26 @@ def quantum_dot(
     d_dn[0, 2] = 1.0
     d_dn[1, 3] = -1.0
 
-    def fermi(x):
-        bx = beta * x
-        return math.exp(-bx) if bx > 700 else 1.0 / (math.exp(bx) + 1.0)
-
+    bath = BathSpec(beta, "fermi", gamma)
     ops = []
     if energy_resolved:
-        f_lo, f_hi = fermi(epsilon), fermi(epsilon + e_charging)
+        lo_down, lo_up = occupation_factors(epsilon, bath)
+        hi_down, hi_up = occupation_factors(epsilon + e_charging, bath)
         for d_sig in (d_up, d_dn):
             lo = np.zeros_like(d_sig)
             hi = np.zeros_like(d_sig)
             for (a, b) in np.argwhere(d_sig != 0):
                 (hi if 3 in (a, b) else lo)[a, b] = d_sig[a, b]
             ops += [
-                (lo.conj().T, gamma * f_lo), (lo, gamma * (1.0 - f_lo)),
-                (hi.conj().T, gamma * f_hi), (hi, gamma * (1.0 - f_hi)),
+                (lo.conj().T, gamma * lo_up), (lo, gamma * lo_down),
+                (hi.conj().T, gamma * hi_up), (hi, gamma * hi_down),
             ]
     else:
-        n_beta = fermi(epsilon)
+        w_down, w_up = occupation_factors(epsilon, bath)
         for d_sig in (d_up, d_dn):
             ops += [
-                (d_sig.conj().T, gamma * n_beta),
-                (d_sig, gamma * (1.0 - n_beta)),
+                (d_sig.conj().T, gamma * w_up),
+                (d_sig, gamma * w_down),
             ]
     return ModelInstance(
         name="quantum_dot",

@@ -233,15 +233,15 @@ class GeneratorSpectrum:
         For superselected spectra (e.g. fermion parity) this is the pinching
         that removes sector-violating coherences; it is exactly what the
         retained eigenmodes reconstruct, and a CPTP map, so the result is a
-        valid state.  Spectra without sector labels return the state as is.
+        valid state.  Spectra without sector labels return the lab-basis
+        state unchanged, an array as its :class:`DensityMatrix`.
         """
         labels = self._payload.get("sector_labels")
-        rho_e = self._to_eig(rho)
         if labels is None:
-            return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho_e)
+            return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
         labels = np.asarray(labels)
         mask = labels[:, None] == labels[None, :]
-        return DensityMatrix(self.basis.from_eigenbasis(hermitize(rho_e * mask)))
+        return DensityMatrix(self.basis.from_eigenbasis(hermitize(self._to_eig(rho) * mask)))
 
 
 def _check_mode_index(k: int, n_modes: int) -> int:
@@ -262,30 +262,31 @@ def _is_complex_mode(eigenvalues: np.ndarray, idx: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def decompose(generator, basis: SpectralBasis | None = None, *, prefer: str = "auto"):
-    """Biorthogonal spectral decomposition of a generator.
+def decompose(generator: DaviesGenerator, *, prefer: str = "auto"):
+    """Biorthogonal spectral decomposition of a :class:`DaviesGenerator`.
 
-    ``generator`` is a :class:`DaviesGenerator` or a dense superoperator
-    matrix (then ``basis`` is required).  ``prefer`` picks the representation
-    when both are available: "auto" favors the block form, "dense" forces the
-    full decomposition.
+    ``prefer`` picks the representation when both are available: "auto"
+    favors the block form, "dense" forces the full decomposition.  A bare
+    superoperator goes in as ``DaviesGenerator(basis=..., dense=matrix)``;
+    anything else raises :class:`ValidationError`.
 
     Raises :class:`DefectiveGeneratorError` when the eigenvector matrix is
     ill-conditioned beyond ``1e12`` and :class:`NoSteadyStateError` when no
     eigenvalue sits within ``1e-9`` of zero.
     """
-    if isinstance(generator, DaviesGenerator):
-        use_block = generator.has_block and prefer != "dense"
-        if not use_block and not generator.has_dense:
-            raise ValidationError("dense decomposition requested but no dense form present")
-        if use_block:
-            return _decompose_block(generator)
-        return _decompose_dense(
-            generator.dense, generator.basis, sector_labels=generator.sector_labels
+    if not isinstance(generator, DaviesGenerator):
+        raise ValidationError(
+            "decompose needs a DaviesGenerator; wrap a bare superoperator as "
+            "DaviesGenerator(basis=..., dense=matrix)"
         )
-    if basis is None:
-        raise ValidationError("decomposing a raw matrix requires the spectral basis")
-    return _decompose_dense(np.asarray(generator, dtype=complex), basis)
+    use_block = generator.has_block and prefer != "dense"
+    if not use_block and not generator.has_dense:
+        raise ValidationError("dense decomposition requested but no dense form present")
+    if use_block:
+        return _decompose_block(generator)
+    return _decompose_dense(
+        generator.dense, generator.basis, sector_labels=generator.sector_labels
+    )
 
 
 def _mode_order(eigenvalues, *tiebreaks):
@@ -481,7 +482,7 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     if spectrum.kind == "block":
         rho_e = spectrum._to_eig(rho_i)
         p0 = np.real(np.diag(rho_e)).copy()
-        pops = _propagate_populations(spectrum._payload["pop_block"], p0, times)
+        pops = np.array(list(_propagate(spectrum._payload["pop_block"], p0, times)))
         gmat = spectrum._payload["coh_block"]
         diag = np.arange(basis.dim)
 
@@ -501,27 +502,26 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     return _package_states(times, lambda s: tau_e + deltas[s], basis)
 
 
-def evolve_direct(generator, rho_i, times, basis: SpectralBasis | None = None) -> EvolutionGrid:
-    """Propagate by the matrix exponential of the dense generator.
+def evolve_direct(generator: DaviesGenerator, rho_i, times) -> EvolutionGrid:
+    """Propagate by the matrix exponential of the generator's dense form.
 
     Stepwise scaling-and-squaring (scipy.linalg.expm) between grid points;
-    the independent oracle for :func:`evolve_spectral`.
+    the independent oracle for :func:`evolve_spectral`.  Raises
+    :class:`ValidationError` unless ``generator`` is a
+    :class:`DaviesGenerator` with a dense form.
     """
-    if isinstance(generator, DaviesGenerator):
-        if not generator.has_dense:
-            raise ValidationError("direct evolution requires the dense generator")
-        g_dense = generator.dense
-        basis = generator.basis
-    else:
-        if basis is None:
-            raise ValidationError("direct evolution of a raw matrix requires the basis")
-        g_dense = np.asarray(generator, dtype=complex)
+    if not (isinstance(generator, DaviesGenerator) and generator.has_dense):
+        raise ValidationError(
+            "direct evolution needs a DaviesGenerator with a dense form, such as "
+            "DaviesGenerator(basis=..., dense=matrix)"
+        )
+    basis = generator.basis
     times = np.asarray(times, dtype=float)
     d = basis.dim
     rho_e = basis.to_eigenbasis(
         rho_i.entries if isinstance(rho_i, DensityMatrix) else np.asarray(rho_i, dtype=complex)
     )
-    states = _propagate(g_dense, rho_e.reshape(-1), times)
+    states = _propagate(generator.dense, rho_e.reshape(-1), times)
 
     def direct_chunk(s):
         # chunks are asked for in time order, so the stepping carries over
@@ -552,14 +552,6 @@ def _propagate(generator: np.ndarray, vec: np.ndarray, times: np.ndarray):
             vec = propagators[key] @ vec
         prev_t = t
         yield vec
-
-
-def _propagate_populations(gp: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Stepwise semigroup propagation of a population vector."""
-    out = np.empty((times.size, p0.size))
-    for j, p in enumerate(_propagate(gp, p0, times)):
-        out[j] = p
-    return out
 
 
 def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> EvolutionGrid:

@@ -72,14 +72,10 @@ def detect_crossing(traj_a: ThermoTrajectory, traj_b: ThermoTrajectory):
         return None
     # last index where b is not below; crossing sits just after it
     not_below = np.nonzero(~below)[0]
-    i = int(not_below[-1])
-    if i == len(fa) - 1:
-        return None
+    i = int(not_below[-1])  # < len - 1, since below[-1] holds
     t0, t1 = traj_a.times[i], traj_a.times[i + 1]
     d0 = fb[i] - fa[i]
-    d1 = fb[i + 1] - fa[i + 1]
-    if d0 == d1:
-        return float(t1)
+    d1 = fb[i + 1] - fa[i + 1]  # d0 >= 0 > d1: the division is safe
     return float(t0 + d0 * (t1 - t0) / (d0 - d1))
 
 
@@ -94,7 +90,7 @@ class MajorizationReport:
 
 
 def majorization_check(
-    rho_prime,
+    rho_prime: DensityMatrix,
     basis: SpectralBasis,
     beta: float,
     n_random_unitaries: int,
@@ -109,7 +105,7 @@ def majorization_check(
     h = basis.hamiltonian()
     f_ref = noneq_free_energy(rho_prime, h, beta)
     p_ref = np.sort(rho_prime.populations(basis))[::-1]
-    m = rho_prime.entries if isinstance(rho_prime, DensityMatrix) else np.asarray(rho_prime)
+    m = rho_prime.entries
     seeds = np.random.SeedSequence(seed).spawn(n_random_unitaries)
 
     def sample(seq):

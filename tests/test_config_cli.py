@@ -94,6 +94,8 @@ class TestSchema:
         ("qubit_demo", "transform", "kind", ["exact"]),
         ("qubit_demo", "time_grid", "spacing", "log"),
         ("qubit_demo", "time_grid", "t_min", 0.0),
+        ("qubit_demo", "initial_state", "r", [0.1, 0.2]),
+        ("metropolis_swap", "transform", "target_modes", 6),
         # the swap walk has no nano loops and no Jordan-Wigner strings
         ("metropolis_swap", "transform", "nano_n", 200),
         ("metropolis_swap", "transform", "micro_m", 20),
@@ -113,6 +115,22 @@ class TestSchema:
         rc = main(["spectrum", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path)])
         assert rc == 2
         assert f"config error: {section}.{key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stem, edit, message", [
+        ("qubit_demo", lambda p: p.update(time_grid=[4.0, 101]), "time_grid: expected an object"),
+        ("qubit_demo", lambda p: p["model"].pop("name"), "model: missing required key 'name'"),
+        ("chain_demo", lambda p: p["model"].update(length=7), "model: chain length"),
+        ("metropolis_swap", lambda p: p["transform"].update(cooling_tau=1.5), "transform: cooling_tau"),
+        # a Bloch vector needs two levels, known once the model is built
+        ("chain_demo", lambda p: p.update(initial_state={"kind": "bloch", "r": [0.0, 0.0, 0.5]}),
+         "initial_state: bloch states need a two-level model"),
+    ], ids=["section_not_object", "model_without_name", "builder_rejects", "cooling_tau", "bloch_on_chain"])
+    def test_misshapen_entry_exits_2(self, tmp_path, capsys, stem, edit, message):
+        payload = json.loads((CONFIGS / f"{stem}.json").read_text())
+        edit(payload)
+        rc = main(["evolve", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_checked_in_configs_all_parse(self):
         for path in sorted(CONFIGS.glob("*.json")):
@@ -395,6 +413,26 @@ class TestCliMetropolis:
         assert rc == 4
         assert "converge" in capsys.readouterr().err
         assert (tmp_path / "trace.csv").exists()
+
+    def test_unitary_search_is_the_one_mpemba_certifies(self, tmp_path):
+        # the dot (d = 4) runs the unitary annealer; mode 6 is a population mode,
+        # listed in the certificate only as a target
+        config = str(CONFIGS / "dot_metropolis.json")
+        assert main(["metropolis", "--config", config, "--out", str(tmp_path / "metropolis")]) == 0
+        assert main(["mpemba", "--config", config, "--out", str(tmp_path / "mpemba")]) == 0
+        trace = (tmp_path / "metropolis" / "trace.csv").read_bytes()
+        assert (tmp_path / "mpemba" / "transform_trace.csv").read_bytes() == trace
+        residual = re.search(r"^  mode 6: (\S+)$", (tmp_path / "mpemba" / "certificate.txt").read_text(), re.M)
+        assert residual and float(residual.group(1)) < 1e-5
+
+    def test_unconverged_mpemba_exits_4_with_its_trace(self, tmp_path, capsys):
+        payload = json.loads((CONFIGS / "dot_metropolis.json").read_text())
+        payload["transform"]["max_total_iterations"] = 10
+        rc = main(["mpemba", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path)])
+        assert rc == 4
+        assert "converge" in capsys.readouterr().err
+        assert len((tmp_path / "transform_trace.csv").read_text().splitlines()) == 1 + 10
+        assert not (tmp_path / "certificate.txt").exists()
 
     def test_requires_metropolis_transform(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

@@ -117,6 +117,14 @@ class TestAcceptRule:
             assert metropolis_accept(1e300, 0.0, 1e-300, None, 0.0) is False
             assert metropolis_accept(1.0 + 1e3, 1.0, 1e-3, None, 0.0) is False
 
+    def test_zero_temperature_accepts_ties_only(self):
+        # T_eff reaches 0.0 in a walk with cooling_tau <= 0.5 (after 1 075
+        # accepts at 0.5); at 0.999 it stalls near 2.5e-321, where t * tau
+        # rounds back to t.  No uniform is drawn: rng is None here.
+        assert metropolis_accept(0.5, 1.0, 0.0, None) is True
+        assert metropolis_accept(1.0, 1.0, 0.0, None) is True
+        assert metropolis_accept(1.5, 1.0, 0.0, None) is False
+
 
 class TestCost:
     def test_steady_state_costs_nothing(self, qubit_model, qubit_spec):
@@ -134,6 +142,11 @@ class TestCost:
 
 
 class TestUnitaryMetropolis:
+    def test_rejects_state_of_no_qubit_register(self, qubit_spec):
+        cfg = mp.MetropolisConfig(cooling_tau=0.99, threshold_eps=1e-6)
+        with pytest.raises(ValidationError, match="2\\^L-dimensional"):
+            mp.unitary_metropolis(qubit_spec, np.eye(3) / 3, cfg)
+
     def test_already_converged_input(self, qubit_model, qubit_spec):
         tau = mp.thermal_state(qubit_model.basis(), qubit_model.bath.beta)
         cfg = mp.MetropolisConfig(cooling_tau=0.999, threshold_eps=1e-6, target_modes=(2, 3), seed=0)
@@ -491,6 +504,18 @@ class TestSwapMetropolis:
         )
         _, trace = mp.swap_metropolis(spec, populations, cfg)
         assert trace.converged and len(trace) == 0
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p[:-1], "does not match the spectrum dimension"),
+        (lambda p: 2.0 * p, "probability vector"),
+        # the same sum, one entry below zero
+        (lambda p: p + 0.5 * (np.eye(p.size)[0] - np.eye(p.size)[-1]), "probability vector"),
+    ], ids=["length", "sum", "negative"])
+    def test_rejects_bad_populations(self, heating_setup, edit, message):
+        spec, p0, target = heating_setup
+        cfg = mp.AnnealSchedule(cooling_tau=0.998, threshold_eps=1e-6, target_modes=(target,))
+        with pytest.raises(ValidationError, match=message):
+            mp.swap_metropolis(spec, edit(p0), cfg)
 
     def test_rejects_coherence_targets(self, heating_setup):
         spec, p0, _ = heating_setup

@@ -90,12 +90,19 @@ class TestDecompose:
         g = np.zeros((4, 4), dtype=complex)
         g[0, 1] = 1.0  # Jordan block: eigenvector matrix singular
         with pytest.raises(DefectiveGeneratorError):
-            mp.decompose(g, qubit_model.basis())
+            mp.decompose(mp.DaviesGenerator(basis=qubit_model.basis(), dense=g))
 
     def test_no_steady_state_rejected(self, qubit_model):
         g = -np.eye(4, dtype=complex)
         with pytest.raises(NoSteadyStateError):
-            mp.decompose(g, qubit_model.basis())
+            mp.decompose(mp.DaviesGenerator(basis=qubit_model.basis(), dense=g))
+
+    def test_bare_matrix_rejected(self, qubit_spec):
+        g = np.zeros((4, 4), dtype=complex)
+        rho = qubit_spec.steady_state
+        for call in (lambda: mp.decompose(g), lambda: mp.evolve_direct(g, rho, [0.0])):
+            with pytest.raises(ValidationError, match="DaviesGenerator"):
+                call()
 
 
 class TestAmplitudes:
@@ -192,6 +199,12 @@ class TestAmplitudeRoutine:
 
         expected = [k for k in range(2, spec.n_modes + 1) if coherent(k)]
         assert spec.coherent_modes() == expected and expected
+
+
+def test_project_physical_returns_the_lab_state_for_arrays(spectrum_case):
+    spec, rho = spectrum_case
+    from_array = spec.project_physical(rho.entries)
+    assert from_array.entries.tobytes() == spec.project_physical(rho).entries.tobytes()
 
 
 def test_private_spectrum_state_stays_in_spectral_module():
@@ -371,7 +384,8 @@ class TestEvolution:
         g = vectorized_lindbladian(np.diag(basis.energies).astype(complex), [])
         rho = mp.random_mixed_state(8, 4, seed=6)
         ref = np.linalg.eigvalsh(rho.entries)
-        grid = mp.evolve_direct(g, rho, np.linspace(0.0, 3.0, 10), basis=basis)
+        gen = mp.DaviesGenerator(basis=basis, dense=g)
+        grid = mp.evolve_direct(gen, rho, np.linspace(0.0, 3.0, 10))
         for state in grid.states:
             np.testing.assert_allclose(np.linalg.eigvalsh(state.entries), ref, atol=1e-10)
 

@@ -7,7 +7,7 @@ import scipy.linalg
 
 import mpemba as mp
 from mpemba.errors import ValidationError
-from mpemba.spectral import _propagate, _propagate_populations, chunk_points
+from mpemba.spectral import _propagate, chunk_points
 from mpemba.thermo import CSV_COLUMNS, _one_sided
 from mpemba.utils import log_gibbs_weights, xlogx
 
@@ -49,6 +49,14 @@ class TestFreeEnergy:
         for seed in range(30):
             rho = mp.random_mixed_state(2, 2, seed=seed)
             assert mp.noneq_free_energy(rho, h, beta) >= f_eq - 1e-12
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_nonpositive_beta_rejected(self, qubit_model, beta):
+        basis = qubit_model.basis()
+        with pytest.raises(ValidationError, match="beta must be positive"):
+            mp.noneq_free_energy(mp.thermal_state(basis, 1.0), basis.hamiltonian(), beta)
+        with pytest.raises(ValidationError, match="beta must be positive"):
+            mp.equilibrium_free_energy(basis, beta)
 
 
 class TestRelativeEntropy:
@@ -114,6 +122,11 @@ class TestDistances:
         assert mp.l1_elementwise(tau, tau, basis) == 0.0
         rho = mp.bloch_to_state(list(DEMO_BLOCH))
         assert mp.l1_elementwise(rho, tau, basis) > 0.0
+
+    def test_l1_dimension_mismatch_rejected(self, qubit_model):
+        tau = mp.thermal_state(qubit_model.basis(), 0.1)
+        with pytest.raises(ValidationError, match="different dimensions"):
+            mp.l1_elementwise(tau, mp.random_mixed_state(4, 2, seed=0), qubit_model.basis())
 
     def test_l1_elementwise_oracle_2x2(self, qubit_model):
         basis = qubit_model.basis()
@@ -267,9 +280,8 @@ def _spohn_rate_loop(times, f, beta):
 def _reference_block_states(gen, rho, times):
     basis = gen.basis
     rho_e = basis.to_eigenbasis(rho.entries)
-    pops = _propagate_populations(
-        np.asarray(gen.pop_block, dtype=float), np.real(np.diag(rho_e)).copy(), times
-    )
+    p0 = np.real(np.diag(rho_e)).copy()
+    pops = np.array(list(_propagate(np.asarray(gen.pop_block, dtype=float), p0, times)))
     gmat = gen.coh_block
     states = []
     for j, t in enumerate(times):

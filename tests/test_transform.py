@@ -20,6 +20,10 @@ class TestExactTransform:
             u @ rho.entries @ u.conj().T, rho_prime.entries, atol=1e-12
         )
 
+    def test_dimension_mismatch_rejected(self, qubit_model):
+        with pytest.raises(ValidationError, match="dimensions differ"):
+            mp.exact_transform(mp.random_mixed_state(4, 2, seed=0), qubit_model.basis())
+
     def test_spectrum_preserved(self, tfim3_model):
         basis = tfim3_model.basis()
         rho = mp.random_mixed_state(8, 5, seed=12)
