@@ -201,9 +201,11 @@ class DaviesGenerator:
     representation, available only for non-degenerate Hamiltonians.
     ``dense`` is the full d^2 x d^2 superoperator.  Both live in the energy
     eigenbasis recorded in ``basis``.  ``sector_labels`` optionally marks a
-    conserved charge per level (e.g. fermion parity); eigenmodes connecting
-    different sectors are then superselected away by the spectral
-    decomposition.  ``bath`` is the recipe a block form was built from.
+    conserved charge per level (e.g. fermion parity) of a dense form;
+    eigenmodes connecting different sectors are then superselected away by
+    the spectral decomposition.  ``bath`` is the recipe a block form was
+    built from and obeys detailed balance with.  Every structural check
+    runs here and raises :class:`ValidationError`.
     """
 
     basis: SpectralBasis
@@ -234,10 +236,24 @@ class DaviesGenerator:
                 n, m = growing[0]
                 raise ValidationError(f"coherence ({n},{m}) has positive real part")
             object.__setattr__(self, "coh_block", coh)
+            if self.bath is None:
+                raise ValidationError("block representation requires the bath it was built from")
+            if not _obeys_detailed_balance(self.pop_block, self.basis.energies, self.bath.beta):
+                raise ValidationError("population block violates detailed balance with its bath")
         if self.dense is not None:
+            d2 = self.dim * self.dim
+            if np.shape(self.dense) != (d2, d2):
+                raise ValidationError(f"dense generator has shape {np.shape(self.dense)}, not {(d2, d2)}")
             object.__setattr__(self, "dense", frozen(self.dense))
         if self.sector_labels is not None:
-            object.__setattr__(self, "sector_labels", tuple(self.sector_labels))
+            labels = tuple(self.sector_labels)
+            if self.dense is None or self.pop_block is not None or len(labels) != self.dim:
+                raise ValidationError("sector labels need a dense form, no block form, one label per level")
+            object.__setattr__(self, "sector_labels", labels)
+            same = np.equal.outer(labels, labels).reshape(-1)
+            coupling = np.abs(self.dense[np.ix_(same, ~same)]).max(initial=0.0)
+            if coupling > 1e-12 * max(1.0, np.abs(self.dense).max()):
+                raise ValidationError("sector labels do not define a conserved grading of the generator")
 
     @property
     def dim(self) -> int:
@@ -250,6 +266,17 @@ class DaviesGenerator:
     @property
     def has_dense(self) -> bool:
         return self.dense is not None
+
+
+def _obeys_detailed_balance(gp: np.ndarray, energies: np.ndarray, beta: float) -> bool:
+    """Upward/downward rate ratios equal the Boltzmann factors (to roundoff)."""
+    m, n = np.triu_indices(gp.shape[0], k=1)
+    upward = gp[n, m]
+    expected = gp[m, n] * np.exp(-beta * (energies[n] - energies[m]))
+    # relative to the pair's own scale: an absolute floor would pass any
+    # wrong rate below it
+    scale = np.maximum(np.abs(upward), np.abs(expected))
+    return not np.any(np.abs(upward - expected) > 1e-10 * scale)
 
 
 def davies_generator(

@@ -79,12 +79,19 @@ def build_generator(model: ModelInstance, *, dense: bool = False) -> DaviesGener
     return generator_from_operators(basis, ops, sector_labels=model.sector_labels)
 
 
+def _thermal_bath(t_bath: float, statistics: str, gamma: float) -> BathSpec:
+    """The bath at temperature ``t_bath`` > 0 (in the model's energy units)."""
+    if not t_bath > 0:
+        raise ValidationError("bath temperature must be positive")
+    return BathSpec(beta=1.0 / t_bath, statistics=statistics, gamma=gamma)
+
+
 def single_qubit(omega: float = 5.0, t_bath: float = 10.0, gamma: float = 1.0) -> ModelInstance:
     """Bosonic-bath qubit, H = (omega/2) sigma_z.  Defaults: omega=5J, T_b=10J."""
     if omega <= 0:
         raise ValidationError("omega must be positive")
     h = HermitianOperator(0.5 * omega * SIGMA_Z)
-    bath = BathSpec(beta=1.0 / t_bath, statistics="bose", gamma=gamma)
+    bath = _thermal_bath(t_bath, "bose", gamma)
     return ModelInstance(name="single_qubit", hamiltonian=h, beta=bath.beta, bath=bath)
 
 
@@ -114,7 +121,7 @@ def tfim(
         h_matrix -= coupling * kron_chain(pair)
     for j in range(length):
         h_matrix += h_field * embed_site_operator(SIGMA_X, j, length)
-    bath = BathSpec(beta=1.0 / t_bath, statistics=statistics, gamma=gamma)
+    bath = _thermal_bath(t_bath, statistics, gamma)
     return ModelInstance(name="tfim", hamiltonian=HermitianOperator(h_matrix), beta=bath.beta, bath=bath)
 
 
@@ -132,14 +139,13 @@ def two_level_atom(
     """
     if epsilon <= 0 or gamma <= 0:
         raise ValidationError("epsilon and gamma must be positive")
-    t_bath = t_bath_kelvin * GHZ_PER_KELVIN
-    beta = 1.0 / t_bath
-    w_down, w_up = occupation_factors(epsilon, BathSpec(beta, "bose", gamma))
+    bath = _thermal_bath(t_bath_kelvin * GHZ_PER_KELVIN, "bose", gamma)
+    w_down, w_up = occupation_factors(epsilon, bath)
     h = HermitianOperator(np.diag([0.0, epsilon]).astype(complex))
     sigma_plus = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
     sigma_minus = sigma_plus.conj().T
     ops = ((sigma_plus, gamma * w_up), (sigma_minus, gamma * w_down))
-    return ModelInstance(name="two_level_atom", hamiltonian=h, beta=beta, jump_ops=ops)
+    return ModelInstance(name="two_level_atom", hamiltonian=h, beta=bath.beta, jump_ops=ops)
 
 
 def quantum_dot(
@@ -164,10 +170,9 @@ def quantum_dot(
     derived from this model drop the unphysical parity-changing modes.
     Defaults: eps = 242 GHz, E_c = 1189 GHz, gamma = 1 GHz, T_b = 2 K.
     """
-    if min(epsilon, gamma, t_bath_kelvin) <= 0 or e_charging < 0:
+    if min(epsilon, gamma) <= 0 or e_charging < 0:
         raise ValidationError("dot parameters must be positive (E_c may be zero)")
-    t_bath = t_bath_kelvin * GHZ_PER_KELVIN
-    beta = 1.0 / t_bath
+    bath = _thermal_bath(t_bath_kelvin * GHZ_PER_KELVIN, "fermi", gamma)
     h = HermitianOperator(
         np.diag([0.0, epsilon, epsilon, 2.0 * epsilon + e_charging]).astype(complex)
     )
@@ -179,7 +184,6 @@ def quantum_dot(
     d_dn[0, 2] = 1.0
     d_dn[1, 3] = -1.0
 
-    bath = BathSpec(beta, "fermi", gamma)
     ops = []
     if energy_resolved:
         lo_down, lo_up = occupation_factors(epsilon, bath)
@@ -203,7 +207,7 @@ def quantum_dot(
     return ModelInstance(
         name="quantum_dot",
         hamiltonian=h,
-        beta=beta,
+        beta=bath.beta,
         jump_ops=tuple(ops),
         sector_labels=(0, 1, 1, 0),
     )

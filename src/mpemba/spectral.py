@@ -123,21 +123,22 @@ class _States(Sequence):
 class GeneratorSpectrum:
     """Ordered eigenvalues with paired left/right eigenmatrices.
 
-    Not constructed directly; use :func:`decompose`.  A dense spectrum
-    stores every eigenmatrix.  A block spectrum stores the population
-    eigenvectors and, per mode, where the mode is read: ``_pop_col`` is its
-    column of the population eigenvectors (-1 for a coherence) and
-    ``_flat`` the position n*d + m of a coherence |n><m| in the flattened
-    energy-basis state.  Mode tags are derived from these on request.
+    Not constructed directly; use :func:`decompose`.  It reads the generator
+    it decomposed; ``_rights``/``_lefts`` are the (K, d, d) eigenmatrices of
+    a dense spectrum or the (d, d) population eigenvectors of a block one.
+    Per block mode, ``_pop_col`` is its column of those (-1 for a coherence)
+    and ``_flat`` the position n*d + m of a coherence |n><m| in the
+    flattened energy-basis state.  Mode tags are derived from these on request.
     """
 
-    def __init__(self, eigenvalues, basis, steady_state, coherent, payload, *,
+    def __init__(self, eigenvalues, generator, steady_state, coherent, rights, lefts, *,
                  pop_col=None, flat=None):
         self.eigenvalues = frozen(np.asarray(eigenvalues, dtype=complex))
-        self.basis = basis
         self.steady_state = steady_state
+        self._generator = generator
         self._coherent = frozen(coherent)
-        self._payload = payload
+        self._rights = rights
+        self._lefts = lefts
         self._pop_col = pop_col
         self._flat = flat
 
@@ -146,6 +147,10 @@ class GeneratorSpectrum:
     @property
     def n_modes(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def basis(self) -> SpectralBasis:
+        return self._generator.basis
 
     @property
     def dim(self) -> int:
@@ -187,11 +192,12 @@ class GeneratorSpectrum:
         # reads the same data as amplitudes(): the dense stacks, the
         # population columns, or the coherence's flat index n*d + m
         idx = _check_mode_index(k, self.n_modes)
+        vectors = self._lefts if left else self._rights
         if self._pop_col is None:
-            return self._payload["lefts" if left else "rights"][idx].copy()
+            return vectors[idx].copy()
         j = self._pop_col[idx]
         if j >= 0:
-            return np.diag(self._payload["pop_lefts" if left else "pop_rights"][:, j]).astype(complex)
+            return np.diag(vectors[:, j]).astype(complex)
         n, m = divmod(int(self._flat[idx]), self.dim)
         out = np.zeros((self.dim, self.dim), dtype=complex)
         out[(m, n) if left else (n, m)] = 1.0
@@ -216,11 +222,11 @@ class GeneratorSpectrum:
         else:
             idx = np.array([_check_mode_index(k, self.n_modes) for k in modes], dtype=np.intp)
         if self._pop_col is None:
-            return np.einsum("knm,mn->k", self._payload["lefts"][idx], rho_e)
+            return np.einsum("knm,mn->k", self._lefts[idx], rho_e)
         out = rho_e.ravel()[self._flat[idx]]
         for i, j in enumerate(self._pop_col[idx].tolist()):
             if j >= 0:  # one product per mode: a batched one rounds differently
-                out[i] = self._payload["pop_lefts"][:, j] @ np.diag(rho_e)
+                out[i] = self._lefts[:, j] @ np.diag(rho_e)
         return out
 
     def _to_eig(self, rho) -> np.ndarray:
@@ -236,11 +242,10 @@ class GeneratorSpectrum:
         valid state.  Spectra without sector labels return the lab-basis
         state unchanged, an array as its :class:`DensityMatrix`.
         """
-        labels = self._payload.get("sector_labels")
+        labels = self._generator.sector_labels
         if labels is None:
             return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-        labels = np.asarray(labels)
-        mask = labels[:, None] == labels[None, :]
+        mask = np.equal.outer(labels, labels)
         return DensityMatrix(self.basis.from_eigenbasis(hermitize(self._to_eig(rho) * mask)))
 
 
@@ -266,27 +271,27 @@ def decompose(generator: DaviesGenerator, *, prefer: str = "auto"):
     """Biorthogonal spectral decomposition of a :class:`DaviesGenerator`.
 
     ``prefer`` picks the representation when both are available: "auto"
-    favors the block form, "dense" forces the full decomposition.  A bare
-    superoperator goes in as ``DaviesGenerator(basis=..., dense=matrix)``;
-    anything else raises :class:`ValidationError`.
+    favors the block form, "dense" forces the full decomposition; any other
+    value, or anything but a generator, raises :class:`ValidationError`.  A
+    bare superoperator goes in as ``DaviesGenerator(basis=..., dense=matrix)``.
 
-    Raises :class:`DefectiveGeneratorError` when the eigenvector matrix is
-    ill-conditioned beyond ``1e12`` and :class:`NoSteadyStateError` when no
-    eigenvalue sits within ``1e-9`` of zero.
+    Raises :class:`DefectiveGeneratorError` when the dense eigenvector
+    matrix is ill-conditioned beyond ``1e12`` (the dense path only; the
+    block form is symmetrized by its detailed balance) and
+    :class:`NoSteadyStateError` when no eigenvalue sits within ``1e-9`` of zero.
     """
     if not isinstance(generator, DaviesGenerator):
         raise ValidationError(
             "decompose needs a DaviesGenerator; wrap a bare superoperator as "
             "DaviesGenerator(basis=..., dense=matrix)"
         )
-    use_block = generator.has_block and prefer != "dense"
-    if not use_block and not generator.has_dense:
-        raise ValidationError("dense decomposition requested but no dense form present")
-    if use_block:
+    if prefer not in ("auto", "dense"):
+        raise ValidationError(f"prefer must be 'auto' or 'dense', not {prefer!r}")
+    if generator.has_block and prefer == "auto":
         return _decompose_block(generator)
-    return _decompose_dense(
-        generator.dense, generator.basis, sector_labels=generator.sector_labels
-    )
+    if not generator.has_dense:
+        raise ValidationError("dense decomposition requested but no dense form present")
+    return _decompose_dense(generator)
 
 
 def _mode_order(eigenvalues, *tiebreaks):
@@ -310,23 +315,13 @@ def _mode_order(eigenvalues, *tiebreaks):
     return [zero_idx] + rest
 
 
-def _decompose_dense(g_dense, basis, sector_labels=None):
-    d = basis.dim
-    if g_dense.shape != (d * d, d * d):
-        raise ValidationError("generator matrix size does not match basis dimension")
-
+def _decompose_dense(gen: DaviesGenerator):
+    d = gen.dim
     positions = slice(None)
-    matrix = g_dense
-    if sector_labels is not None:
-        labels = np.asarray(sector_labels)
-        same = (labels[:, None] == labels[None, :]).reshape(-1)
-        positions, drop = np.flatnonzero(same), np.flatnonzero(~same)
-        coupling = float(np.abs(g_dense[np.ix_(positions, drop)]).max()) if drop.size else 0.0
-        if coupling > 1e-12 * max(1.0, float(np.abs(g_dense).max())):
-            raise ValidationError(
-                "sector labels do not define a conserved grading of the generator"
-            )
-        matrix = g_dense[np.ix_(positions, positions)]
+    matrix = gen.dense
+    if gen.sector_labels is not None:
+        positions = np.flatnonzero(np.equal.outer(gen.sector_labels, gen.sector_labels))
+        matrix = matrix[np.ix_(positions, positions)]
 
     eigvals, vr = scipy.linalg.eig(matrix)
     cond = np.linalg.cond(vr)
@@ -361,27 +356,11 @@ def _decompose_dense(g_dense, basis, sector_labels=None):
     rights[0] = rights[0] / trace
     lefts[0] = lefts[0] * trace
     steady = DensityMatrix(
-        basis.from_eigenbasis(hermitize(rights[0])), psd_tol=EVOLUTION_PSD_TOL
+        gen.basis.from_eigenbasis(hermitize(rights[0])), psd_tol=EVOLUTION_PSD_TOL
     )
 
     coherent = np.abs(eigvals.imag) > IMAG_TOL * np.maximum(1.0, np.abs(eigvals))
-    payload = {
-        "rights": rights,
-        "lefts": lefts,
-        "sector_labels": tuple(sector_labels) if sector_labels is not None else None,
-    }
-    return GeneratorSpectrum(eigvals, basis, steady, coherent, payload)
-
-
-def _obeys_detailed_balance(gp: np.ndarray, energies: np.ndarray, beta: float) -> bool:
-    """Upward/downward rate ratios equal the Boltzmann factors (to roundoff)."""
-    m, n = np.triu_indices(gp.shape[0], k=1)
-    upward = gp[n, m]
-    expected = gp[m, n] * np.exp(-beta * (energies[n] - energies[m]))
-    # relative to the pair's own scale: an absolute floor would pass any
-    # wrong rate below it
-    scale = np.maximum(np.abs(upward), np.abs(expected))
-    return not np.any(np.abs(upward - expected) > 1e-10 * scale)
+    return GeneratorSpectrum(eigvals, gen, steady, coherent, rights, lefts)
 
 
 def _decompose_block(gen: DaviesGenerator):
@@ -389,28 +368,16 @@ def _decompose_block(gen: DaviesGenerator):
     d = basis.dim
     gp = np.asarray(gen.pop_block, dtype=float)
 
-    bath = gen.bath
-    if bath is not None and _obeys_detailed_balance(gp, basis.energies, bath.beta):
-        # Detailed balance makes D^{-1/2} G_p D^{1/2} symmetric (D = Gibbs
-        # weights); an eigh of that form gives exactly biorthonormal pairs
-        # and stays accurate at any temperature.
-        log_p = log_gibbs_weights(basis.energies, bath.beta)
-        sqrt_p = np.exp(0.5 * log_p)
-        sym = np.sqrt(gp * gp.T)
-        np.fill_diagonal(sym, np.diag(gp))
-        w, u = scipy.linalg.eigh(sym)
-        pop_vals = w.astype(complex)
-        pop_rights = u * sqrt_p[:, None]
-        pop_lefts = u / sqrt_p[:, None]
-    else:
-        pop_vals, vr = scipy.linalg.eig(gp)
-        cond = np.linalg.cond(vr)
-        if not np.isfinite(cond) or cond > DEFECTIVE_COND:
-            raise DefectiveGeneratorError(
-                f"population block eigenvectors have condition number {cond:.3e}"
-            )
-        pop_rights = vr
-        pop_lefts = np.linalg.inv(vr).T
+    # Detailed balance with the bath (checked by the generator) makes
+    # D^{-1/2} G_p D^{1/2} symmetric (D = Gibbs weights); an eigh of that form
+    # gives exactly biorthonormal pairs and stays accurate at any temperature.
+    sqrt_p = np.exp(0.5 * log_gibbs_weights(basis.energies, gen.bath.beta))
+    sym = np.sqrt(gp * gp.T)
+    np.fill_diagonal(sym, np.diag(gp))
+    w, u = scipy.linalg.eigh(sym)
+    pop_vals = w.astype(complex)
+    pop_rights = u * sqrt_p[:, None]
+    pop_lefts = u / sqrt_p[:, None]
 
     # the d population modes, then the coherences in row-major order, each
     # with its population column (-1 for a coherence) and its position n*d + m
@@ -439,14 +406,8 @@ def _decompose_block(gen: DaviesGenerator):
     steady_diag /= steady_diag.sum()
     steady = DensityMatrix(basis.from_eigenbasis(np.diag(steady_diag).astype(complex)))
 
-    payload = {
-        "pop_rights": pop_rights,
-        "pop_lefts": pop_lefts,
-        "pop_block": gp,
-        "coh_block": gen.coh_block,
-    }
     return GeneratorSpectrum(
-        eigvals, basis, steady, pop_col < 0, payload, pop_col=pop_col, flat=flat
+        eigvals, gen, steady, pop_col < 0, pop_rights, pop_lefts, pop_col=pop_col, flat=flat
     )
 
 
@@ -482,8 +443,8 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     if spectrum.kind == "block":
         rho_e = spectrum._to_eig(rho_i)
         p0 = np.real(np.diag(rho_e)).copy()
-        pops = np.array(list(_propagate(spectrum._payload["pop_block"], p0, times)))
-        gmat = spectrum._payload["coh_block"]
+        pops = np.array(list(_propagate(spectrum._generator.pop_block, p0, times)))
+        gmat = spectrum._generator.coh_block
         diag = np.arange(basis.dim)
 
         def block_chunk(s):
@@ -494,7 +455,7 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
         return _package_states(times, block_chunk, basis)
 
     amps = spectrum.amplitudes(rho_i)
-    rights = spectrum._payload["rights"]
+    rights = spectrum._rights
     tau_e = basis.to_eigenbasis(spectrum.steady_state.entries)
     phases = np.exp(np.outer(times, spectrum.eigenvalues[1:]))
     # one contraction over all times: chunking it may change its rounding

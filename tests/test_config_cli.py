@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +230,18 @@ class TestCliMpemba:
         assert "status: not-applicable" in text
         assert "fixed point" in text
 
+    def test_inverted_diagonal_input_not_applicable(self, tmp_path):
+        # the excited state of the qubit: the exact transform is the identity
+        payload = json.loads((CONFIGS / "qubit_demo.json").read_text())
+        payload["initial_state"] = {"kind": "bloch", "r": [0.0, 0.0, 1.0]}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["mpemba", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["certificate.txt"]
+        text = (out / "certificate.txt").read_text()
+        assert "status: not-applicable" in text
+        assert "state is already inverted-diagonal; the transform is the identity" in text
+
     def test_outputs_regenerate_bit_identically(self, tmp_path):
         for sub in ("a", "b"):
             rc = main(["mpemba", "--config", str(CONFIGS / "qubit_demo.json"), "--out", str(tmp_path / sub)])
@@ -312,6 +327,31 @@ def test_readme_command_lines_parse():
         except SystemExit:
             pytest.fail(f"README line does not parse: mpemba {line}")
         assert (REPO / args.config).is_file(), line
+
+
+def test_readme_python_blocks_run():
+    """Every python block of the README runs as written."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (REPO / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+def test_module_entry_point(tmp_path):
+    """``python -m mpemba`` runs the CLI and exits with its code."""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "mpemba", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    version = run("--version")
+    assert version.returncode == 0
+    assert version.stdout == "mpemba 0.1.0\n"
+    missing = run("spectrum", "--config", "missing.json")
+    assert missing.returncode == 2
+    assert "config file not found" in missing.stderr
 
 
 def test_parser_built_once_and_leaks_no_flag(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 import mpemba as mp
 from mpemba.davies import (
+    _obeys_detailed_balance,
     eigenvalue_multiset_distance,
     occupation_factors,
     vectorized_lindbladian,
@@ -15,6 +16,16 @@ from conftest import (
     QUBIT_GAMMA_TOTAL,
     QUBIT_NBOSE,
 )
+
+
+def tripled_rate(pop_block, i, k):
+    """The rate matrix with rate k -> i tripled and the columns rebalanced:
+    still a valid rate matrix, but no longer in detailed balance."""
+    gp = np.array(pop_block)
+    gp[i, k] *= 3.0
+    np.fill_diagonal(gp, 0.0)
+    np.fill_diagonal(gp, -gp.sum(axis=0))
+    return gp
 
 
 class TestJumpMatrix:
@@ -242,3 +253,95 @@ class TestGeneratorObject:
             mp.DaviesGenerator(basis=gen.basis, pop_block=gen.pop_block, coh_block=coh)
         with pytest.raises(ValidationError):
             mp.DaviesGenerator(basis=gen.basis, pop_block=gen.pop_block)
+
+    def test_non_detailed_balance_block_rejected(self, tfim3_model, tfim3_gen):
+        # the symmetrized eigh solve of the block form assumes detailed balance
+        basis = tfim3_model.basis()
+        beta = tfim3_model.bath.beta
+        gp = tripled_rate(tfim3_gen.pop_block, 1, 0)
+        assert _obeys_detailed_balance(np.array(tfim3_gen.pop_block), basis.energies, beta)
+        assert not _obeys_detailed_balance(gp, basis.energies, beta)
+        with pytest.raises(ValidationError, match="detailed balance"):
+            mp.DaviesGenerator(
+                basis=basis, pop_block=gp, coh_block=tfim3_gen.coh_block, bath=tfim3_gen.bath
+            )
+
+    def test_tiny_wrong_rate_rejected(self, tfim3_model, tfim3_gen):
+        # a wrong upward rate far below 1e-10 fails too: the check is
+        # relative to each pair's own scale
+        basis = tfim3_model.basis()
+        assert 0.0 < tfim3_gen.pop_block[5, 1] < 1e-10
+        gp = tripled_rate(tfim3_gen.pop_block, 5, 1)
+        assert not _obeys_detailed_balance(gp, basis.energies, tfim3_model.bath.beta)
+        with pytest.raises(ValidationError, match="detailed balance"):
+            mp.DaviesGenerator(
+                basis=basis, pop_block=gp, coh_block=tfim3_gen.coh_block, bath=tfim3_gen.bath
+            )
+
+    def test_block_form_needs_its_bath(self, tfim3_gen):
+        with pytest.raises(ValidationError, match="bath"):
+            mp.DaviesGenerator(
+                basis=tfim3_gen.basis, pop_block=tfim3_gen.pop_block, coh_block=tfim3_gen.coh_block
+            )
+
+    def test_missized_dense_rejected(self, qubit_model):
+        # also what evolve_direct meets first, before any matrix product
+        with pytest.raises(ValidationError, match=r"shape \(9, 9\), not \(4, 4\)"):
+            mp.DaviesGenerator(basis=qubit_model.basis(), dense=np.zeros((9, 9)))
+
+    @pytest.mark.parametrize("defect", ["block_form", "no_dense", "count"])
+    def test_misplaced_sector_labels_rejected(self, qubit_gen, defect):
+        kwargs = {"dense": qubit_gen.dense, "sector_labels": (0, 1)}
+        if defect == "block_form":
+            kwargs.update(pop_block=qubit_gen.pop_block, coh_block=qubit_gen.coh_block,
+                          bath=qubit_gen.bath)
+        elif defect == "no_dense":
+            kwargs.update(pop_block=qubit_gen.pop_block, coh_block=qubit_gen.coh_block,
+                          bath=qubit_gen.bath, dense=None)
+        else:
+            kwargs["sector_labels"] = (0, 1, 1)
+        with pytest.raises(ValidationError, match="sector labels need"):
+            mp.DaviesGenerator(basis=qubit_gen.basis, **kwargs)
+
+    def test_sector_labels_must_grade_the_generator(self):
+        gen = mp.build_generator(mp.quantum_dot())
+        mp.DaviesGenerator(basis=gen.basis, dense=gen.dense, sector_labels=(0, 1, 1, 0))
+        # the empty level alone: the bath feeds the coherence |0><down| into |up><double|
+        with pytest.raises(ValidationError, match="conserved grading"):
+            mp.DaviesGenerator(basis=gen.basis, dense=gen.dense, sector_labels=(0, 1, 1, 1))
+
+
+def _unbalanced_columns():
+    gen = mp.build_generator(mp.single_qubit())
+    gp = np.array(gen.pop_block)
+    gp[0, 0] -= 1.0
+    return mp.DaviesGenerator(basis=gen.basis, pop_block=gp, coh_block=gen.coh_block, bath=gen.bath)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mp.BathSpec(-1.0, "bose", 1.0), "beta must be >= 0"),
+    (lambda: mp.BathSpec(1.0, "boltzmann", 1.0), "unknown statistics"),
+    (lambda: mp.BathSpec(1.0, "bose", 0.0), "gamma must be > 0"),
+    (lambda: occupation_factors(0.0, mp.BathSpec(1.0, "bose", 1.0)), "zero Bohr frequency"),
+    (lambda: occupation_factors(-1.0, mp.BathSpec(1.0, "fermi", 1.0)), "zero Bohr frequency"),
+    (lambda: mp.JumpMatrix(np.zeros((2, 3))), "square"),
+    (lambda: mp.JumpMatrix(np.eye(2)), "diagonal"),
+    (lambda: mp.JumpMatrix([[0.0, -1.0], [1.0, 0.0]]), "nonnegative"),
+    (lambda: mp.build_dense_generator(mp.single_qubit().basis(), mp.JumpMatrix(np.zeros((3, 3)))),
+     "dimensions differ"),
+    (lambda: mp.build_coherence_block(
+        mp.SpectralBasis([0.0, 0.0], np.eye(2)), mp.JumpMatrix(np.zeros((2, 2)))),
+     "degenerate"),
+    (_unbalanced_columns, "columns sum to"),
+    (lambda: mp.verify_block_dense_spectrum(mp.build_generator(mp.single_qubit())),
+     "need both block and dense"),
+    (lambda: eigenvalue_multiset_distance([0.0, 1.0], [0.0]), "different sizes"),
+], ids=[
+    "bath_negative_beta", "bath_unknown_statistics", "bath_zero_gamma", "occupation_zero_x",
+    "occupation_negative_x", "jumps_not_square", "jumps_diagonal", "jumps_negative",
+    "dense_dimension_mismatch", "coherence_degenerate_basis", "pop_columns_unbalanced",
+    "verify_missing_form", "multiset_sizes",
+])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

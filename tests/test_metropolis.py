@@ -79,6 +79,11 @@ class TestAnsatz:
         ansatz = mp.UnitaryAnsatz(np.full((1, 4), 2 * np.pi + 0.5))
         np.testing.assert_allclose(ansatz.params, np.full((1, 4), 0.5), atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 2, 4)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValidationError, match=r"shape \(L, 4\)"):
+            mp.UnitaryAnsatz(np.zeros(shape))
+
 
 class TestAcceptRule:
     def test_downhill_always_accepted(self):

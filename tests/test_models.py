@@ -222,3 +222,39 @@ class TestZooProperties:
         model = mp.tfim(length=2)
         with pytest.raises(ValidationError, match="beta"):
             dataclasses.replace(model, beta=2.0 * model.beta)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mp.single_qubit(t_bath=0.0),
+    lambda: mp.tfim(length=2, t_bath=0.0),
+    lambda: mp.two_level_atom(t_bath_kelvin=0.0),
+    lambda: mp.quantum_dot(t_bath_kelvin=0.0),
+], ids=["single_qubit", "tfim", "two_level_atom", "quantum_dot"])
+def test_zero_bath_temperature_rejected(build):
+    with pytest.raises(ValidationError, match="bath temperature must be positive"):
+        build()
+
+
+def _model_instance(**kwargs):
+    h = mp.HermitianOperator(np.diag([0.0, 1.0]))
+    return mp.ModelInstance(name="m", hamiltonian=h, beta=1.0, **kwargs)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _model_instance(), "exactly one of bath / jump_ops"),
+    (lambda: _model_instance(bath=mp.BathSpec(1.0, "bose", 1.0), jump_ops=()),
+     "exactly one of bath / jump_ops"),
+    (lambda: _model_instance(jump_ops=((np.eye(2), -1.0),)), "nonnegative"),
+    (lambda: mp.single_qubit(omega=0.0), "omega must be positive"),
+    (lambda: mp.two_level_atom(epsilon=-1.0), "epsilon and gamma must be positive"),
+    (lambda: mp.two_level_atom(gamma=0.0), "epsilon and gamma must be positive"),
+    (lambda: mp.quantum_dot(epsilon=0.0), "dot parameters must be positive"),
+    (lambda: mp.quantum_dot(gamma=-1.0), "dot parameters must be positive"),
+    (lambda: mp.quantum_dot(e_charging=-1.0), "dot parameters must be positive"),
+], ids=[
+    "instance_neither", "instance_both", "instance_negative_rate", "qubit_omega",
+    "atom_epsilon", "atom_gamma", "dot_epsilon", "dot_gamma", "dot_charging",
+])
+def test_model_input_checks_raise(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()

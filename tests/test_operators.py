@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import mpemba as mp
 from mpemba.errors import ValidationError
+from mpemba.operators import require_state
 from mpemba.utils import SIGMA_X, kron_chain
 
 from conftest import DEMO_BLOCH, DEMO_RADIUS
@@ -204,3 +205,27 @@ class TestKronChain:
             out = kron_chain(factors)
             assert out.dtype == expected.dtype
             assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mp.HermitianOperator(np.zeros((2, 3))), "square matrix"),
+    (lambda: mp.DensityMatrix(np.zeros((2, 3))), "square matrix"),
+    (lambda: mp.SpectralBasis([0.0, 1.0], np.eye(3)), "inconsistent shapes"),
+    (lambda: mp.SpectralBasis([1.0, 0.0], np.eye(2)), "sorted ascending"),
+    (lambda: mp.SpectralBasis([0.0, 1.0], 2.0 * np.eye(2)), "not unitary"),
+    (lambda: require_state(1e-3, 1.0, lambda: 0.0), "not Hermitian"),
+    (lambda: require_state(0.0, 1.5, lambda: 0.0), "trace is 1.5"),
+    (lambda: mp.BlochVector([0.0, 0.0]), "exactly 3 components"),
+    (lambda: mp.random_pure_state(1, seed=0), "dim must be at least 2"),
+    (lambda: mp.random_mixed_state(1, 4, seed=0), "dim must be at least 2"),
+    (lambda: mp.random_mixed_state(2, 0, seed=0), "n_samples must be at least 1"),
+    (lambda: mp.dephase(mp.random_pure_state(4, seed=0), mp.single_qubit().basis()),
+     "dimensions differ"),
+], ids=[
+    "hermitian_not_square", "density_not_square", "basis_shapes", "basis_unsorted",
+    "basis_not_unitary", "state_not_hermitian", "state_trace", "bloch_length",
+    "pure_dim", "mixed_dim", "mixed_samples", "dephase_dimensions",
+])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

@@ -10,7 +10,6 @@ from mpemba.errors import DefectiveGeneratorError, NoSteadyStateError, Validatio
 from mpemba.spectral import (
     IMAG_TOL,
     _mode_order,
-    _obeys_detailed_balance,
     _package_states,
     chunk_points,
 )
@@ -96,6 +95,22 @@ class TestDecompose:
         g = -np.eye(4, dtype=complex)
         with pytest.raises(NoSteadyStateError):
             mp.decompose(mp.DaviesGenerator(basis=qubit_model.basis(), dense=g))
+
+    @pytest.mark.parametrize("prefer", ["Dense", "block", ""])
+    def test_unknown_prefer_rejected(self, qubit_gen, prefer):
+        with pytest.raises(ValidationError, match="prefer"):
+            mp.decompose(qubit_gen, prefer=prefer)
+
+    def test_dense_request_without_dense_form_rejected(self, qubit_model):
+        with pytest.raises(ValidationError, match="no dense form"):
+            mp.decompose(mp.build_generator(qubit_model), prefer="dense")
+
+    def test_gap_needs_a_decaying_mode(self):
+        basis = mp.SpectralBasis([0.0], np.eye(1))
+        spec = mp.decompose(mp.DaviesGenerator(basis=basis, dense=np.zeros((1, 1))))
+        assert spec.n_modes == 1
+        with pytest.raises(ValidationError, match="no decaying mode"):
+            mp.spectral_gap(spec)
 
     def test_bare_matrix_rejected(self, qubit_spec):
         g = np.zeros((4, 4), dtype=complex)
@@ -209,7 +224,7 @@ def test_project_physical_returns_the_lab_state_for_arrays(spectrum_case):
 
 def test_private_spectrum_state_stays_in_spectral_module():
     # every other module reaches amplitudes through the public API
-    private = {"_pop_col", "_flat", "_payload", "_to_eig", "_amplitudes_eig"}
+    private = {"_pop_col", "_flat", "_generator", "_rights", "_lefts", "_to_eig", "_amplitudes_eig"}
     package = Path(mp.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
@@ -291,55 +306,6 @@ class TestEigenmatrices:
             for side in (spec.right, spec.left):
                 with pytest.raises(ValidationError):
                     side(k)
-
-
-class TestBlockEigFallback:
-    def test_non_detailed_balance_block(self, tfim3_model, tfim3_gen):
-        # raise one upward rate and rebalance the columns: a valid rate
-        # matrix whose Gibbs ratios fail, so decompose takes the eig branch
-        basis = tfim3_model.basis()
-        gp = np.array(tfim3_gen.pop_block)
-        gp[1, 0] *= 3.0
-        np.fill_diagonal(gp, 0.0)
-        np.fill_diagonal(gp, -gp.sum(axis=0))
-        gen = mp.DaviesGenerator(
-            basis=basis, pop_block=gp, coh_block=tfim3_gen.coh_block,
-            bath=tfim3_gen.bath,
-        )
-        assert _obeys_detailed_balance(np.array(tfim3_gen.pop_block), basis.energies,
-                                       tfim3_model.bath.beta)
-        assert not _obeys_detailed_balance(gp, basis.energies, tfim3_model.bath.beta)
-        spec = mp.decompose(gen)
-        pops = [k for k in range(1, spec.n_modes + 1) if spec.mode_tag(k)[0] == "pop"]
-        assert len(pops) == basis.dim
-        gram = np.array([[np.trace(spec.left(j) @ spec.right(k)) for k in pops] for j in pops])
-        assert np.abs(gram - np.eye(basis.dim)).max() <= 1e-9
-        p_ss = np.real(np.diag(basis.to_eigenbasis(spec.steady_state.entries)))
-        assert p_ss.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(gp @ p_ss).max() <= 1e-10 * np.abs(gp).max()
-        assert spec.mode_tag(1)[0] == "pop"
-
-
-    def test_tiny_wrong_rate_takes_eig_branch(self, tfim3_model, tfim3_gen):
-        # a wrong upward rate far below 1e-10 must fail the check too: the
-        # symmetrized eigh branch assumes detailed balance
-        basis = tfim3_model.basis()
-        gp = np.array(tfim3_gen.pop_block)
-        assert 0.0 < gp[5, 1] < 1e-10
-        gp[5, 1] *= 3.0
-        np.fill_diagonal(gp, 0.0)
-        np.fill_diagonal(gp, -gp.sum(axis=0))
-        assert not _obeys_detailed_balance(gp, basis.energies, tfim3_model.bath.beta)
-        gen = mp.DaviesGenerator(
-            basis=basis, pop_block=gp, coh_block=tfim3_gen.coh_block,
-            bath=tfim3_gen.bath,
-        )
-        p_ss = np.real(np.diag(basis.to_eigenbasis(mp.decompose(gen).steady_state.entries)))
-        w, v = np.linalg.eig(gp)
-        null = np.real(v[:, np.argmin(np.abs(w))])
-        null /= null.sum()
-        # the symmetrized branch gives 2.48e-13 for level 5 against 3.04e-13
-        assert p_ss[5] == pytest.approx(null[5], rel=1e-3)
 
 
 class TestEvolution:
