@@ -226,9 +226,10 @@ def cmd_mpemba(args) -> int:
 
     kind = cfg.transform.kind if cfg.transform.kind != "none" else "exact"
     rho_prime, trace = _apply_transform(kind, cfg, basis, spectrum, rho, args)
-    if trace is not None and not trace.converged:
+    if trace is not None:
         trace.to_csv(out / "transform_trace.csv")
-        raise _NonConvergence(f"best cost {trace.best_cost:.3e}")
+        if not trace.converged:
+            raise _NonConvergence(f"best cost {trace.best_cost:.3e}")
     # superselected models: certify the physically representable state
     rho_prime = spectrum.project_physical(rho_prime)
 
@@ -239,41 +240,33 @@ def cmd_mpemba(args) -> int:
         for k in cfg.transform.metropolis.target_modes:
             overlaps[k] = float(abs(amps[k - 1]))
 
+    status, notes, crossing, rates = "not-applicable", "", None, None
     if np.abs(rho.entries - tau.entries).max() < 1e-12:
-        cert = MpembaCertificate(
-            status="not-applicable", residual_overlaps=overlaps, free_energy_gain=gain,
-            notes="initial state is the fixed point; no genuine effect is claimable",
-        )
+        notes = "initial state is the fixed point; no genuine effect is claimable"
     elif np.abs(rho.entries - rho_prime.entries).max() < 1e-12:
-        cert = MpembaCertificate(
-            status="not-applicable", residual_overlaps=overlaps, free_energy_gain=gain,
-            notes="state is already inverted-diagonal; the transform is the identity",
-        )
+        notes = "state is already inverted-diagonal; the transform is the identity"
     else:
+        status = "ok"
         grid_a = evolve_spectral(spectrum, rho, times)
         grid_b = evolve_spectral(spectrum, rho_prime, times)
         traj_a = compute_trajectory(grid_a, basis, beta)
         traj_b = compute_trajectory(grid_b, basis, beta)
-        notes = ""
         if gain > 0:
             crossing = detect_crossing(traj_a, traj_b)
         else:
             # a stochastic transform may land below the original free energy;
             # a speedup is still reportable but no genuine crossing is claimable
-            crossing = None
             notes = "transform did not raise the free energy; crossing not applicable"
         rates = (
             fit_decay_rate(times, traj_a.l1, t_min=fit_window),
             fit_decay_rate(times, traj_b.l1, t_min=fit_window),
         )
-        cert = MpembaCertificate(
-            status="ok", residual_overlaps=overlaps, free_energy_gain=gain,
-            crossing_time=crossing, fitted_rates=rates, notes=notes,
-        )
         _write_trajectory(out, "trajectory", traj_a, grid_a, cfg)
         _write_trajectory(out, "trajectory_transformed", traj_b, grid_b, cfg)
-    if trace is not None:
-        trace.to_csv(out / "transform_trace.csv")
+    cert = MpembaCertificate(
+        status=status, residual_overlaps=overlaps, free_energy_gain=gain,
+        crossing_time=crossing, fitted_rates=rates, notes=notes,
+    )
     with open(out / "certificate.txt", "w") as fh:
         fh.write(cert.to_text())
     print(f"wrote {out}/certificate.txt (status: {cert.status})")

@@ -19,6 +19,7 @@ balance), which is what makes the Gibbs state the fixed point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,24 +38,24 @@ class BathSpec:
     gamma: float
 
     def __post_init__(self):
-        if self.beta < 0:
+        if not self.beta >= 0:  # a NaN fails; beta = inf is a zero-temperature bath
             raise ValidationError("bath beta must be >= 0")
         if self.statistics not in ("bose", "fermi"):
             raise ValidationError(f"unknown statistics {self.statistics!r}")
-        if self.gamma <= 0:
-            raise ValidationError("bath coupling gamma must be > 0")
+        if not 0 < self.gamma < math.inf:
+            raise ValidationError("bath coupling gamma must be > 0 and finite")
 
 
 def occupation_factors(x: float, bath: BathSpec) -> tuple[float, float]:
-    """(w_down, w_up) for a positive Bohr frequency ``x``."""
+    """(w_down, w_up) for a positive Bohr frequency ``x``; a Bose bath needs beta * x > 0."""
     if x <= 0:
         raise DegenerateSpectrumError("zero Bohr frequency: levels are degenerate")
     bx = bath.beta * x
     if bath.statistics == "bose":
-        if bx > 700:  # occupation underflows; exp(-x) is the limit
-            n = float(np.exp(-bx))
-        else:
-            n = 1.0 / np.expm1(bx) if bx > 0 else np.inf
+        if not bx > 0:
+            raise ValidationError("Bose occupation diverges at beta * x = 0 (infinite temperature)")
+        # past 700 the occupation underflows; exp(-x) is the limit
+        n = float(np.exp(-bx)) if bx > 700 else 1.0 / np.expm1(bx)
         return 1.0 + n, n
     f = float(np.exp(-bx)) if bx > 700 else 1.0 / (np.exp(bx) + 1.0)
     return 1.0 - f, f
@@ -71,6 +72,8 @@ class JumpMatrix:
         amplitudes = np.asarray(amplitudes, dtype=float)
         if amplitudes.ndim != 2 or amplitudes.shape[0] != amplitudes.shape[1]:
             raise ValidationError("jump matrix must be square")
+        if not np.isfinite(amplitudes).all():
+            raise ValidationError("jump amplitudes must be finite")
         if np.any(np.diag(amplitudes) != 0.0):
             raise ValidationError("jump matrix diagonal must be exactly zero")
         if np.any(amplitudes < 0):
@@ -220,6 +223,10 @@ class DaviesGenerator:
             raise ValidationError("generator needs a block or a dense representation")
         if self.pop_block is not None:
             object.__setattr__(self, "pop_block", frozen(self.pop_block))
+            if self.basis.degeneracy_flag:
+                raise DegenerateSpectrumError("block representation is undefined on a degenerate basis")
+            if not np.isfinite(self.pop_block).all():
+                raise ValidationError("population block has non-finite entries")
             col_defect = float(np.abs(self.pop_block.sum(axis=0)).max())
             if col_defect > 1e-12 * max(1.0, float(np.abs(self.pop_block).max())):
                 raise ValidationError(f"population block columns sum to {col_defect:.2e}, not 0")
@@ -229,6 +236,8 @@ class DaviesGenerator:
             square = (self.dim, self.dim)
             if coh.shape != square:
                 raise ValidationError(f"coherence block has shape {coh.shape}, not {square}")
+            if not np.isfinite(coh).all():
+                raise ValidationError("coherence block has non-finite entries")
             if np.any(np.diag(coh) != 0.0):
                 raise ValidationError("coherence block diagonal must be exactly zero")
             growing = np.argwhere(coh.real > 1e-14)

@@ -31,7 +31,7 @@ Two annealers operate on a decomposed generator spectrum:
   anchors, and each of its proposals costs exactly the current cost.  A
   search with a user ``cost_fn`` (opaque to the annealer) re-draws by
   old + U(0, 2pi), rebuilds the unitary for every proposal and draws an
-  acceptance uniform only for an uphill move.
+  acceptance uniform only for a move that is not downhill.
 * ``swap_metropolis`` specializes to states diagonal in the energy basis:
   proposals permute four randomly chosen populations, which preserves both
   the population multiset and diagonality exactly.  Each batch of
@@ -42,16 +42,17 @@ Two annealers operate on a decomposed generator spectrum:
 Both walk by one Metropolis rule, :func:`metropolis_accept`: a better
 proposal is always accepted and a worse one with probability
 exp(-(C' - C)/T_eff), evaluated in Python floats; the effective
-temperature cools by the factor ``tau`` on every acceptance.  The rule reads
-a uniform drawn up front (the fitted walk and the swap walk) or draws one
-when a move is uphill (``cost_fn`` searches).  The walk is configured by an
-``AnnealSchedule`` (cooling, threshold, target modes, seed, total budget),
-which is all the swap search takes.  The unitary search takes a
-``MetropolisConfig``, the schedule plus its nano/micro/macro loop budgets,
-which follow the re-varied-parameter reading: nano re-varies the same
-parameter, micro re-selects a parameter of the same qubit, macro re-selects
-the qubit (L * M macro rounds in total).  The best state seen is returned,
-since the threshold crossing is what defines convergence.
+temperature cools by the factor ``tau`` on every acceptance.  The rule is
+handed its uniform, and reads it only for a move that is not downhill at a
+positive temperature; a ``cost_fn`` search draws one only for such a move.
+The walk is configured by an ``AnnealSchedule`` (cooling, threshold, target
+modes, seed, total budget), which is all the swap search takes.  The
+unitary search takes a ``MetropolisConfig``, the schedule plus its
+nano/micro/macro loop budgets, which follow the re-varied-parameter
+reading: nano re-varies the same parameter, micro re-selects a parameter of
+the same qubit, macro re-selects the qubit (L * M macro rounds in total).
+The best state seen is returned, since the threshold crossing is what
+defines convergence.
 """
 
 from __future__ import annotations
@@ -187,18 +188,10 @@ class _Walk:
         """Proposals left in the budget."""
         return self._budget - len(self._accepts)
 
-    def step(self, new_cost: float, state: np.ndarray, rng) -> bool:
-        """Judge one proposal that put the walk at ``state``; True if accepted.
-
-        An uphill move draws its acceptance uniform from ``rng`` only then.
-        """
-        return self.scan((new_cost,), (None,), lambda _: state.copy(), rng) == 0
-
-    def scan(self, costs, uniforms, state_at, rng=None) -> int:
+    def scan(self, costs, uniforms, state_at) -> int:
         """Judge proposals priced ``costs`` in order; index of the last accepted, or -1.
 
-        ``uniforms`` holds each proposal's acceptance uniform, or None to
-        draw it from ``rng`` when the move is uphill.  ``state_at(i)``
+        ``uniforms`` holds each proposal's acceptance uniform.  ``state_at(i)``
         returns the state proposal ``i`` puts the walk at; it is called once,
         for the best proposal, if the scan finds a new best.  The scan stops
         early once the walk is done.
@@ -211,7 +204,7 @@ class _Walk:
         last = best = -1
         for i in range(len(costs)):
             new_cost = costs[i]
-            accepted = metropolis_accept(new_cost, cost, t_eff, rng, uniforms[i])
+            accepted = metropolis_accept(new_cost, cost, t_eff, uniforms[i])
             if accepted:
                 cost, t_eff, last = new_cost, t_eff * tau, i
                 if new_cost < best_cost:
@@ -248,11 +241,11 @@ class _Walk:
         )
 
 
-def metropolis_accept(c_new: float, c_old: float, t_eff: float, rng, u: float | None = None) -> bool:
+def metropolis_accept(c_new: float, c_old: float, t_eff: float, u: float) -> bool:
     """Accept downhill moves always, uphill with exp(-(C'-C)/T_eff); a Python bool.
 
-    ``u`` is the proposal's acceptance uniform when it was drawn up front;
-    without it an uphill move draws one from ``rng``.  The rule is
+    ``u`` is the proposal's acceptance uniform, read only when
+    ``not c_new < c_old and t_eff > 0``.  The rule is
     ``u < math.exp(...)`` on Python floats, so it does not depend on which
     SIMD kernel numpy dispatches.  The exponent is never positive; a NaN
     cost gives a NaN exponent and is rejected, and an exponent that
@@ -262,8 +255,6 @@ def metropolis_accept(c_new: float, c_old: float, t_eff: float, rng, u: float | 
         return True
     if t_eff <= 0.0:
         return c_new == c_old
-    if u is None:
-        u = rng.uniform()
     return u < math.exp(-(c_new - c_old) / t_eff)
 
 
@@ -532,7 +523,10 @@ def unitary_metropolis(
                         break
                     old = params[qubit, par]
                     params[qubit, par] = (old + rng.uniform(0.0, _TWO_PI)) % _TWO_PI
-                    if not walk.step(cost_fn(rotated(params)), params, rng):
+                    new_cost = cost_fn(rotated(params))
+                    # a uniform only for the moves the accept rule reads one for
+                    u = rng.uniform() if not new_cost < walk.cost and walk.t_eff > 0.0 else 0.0
+                    if walk.scan((new_cost,), (u,), lambda _: params.copy()) < 0:
                         params[qubit, par] = old
                 continue
             # one nano loop: its angles in one draw, its acceptance uniforms
@@ -616,7 +610,7 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, schedule: AnnealSc
     d = p0.size
     if d != spectrum.dim:
         raise ValidationError("population vector does not match the spectrum dimension")
-    if abs(p0.sum() - 1.0) > 1e-10 or np.any(p0 < -1e-12):
+    if not (abs(p0.sum() - 1.0) <= 1e-10 and np.all(p0 >= -1e-12)):  # a NaN fails
         raise ValidationError("populations must form a probability vector")
 
     lefts = []
@@ -663,7 +657,7 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, schedule: AnnealSc
             s_new = [sk + w[i0] * d0 + w[i1] * d1 + w[i2] * d2 + w[i3] * d3
                      for sk, w in zip(s, weights)]
             new_cost = sum([abs(x) for x in s_new])
-            accepted = metropolis_accept(new_cost, base, t_eff, None, u)
+            accepted = metropolis_accept(new_cost, base, t_eff, u)
             if accepted:
                 p[i0], p[i1], p[i2], p[i3] = p[j0], p[j1], p[j2], p[j3]
                 s, base = s_new, new_cost

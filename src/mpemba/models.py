@@ -19,7 +19,7 @@ import numpy as np
 from .davies import BathSpec, DaviesGenerator, davies_generator, generator_from_operators, occupation_factors
 from .errors import ValidationError
 from .operators import HermitianOperator, SpectralBasis, diagonalize
-from .utils import IDENTITY_2, SIGMA_X, SIGMA_Z, embed_site_operator, kron_chain
+from .utils import IDENTITY_2, SIGMA_X, SIGMA_Z, kron_chain
 
 #: Kelvin -> GHz conversion at k_B = hbar = 1 (ordinary-frequency units).
 GHZ_PER_KELVIN = 20.8366
@@ -120,7 +120,8 @@ def tfim(
         pair = (SIGMA_Z if k in (j, j + 1) else IDENTITY_2 for k in range(length))
         h_matrix -= coupling * kron_chain(pair)
     for j in range(length):
-        h_matrix += h_field * embed_site_operator(SIGMA_X, j, length)
+        site = (SIGMA_X if k == j else IDENTITY_2 for k in range(length))
+        h_matrix += h_field * kron_chain(site)
     bath = _thermal_bath(t_bath, statistics, gamma)
     return ModelInstance(name="tfim", hamiltonian=HermitianOperator(h_matrix), beta=bath.beta, bath=bath)
 

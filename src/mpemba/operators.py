@@ -29,6 +29,8 @@ class HermitianOperator:
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {entries.shape}")
+        if not np.isfinite(entries).all():
+            raise ValidationError("operator has non-finite entries")
         defect = herm_defect(entries)
         if defect > HERMITICITY_TOL * max(1.0, float(np.abs(entries).max())):
             raise ValidationError(f"matrix is not Hermitian (defect {defect:.2e})")
@@ -54,6 +56,8 @@ class SpectralBasis:
         d = energies.size
         if vectors.shape != (d, d):
             raise ValidationError("energies and vectors have inconsistent shapes")
+        if not (np.isfinite(energies).all() and np.isfinite(vectors).all()):
+            raise ValidationError("energies and vectors must be finite")
         if np.any(np.diff(energies) < 0):
             raise ValidationError("energies must be sorted ascending")
         if np.abs(vectors.conj().T @ vectors - np.eye(d)).max() > UNITARITY_TOL:
@@ -99,10 +103,12 @@ class DensityMatrix:
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {entries.shape}")
+        if not np.isfinite(entries).all():
+            raise ValidationError("state has non-finite entries")
         require_state(
             herm_defect(entries),
             complex(np.trace(entries)),
-            lambda: float(np.linalg.eigvalsh(0.5 * (entries + entries.conj().T)).min()),
+            float(np.linalg.eigvalsh(0.5 * (entries + entries.conj().T)).min()),
             psd_tol,
         )
         self.entries = frozen(entries)
@@ -119,21 +125,18 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, purity={self.purity():.4f})"
 
 
-def require_state(defect: float, trace: complex, min_eig, psd_tol: float = PSD_TOL) -> None:
+def require_state(defect: float, trace: complex, min_eig: float, psd_tol: float = PSD_TOL) -> None:
     """Raise the :class:`ValidationError` of the first failed state check.
 
     The checks of :class:`DensityMatrix` on measured values, in its order:
-    Hermiticity defect, trace, smallest eigenvalue.  ``min_eig`` is a
-    callable returning that eigenvalue, called only once the first two
-    checks pass.
+    Hermiticity defect, trace, smallest eigenvalue.  A NaN fails each check.
     """
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:
         raise ValidationError(f"state is not Hermitian (defect {defect:.2e})")
-    if abs(trace - 1.0) > TRACE_TOL:
+    if not abs(trace - 1.0) <= TRACE_TOL:
         raise ValidationError(f"state trace is {trace:.12g}, expected 1")
-    lowest = min_eig()
-    if lowest < -psd_tol:
-        raise ValidationError(f"state has negative eigenvalue {lowest:.2e}")
+    if not min_eig >= -psd_tol:
+        raise ValidationError(f"state has negative eigenvalue {min_eig:.2e}")
 
 
 class BlochVector:

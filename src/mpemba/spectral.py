@@ -436,8 +436,10 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     expansion coefficients that appear at low temperature) and each
     coherence by its closed-form exponential.  The states are built and
     validated :func:`chunk_points` time points at a time; the grid holds
-    them in the lab basis together with their spectra.
+    them in the lab basis together with their spectra.  An array ``rho_i``
+    must pass the checks of :class:`DensityMatrix`.
     """
+    rho_i = rho_i if isinstance(rho_i, DensityMatrix) else DensityMatrix(rho_i)
     times = np.asarray(times, dtype=float)
     basis = spectrum.basis
     if spectrum.kind == "block":
@@ -469,19 +471,19 @@ def evolve_direct(generator: DaviesGenerator, rho_i, times) -> EvolutionGrid:
     Stepwise scaling-and-squaring (scipy.linalg.expm) between grid points;
     the independent oracle for :func:`evolve_spectral`.  Raises
     :class:`ValidationError` unless ``generator`` is a
-    :class:`DaviesGenerator` with a dense form.
+    :class:`DaviesGenerator` with a dense form and an array ``rho_i`` passes
+    the checks of :class:`DensityMatrix`.
     """
     if not (isinstance(generator, DaviesGenerator) and generator.has_dense):
         raise ValidationError(
             "direct evolution needs a DaviesGenerator with a dense form, such as "
             "DaviesGenerator(basis=..., dense=matrix)"
         )
+    rho_i = rho_i if isinstance(rho_i, DensityMatrix) else DensityMatrix(rho_i)
     basis = generator.basis
     times = np.asarray(times, dtype=float)
     d = basis.dim
-    rho_e = basis.to_eigenbasis(
-        rho_i.entries if isinstance(rho_i, DensityMatrix) else np.asarray(rho_i, dtype=complex)
-    )
+    rho_e = basis.to_eigenbasis(rho_i.entries)
     states = _propagate(generator.dense, rho_e.reshape(-1), times)
 
     def direct_chunk(s):
@@ -545,11 +547,11 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
         trace = np.trace(lab, axis1=1, axis2=2)
         spectra[s] = np.linalg.eigvalsh(basis.to_eigenbasis(lab))
         min_eig = spectra[s].min(axis=1)
-        failed = (
-            broken
-            | (lab_defect > HERMITICITY_TOL)
-            | (np.abs(trace - 1.0) > TRACE_TOL)
-            | (min_eig < -EVOLUTION_PSD_TOL)
+        # written so that a NaN fails them
+        failed = broken | ~(
+            (lab_defect <= HERMITICITY_TOL)
+            & (np.abs(trace - 1.0) <= TRACE_TOL)
+            & (min_eig >= -EVOLUTION_PSD_TOL)
         )
         if failed.any():
             j = int(np.argmax(failed))
@@ -558,7 +560,7 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
                     f"evolved state lost Hermiticity (defect {defect[j]:.2e}); "
                     "conjugate mode pairing is broken"
                 )
-            require_state(lab_defect[j], complex(trace[j]), lambda: min_eig[j], EVOLUTION_PSD_TOL)
+            require_state(lab_defect[j], complex(trace[j]), min_eig[j], EVOLUTION_PSD_TOL)
     entries.setflags(write=False)
     spectra.setflags(write=False)
     return EvolutionGrid(times, entries, spectra)

@@ -41,10 +41,9 @@ DECAY_FIT_FLOOR = 1e-12
 CSV_COLUMNS = ("t", "F_neq", "D", "P", "C", "L1", "T1", "Pi")
 
 
-def _entropy(rho: np.ndarray) -> float:
-    """von Neumann entropy, tolerant of tiny negative eigenvalues."""
-    eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    return float(-xlogx(eigs).sum())
+def _shannon(p: np.ndarray):
+    """-sum p ln p over the last axis, negative entries as 0; of eigenvalues, S(rho)."""
+    return -xlogx(np.clip(p, 0.0, None)).sum(axis=-1)
 
 
 def noneq_free_energy(rho, hamiltonian, beta: float) -> float:
@@ -54,7 +53,7 @@ def noneq_free_energy(rho, hamiltonian, beta: float) -> float:
     m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     h = np.asarray(hamiltonian, dtype=complex)
     energy = float(np.real(np.trace(h @ m)))
-    return energy - _entropy(m) / beta
+    return energy - float(_shannon(np.linalg.eigvalsh(m))) / beta
 
 
 def equilibrium_free_energy(basis: SpectralBasis, beta: float) -> float:
@@ -81,8 +80,7 @@ def relative_entropy(rho, sigma) -> float:
         return math.inf
     live = ~dead
     cross = float(weights[live] @ np.log(s_eigs[live]))
-    r_eigs = np.clip(np.linalg.eigvalsh(a), 0.0, None)
-    value = float(xlogx(r_eigs).sum()) - cross
+    value = -float(_shannon(np.linalg.eigvalsh(a))) - cross
     return max(value, 0.0) if value > -1e-10 else value
 
 
@@ -100,16 +98,12 @@ def entropy_split(rho, tau_populations, basis: SpectralBasis) -> tuple[float, fl
     p = np.clip(np.real(np.diag(rho_e)), 0.0, None)
     t = np.asarray(tau_populations, dtype=float)
     dead = t <= 0.0
+    coherent = float(_shannon(p) - _shannon(np.linalg.eigvalsh(m)))
     if np.any(p[dead] > SUPPORT_TOL):
-        return math.inf, _entropy_of_populations(p) - _entropy(m)
+        return math.inf, coherent
     live = ~dead
     classical = float(xlogx(p).sum() - p[live] @ np.log(t[live]))
-    coherent = _entropy_of_populations(p) - _entropy(m)
     return max(classical, 0.0), max(coherent, 0.0)
-
-
-def _entropy_of_populations(p: np.ndarray) -> float:
-    return float(-xlogx(np.clip(p, 0.0, None)).sum())
 
 
 def l1_elementwise(rho, tau, basis: SpectralBasis) -> float:
@@ -229,7 +223,7 @@ def compute_trajectory(
         lab = grid.entries[s]
         rho_e = basis.to_eigenbasis(lab)
         pops = np.clip(np.real(np.diagonal(rho_e, axis1=1, axis2=2)), 0.0, None)
-        s_rho = -xlogx(np.clip(grid.spectra[s], 0.0, None)).sum(axis=1)
+        s_rho = _shannon(grid.spectra[s])
         energy = np.real(np.trace(h @ lab, axis1=1, axis2=2))
         f_neq[s] = energy - s_rho / beta
         # D via populations against log-space Gibbs weights: stable at any beta.

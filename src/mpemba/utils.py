@@ -48,11 +48,6 @@ def kron_chain(factors) -> np.ndarray:
     return out
 
 
-def embed_site_operator(op2: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Embed a single-site operator into an ``n_sites``-fold tensor product."""
-    return kron_chain(op2 if j == site else IDENTITY_2 for j in range(n_sites))
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix.
 

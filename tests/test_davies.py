@@ -303,6 +303,14 @@ class TestGeneratorObject:
         with pytest.raises(ValidationError, match="sector labels need"):
             mp.DaviesGenerator(basis=qubit_gen.basis, **kwargs)
 
+    def test_block_form_on_degenerate_basis_rejected(self):
+        # at beta = 0 equal rates obey detailed balance; levels 0 and 1 coincide
+        pop = np.ones((3, 3)) - 3.0 * np.eye(3)
+        coh = -0.5 * (np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(DegenerateSpectrumError, match="degenerate basis"):
+            mp.DaviesGenerator(basis=mp.SpectralBasis([0.0, 0.0, 1.0], np.eye(3)), pop_block=pop,
+                               coh_block=coh, bath=mp.BathSpec(0.0, "fermi", 1.0))
+
     def test_sector_labels_must_grade_the_generator(self):
         gen = mp.build_generator(mp.quantum_dot())
         mp.DaviesGenerator(basis=gen.basis, dense=gen.dense, sector_labels=(0, 1, 1, 0))
@@ -343,5 +351,39 @@ def _unbalanced_columns():
     "verify_missing_form", "multiset_sizes",
 ])
 def test_input_checks_raise(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+def _qubit_block_with_nan(block):
+    gen = mp.build_generator(mp.single_qubit())
+    blocks = {"pop": np.array(gen.pop_block), "coh": np.array(gen.coh_block)}
+    blocks[block][0, 1] = np.nan
+    return mp.DaviesGenerator(basis=gen.basis, pop_block=blocks["pop"], coh_block=blocks["coh"],
+                              bath=gen.bath)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mp.BathSpec(np.nan, "bose", 1.0), "beta must be >= 0"),
+    (lambda: mp.BathSpec(1.0, "bose", np.nan), "gamma must be > 0 and finite"),
+    (lambda: mp.BathSpec(1.0, "bose", np.inf), "gamma must be > 0 and finite"),
+    (lambda: occupation_factors(1.0, mp.BathSpec(0.0, "bose", 1.0)), "Bose occupation diverges"),
+    (lambda: mp.build_generator(mp.single_qubit(t_bath=np.inf)), "Bose occupation diverges"),
+    (lambda: mp.JumpMatrix([[0.0, np.nan], [1.0, 0.0]]), "amplitudes must be finite"),
+    (lambda: mp.JumpMatrix([[0.0, np.inf], [1.0, 0.0]]), "amplitudes must be finite"),
+    (lambda: _qubit_block_with_nan("pop"), "population block has non-finite"),
+    (lambda: _qubit_block_with_nan("coh"), "coherence block has non-finite"),
+    (lambda: mp.HermitianOperator([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+    (lambda: mp.HermitianOperator([[np.inf, 0.0], [0.0, 1.0]]), "non-finite"),
+    (lambda: mp.SpectralBasis([0.0, np.nan], np.eye(2)), "must be finite"),
+    (lambda: mp.SpectralBasis([0.0, np.inf], np.eye(2)), "must be finite"),
+    (lambda: mp.single_qubit(omega=np.nan), "non-finite"),
+], ids=[
+    "bath_nan_beta", "bath_nan_gamma", "bath_infinite_gamma", "bose_occupation_at_zero_beta",
+    "qubit_at_infinite_temperature", "jumps_nan", "jumps_infinite", "pop_block_nan",
+    "coh_block_nan", "hermitian_nan", "hermitian_infinite", "basis_nan_energy",
+    "basis_infinite_energy", "qubit_nan_omega",
+])
+def test_non_finite_inputs_rejected(call, message):
     with pytest.raises(ValidationError, match=message):
         call()

@@ -88,14 +88,14 @@ class TestAnsatz:
 class TestAcceptRule:
     def test_downhill_always_accepted(self):
         rng = np.random.default_rng(0)
-        assert all(metropolis_accept(0.5, 1.0, 0.01, rng) for _ in range(100))
+        assert all(metropolis_accept(0.5, 1.0, 0.01, rng.uniform()) for _ in range(100))
 
     def test_uphill_frequency_matches_boltzmann(self):
         # chi-square style check of the acceptance law at fixed T_eff
         rng = np.random.default_rng(42)
         delta, t_eff, n = 0.7, 0.9, 10_000
         p_expected = np.exp(-delta / t_eff)
-        hits = sum(metropolis_accept(1.0 + delta, 1.0, t_eff, rng) for _ in range(n))
+        hits = sum(metropolis_accept(1.0 + delta, 1.0, t_eff, rng.uniform()) for _ in range(n))
         sigma = np.sqrt(n * p_expected * (1 - p_expected))
         assert abs(hits - n * p_expected) < 4.0 * sigma
 
@@ -108,27 +108,27 @@ class TestAcceptRule:
         t_eff = 10.0 ** rng.uniform(-2.0, 0.0, n)
         u = rng.uniform(size=n)
         for new, old, t, uniform in zip(c_new.tolist(), c_old.tolist(), t_eff.tolist(), u.tolist()):
-            accepted = metropolis_accept(new, old, t, None, uniform)
+            accepted = metropolis_accept(new, old, t, uniform)
             assert type(accepted) is bool
             assert accepted == (new < old or bool(uniform < np.exp(-(new - old) / t)))
 
     def test_nan_and_overflowing_moves_are_rejected(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert metropolis_accept(float("nan"), 1.0, 0.5, None, 0.0) is False
-            assert metropolis_accept(1.0, float("nan"), 0.5, None, 0.0) is False
-            assert metropolis_accept(float("inf"), float("inf"), 0.5, None, 0.0) is False
-            assert metropolis_accept(float("inf"), 1.0, 0.5, None, 0.0) is False
-            assert metropolis_accept(1e300, 0.0, 1e-300, None, 0.0) is False
-            assert metropolis_accept(1.0 + 1e3, 1.0, 1e-3, None, 0.0) is False
+            assert metropolis_accept(float("nan"), 1.0, 0.5, 0.0) is False
+            assert metropolis_accept(1.0, float("nan"), 0.5, 0.0) is False
+            assert metropolis_accept(float("inf"), float("inf"), 0.5, 0.0) is False
+            assert metropolis_accept(float("inf"), 1.0, 0.5, 0.0) is False
+            assert metropolis_accept(1e300, 0.0, 1e-300, 0.0) is False
+            assert metropolis_accept(1.0 + 1e3, 1.0, 1e-3, 0.0) is False
 
     def test_zero_temperature_accepts_ties_only(self):
         # T_eff reaches 0.0 in a walk with cooling_tau <= 0.5 (after 1 075
         # accepts at 0.5); at 0.999 it stalls near 2.5e-321, where t * tau
-        # rounds back to t.  No uniform is drawn: rng is None here.
-        assert metropolis_accept(0.5, 1.0, 0.0, None) is True
-        assert metropolis_accept(1.0, 1.0, 0.0, None) is True
-        assert metropolis_accept(1.5, 1.0, 0.0, None) is False
+        # rounds back to t.  The uniform is not read: that would divide by 0.
+        assert metropolis_accept(0.5, 1.0, 0.0, 0.0) is True
+        assert metropolis_accept(1.0, 1.0, 0.0, 0.0) is True
+        assert metropolis_accept(1.5, 1.0, 0.0, 0.0) is False
 
 
 class TestCost:
@@ -515,7 +515,8 @@ class TestSwapMetropolis:
         (lambda p: 2.0 * p, "probability vector"),
         # the same sum, one entry below zero
         (lambda p: p + 0.5 * (np.eye(p.size)[0] - np.eye(p.size)[-1]), "probability vector"),
-    ], ids=["length", "sum", "negative"])
+        (lambda p: np.concatenate(([np.nan], p[1:])), "probability vector"),
+    ], ids=["length", "sum", "negative", "nan"])
     def test_rejects_bad_populations(self, heating_setup, edit, message):
         spec, p0, target = heating_setup
         cfg = mp.AnnealSchedule(cooling_tau=0.998, threshold_eps=1e-6, target_modes=(target,))
@@ -725,7 +726,8 @@ def _reference_unitary(spectrum, rho, config, fermionic, cost_fn):
                 old = params[qubit, par]
                 params[qubit, par] = (old + rng.uniform(0.0, 2.0 * np.pi)) % (2.0 * np.pi)
                 new = cost_fn(conj(params))
-                accepted = metropolis_accept(new, current, t_eff, rng)
+                u = rng.uniform() if not new < current and t_eff > 0.0 else 0.0
+                accepted = metropolis_accept(new, current, t_eff, u)
                 if accepted:
                     current = new
                     t_eff *= config.cooling_tau
@@ -789,7 +791,7 @@ def _reference_fitted(spectrum, rho, config, fermionic):
                     new = current
                 else:
                     new = _fitted_costs(coef, np.array([theta - theta0]))[0]
-                accepted = metropolis_accept(new, current, t_eff, None, u)
+                accepted = metropolis_accept(new, current, t_eff, u)
                 if accepted:
                     current = new
                     t_eff *= config.cooling_tau

@@ -213,8 +213,12 @@ class TestKronChain:
     (lambda: mp.SpectralBasis([0.0, 1.0], np.eye(3)), "inconsistent shapes"),
     (lambda: mp.SpectralBasis([1.0, 0.0], np.eye(2)), "sorted ascending"),
     (lambda: mp.SpectralBasis([0.0, 1.0], 2.0 * np.eye(2)), "not unitary"),
-    (lambda: require_state(1e-3, 1.0, lambda: 0.0), "not Hermitian"),
-    (lambda: require_state(0.0, 1.5, lambda: 0.0), "trace is 1.5"),
+    (lambda: require_state(1e-3, 1.0, 0.0), "not Hermitian"),
+    (lambda: require_state(0.0, 1.5, 0.0), "trace is 1.5"),
+    (lambda: require_state(np.nan, 1.0, 0.0), "not Hermitian"),
+    (lambda: require_state(0.0, complex(np.nan), 0.0), "trace is nan"),
+    (lambda: require_state(0.0, 1.0, np.nan), "negative eigenvalue nan"),
+    (lambda: mp.DensityMatrix([[0.5, np.nan], [np.nan, 0.5]]), "non-finite"),
     (lambda: mp.BlochVector([0.0, 0.0]), "exactly 3 components"),
     (lambda: mp.random_pure_state(1, seed=0), "dim must be at least 2"),
     (lambda: mp.random_mixed_state(1, 4, seed=0), "dim must be at least 2"),
@@ -223,7 +227,8 @@ class TestKronChain:
      "dimensions differ"),
 ], ids=[
     "hermitian_not_square", "density_not_square", "basis_shapes", "basis_unsorted",
-    "basis_not_unitary", "state_not_hermitian", "state_trace", "bloch_length",
+    "basis_not_unitary", "state_not_hermitian", "state_trace", "state_nan_defect",
+    "state_nan_trace", "state_nan_eigenvalue", "density_nan", "bloch_length",
     "pure_dim", "mixed_dim", "mixed_samples", "dephase_dimensions",
 ])
 def test_input_checks_raise(call, message):

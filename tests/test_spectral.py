@@ -363,6 +363,29 @@ class TestEvolution:
             assert np.abs(state.entries - state.entries.conj().T).max() <= 1e-10
 
 
+class TestNonFiniteStates:
+    """A state holding a NaN raises ValidationError before or while it evolves."""
+
+    @pytest.mark.parametrize("case", ["qubit_dense", "tfim3_block"])
+    def test_spectral_evolution_judges_an_array_input(self, case, qubit_spec, tfim3_gen):
+        spec = qubit_spec if case == "qubit_dense" else mp.decompose(tfim3_gen)
+        rho = np.eye(spec.dim, dtype=complex) / spec.dim
+        rho[0, 1] = rho[1, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            mp.evolve_spectral(spec, rho, [0.0, 1.0])
+
+    def test_direct_evolution_judges_an_array_input(self, tfim3_gen):
+        rho = np.eye(8, dtype=complex) / 8
+        rho[0, 1] = rho[1, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            mp.evolve_direct(tfim3_gen, rho, [0.0, 1.0])
+
+    def test_batched_mask_fails_on_nan(self, qubit_model):
+        stack = np.full((3, 2, 2), np.nan, dtype=complex)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            _package_states(np.arange(3.0), lambda s: stack[s], qubit_model.basis())
+
+
 class TestDecayRates:
     def test_tail_rate_matches_gap(self, qubit_model, qubit_spec):
         basis = qubit_model.basis()
