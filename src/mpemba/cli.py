@@ -29,6 +29,7 @@ from .operators import DensityMatrix, bloch_to_state, random_mixed_state, therma
 from .spectral import decompose, evolve_spectral, spectral_gap
 from .thermo import ThermoTrajectory, compute_trajectory, fit_decay_rate, noneq_free_energy
 from .transform import MpembaCertificate, detect_crossing, exact_transform, verify_overlap_elimination
+from .utils import write_csv
 
 ENV_OUT = "MPEMBA_OUT"
 
@@ -175,13 +176,15 @@ def cmd_spectrum(args) -> int:
     spectrum = decompose(build_generator(model))
     gap = spectral_gap(spectrum)
     path = out / "spectrum.tsv"
-    with open(path, "w") as fh:
-        fh.write(f"# model={model.name} gap={gap.value:.17g} "
-                 f"classification={'complex-pair' if gap.complex_pair else 'real'}\n")
-        fh.write("k\tre\tim\tgap\n")
-        for k, lam in enumerate(spectrum.eigenvalues.tolist(), start=1):
-            is_gap = int(abs(abs(lam.real) - gap.value) <= 1e-12 * max(1.0, gap.value) and k > 1)
-            fh.write(f"{k}\t{lam.real:.17g}\t{lam.imag:.17g}\t{is_gap}\n")
+    lams = spectrum.eigenvalues
+    is_gap = np.abs(np.abs(lams.real) - gap.value) <= 1e-12 * max(1.0, gap.value)
+    is_gap[0] = False  # mode 1, the steady state
+    write_csv(
+        path,
+        f"# model={model.name} gap={gap.value:.17g} "
+        f"classification={'complex-pair' if gap.complex_pair else 'real'}\nk\tre\tim\tgap",
+        (np.arange(1, lams.size + 1), lams.real, lams.imag, is_gap), "%d\t%.17g\t%.17g\t%d\n",
+    )
     print(f"wrote {path} ({spectrum.n_modes} modes, gap {gap.value:.6g}, "
           f"{'complex pair' if gap.complex_pair else 'real'})")
     return EXIT_OK

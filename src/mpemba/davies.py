@@ -46,19 +46,25 @@ class BathSpec:
             raise ValidationError("bath coupling gamma must be > 0 and finite")
 
 
-def occupation_factors(x: float, bath: BathSpec) -> tuple[float, float]:
-    """(w_down, w_up) for a positive Bohr frequency ``x``; a Bose bath needs beta * x > 0."""
-    if x <= 0:
+def occupation_factors(x, bath: BathSpec):
+    """(w_down, w_up) for positive Bohr frequencies ``x``; a Bose bath needs beta * x > 0.
+
+    ``x`` is a float, which gives two floats, or an array, which gives two
+    arrays of its shape, each entry the same bits as for that float alone.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
         raise DegenerateSpectrumError("zero Bohr frequency: levels are degenerate")
-    bx = bath.beta * x
-    if bath.statistics == "bose":
-        if not bx > 0:
-            raise ValidationError("Bose occupation diverges at beta * x = 0 (infinite temperature)")
-        # past 700 the occupation underflows; exp(-x) is the limit
-        n = float(np.exp(-bx)) if bx > 700 else 1.0 / np.expm1(bx)
-        return 1.0 + n, n
-    f = float(np.exp(-bx)) if bx > 700 else 1.0 / (np.exp(bx) + 1.0)
-    return 1.0 - f, f
+    bx = np.atleast_1d(bath.beta * x)
+    bose = bath.statistics == "bose"
+    if bose and not np.all(bx > 0):
+        raise ValidationError("Bose occupation diverges at beta * x = 0 (infinite temperature)")
+    # past 700 the occupation underflows; exp(-x) is the limit
+    near = ~(bx > 700)
+    n = np.exp(-bx)
+    n[near] = 1.0 / (np.expm1(bx[near]) if bose else np.exp(bx[near]) + 1.0)
+    w_down = 1.0 + n if bose else 1.0 - n
+    return (w_down, n) if x.ndim else (float(w_down[0]), float(n[0]))
 
 
 class JumpMatrix:
@@ -111,13 +117,11 @@ def build_jump_matrix(basis: SpectralBasis, bath: BathSpec) -> JumpMatrix:
             "Hamiltonian is (near-)degenerate; the jump-matrix/block construction "
             "is undefined. Build the dense generator from explicit jump operators."
         )
-    d = basis.dim
-    J = np.zeros((d, d))
-    for m in range(d):
-        for n in range(m + 1, d):
-            w_down, w_up = occupation_factors(basis.energies[n] - basis.energies[m], bath)
-            J[m, n] = bath.gamma * np.sqrt(w_down)
-            J[n, m] = bath.gamma * np.sqrt(w_up)
+    m, n = np.triu_indices(basis.dim, k=1)
+    w_down, w_up = occupation_factors(basis.energies[n] - basis.energies[m], bath)
+    J = np.zeros((basis.dim, basis.dim))
+    J[m, n] = bath.gamma * np.sqrt(w_down)
+    J[n, m] = bath.gamma * np.sqrt(w_up)
     return JumpMatrix(J)
 
 

@@ -13,22 +13,26 @@ Two annealers operate on a decomposed generator spectrum:
   structure (Ostaszewski et al., Quantum 5, 391 (2021); Nakanishi et al.,
   PRR 2, 043158 (2020)): every target amplitude is
   A + B e^{i theta} + C e^{-i theta} in the one angle a nano loop varies, so
-  three anchor evaluations at the start of the loop fit it exactly, and one
-  array expression prices every proposal of the loop.  The anchors are
-  read in the Heisenberg picture, a_k = Tr(l_k Y^dag rho Y) with
+  three anchor evaluations at the start of the loop fit it exactly.  The
+  anchors are read in the Heisenberg picture, a_k = Tr(l_k Y^dag rho Y) with
   Y = U^dag V restricted to the energy-basis columns that the target lefts
   (``GeneratorSpectrum.left``) touch, each single-site factor acting as a
   2 x 2 matrix on V; no 2^L x 2^L unitary is built inside a fitted search,
-  only for its start state and for the state it returns.  A nano loop of n
-  proposals makes two random draws, whatever the walk decides: its re-drawn
-  angles, each a fresh U(0, 2pi), and n acceptance uniforms.  The first
-  proposal of a loop on beta, gamma or delta is an exact single-coordinate
-  move instead of a re-draw: it sets theta to the minimizer of the fitted
-  summed magnitudes, found on a 256-point grid and refined by a bracketed
-  Newton step on the fit's analytic derivatives.  It counts as one
-  proposal, writes one trace row and passes the usual acceptance rule.
+  only for its start state and for the state it returns.  Only one qubit
+  moves in a macro round, so the other sites' part of Y is built once per
+  round and each loop applies just its qubit's three anchor factors.  A
+  nano loop of n proposals makes two random draws, whatever the walk
+  decides: its re-drawn angles, each a fresh U(0, 2pi), and n acceptance
+  uniforms.  The first proposal of a loop on beta, gamma or delta is an
+  exact single-coordinate move instead of a re-draw: it sets theta to the
+  minimizer of the fitted summed magnitudes, found on a 256-point grid and
+  refined by a bracketed Newton step on the fit's analytic derivatives.  It
+  counts as one proposal, writes one trace row and passes the usual
+  acceptance rule.  Two array expressions price the whole loop: one the
+  grid and the re-drawn angles, one the exact move's two candidates.
   alpha, a global phase, leaves U rho U^dag unchanged: its loops build no
-  anchors, and each of its proposals costs exactly the current cost.  A
+  anchors, and each of its proposals costs exactly the current cost, a tie
+  the rule accepts, so the walk records them without judging each.  A
   search with a user ``cost_fn`` (opaque to the annealer) re-draws by
   old + U(0, 2pi), rebuilds the unitary for every proposal and draws an
   acceptance uniform only for a move that is not downhill.
@@ -58,8 +62,9 @@ defines convergence.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import KW_ONLY, dataclass
-from itertools import permutations
+from itertools import accumulate, permutations, repeat
 
 import numpy as np
 
@@ -198,24 +203,38 @@ class _Walk:
         """
         # locals, not attributes, on this per-proposal path
         cost, t_eff, tau = self.cost, self.t_eff, self._tau
-        best_cost, eps = self.best_cost, self._eps
-        costs_col, temps, accepts = self._costs, self._temps, self._accepts
-        stop = self._budget - len(accepts)
+        best_cost, eps, accept = self.best_cost, self._eps, metropolis_accept
+        record_cost, record_temp = self._costs.append, self._temps.append
+        record_accept = self._accepts.append
         last = best = -1
-        for i in range(len(costs)):
-            new_cost = costs[i]
-            accepted = metropolis_accept(new_cost, cost, t_eff, uniforms[i])
+        for i, new_cost, u in zip(range(self.remaining), costs, uniforms):
+            accepted = accept(new_cost, cost, t_eff, u)
             if accepted:
                 cost, t_eff, last = new_cost, t_eff * tau, i
                 if new_cost < best_cost:
                     best_cost, best = new_cost, i
-            costs_col.append(cost)
-            temps.append(t_eff)
-            accepts.append(accepted)
-            if best_cost < eps or i + 1 >= stop:
+            record_cost(cost)
+            record_temp(t_eff)
+            record_accept(accepted)
+            if best_cost < eps:
                 break
         self._finish(cost, t_eff, best_cost, state_at(best) if best >= 0 else None)
         return last
+
+    def ties(self, n: int) -> None:
+        """Record ``n`` proposals that each cost exactly the current cost, which is finite.
+
+        The rule accepts every such tie (u < exp(-0) = 1, or c == c at
+        T_eff = 0), so each cools T_eff by ``cooling_tau`` and writes a row
+        at the current cost, none is a new best, and the walk keeps its
+        cost: the columns :meth:`scan` would record, without judging the
+        ties one by one.  ``n`` must not exceed :attr:`remaining`.
+        """
+        temps = list(accumulate(repeat(self._tau, n), operator.mul, initial=self.t_eff))
+        self._costs.extend(repeat(self.cost, n))
+        self._temps.extend(temps[1:])
+        self._accepts.extend(repeat(True, n))
+        self._finish(self.cost, temps[-1], self.best_cost, None)
 
     def _finish(self, cost: float, t_eff: float, best_cost: float, best) -> None:
         """Take the walk's state after a run of proposals recorded in the trace.
@@ -271,7 +290,13 @@ def cost(spectrum: GeneratorSpectrum, rho, target_modes) -> float:
 _TWO_PI = 2.0 * np.pi
 #: Anchor offsets of the three-point fit; e^{i phi} at them are the cube roots of unity.
 _ANCHORS = np.array([0.0, 2.0 * np.pi / 3.0, -2.0 * np.pi / 3.0])
+#: The inverse three-point DFT on the anchors; its rows pick A, B and C.
+_FIT_PHASES = np.exp(1j * np.outer((0, -1, 1), _ANCHORS))
 _GRID_POINTS = 256
+_GRID_STEP = _TWO_PI / _GRID_POINTS
+#: The minimizer's grid over the full circle, phi = 0 included, and e^{i phi} on it.
+_GRID = _GRID_STEP * np.arange(_GRID_POINTS)
+_GRID_PHASES = np.exp(1j * _GRID)
 #: Iteration cap of the bracketed Newton step that refines the grid's best point.
 _NEWTON_ITERATIONS = 64
 
@@ -286,43 +311,42 @@ def _fit_coordinate(anchor_amps: np.ndarray) -> np.ndarray:
     global phase for alpha), so every target amplitude of U rho U^dag has
     this form in any one angle while the others stay fixed.
     """
-    phases = np.exp(1j * np.outer((0, -1, 1), _ANCHORS))  # rows pick A, B, C
-    return phases @ anchor_amps / 3.0
+    return _FIT_PHASES @ anchor_amps / 3.0
 
 
-def _fitted_costs(coef: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """sum_k |A_k + B_k e^{i phi} + C_k e^{-i phi}| at each offset of ``phi``.
+def _fitted_costs(coef: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """sum_k |A_k + B_k e^{i phi} + C_k e^{-i phi}| at each offset phi, given ``phases`` = e^{i phi}.
 
     ``coef`` = (A, B, C) as returned by :func:`_fit_coordinate`; one array
-    expression prices a whole nano loop, or a minimizer grid.
+    expression prices any number of offsets, each cost the same bits as
+    one priced on its own.
     """
     a, b, c = coef
-    e = np.exp(1j * phi)[:, None]
+    e = phases[:, None]
     return np.abs(a + b * e + c * e.conj()).sum(axis=1)
 
 
-def _minimize_coordinate(coef: np.ndarray) -> float:
-    """Offset phi minimizing f(phi) = sum_k |A_k + B_k e^{i phi} + C_k e^{-i phi}|.
+def _coordinate_candidates(coef: np.ndarray, grid_costs: np.ndarray) -> tuple[float, float]:
+    """The two candidate offsets of the exact move: the grid's best point g and its Newton point.
 
-    A 256-point grid over the full circle, which contains phi = 0, picks the
-    best point g.  Newton's method on f' then refines it inside the bracket
-    [g - step, g + step], in Python complex scalars, with the analytic
+    ``grid_costs`` is f(phi) = sum_k |A_k + B_k e^{i phi} + C_k e^{-i phi}| on
+    ``_GRID``, a 256-point grid over the full circle that contains phi = 0;
+    its best point is g.  Newton's method on f' then refines g inside the
+    bracket [g - step, g + step], in Python complex scalars, with the analytic
     z' = i(B e^{i phi} - C e^{-i phi}) and z'' = -(B e^{i phi} + C e^{-i phi})
     of each amplitude z.  Each iterate shrinks the bracket by the sign of f'
     (one-sided at a kink, where some |z_k| is exactly 0, and a point whose
     one-sided derivatives bracket 0 stops the search); the step bisects the
     bracket whenever f'' <= 0, the Newton point leaves the closed bracket or
     the iterate sits on a kink.  The search stops once x stops moving or after
-    ``_NEWTON_ITERATIONS`` iterates.  The result is whichever of g and the
-    Newton point costs less under the fit (g on a tie), so it never costs
-    more than the grid's best point, nor than the current value.
+    ``_NEWTON_ITERATIONS`` iterates.  The move is whichever of g and x costs
+    less under the fit (g on a tie), so it never costs more than the grid's
+    best point, nor than the current value; the caller prices the two.
     Deterministic, no random draw.
     """
-    step = _TWO_PI / _GRID_POINTS
-    grid = step * np.arange(_GRID_POINTS)
-    g = float(grid[np.argmin(_fitted_costs(coef, grid))])
+    g = float(_GRID[np.argmin(grid_costs)])
     terms = list(zip(*coef.tolist()))
-    lo, hi, x = g - step, g + step, g
+    lo, hi, x = g - _GRID_STEP, g + _GRID_STEP, g
     for _ in range(_NEWTON_ITERATIONS):
         e = complex(math.cos(x), math.sin(x))
         ec = e.conjugate()
@@ -351,8 +375,25 @@ def _minimize_coordinate(coef: np.ndarray) -> float:
         if x_new == lo or x_new == hi:  # x stops moving, or would step back onto a priced end
             break
         x = x_new
-    ends = _fitted_costs(coef, np.array([g, x]))
-    return x if ends[1] < ends[0] else g
+    return g, x
+
+
+def _fitted_loop(coef: np.ndarray, theta0: float, drawn: np.ndarray):
+    """Angles and fitted costs of one nano loop on beta, gamma or delta, in two pricing calls.
+
+    The loop's first proposal is the exact move, ``theta0`` plus the better
+    candidate of :func:`_coordinate_candidates` wrapped into [0, 2pi); the
+    re-drawn angles ``drawn`` follow.  The first call prices the grid and
+    the re-draws, the second the two candidates and the two wrapped moves.
+    Every proposal is priced at its offset from ``theta0``.
+    """
+    priced = _fitted_costs(coef, np.concatenate((_GRID_PHASES, np.exp(1j * (drawn - theta0)))))
+    g, x = _coordinate_candidates(coef, priced[:_GRID_POINTS])
+    moves = (theta0 + np.array([g, x])) % _TWO_PI
+    ends = _fitted_costs(coef, np.exp(1j * np.concatenate(([g, x], moves - theta0))))
+    pick = 1 if ends[1] < ends[0] else 0
+    return (np.concatenate((moves[pick:pick + 1], drawn)),
+            np.concatenate((ends[2 + pick:3 + pick], priced[_GRID_POINTS:])))
 
 
 def _rz(theta) -> np.ndarray:
@@ -399,19 +440,23 @@ def build_ansatz_unitary(ansatz: UnitaryAnsatz) -> np.ndarray:
 
 
 def _sitewise_anchors(spectrum: GeneratorSpectrum, rho_m: np.ndarray, targets, fermionic: bool):
-    """The anchor amplitudes of a fitted nano loop, read in the Heisenberg picture.
+    """The anchor amplitudes of fitted nano loops, read in the Heisenberg picture.
 
-    Returns ``anchors(params, qubit, par)``: the target amplitudes, shape
-    (3, K), of U rho U^dag at the three parameter sets that move
-    ``params[qubit, par]`` by each offset of ``_ANCHORS``.  In the energy
-    basis V, a_k = Tr(l_k V^dag U rho U^dag V) = Tr(l_k Y^dag rho Y) with
-    Y = U^dag V, and only the columns of Y that the lefts touch enter: two
-    for a block coherence target, all d for a population or dense target.
-    Y is derived from ``params`` on every call, each u_j^dag a 2 x 2 action
-    on a (2^j, 2, rest) reshape of V[:, cols], so no 2^L x 2^L unitary is
-    built and nothing carries over from one loop to the next.  The
-    fermionic strings multiply U^dag by the fixed diagonal S = prod sigma_j^z
-    on the left, so rho is conjugated by S once, here.
+    Returns ``around(params, qubit)``, which returns ``anchors(site, par)``:
+    the target amplitudes, shape (3, K), of U rho U^dag at the three
+    parameter sets that move ``site[par]`` by each offset of ``_ANCHORS``,
+    where U has ``site`` on ``qubit`` and ``params`` on every other site.
+    In the energy basis V, a_k = Tr(l_k V^dag U rho U^dag V) = Tr(l_k Y^dag rho Y)
+    with Y = U^dag V, and only the columns of Y that the lefts touch enter:
+    two for a block coherence target, all d for a population or dense target.
+    Each u_j^dag acts as a 2 x 2 matrix on a (2^j, 2, rest) reshape of
+    V[:, cols], so no 2^L x 2^L unitary is built.  ``around`` applies the
+    other sites' factors once, the environment prod_{j != qubit} u_j^dag V[:, cols],
+    which stays valid while only ``qubit`` moves (a macro round of the walk);
+    each ``anchors`` call applies only the qubit's three anchor factors, and
+    gives the same bits as an environment rebuilt from the current
+    parameters.  The fermionic strings multiply U^dag by the fixed diagonal
+    S = prod sigma_j^z on the left, so rho is conjugated by S once, here.
     """
     lefts = np.array([spectrum.left(k) for k in targets])
     nonzero = lefts != 0
@@ -421,24 +466,28 @@ def _sitewise_anchors(spectrum: GeneratorSpectrum, rho_m: np.ndarray, targets, f
     n_qubits = int(np.log2(vectors.shape[0]))
     signs = np.ones(1)
     for string in _string_sites(n_qubits, fermionic):
-        signs = np.kron(signs, (1.0, -1.0) if string else (1.0, 1.0))
+        signs = np.outer(signs, (1.0, -1.0) if string else (1.0, 1.0)).ravel()
     rho_s = rho_m * np.outer(signs, signs)
 
-    def anchors(params, qubit, par):
-        # the L site factors, then the three anchor factors of site `qubit`
-        rows = np.concatenate([params, params[[qubit] * 3]])
-        rows[n_qubits:, par] += _ANCHORS
-        daggers = _euler_factors(rows).conj().swapaxes(1, 2)
+    def around(params, qubit):
+        daggers = _euler_factors(params).conj().swapaxes(1, 2)
         y = vectors
         for j in range(n_qubits):
             if j != qubit:
                 y = (daggers[j] @ y.reshape(2**j, 2, -1)).reshape(y.shape)
-        y3 = daggers[n_qubits:, None] @ y.reshape(2**qubit, 2, -1)
-        y3 = y3.reshape(3, *y.shape)
-        blocks = y3.conj().swapaxes(1, 2) @ rho_s @ y3
-        return np.einsum("kab,sba->sk", lefts, blocks)
+        env = y.reshape(2**qubit, 2, -1)
 
-    return anchors
+        def anchors(site, par):
+            rows = np.repeat(site[None], 3, axis=0)
+            rows[:, par] += _ANCHORS
+            y3 = _euler_factors(rows).conj().swapaxes(1, 2)[:, None] @ env
+            y3 = y3.reshape(3, *vectors.shape)
+            blocks = y3.conj().swapaxes(1, 2) @ rho_s @ y3
+            return np.einsum("kab,sba->sk", lefts, blocks)
+
+        return anchors
+
+    return around
 
 
 def unitary_metropolis(
@@ -463,24 +512,27 @@ def unitary_metropolis(
     evaluations; no other parameter moves during the loop, so the fit stays
     exact).  The anchors are read sitewise from Y = U^dag V on the
     energy-basis columns the target lefts touch (two for a block coherence
-    target, all d for a population or dense one), with Y derived from the
-    parameters at the start of each loop, so no full unitary is built
-    inside the search: a search builds one for its start cost and one for
-    the returned state, whatever its budget.  The loop then draws all its
-    re-drawn angles (fresh uniforms on [0, 2pi)) in one call and one
-    acceptance uniform per proposal in a second, prices all its proposals
-    from the fit in one array expression, and scans them with the accept
-    rule.  The first proposal of a loop on beta, gamma or delta is the exact
-    minimization of the summed overlaps along that parameter (no random
-    draw); it is one proposal and one trace row like any other.  A loop on
-    alpha, a global phase, builds no anchors and prices each proposal at the
-    current cost.  So the random stream does not depend on the walk's accept
-    decisions.
+    target, all d for a population or dense one).  The part of Y from the
+    sites other than the round's qubit is built at the round's first fitted
+    loop, and each loop applies its qubit's factors to it, so no full
+    unitary is built inside the search: a search builds one for its start
+    cost and one for the returned state, whatever its budget.  The loop then
+    draws all its re-drawn angles (fresh uniforms on [0, 2pi)) in one call
+    and one acceptance uniform per proposal in a second, prices all its
+    proposals from the fit, and scans them with the accept rule.  The first
+    proposal of a loop on beta, gamma or delta is the exact minimization of
+    the summed overlaps along that parameter (no random draw); it is one
+    proposal and one trace row like any other.  A loop on alpha, a global
+    phase, builds no anchors: each proposal costs the current cost, a tie
+    the rule accepts, and the last angle stays.  So the random stream does
+    not depend on the walk's accept decisions.  An array ``rho`` is checked
+    as a :class:`DensityMatrix` before any cost or draw.
     A ``cost_fn`` is opaque: every proposal is a uniform re-draw, priced by
     rebuilding the unitary and calling it.  The returned state is built once,
     from the best parameters.
     """
-    rho_m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+    rho_m = rho.entries
     d = rho_m.shape[0]
     n_qubits = int(np.log2(d))
     if 2**n_qubits != d:
@@ -501,10 +553,10 @@ def unitary_metropolis(
     identity_cost = cost_fn(rho_m)
     if identity_cost < config.threshold_eps:
         walk = _Walk(identity_cost, np.zeros((n_qubits, 4)), config)
-        return DensityMatrix(rho_m), UnitaryAnsatz(walk.best), walk.trace()
+        return rho, UnitaryAnsatz(walk.best), walk.trace()
 
     if fitted:
-        anchors = _sitewise_anchors(spectrum, rho_m, targets, fermionic)
+        around = _sitewise_anchors(spectrum, rho_m, targets, fermionic)
     rng = np.random.default_rng(config.seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_qubits, 4))
     walk = _Walk(cost_fn(rotated(params)), params, config)
@@ -513,6 +565,9 @@ def unitary_metropolis(
         if walk.done:
             break
         qubit = int(rng.integers(n_qubits))
+        # the other sites hold still for the round: its first fitted loop
+        # builds their environment, and every fitted loop of the round reuses it
+        anchors = None
         for _micro in range(config.micro_m):
             if walk.done:
                 break
@@ -532,16 +587,19 @@ def unitary_metropolis(
             # one nano loop: its angles in one draw, its acceptance uniforms
             # in another, every proposal priced before the walk scans them
             n = min(config.nano_n, walk.remaining)
-            theta0 = params[qubit, par]
             if par == 0:
-                # alpha is a global phase: U rho U^dag, and so the cost, stays put
-                thetas = rng.uniform(0.0, _TWO_PI, size=n)
-                costs = np.full(n, walk.cost)
-            else:
-                coef = _fit_coordinate(anchors(params, qubit, par))
-                exact = (theta0 + _minimize_coordinate(coef)) % _TWO_PI
-                thetas = np.concatenate(([exact], rng.uniform(0.0, _TWO_PI, size=n - 1)))
-                costs = _fitted_costs(coef, thetas - theta0)
+                # alpha is a global phase: U rho U^dag, and so the cost, stays
+                # put.  Every proposal is a tie the rule accepts, so the last
+                # angle stays; the uniforms are drawn and never read
+                params[qubit, 0] = rng.uniform(0.0, _TWO_PI, size=n)[-1]
+                rng.uniform(size=n)
+                walk.ties(n)
+                continue
+            if anchors is None:
+                anchors = around(params, qubit)
+            coef = _fit_coordinate(anchors(params[qubit], par))
+            drawn = rng.uniform(0.0, _TWO_PI, size=n - 1)
+            thetas, costs = _fitted_loop(coef, params[qubit, par], drawn)
             uniforms = rng.uniform(size=n)
 
             def state_at(i):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 #: Rows formatted per write in :func:`write_csv`.
 _CSV_CHUNK_ROWS = 1024
 
@@ -73,8 +75,10 @@ def log_gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:
 
 
 def xlogx(p: np.ndarray) -> np.ndarray:
-    """Elementwise p ln p with the continuous extension 0 ln 0 = 0."""
+    """Elementwise p ln p with the continuous extension 0 ln 0 = 0; a NaN raises ValidationError."""
     p = np.asarray(p, dtype=float)
+    if np.isnan(p).any():
+        raise ValidationError("p ln p of NaN: the populations or eigenvalues are not finite")
     out = np.zeros_like(p)
     mask = p > 1e-300
     out[mask] = p[mask] * np.log(p[mask])

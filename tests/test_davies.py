@@ -45,6 +45,44 @@ class TestJumpMatrix:
                 ratio = (jumps.amplitudes[n, m] / jumps.amplitudes[m, n]) ** 2
                 assert ratio == pytest.approx(np.exp(-bath.beta * x), rel=1e-12)
 
+    @pytest.mark.parametrize("statistics", ["bose", "fermi"])
+    def test_array_occupations_match_scalar_bitwise(self, statistics):
+        # the one-frequency form as it was written, past 700 included; an
+        # overflow in the array form would raise under filterwarnings = error
+        def one(x, bath):
+            bx = bath.beta * x
+            if bath.statistics == "bose":
+                n = float(np.exp(-bx)) if bx > 700 else 1.0 / np.expm1(bx)
+                return 1.0 + n, n
+            f = float(np.exp(-bx)) if bx > 700 else 1.0 / (np.exp(bx) + 1.0)
+            return 1.0 - f, f
+
+        bath = mp.BathSpec(2.5, statistics, 1.0)
+        rng = np.random.default_rng(6)
+        x = np.concatenate([rng.uniform(1e-9, 300.0, 400), 10.0 ** rng.uniform(-8, 3, 200),
+                            [280.0, np.nextafter(280.0, np.inf), 1e4]]).reshape(3, 201)
+        assert (bath.beta * x > 700).sum() > 30
+        w_down, w_up = occupation_factors(x, bath)
+        assert w_down.shape == w_up.shape == x.shape
+        for xi, down, up in zip(x.ravel().tolist(), w_down.ravel(), w_up.ravel()):
+            want = one(xi, bath)
+            got = occupation_factors(xi, bath)
+            assert type(got[0]) is float and type(got[1]) is float
+            assert np.array([down, up]).tobytes() == np.array(want).tobytes()
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("length, statistics", [(3, "bose"), (5, "fermi")])
+    def test_jump_matrix_matches_pairwise_build(self, length, statistics):
+        model = mp.tfim(length=length, statistics=statistics)
+        basis, bath = model.basis(), model.bath
+        want = np.zeros((basis.dim, basis.dim))
+        for m in range(basis.dim):
+            for n in range(m + 1, basis.dim):
+                w_down, w_up = occupation_factors(basis.energies[n] - basis.energies[m], bath)
+                want[m, n] = bath.gamma * np.sqrt(w_down)
+                want[n, m] = bath.gamma * np.sqrt(w_up)
+        assert mp.build_jump_matrix(basis, bath).amplitudes.tobytes() == want.tobytes()
+
     def test_zero_temperature_pure_decay(self):
         w_down, w_up = occupation_factors(1.0, mp.BathSpec(np.inf, "bose", 1.0))
         assert w_up == 0.0 and w_down == 1.0

@@ -10,18 +10,27 @@ import mpemba as mp
 from mpemba.errors import ValidationError
 from mpemba.metropolis import (
     _ANCHORS,
+    _GRID,
     _SWAP_BATCH,
+    _Walk,
+    _coordinate_candidates,
     _distinct_indices,
     _euler_factors,
     _fit_coordinate,
     _fitted_costs,
-    _minimize_coordinate,
     _sitewise_anchors,
     metropolis_accept,
 )
 from mpemba.utils import _CSV_CHUNK_ROWS, SIGMA_Z, kron_chain
 
 from conftest import DEMO_BLOCH
+
+
+def _minimize_coordinate(coef):
+    """The exact move's offset on its own: the grid priced, then the two candidates priced."""
+    g, x = _coordinate_candidates(coef, _fitted_costs(coef, np.exp(1j * _GRID)))
+    ends = _fitted_costs(coef, np.exp(1j * np.array([g, x])))
+    return x if ends[1] < ends[0] else g
 
 
 class TestConfig:
@@ -129,6 +138,37 @@ class TestAcceptRule:
         assert metropolis_accept(0.5, 1.0, 0.0, 0.0) is True
         assert metropolis_accept(1.0, 1.0, 0.0, 0.0) is True
         assert metropolis_accept(1.5, 1.0, 0.0, 0.0) is False
+
+
+class TestWalkTies:
+    @pytest.mark.parametrize("t_eff", [1.0, 1e-300, 0.0])
+    def test_ties_match_scan(self, t_eff):
+        # an alpha loop records n ties at once; the scan judges them one by one.
+        # At 1e-300 and cooling 0.5, T_eff passes through the subnormals to 0
+        schedule = mp.AnnealSchedule(cooling_tau=0.5, threshold_eps=1e-9, max_total_iterations=252)
+        uniforms = np.random.default_rng(3).uniform(size=250)
+        uniforms[0] = np.nextafter(1.0, 0.0)
+
+        def no_new_best(_):
+            raise AssertionError("a tie is never a new best")
+
+        walks = []
+        for judged in (False, True):
+            walk = _Walk(0.5, np.zeros(2), schedule)
+            walk.scan([0.25, 0.375], [0.99, 0.0], lambda i: np.full(2, float(i)))
+            walk.t_eff = t_eff
+            if judged:
+                walk.scan([walk.cost] * 250, uniforms.tolist(), no_new_best)
+            else:
+                walk.ties(250)
+            walks.append(walk)
+        ties, scanned = walks
+        _assert_same_trace(ties.trace(), scanned.trace())
+        assert ties.trace().accepted.all()
+        for name in ("cost", "t_eff", "best_cost", "converged", "done"):
+            assert getattr(ties, name) == getattr(scanned, name), name
+        assert np.array_equal(ties.best, scanned.best)
+        assert ties.done and ties.remaining == 0
 
 
 class TestCost:
@@ -325,8 +365,8 @@ class TestExactCoordinateMove:
                     warnings.simplefilter("error")
                     phi = _minimize_coordinate(coef)
                 assert type(phi) is float
-                moved, oracle = _fitted_costs(coef, np.array([phi, loop_form(coef)]))
-                assert moved <= _fitted_costs(coef, grid).min()
+                moved, oracle = _fitted_costs(coef, np.exp(1j * np.array([phi, loop_form(coef)])))
+                assert moved <= _fitted_costs(coef, np.exp(1j * grid)).min()
                 assert moved <= oracle + 1e-14 * max(1.0, oracle)
 
 
@@ -384,7 +424,7 @@ class TestSitewiseAnchors:
     def test_anchors_match_full_rebuild(self, name, kind, qubit_spec, tfim3_model):
         spec, rho, targets, fermionic = self._case(name, qubit_spec, tfim3_model)
         assert {spec.mode_tag(k)[0] for k in targets} == {kind}
-        anchors = _sitewise_anchors(spec, rho.entries, targets, fermionic)
+        around = _sitewise_anchors(spec, rho.entries, targets, fermionic)
         n_qubits = int(np.log2(spec.dim))
         rng = np.random.default_rng(11)
         for _ in range(3):
@@ -397,9 +437,25 @@ class TestSitewiseAnchors:
                         moved[qubit, par] += shift
                         u = mp.build_ansatz_unitary(mp.UnitaryAnsatz(moved, fermionic=fermionic))
                         want.append(spec.amplitudes(u @ rho.entries @ u.conj().T, targets))
-                    got = anchors(params, qubit, par)
+                    got = around(params, qubit)(params[qubit], par)
                     assert got.shape == (3, len(targets))
                     np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["qubit", "tfim3_fermionic", "tfim3_population", "dot"])
+    def test_round_environment_matches_per_loop_rebuild(self, name, qubit_spec, tfim3_model):
+        # the environment built at a round's start serves every loop of the
+        # round, while the round's qubit moves, with the bits of a fresh one
+        spec, rho, targets, fermionic = self._case(name, qubit_spec, tfim3_model)
+        around = _sitewise_anchors(spec, rho.entries, targets, fermionic)
+        n_qubits = int(np.log2(spec.dim))
+        rng = np.random.default_rng(12)
+        params = rng.uniform(0.0, 2 * np.pi, size=(n_qubits, 4))
+        for qubit in range(n_qubits):
+            anchors = around(params, qubit)
+            for par in (1, 2, 3, 3, 1, 2):
+                got = anchors(params[qubit], par)
+                assert got.tobytes() == around(params, qubit)(params[qubit], par).tobytes()
+                params[qubit, par] = rng.uniform(0.0, 2 * np.pi)
 
     def test_site_factors_bitwise_equal_to_per_site_product(self):
         # the factors build_ansatz_unitary multiplies, as it built them one site at a time
@@ -751,7 +807,8 @@ def _reference_unitary(spectrum, rho, config, fermionic, cost_fn):
 #    re-drawn angles, then one acceptance uniform per proposal; a proposal on
 #    alpha (a global phase) costs the current cost, any other is priced from
 #    the loop's three-anchor fit; the anchors come from the sitewise routine,
-#    which TestSitewiseAnchors checks against a full rebuild
+#    its environment rebuilt for every loop (TestSitewiseAnchors checks it
+#    against a full rebuild), and the exact move from the minimizer alone
 
 
 def _reference_fitted(spectrum, rho, config, fermionic):
@@ -763,7 +820,7 @@ def _reference_fitted(spectrum, rho, config, fermionic):
         u = mp.build_ansatz_unitary(mp.UnitaryAnsatz(p, fermionic=fermionic))
         return u @ rho_m @ u.conj().T
 
-    anchors_at = _sitewise_anchors(spectrum, rho_m, targets, fermionic)
+    around = _sitewise_anchors(spectrum, rho_m, targets, fermionic)
     rng = np.random.default_rng(config.seed)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(n_qubits, 4))
     current = best = mp.cost(spectrum, conj(params), targets)
@@ -779,7 +836,7 @@ def _reference_fitted(spectrum, rho, config, fermionic):
             if par == 0:
                 angles = list(rng.uniform(0.0, 2.0 * np.pi, size=n))
             else:
-                coef = _fit_coordinate(anchors_at(params, qubit, par))
+                coef = _fit_coordinate(around(params, qubit)(params[qubit], par))
                 exact = (theta0 + _minimize_coordinate(coef)) % (2.0 * np.pi)
                 angles = [exact] + list(rng.uniform(0.0, 2.0 * np.pi, size=n - 1))
             uniforms = rng.uniform(size=n)
@@ -790,7 +847,7 @@ def _reference_fitted(spectrum, rho, config, fermionic):
                 if par == 0:
                     new = current
                 else:
-                    new = _fitted_costs(coef, np.array([theta - theta0]))[0]
+                    new = _fitted_costs(coef, np.exp(1j * np.array([theta - theta0])))[0]
                 accepted = metropolis_accept(new, current, t_eff, u)
                 if accepted:
                     current = new
@@ -879,6 +936,23 @@ class TestSharedWalk:
         _assert_same_trace(trace, want_trace)
         assert np.array_equal(ansatz.params, np.mod(want_params, 2.0 * np.pi))
         assert np.array_equal(rho_best.entries, want_rho)
+
+    @pytest.mark.parametrize("fitted", [False, True])
+    def test_non_finite_state_refused_before_any_work(self, fitted, qubit_spec, record_rngs):
+        # an array state is judged as a DensityMatrix before its first cost or draw
+        calls = []
+
+        def cost_fn(m):
+            calls.append(1)
+            return 1.0
+
+        made = record_rngs()
+        cfg = mp.MetropolisConfig(cooling_tau=0.99, threshold_eps=1e-7, target_modes=(2, 3),
+                                  nano_n=10, micro_m=5, max_total_iterations=50)
+        with pytest.raises(ValidationError, match="non-finite"):
+            mp.unitary_metropolis(qubit_spec, [[0.5, np.nan], [np.nan, 0.5]], cfg,
+                                  cost_fn=None if fitted else cost_fn)
+        assert calls == [] and made == []
 
     def test_random_draws_do_not_depend_on_decisions(self, tfim3_gen, record_rngs):
         # searches that differ only in their cooling make different accept

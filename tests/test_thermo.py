@@ -115,6 +115,20 @@ class TestEntropySplit:
         assert p == math.inf
 
 
+def test_nan_state_raises_in_entropies(qubit_model):
+    # p ln p refuses NaN instead of reading it as 0 ln 0
+    m = np.array([[0.5, np.nan], [np.nan, 0.5]])
+    basis = qubit_model.basis()
+    with pytest.raises(ValidationError, match="NaN"):
+        xlogx([0.5, np.nan])
+    with pytest.raises(ValidationError, match="NaN"):
+        mp.entropy_split(m, [0.5, 0.5], basis)
+    with pytest.raises(ValidationError, match="NaN"):
+        mp.noneq_free_energy(m, basis.hamiltonian(), 1.0)
+    with pytest.raises(ValidationError, match="NaN"):
+        mp.relative_entropy(m, np.eye(2) / 2)
+
+
 class TestDistances:
     def test_l1_zero_iff_equal(self, qubit_model):
         basis = qubit_model.basis()
