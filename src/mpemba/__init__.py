@@ -52,6 +52,8 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     SpectralBasis,
+    as_populations,
+    as_state,
     bloch_to_state,
     dephase,
     diagonalize,

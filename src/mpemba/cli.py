@@ -25,7 +25,7 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, ValidationError
 from .metropolis import population_weights, swap_metropolis, unitary_metropolis
 from .models import ModelInstance, build_generator
-from .operators import DensityMatrix, bloch_to_state, random_mixed_state, thermal_state
+from .operators import DensityMatrix, as_state, bloch_to_state, random_mixed_state, thermal_state
 from .spectral import decompose, evolve_spectral, spectral_gap
 from .thermo import ThermoTrajectory, compute_trajectory, fit_decay_rate, noneq_free_energy
 from .transform import MpembaCertificate, detect_crossing, exact_transform, verify_overlap_elimination
@@ -118,14 +118,10 @@ def _initial_state(cfg: ExperimentConfig, model: ModelInstance, args) -> Density
         d = model.hamiltonian.dim
         v = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
         return DensityMatrix(np.outer(v, v.conj()))
-    d = model.hamiltonian.dim
     try:
-        data = np.load(spec.path)
-        if np.shape(data) != (d, d):
-            raise ValueError(f"expected a {d}x{d} density matrix, got shape {np.shape(data)}")
-        return DensityMatrix(np.asarray(data, dtype=complex))
+        return as_state(np.load(spec.path), model.hamiltonian.dim)
     except (OSError, ValueError) as exc:  # ValidationError is a ValueError
-        raise ConfigError("initial_state.path", f"{spec.path}: {exc}")
+        raise ConfigError("initial_state.path", f"{spec.path}: {exc}") from exc
 
 
 def _apply_transform(kind, cfg, basis, spectrum, rho, args):

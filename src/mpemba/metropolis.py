@@ -69,7 +69,7 @@ from itertools import accumulate, permutations, repeat
 import numpy as np
 
 from .errors import ValidationError
-from .operators import DensityMatrix
+from .operators import DensityMatrix, as_populations, as_state
 from .spectral import GeneratorSpectrum
 from .utils import SIGMA_Z, kron_chain, write_csv
 
@@ -525,18 +525,19 @@ def unitary_metropolis(
     proposal and one trace row like any other.  A loop on alpha, a global
     phase, builds no anchors: each proposal costs the current cost, a tie
     the rule accepts, and the last angle stays.  So the random stream does
-    not depend on the walk's accept decisions.  An array ``rho`` is checked
-    as a :class:`DensityMatrix` before any cost or draw.
+    not depend on the walk's accept decisions.  ``rho`` enters through
+    :func:`mpemba.operators.as_state` before any cost or draw; a register that
+    is not 2^L-dimensional is refused before a state of the wrong dimension.
     A ``cost_fn`` is opaque: every proposal is a uniform re-draw, priced by
     rebuilding the unitary and calling it.  The returned state is built once,
     from the best parameters.
     """
-    rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+    rho = as_state(rho)
     rho_m = rho.entries
-    d = rho_m.shape[0]
-    n_qubits = int(np.log2(d))
-    if 2**n_qubits != d:
+    n_qubits = int(np.log2(rho.dim))
+    if 2**n_qubits != rho.dim:
         raise ValidationError("unitary metropolis requires a 2^L-dimensional state")
+    as_state(rho, spectrum.dim)
 
     def rotated(p):
         u = build_ansatz_unitary(UnitaryAnsatz(p, fermionic=fermionic))
@@ -651,10 +652,11 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, schedule: AnnealSc
     """Anneal population permutations to kill diagonal-mode overlaps.
 
     ``populations`` is the energy-basis population vector of a state that is
-    diagonal in the energy eigenbasis.  Every targeted mode of ``schedule``
-    must itself be diagonal (a population mode).  Proposals permute four
-    distinct entries (two below dimension 4, a documented fallback), so the
-    population multiset is preserved exactly and coherences remain zero.
+    diagonal in the energy eigenbasis (:func:`mpemba.operators.as_populations`).
+    Every targeted mode of ``schedule`` must itself be diagonal (a population
+    mode).  Proposals permute four distinct entries (two below dimension 4, a
+    documented fallback), so the population multiset is preserved exactly and
+    coherences remain zero.
 
     The walk runs in batches of up to ``_SWAP_BATCH`` proposals.  A batch
     draws all its randomness first, whatever the walk decides: the swapped
@@ -664,12 +666,8 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, schedule: AnnealSc
     prices each proposal by the change of s over its swapped entries alone
     (O(4K) for K targets, in Python floats).
     """
-    p0 = np.asarray(populations, dtype=float)
-    d = p0.size
-    if d != spectrum.dim:
-        raise ValidationError("population vector does not match the spectrum dimension")
-    if not (abs(p0.sum() - 1.0) <= 1e-10 and np.all(p0 >= -1e-12)):  # a NaN fails
-        raise ValidationError("populations must form a probability vector")
+    d = spectrum.dim
+    p0 = as_populations(populations, d)
 
     lefts = []
     for k in schedule.target_modes:

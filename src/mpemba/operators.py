@@ -95,6 +95,8 @@ class SpectralBasis:
 class DensityMatrix:
     """A Hermitian, unit-trace, positive-semidefinite matrix.
 
+    ``eigenvalues`` is the ascending, read-only ``eigvalsh(entries)`` that
+    the positivity check solves.
     ``psd_tol`` loosens only the positivity check; evolution code uses a
     relaxed 1e-8 to absorb propagation roundoff.
     """
@@ -104,14 +106,15 @@ class DensityMatrix:
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {entries.shape}")
         if not np.isfinite(entries).all():
-            raise ValidationError("state has non-finite entries")
+            raise ValidationError("state has non-finite (NaN or inf) entries")
+        self.entries = frozen(entries)
+        self.eigenvalues = frozen(np.linalg.eigvalsh(self.entries))
         require_state(
             herm_defect(entries),
             complex(np.trace(entries)),
-            float(np.linalg.eigvalsh(0.5 * (entries + entries.conj().T)).min()),
+            float(self.eigenvalues[0]),
             psd_tol,
         )
-        self.entries = frozen(entries)
         self.dim = entries.shape[0]
 
     def populations(self, basis: SpectralBasis) -> np.ndarray:
@@ -137,6 +140,25 @@ def require_state(defect: float, trace: complex, min_eig: float, psd_tol: float 
         raise ValidationError(f"state trace is {trace:.12g}, expected 1")
     if not min_eig >= -psd_tol:
         raise ValidationError(f"state has negative eigenvalue {min_eig:.2e}")
+
+
+def as_state(rho, dim: int | None = None) -> DensityMatrix:
+    """The entry rule for a state: a :class:`DensityMatrix` as is, else judged as one; of ``dim`` if given."""
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho)
+    if dim is not None and rho.dim != dim:
+        raise ValidationError(f"state and system dimensions differ ({rho.dim} vs {dim})")
+    return rho
+
+
+def as_populations(populations, dim: int) -> np.ndarray:
+    """Length ``dim``, sum 1 within 1e-10, no entry below -1e-12, else :class:`ValidationError`."""
+    p = np.asarray(populations, dtype=float)
+    if p.shape != (dim,):
+        raise ValidationError("population vector does not match the spectrum dimension")
+    if not (abs(p.sum() - 1.0) <= 1e-10 and np.all(p >= -1e-12)):  # a NaN fails
+        raise ValidationError("populations must form a probability vector")
+    return p
 
 
 class BlochVector:
@@ -229,11 +251,9 @@ def bloch_to_state(r) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def state_to_bloch(rho: DensityMatrix) -> BlochVector:
-    """Inverse of :func:`bloch_to_state`; requires a qubit state."""
-    if rho.dim != 2:
-        raise ValidationError("Bloch coordinates are defined for dim 2 only")
-    m = rho.entries
+def state_to_bloch(rho) -> BlochVector:
+    """Inverse of :func:`bloch_to_state`; requires a qubit state (:func:`as_state`)."""
+    m = as_state(rho, 2).entries
     return BlochVector(
         [
             float(np.real(np.trace(m @ SIGMA_X))),
@@ -243,9 +263,8 @@ def state_to_bloch(rho: DensityMatrix) -> BlochVector:
     )
 
 
-def dephase(rho: DensityMatrix, basis: SpectralBasis) -> DensityMatrix:
-    """Remove all coherences in the energy eigenbasis, keeping populations."""
-    if rho.dim != basis.dim:
-        raise ValidationError("state and basis dimensions differ")
+def dephase(rho, basis: SpectralBasis) -> DensityMatrix:
+    """Remove all coherences of :func:`as_state` ``rho`` in the energy eigenbasis, keeping populations."""
+    rho = as_state(rho, basis.dim)
     diag = np.diag(np.diag(basis.to_eigenbasis(rho.entries)))
     return DensityMatrix(basis.from_eigenbasis(diag))

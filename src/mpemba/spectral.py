@@ -32,7 +32,7 @@ from .errors import (
     NoSteadyStateError,
     ValidationError,
 )
-from .operators import HERMITICITY_TOL, TRACE_TOL, DensityMatrix, SpectralBasis, require_state
+from .operators import HERMITICITY_TOL, TRACE_TOL, DensityMatrix, SpectralBasis, as_state, require_state
 from .utils import chunk_slices, frozen, herm_defect, hermitize, log_gibbs_weights
 
 #: Eigenvector-matrix condition number above which a generator is treated as
@@ -214,9 +214,11 @@ class GeneratorSpectrum:
         in one batch, coherence modes are single entries of rho in the energy
         basis, and population modes weight its diagonal.  Only the requested
         modes are computed.  A mode outside 1..n_modes raises
-        :class:`ValidationError`.
+        :class:`ValidationError`.  The read is linear, of any d x d matrix.
         """
-        rho_e = self._to_eig(rho)
+        # not as_state: the annealer's costs read rotated arrays, and judging one costs an eigvalsh
+        m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+        rho_e = self.basis.to_eigenbasis(m)
         if modes is None:
             idx = np.arange(self.n_modes)
         else:
@@ -229,24 +231,22 @@ class GeneratorSpectrum:
                 out[i] = self._lefts[:, j] @ np.diag(rho_e)
         return out
 
-    def _to_eig(self, rho) -> np.ndarray:
-        m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-        return self.basis.to_eigenbasis(m)
-
     def project_physical(self, rho) -> DensityMatrix:
         """Project onto the operator sector this spectrum can represent.
 
         For superselected spectra (e.g. fermion parity) this is the pinching
         that removes sector-violating coherences; it is exactly what the
         retained eigenmodes reconstruct, and a CPTP map, so the result is a
-        valid state.  Spectra without sector labels return the lab-basis
-        state unchanged, an array as its :class:`DensityMatrix`.
+        valid state.  ``rho`` passes :func:`mpemba.operators.as_state`, and
+        spectra without sector labels return it unchanged.
         """
+        rho = as_state(rho, self.dim)
         labels = self._generator.sector_labels
         if labels is None:
-            return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+            return rho
         mask = np.equal.outer(labels, labels)
-        return DensityMatrix(self.basis.from_eigenbasis(hermitize(self._to_eig(rho) * mask)))
+        rho_e = self.basis.to_eigenbasis(rho.entries)
+        return DensityMatrix(self.basis.from_eigenbasis(hermitize(rho_e * mask)))
 
 
 def _check_mode_index(k: int, n_modes: int) -> int:
@@ -436,14 +436,14 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     expansion coefficients that appear at low temperature) and each
     coherence by its closed-form exponential.  The states are built and
     validated :func:`chunk_points` time points at a time; the grid holds
-    them in the lab basis together with their spectra.  An array ``rho_i``
-    must pass the checks of :class:`DensityMatrix`.
+    them in the lab basis together with their spectra.  ``rho_i`` enters
+    through :func:`mpemba.operators.as_state` at the spectrum's dimension.
     """
-    rho_i = rho_i if isinstance(rho_i, DensityMatrix) else DensityMatrix(rho_i)
+    rho_i = as_state(rho_i, spectrum.dim)
     times = np.asarray(times, dtype=float)
     basis = spectrum.basis
     if spectrum.kind == "block":
-        rho_e = spectrum._to_eig(rho_i)
+        rho_e = basis.to_eigenbasis(rho_i.entries)
         p0 = np.real(np.diag(rho_e)).copy()
         pops = np.array(list(_propagate(spectrum._generator.pop_block, p0, times)))
         gmat = spectrum._generator.coh_block
@@ -471,15 +471,15 @@ def evolve_direct(generator: DaviesGenerator, rho_i, times) -> EvolutionGrid:
     Stepwise scaling-and-squaring (scipy.linalg.expm) between grid points;
     the independent oracle for :func:`evolve_spectral`.  Raises
     :class:`ValidationError` unless ``generator`` is a
-    :class:`DaviesGenerator` with a dense form and an array ``rho_i`` passes
-    the checks of :class:`DensityMatrix`.
+    :class:`DaviesGenerator` with a dense form; ``rho_i`` enters through
+    :func:`mpemba.operators.as_state` at the generator's dimension.
     """
     if not (isinstance(generator, DaviesGenerator) and generator.has_dense):
         raise ValidationError(
             "direct evolution needs a DaviesGenerator with a dense form, such as "
             "DaviesGenerator(basis=..., dense=matrix)"
         )
-    rho_i = rho_i if isinstance(rho_i, DensityMatrix) else DensityMatrix(rho_i)
+    rho_i = as_state(rho_i, generator.dim)
     basis = generator.basis
     times = np.asarray(times, dtype=float)
     d = basis.dim

@@ -16,7 +16,8 @@ makes Pi the rate of the dimensionless D, an entropy per unit time in nats;
 Two distances are kept deliberately distinct: ``l1_elementwise`` is the
 entrywise sum used in the distance plots, while ``trace_distance`` is half the
 Schatten-1 norm that enters Pinsker's inequality
-D >= ||rho - tau||_1^2 / 2.
+D >= ||rho - tau||_1^2 / 2.  Every state argument enters through
+:func:`mpemba.operators.as_state`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ValidationError
-from .operators import DensityMatrix, SpectralBasis, thermal_populations
+from .operators import SpectralBasis, as_populations, as_state, thermal_populations
 from .spectral import EvolutionGrid
 from .utils import chunk_slices, frozen, log_gibbs_weights, write_csv, xlogx
 
@@ -47,13 +48,13 @@ def _shannon(p: np.ndarray):
 
 
 def noneq_free_energy(rho, hamiltonian, beta: float) -> float:
-    """Non-equilibrium free energy Tr(H rho) - S(rho)/beta."""
+    """Non-equilibrium free energy Tr(H rho) - S(rho)/beta, S(rho) from ``rho.eigenvalues``."""
     if beta <= 0:
         raise ValidationError("beta must be positive for the free energy")
-    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     h = np.asarray(hamiltonian, dtype=complex)
-    energy = float(np.real(np.trace(h @ m)))
-    return energy - float(_shannon(np.linalg.eigvalsh(m))) / beta
+    rho = as_state(rho, h.shape[0])
+    energy = float(np.real(np.trace(h @ rho.entries)))
+    return energy - float(_shannon(rho.eigenvalues)) / beta
 
 
 def equilibrium_free_energy(basis: SpectralBasis, beta: float) -> float:
@@ -71,16 +72,16 @@ def relative_entropy(rho, sigma) -> float:
     Returns ``math.inf`` (a distinguished value, not an exception) when rho
     has weight outside the support of sigma.
     """
-    a = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    b = sigma.entries if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
-    s_eigs, s_vecs = np.linalg.eigh(b)
-    weights = np.real(np.einsum("ij,jk,ki->i", s_vecs.conj().T, a, s_vecs))
+    rho = as_state(rho)
+    sigma = as_state(sigma, rho.dim)
+    s_eigs, s_vecs = np.linalg.eigh(sigma.entries)
+    weights = np.real(np.einsum("ij,jk,ki->i", s_vecs.conj().T, rho.entries, s_vecs))
     dead = s_eigs <= SUPPORT_TOL
     if np.any(weights[dead] > SUPPORT_TOL):
         return math.inf
     live = ~dead
     cross = float(weights[live] @ np.log(s_eigs[live]))
-    value = -float(_shannon(np.linalg.eigvalsh(a))) - cross
+    value = -float(_shannon(rho.eigenvalues)) - cross
     return max(value, 0.0) if value > -1e-10 else value
 
 
@@ -91,14 +92,14 @@ def entropy_split(rho, tau_populations, basis: SpectralBasis) -> tuple[float, fl
     of rho and the thermal populations; C = S(dephased rho) - S(rho) is the
     relative entropy of coherence.  P + C = D(rho || tau) when tau is the
     Gibbs state diagonal in ``basis``.  A zero thermal population under a
-    populated level yields ``math.inf``.
+    populated level yields ``math.inf``.  ``tau_populations`` must pass
+    :func:`mpemba.operators.as_populations`.
     """
-    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    rho_e = basis.to_eigenbasis(m)
-    p = np.clip(np.real(np.diag(rho_e)), 0.0, None)
-    t = np.asarray(tau_populations, dtype=float)
+    rho = as_state(rho, basis.dim)
+    t = as_populations(tau_populations, basis.dim)
+    p = np.clip(rho.populations(basis), 0.0, None)
     dead = t <= 0.0
-    coherent = float(_shannon(p) - _shannon(np.linalg.eigvalsh(m)))
+    coherent = float(_shannon(p) - _shannon(rho.eigenvalues))
     if np.any(p[dead] > SUPPORT_TOL):
         return math.inf, coherent
     live = ~dead
@@ -108,18 +109,15 @@ def entropy_split(rho, tau_populations, basis: SpectralBasis) -> tuple[float, fl
 
 def l1_elementwise(rho, tau, basis: SpectralBasis) -> float:
     """Entrywise L1 distance sum_ij |rho_ij - tau_ij| in the energy basis."""
-    a = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    b = tau.entries if isinstance(tau, DensityMatrix) else np.asarray(tau, dtype=complex)
-    if a.shape != b.shape:
-        raise ValidationError("states have different dimensions")
-    return float(np.abs(basis.to_eigenbasis(a) - basis.to_eigenbasis(b)).sum())
+    rho, tau = as_state(rho, basis.dim), as_state(tau, basis.dim)
+    return float(np.abs(basis.to_eigenbasis(rho.entries) - basis.to_eigenbasis(tau.entries)).sum())
 
 
 def trace_distance(rho, sigma) -> float:
     """Half the Schatten-1 norm of rho - sigma."""
-    a = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    b = sigma.entries if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
-    return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
+    rho = as_state(rho)
+    sigma = as_state(sigma, rho.dim)
+    return float(0.5 * np.abs(np.linalg.eigvalsh(rho.entries - sigma.entries)).sum())
 
 
 def spohn_rate(times, f_neq, beta: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .operators import DensityMatrix, SpectralBasis
+from .operators import DensityMatrix, SpectralBasis, as_state
 from .spectral import GeneratorSpectrum
 from .thermo import ThermoTrajectory, noneq_free_energy
 from .utils import haar_unitary
@@ -31,12 +31,10 @@ def exact_transform(rho, basis: SpectralBasis) -> tuple[DensityMatrix, np.ndarra
     rho' is diagonal in the energy eigenbasis with its populations sorted
     ascending against the ascending energies; the spectrum of rho is
     preserved exactly.  Degenerate state eigenvalues are broken by the
-    eigensolver's stable ordering (rho' is unique regardless).
+    eigensolver's stable ordering (rho' is unique regardless).  ``rho``
+    enters through :func:`mpemba.operators.as_state`.
     """
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(rho)
-    if rho.dim != basis.dim:
-        raise ValidationError("state and basis dimensions differ")
+    rho = as_state(rho, basis.dim)
     eigs, w = np.linalg.eigh(rho.entries)  # ascending eigenvalues
     # U maps the k-th state eigenvector onto the k-th energy eigenvector
     u = basis.vectors @ w.conj().T
@@ -90,7 +88,7 @@ class MajorizationReport:
 
 
 def majorization_check(
-    rho_prime: DensityMatrix,
+    rho_prime,
     basis: SpectralBasis,
     beta: float,
     n_random_unitaries: int,
@@ -100,8 +98,10 @@ def majorization_check(
 
     Also checks that the population vector of rho' majorizes that of every
     rotated state (read in the energy eigenbasis).  Sample seeds are derived
-    from ``seed`` so the report is deterministic.
+    from ``seed`` so the report is deterministic.  ``rho_prime`` and every
+    rotated sample are judged as :class:`DensityMatrix`es.
     """
+    rho_prime = as_state(rho_prime, basis.dim)
     h = basis.hamiltonian()
     f_ref = noneq_free_energy(rho_prime, h, beta)
     p_ref = np.sort(rho_prime.populations(basis))[::-1]
@@ -111,9 +111,9 @@ def majorization_check(
     def sample(seq):
         rng = np.random.default_rng(seq)
         v = haar_unitary(basis.dim, rng)
-        rotated = v @ m @ v.conj().T
+        rotated = DensityMatrix(v @ m @ v.conj().T)
         f_rot = noneq_free_energy(rotated, h, beta)
-        p_rot = np.sort(np.real(np.diag(basis.to_eigenbasis(rotated))))[::-1]
+        p_rot = np.sort(rotated.populations(basis))[::-1]
         partial_gap = np.min(np.cumsum(p_ref) - np.cumsum(p_rot))
         return f_rot - f_ref, partial_gap
 

@@ -192,6 +192,17 @@ class TestUnitaryMetropolis:
         with pytest.raises(ValidationError, match="2\\^L-dimensional"):
             mp.unitary_metropolis(qubit_spec, np.eye(3) / 3, cfg)
 
+    def test_rejects_state_of_another_dimension_before_any_cost(self, qubit_spec):
+        # a two-qubit state on the qubit's spectrum: refused before the
+        # start cost, whichever cost prices the walk
+        cfg = mp.MetropolisConfig(cooling_tau=0.99, threshold_eps=1e-6, target_modes=(2,))
+        priced = []
+        with pytest.raises(ValidationError, match="dimensions differ"):
+            mp.unitary_metropolis(qubit_spec, np.eye(4) / 4, cfg)
+        with pytest.raises(ValidationError, match="dimensions differ"):
+            mp.unitary_metropolis(qubit_spec, np.eye(4) / 4, cfg, cost_fn=lambda m: priced.append(m) or 1.0)
+        assert priced == []
+
     def test_already_converged_input(self, qubit_model, qubit_spec):
         tau = mp.thermal_state(qubit_model.basis(), qubit_model.bath.beta)
         cfg = mp.MetropolisConfig(cooling_tau=0.999, threshold_eps=1e-6, target_modes=(2, 3), seed=0)

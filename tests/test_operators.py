@@ -1,10 +1,15 @@
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpemba as mp
-from mpemba.errors import ValidationError
+from mpemba.cli import _initial_state
+from mpemba.config import parse_config
+from mpemba.errors import ConfigError, ValidationError
 from mpemba.operators import require_state
 from mpemba.utils import SIGMA_X, kron_chain
 
@@ -234,3 +239,118 @@ class TestKronChain:
 def test_input_checks_raise(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the entry rule: every public function that takes a state judges it by as_state
+# ---------------------------------------------------------------------------
+
+_QUBIT = mp.single_qubit()
+_QUBIT_BASIS = _QUBIT.basis()
+_QUBIT_GEN = mp.build_generator(_QUBIT, dense=True)
+_QUBIT_SPEC = mp.decompose(_QUBIT_GEN)
+_TAU = mp.thermal_state(_QUBIT_BASIS, _QUBIT.bath.beta)
+_TIMES = np.linspace(0.0, 1.0, 5)
+_SEARCH = mp.MetropolisConfig(
+    cooling_tau=0.99, threshold_eps=1e-9, target_modes=(2, 3), seed=3,
+    nano_n=4, micro_m=2, macro_big_m=1,
+)
+
+
+def _from_file(state, tmp_path):
+    """The ``file`` branch of the CLI's initial state, its ValidationError unwrapped."""
+    path = tmp_path / "state.npy"
+    np.save(path, state.entries if isinstance(state, mp.DensityMatrix) else state)
+    cfg = parse_config({
+        "model": {"name": "single_qubit", "omega": 5.0},
+        "bath": {"temperature": 10.0, "gamma": 1.0},
+        "initial_state": {"kind": "file", "path": str(path)},
+        "transform": {"kind": "none"},
+        "time_grid": {"t_max": 1.0, "n_points": 5},
+        "outputs": {"directory": str(tmp_path)},
+    })
+    try:
+        return _initial_state(cfg, cfg.build_model(), types.SimpleNamespace(seed=None))
+    except ConfigError as exc:
+        assert isinstance(exc.__cause__, ValidationError)
+        raise exc.__cause__
+
+
+_ENTRY_POINTS = {
+    "noneq_free_energy": lambda s, _: mp.noneq_free_energy(s, _QUBIT_BASIS.hamiltonian(), 0.5),
+    "relative_entropy[rho]": lambda s, _: mp.relative_entropy(s, _TAU),
+    "relative_entropy[sigma]": lambda s, _: mp.relative_entropy(_TAU, s),
+    "entropy_split": lambda s, _: mp.entropy_split(
+        s, mp.thermal_populations(_QUBIT_BASIS, 0.5), _QUBIT_BASIS),
+    "l1_elementwise[rho]": lambda s, _: mp.l1_elementwise(s, _TAU, _QUBIT_BASIS),
+    "l1_elementwise[tau]": lambda s, _: mp.l1_elementwise(_TAU, s, _QUBIT_BASIS),
+    "trace_distance[rho]": lambda s, _: mp.trace_distance(s, _TAU),
+    "trace_distance[sigma]": lambda s, _: mp.trace_distance(_TAU, s),
+    "exact_transform": lambda s, _: mp.exact_transform(s, _QUBIT_BASIS),
+    "majorization_check": lambda s, _: mp.majorization_check(s, _QUBIT_BASIS, 0.5, 3, seed=0),
+    "dephase": lambda s, _: mp.dephase(s, _QUBIT_BASIS),
+    "state_to_bloch": lambda s, _: mp.state_to_bloch(s),
+    "project_physical": lambda s, _: _QUBIT_SPEC.project_physical(s),
+    "evolve_spectral": lambda s, _: mp.evolve_spectral(_QUBIT_SPEC, s, _TIMES),
+    "evolve_direct": lambda s, _: mp.evolve_direct(_QUBIT_GEN, s, _TIMES),
+    "unitary_metropolis": lambda s, _: mp.unitary_metropolis(_QUBIT_SPEC, s, _SEARCH),
+    "cli_file_state": _from_file,
+}
+
+_NOT_STATES = {
+    "trace_2": (np.eye(2), "trace is 2"),
+    "wrong_dimension": (np.eye(4) / 4, "dimensions differ"),
+    "nan": (np.array([[0.5, np.nan], [np.nan, 0.5]]), "non-finite"),
+}
+
+
+def _leaves(value):
+    """A result as a flat list of arrays and scalars, for exact comparison."""
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    if dataclasses.is_dataclass(value):
+        return _leaves([getattr(value, f.name) for f in dataclasses.fields(value)])
+    if isinstance(value, mp.DensityMatrix):
+        return [value.entries, value.eigenvalues]
+    if isinstance(value, mp.BlochVector):
+        return [value.r]
+    return [value]
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", sorted(_NOT_STATES))
+def test_entry_rule_refuses_non_states(entry, bad, tmp_path):
+    matrix, message = _NOT_STATES[bad]
+    with pytest.raises(ValidationError, match=message):
+        _ENTRY_POINTS[entry](matrix, tmp_path)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_entry_rule_reads_an_array_as_its_state(entry, tmp_path):
+    rho = mp.bloch_to_state(list(DEMO_BLOCH))
+    from_array = _leaves(_ENTRY_POINTS[entry](np.array(rho.entries), tmp_path))
+    from_state = _leaves(_ENTRY_POINTS[entry](rho, tmp_path))
+    assert len(from_array) == len(from_state)
+    for a, b in zip(from_array, from_state):
+        assert np.array_equal(a, b)
+
+
+class TestAsState:
+    def test_state_returned_unchanged(self):
+        rho = mp.random_mixed_state(4, 2, seed=1)
+        assert mp.as_state(rho) is rho
+        assert mp.as_state(rho, 4) is rho
+
+    def test_dimension_checked_for_states_too(self):
+        with pytest.raises(ValidationError, match="dimensions differ \\(4 vs 2\\)"):
+            mp.as_state(mp.random_mixed_state(4, 2, seed=1), 2)
+
+    @pytest.mark.parametrize("length", [None, 3, 5])
+    def test_eigenvalues_are_eigvalsh_of_entries(self, length):
+        d = 2 if length is None else 2**length
+        for seed in range(3):
+            m = np.array(mp.random_mixed_state(d, 3, seed=seed).entries)
+            rho = mp.DensityMatrix(m)
+            assert np.array_equal(rho.eigenvalues, np.linalg.eigvalsh(m))
+            assert not rho.eigenvalues.flags.writeable
+            assert np.all(np.diff(rho.eigenvalues) >= 0)

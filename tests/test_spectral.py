@@ -253,6 +253,31 @@ def test_package_runs_in_one_thread():
     assert not offenders, offenders
 
 
+def test_states_are_judged_in_one_place():
+    # isinstance(..., DensityMatrix) is the entry rule's test: as_state makes
+    # it, and amplitudes, the one linear reader of any matrix, keeps a copy
+    package = Path(mp.__file__).parent
+    found = []
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), path)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance"
+                and "DensityMatrix" in {n.id for n in ast.walk(child.args[1]) if isinstance(n, ast.Name)}
+            ):
+                found.append(f"{path.stem}.{'.'.join(scope)}")
+            visit(child, scope, path)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), (), path)
+    assert sorted(found) == ["operators.as_state", "spectral.GeneratorSpectrum.amplitudes"]
+
+
 def test_package_imports_are_used():
     # every name a module imports is read in that module; __init__.py only re-exports
     package = Path(mp.__file__).parent

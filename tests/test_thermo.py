@@ -8,7 +8,7 @@ import scipy.linalg
 import mpemba as mp
 from mpemba.errors import ValidationError
 from mpemba.spectral import _propagate, chunk_points
-from mpemba.thermo import CSV_COLUMNS, _one_sided
+from mpemba.thermo import CSV_COLUMNS, SUPPORT_TOL, _one_sided, _shannon
 from mpemba.utils import log_gibbs_weights, xlogx
 
 from conftest import DEMO_BLOCH, reference_package_state
@@ -115,6 +115,70 @@ class TestEntropySplit:
         assert p == math.inf
 
 
+    @pytest.mark.parametrize("tau_p, message", [
+        ([np.nan, 1.0], "probability vector"),
+        ([1.5, -0.5], "probability vector"),
+        ([0.25, 0.25], "probability vector"),
+        ([0.5, 0.25, 0.25], "does not match the spectrum dimension"),
+    ], ids=["nan", "negative", "sum", "length"])
+    def test_rejects_bad_thermal_populations(self, qubit_model, tau_p, message):
+        rho = mp.bloch_to_state(list(DEMO_BLOCH))
+        with pytest.raises(ValidationError, match=message):
+            mp.entropy_split(rho, tau_p, qubit_model.basis())
+
+
+# The bodies of the three entropy functions before states kept their
+# eigenvalues, each solving the spectrum of the matrix it was given: the
+# stored eigenvalues must reproduce them bit for bit.
+def _reference_noneq_free_energy(m, h, beta):
+    energy = float(np.real(np.trace(h @ m)))
+    return energy - float(_shannon(np.linalg.eigvalsh(m))) / beta
+
+
+def _reference_relative_entropy(a, b):
+    s_eigs, s_vecs = np.linalg.eigh(b)
+    weights = np.real(np.einsum("ij,jk,ki->i", s_vecs.conj().T, a, s_vecs))
+    dead = s_eigs <= SUPPORT_TOL
+    if np.any(weights[dead] > SUPPORT_TOL):
+        return math.inf
+    live = ~dead
+    cross = float(weights[live] @ np.log(s_eigs[live]))
+    value = -float(_shannon(np.linalg.eigvalsh(a))) - cross
+    return max(value, 0.0) if value > -1e-10 else value
+
+
+def _reference_entropy_split(m, t, basis):
+    rho_e = basis.to_eigenbasis(m)
+    p = np.clip(np.real(np.diag(rho_e)), 0.0, None)
+    dead = t <= 0.0
+    coherent = float(_shannon(p) - _shannon(np.linalg.eigvalsh(m)))
+    if np.any(p[dead] > SUPPORT_TOL):
+        return math.inf, coherent
+    live = ~dead
+    classical = float(xlogx(p).sum() - p[live] @ np.log(t[live]))
+    return max(classical, 0.0), max(coherent, 0.0)
+
+
+@pytest.mark.parametrize("length", [None, 3, 5])
+def test_entropies_match_reference_bodies_bitwise(length):
+    model = mp.single_qubit() if length is None else mp.tfim(length=length)
+    basis = model.basis()
+    d = basis.dim
+    beta = model.bath.beta
+    h = basis.hamiltonian()
+    tau = mp.thermal_state(basis, beta)
+    tau_p = mp.thermal_populations(basis, beta)
+    states = [mp.random_mixed_state(d, n, seed=seed) for seed, n in ((0, 1), (1, 3), (2, 50))]
+    states.append(mp.random_pure_state(d, seed=3))
+    for rho in states:
+        m = rho.entries
+        assert mp.noneq_free_energy(rho, h, beta) == _reference_noneq_free_energy(m, h, beta)
+        assert mp.relative_entropy(rho, tau) == _reference_relative_entropy(m, tau.entries)
+        assert mp.entropy_split(rho, tau_p, basis) == _reference_entropy_split(m, tau_p, basis)
+        # an array gives the bits of its state
+        assert mp.noneq_free_energy(np.array(m), h, beta) == _reference_noneq_free_energy(m, h, beta)
+
+
 def test_nan_state_raises_in_entropies(qubit_model):
     # p ln p refuses NaN instead of reading it as 0 ln 0
     m = np.array([[0.5, np.nan], [np.nan, 0.5]])
@@ -139,7 +203,7 @@ class TestDistances:
 
     def test_l1_dimension_mismatch_rejected(self, qubit_model):
         tau = mp.thermal_state(qubit_model.basis(), 0.1)
-        with pytest.raises(ValidationError, match="different dimensions"):
+        with pytest.raises(ValidationError, match="dimensions differ"):
             mp.l1_elementwise(tau, mp.random_mixed_state(4, 2, seed=0), qubit_model.basis())
 
     def test_l1_elementwise_oracle_2x2(self, qubit_model):
