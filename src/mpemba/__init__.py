@@ -13,7 +13,6 @@ from .davies import (
     BathSpec,
     DaviesGenerator,
     JumpMatrix,
-    build_coherence_block,
     build_dense_generator,
     build_jump_matrix,
     build_population_block,

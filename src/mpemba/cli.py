@@ -25,7 +25,7 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, ValidationError
 from .metropolis import population_weights, swap_metropolis, unitary_metropolis
 from .models import ModelInstance, build_generator
-from .operators import DensityMatrix, as_state, bloch_to_state, random_mixed_state, thermal_state
+from .operators import DensityMatrix, HermitianOperator, as_state, bloch_to_state, random_mixed_state, thermal_state
 from .spectral import decompose, evolve_spectral, spectral_gap
 from .thermo import ThermoTrajectory, compute_trajectory, fit_decay_rate, noneq_free_energy
 from .transform import MpembaCertificate, detect_crossing, exact_transform, verify_overlap_elimination
@@ -219,7 +219,7 @@ def cmd_mpemba(args) -> int:
     spectrum = decompose(build_generator(model))
     basis = model.basis()
     beta = model.beta
-    h_lab = basis.hamiltonian()
+    h_lab = HermitianOperator(basis.hamiltonian())
     rho = spectrum.project_physical(_initial_state(cfg, model, args))
     tau = spectrum.steady_state
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
-from .operators import SpectralBasis
+from .operators import SpectralBasis, as_populations
 from .utils import frozen
 
 
@@ -168,28 +168,6 @@ def build_population_block(jumps: JumpMatrix) -> np.ndarray:
     return j2 - np.diag(j2.sum(axis=0))
 
 
-def build_coherence_block(basis: SpectralBasis, jumps: JumpMatrix) -> np.ndarray:
-    """Action of the generator on the coherences, as one d x d matrix.
-
-    Entry [n, m], n != m, is the eigenvalue of the coherence |n><m|,
-    -i(h_n - h_m) - (1/2) sum_i (J[i,n]^2 + J[i,m]^2); the diagonal, which
-    belongs to the populations, is zero.  Entries [n, m] and [m, n] are
-    complex conjugates.  Positions in the vectorized generator follow the
-    package's row-major convention; the test suite cross-validates them
-    against :func:`build_dense_generator`.
-    """
-    if basis.degeneracy_flag:
-        raise DegenerateSpectrumError(
-            "coherence block is undefined for a degenerate Hamiltonian"
-        )
-    escape = jumps.rates().sum(axis=0)
-    block = np.empty((basis.dim, basis.dim), dtype=complex)
-    block.real = -0.5 * (escape[:, None] + escape[None, :])
-    block.imag = -(basis.energies[:, None] - basis.energies[None, :])
-    np.fill_diagonal(block, 0.0)
-    return block
-
-
 def coherence_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Level pairs (n, m), n != m, of the d(d-1) coherences in row-major order.
 
@@ -202,22 +180,21 @@ def coherence_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
 class DaviesGenerator:
     """A thermalizing generator in (up to) two representations.
 
-    ``pop_block``, the classical rate matrix on the populations, and
-    ``coh_block``, the d x d matrix whose entry [n, m] is the eigenvalue of
-    the coherence |n><m| (zero on the diagonal), form the fast block
-    representation, available only for non-degenerate Hamiltonians.
-    ``dense`` is the full d^2 x d^2 superoperator.  Both live in the energy
-    eigenbasis recorded in ``basis``.  ``sector_labels`` optionally marks a
-    conserved charge per level (e.g. fermion parity) of a dense form;
-    eigenmodes connecting different sectors are then superselected away by
-    the spectral decomposition.  ``bath`` is the recipe a block form was
-    built from and obeys detailed balance with.  Every structural check
-    runs here and raises :class:`ValidationError`.
+    ``pop_block``, the classical rate matrix on the populations, is the fast
+    block representation, available only for non-degenerate Hamiltonians;
+    with ``basis`` and ``bath`` it sets the whole block form, coherences
+    included (:attr:`coh_block`).  ``dense`` is the full d^2 x d^2
+    superoperator.  Both live in the energy eigenbasis recorded in
+    ``basis``.  ``sector_labels`` optionally marks a conserved charge per
+    level (e.g. fermion parity) of a dense form; eigenmodes connecting
+    different sectors are then superselected away by the spectral
+    decomposition.  ``bath`` is the recipe a block form was built from and
+    obeys detailed balance with.  Every structural check runs here and
+    raises :class:`ValidationError`.
     """
 
     basis: SpectralBasis
     pop_block: np.ndarray | None = None
-    coh_block: np.ndarray | None = None
     dense: np.ndarray | None = None
     sector_labels: tuple | None = None
     bath: BathSpec | None = None
@@ -229,26 +206,17 @@ class DaviesGenerator:
             object.__setattr__(self, "pop_block", frozen(self.pop_block))
             if self.basis.degeneracy_flag:
                 raise DegenerateSpectrumError("block representation is undefined on a degenerate basis")
+            square = (self.dim, self.dim)
+            if self.pop_block.shape != square:
+                raise ValidationError(f"population block has shape {self.pop_block.shape}, not {square}")
             if not np.isfinite(self.pop_block).all():
                 raise ValidationError("population block has non-finite entries")
+            # rates off the diagonal, escape rates negated on it: all >= 0
+            if np.any(np.where(np.eye(self.dim, dtype=bool), -self.pop_block, self.pop_block) < 0):
+                raise ValidationError("population block has a negative rate")
             col_defect = float(np.abs(self.pop_block.sum(axis=0)).max())
             if col_defect > 1e-12 * max(1.0, float(np.abs(self.pop_block).max())):
                 raise ValidationError(f"population block columns sum to {col_defect:.2e}, not 0")
-            if self.coh_block is None:
-                raise ValidationError("block representation requires the coherence block")
-            coh = frozen(np.asarray(self.coh_block, dtype=complex))
-            square = (self.dim, self.dim)
-            if coh.shape != square:
-                raise ValidationError(f"coherence block has shape {coh.shape}, not {square}")
-            if not np.isfinite(coh).all():
-                raise ValidationError("coherence block has non-finite entries")
-            if np.any(np.diag(coh) != 0.0):
-                raise ValidationError("coherence block diagonal must be exactly zero")
-            growing = np.argwhere(coh.real > 1e-14)
-            if growing.size:
-                n, m = growing[0]
-                raise ValidationError(f"coherence ({n},{m}) has positive real part")
-            object.__setattr__(self, "coh_block", coh)
             if self.bath is None:
                 raise ValidationError("block representation requires the bath it was built from")
             if not _obeys_detailed_balance(self.pop_block, self.basis.energies, self.bath.beta):
@@ -271,6 +239,28 @@ class DaviesGenerator:
     @property
     def dim(self) -> int:
         return self.basis.dim
+
+    @property
+    def coh_block(self) -> np.ndarray | None:
+        """Read-only d x d matrix whose entry [n, m], n != m, is the eigenvalue of |n><m|.
+
+        c_n + conj(c_m) with c_n = pop_block[n, n] / 2 - i h_n, that is
+        -(escape_n + escape_m)/2 - i(h_n - h_m); the diagonal, which belongs
+        to the populations, is zero.  Positions in the vectorized generator
+        follow the package's row-major convention; the test suite checks
+        them against :func:`build_dense_generator`.  ``None`` without a
+        block form.
+        """
+        if self.pop_block is None:
+            return None
+        escape = -np.diag(self.pop_block)
+        energies = self.basis.energies
+        block = np.empty((self.dim, self.dim), dtype=complex)
+        block.real = -0.5 * (escape[:, None] + escape[None, :])
+        block.imag = -(energies[:, None] - energies[None, :])
+        np.fill_diagonal(block, 0.0)
+        block.setflags(write=False)
+        return block
 
     @property
     def has_block(self) -> bool:
@@ -303,7 +293,6 @@ def davies_generator(
     return DaviesGenerator(
         basis=basis,
         pop_block=build_population_block(jumps),
-        coh_block=build_coherence_block(basis, jumps),
         dense=build_dense_generator(basis, jumps) if dense else None,
         bath=bath,
     )
@@ -366,10 +355,11 @@ def verify_detailed_balance(g_dense: np.ndarray, energies, tau_populations) -> f
     defect over all pairs of elemental matrices.
     """
     g_dense = np.asarray(g_dense, dtype=complex)
-    d2 = g_dense.shape[0]
-    d = int(round(np.sqrt(d2)))
     energies = np.asarray(energies, dtype=float)
-    tau = np.asarray(tau_populations, dtype=float)
+    d = energies.size
+    if energies.ndim != 1 or g_dense.shape != (d * d, d * d):
+        raise ValidationError(f"generator of shape {g_dense.shape} does not act on {d} levels")
+    tau = as_populations(tau_populations, d)
 
     H = np.diag(energies).astype(complex)
     eye = np.eye(d, dtype=complex)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ValidationError
-from .operators import SpectralBasis, as_populations, as_state, thermal_populations
+from .operators import HermitianOperator, SpectralBasis, as_populations, as_state, thermal_populations
 from .spectral import EvolutionGrid
 from .utils import chunk_slices, frozen, log_gibbs_weights, write_csv, xlogx
 
@@ -48,12 +48,16 @@ def _shannon(p: np.ndarray):
 
 
 def noneq_free_energy(rho, hamiltonian, beta: float) -> float:
-    """Non-equilibrium free energy Tr(H rho) - S(rho)/beta, S(rho) from ``rho.eigenvalues``."""
+    """Non-equilibrium free energy Tr(H rho) - S(rho)/beta, S(rho) from ``rho.eigenvalues``.
+
+    ``hamiltonian`` is a :class:`HermitianOperator` or is judged as one.
+    """
     if beta <= 0:
         raise ValidationError("beta must be positive for the free energy")
-    h = np.asarray(hamiltonian, dtype=complex)
-    rho = as_state(rho, h.shape[0])
-    energy = float(np.real(np.trace(h @ rho.entries)))
+    if not isinstance(hamiltonian, HermitianOperator):
+        hamiltonian = HermitianOperator(hamiltonian)
+    rho = as_state(rho, hamiltonian.dim)
+    energy = float(np.real(np.trace(hamiltonian.entries @ rho.entries)))
     return energy - float(_shannon(rho.eigenvalues)) / beta
 
 

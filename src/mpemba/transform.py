@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .operators import DensityMatrix, SpectralBasis, as_state
+from .operators import DensityMatrix, HermitianOperator, SpectralBasis, as_state
 from .spectral import GeneratorSpectrum
 from .thermo import ThermoTrajectory, noneq_free_energy
 from .utils import haar_unitary
@@ -102,7 +102,7 @@ def majorization_check(
     rotated sample are judged as :class:`DensityMatrix`es.
     """
     rho_prime = as_state(rho_prime, basis.dim)
-    h = basis.hamiltonian()
+    h = HermitianOperator(basis.hamiltonian())
     f_ref = noneq_free_energy(rho_prime, h, beta)
     p_ref = np.sort(rho_prime.populations(basis))[::-1]
     m = rho_prime.entries

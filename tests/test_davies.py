@@ -4,6 +4,7 @@ import pytest
 import mpemba as mp
 from mpemba.davies import (
     _obeys_detailed_balance,
+    coherence_indices,
     eigenvalue_multiset_distance,
     occupation_factors,
     vectorized_lindbladian,
@@ -154,10 +155,8 @@ class TestBlockForm:
         gibbs = mp.thermal_populations(basis, tfim3_model.bath.beta)
         assert np.abs(block @ gibbs).max() <= 1e-10
 
-    def test_qubit_coherence_entries(self, qubit_model):
-        basis = qubit_model.basis()
-        jumps = mp.build_jump_matrix(basis, qubit_model.bath)
-        block = mp.build_coherence_block(basis, jumps)
+    def test_qubit_coherence_entries(self, qubit_gen):
+        block = qubit_gen.coh_block
         assert block[0, 1] == pytest.approx(-QUBIT_GAMMA_TOTAL / 2 + 5.0j, abs=1e-12)
         assert block[1, 0] == pytest.approx(-QUBIT_GAMMA_TOTAL / 2 - 5.0j, abs=1e-12)
         assert np.all(np.diag(block) == 0.0)
@@ -176,13 +175,11 @@ class TestBlockForm:
                     want[n, m] = complex(
                         -0.5 * (escape[n] + escape[m]), -(basis.energies[n] - basis.energies[m])
                     )
-        got = mp.build_coherence_block(basis, jumps)
+        got = mp.davies_generator(basis, model.bath).coh_block
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    def test_conjugate_pairing_and_negative_real_parts(self, tfim3_model):
-        basis = tfim3_model.basis()
-        jumps = mp.build_jump_matrix(basis, tfim3_model.bath)
-        block = mp.build_coherence_block(basis, jumps)
+    def test_conjugate_pairing_and_negative_real_parts(self, tfim3_gen):
+        block = tfim3_gen.coh_block
         assert np.all(block.real <= 0.0)
         assert np.abs(block.T - block.conj()).max() <= 1e-14
 
@@ -192,6 +189,16 @@ class TestBlockForm:
         model = mp.tfim(length=length, statistics=statistics)
         gen = mp.build_generator(model, dense=True)
         assert mp.verify_block_dense_spectrum(gen) <= 1e-8
+        # positions, which the multiset cannot see: a transposed block has
+        # the same spectrum; each coherence row of the dense form holds its
+        # eigenvalue on the diagonal and nothing else
+        d = gen.dim
+        n, m = coherence_indices(d)
+        rows = n * d + m
+        assert np.array_equal(gen.dense[rows, rows], gen.coh_block[n, m])
+        off_diagonal = np.array(gen.dense[rows])
+        off_diagonal[np.arange(rows.size), rows] = 0.0
+        assert not off_diagonal.any()
 
 
 class TestDetailedBalance:
@@ -275,22 +282,20 @@ class TestGeneratorObject:
         gen = mp.build_generator(qubit_model)
         assert not gen.coh_block.flags.writeable
 
-    @pytest.mark.parametrize("defect", ["shape", "diagonal", "growing"])
-    def test_malformed_coherence_block_rejected(self, qubit_model, defect):
-        gen = mp.build_generator(qubit_model)
-        coh = np.array(gen.coh_block)
-        message = None
-        if defect == "shape":
-            coh = coh[:1]
-        elif defect == "diagonal":
-            coh[1, 1] = -1.0
+    @pytest.mark.parametrize("defect", ["negated", "one_pair"])
+    def test_negative_rate_rejected(self, tfim3_gen, defect):
+        # a negated block keeps zero column sums and detailed balance; one
+        # negated pair, rebalanced, leaves every escape rate positive
+        if defect == "negated":
+            gp = -np.array(tfim3_gen.pop_block)
         else:
-            coh[1, 0] = coh[0, 1] = 1e-3 + 5.0j
-            message = r"coherence \(0,1\)"  # the first offending entry, row-major
-        with pytest.raises(ValidationError, match=message):
-            mp.DaviesGenerator(basis=gen.basis, pop_block=gen.pop_block, coh_block=coh)
-        with pytest.raises(ValidationError):
-            mp.DaviesGenerator(basis=gen.basis, pop_block=gen.pop_block)
+            gp = np.array(tfim3_gen.pop_block)
+            gp[1, 5], gp[5, 1] = -gp[1, 5], -gp[5, 1]
+            np.fill_diagonal(gp, 0.0)
+            np.fill_diagonal(gp, -gp.sum(axis=0))
+            assert np.all(np.diag(gp) < 0)
+        with pytest.raises(ValidationError, match="negative rate"):
+            mp.DaviesGenerator(basis=tfim3_gen.basis, pop_block=gp, bath=tfim3_gen.bath)
 
     def test_non_detailed_balance_block_rejected(self, tfim3_model, tfim3_gen):
         # the symmetrized eigh solve of the block form assumes detailed balance
@@ -300,9 +305,7 @@ class TestGeneratorObject:
         assert _obeys_detailed_balance(np.array(tfim3_gen.pop_block), basis.energies, beta)
         assert not _obeys_detailed_balance(gp, basis.energies, beta)
         with pytest.raises(ValidationError, match="detailed balance"):
-            mp.DaviesGenerator(
-                basis=basis, pop_block=gp, coh_block=tfim3_gen.coh_block, bath=tfim3_gen.bath
-            )
+            mp.DaviesGenerator(basis=basis, pop_block=gp, bath=tfim3_gen.bath)
 
     def test_tiny_wrong_rate_rejected(self, tfim3_model, tfim3_gen):
         # a wrong upward rate far below 1e-10 fails too: the check is
@@ -312,15 +315,11 @@ class TestGeneratorObject:
         gp = tripled_rate(tfim3_gen.pop_block, 5, 1)
         assert not _obeys_detailed_balance(gp, basis.energies, tfim3_model.bath.beta)
         with pytest.raises(ValidationError, match="detailed balance"):
-            mp.DaviesGenerator(
-                basis=basis, pop_block=gp, coh_block=tfim3_gen.coh_block, bath=tfim3_gen.bath
-            )
+            mp.DaviesGenerator(basis=basis, pop_block=gp, bath=tfim3_gen.bath)
 
     def test_block_form_needs_its_bath(self, tfim3_gen):
         with pytest.raises(ValidationError, match="bath"):
-            mp.DaviesGenerator(
-                basis=tfim3_gen.basis, pop_block=tfim3_gen.pop_block, coh_block=tfim3_gen.coh_block
-            )
+            mp.DaviesGenerator(basis=tfim3_gen.basis, pop_block=tfim3_gen.pop_block)
 
     def test_missized_dense_rejected(self, qubit_model):
         # also what evolve_direct meets first, before any matrix product
@@ -331,11 +330,9 @@ class TestGeneratorObject:
     def test_misplaced_sector_labels_rejected(self, qubit_gen, defect):
         kwargs = {"dense": qubit_gen.dense, "sector_labels": (0, 1)}
         if defect == "block_form":
-            kwargs.update(pop_block=qubit_gen.pop_block, coh_block=qubit_gen.coh_block,
-                          bath=qubit_gen.bath)
+            kwargs.update(pop_block=qubit_gen.pop_block, bath=qubit_gen.bath)
         elif defect == "no_dense":
-            kwargs.update(pop_block=qubit_gen.pop_block, coh_block=qubit_gen.coh_block,
-                          bath=qubit_gen.bath, dense=None)
+            kwargs.update(pop_block=qubit_gen.pop_block, bath=qubit_gen.bath, dense=None)
         else:
             kwargs["sector_labels"] = (0, 1, 1)
         with pytest.raises(ValidationError, match="sector labels need"):
@@ -344,10 +341,9 @@ class TestGeneratorObject:
     def test_block_form_on_degenerate_basis_rejected(self):
         # at beta = 0 equal rates obey detailed balance; levels 0 and 1 coincide
         pop = np.ones((3, 3)) - 3.0 * np.eye(3)
-        coh = -0.5 * (np.ones((3, 3)) - np.eye(3))
         with pytest.raises(DegenerateSpectrumError, match="degenerate basis"):
             mp.DaviesGenerator(basis=mp.SpectralBasis([0.0, 0.0, 1.0], np.eye(3)), pop_block=pop,
-                               coh_block=coh, bath=mp.BathSpec(0.0, "fermi", 1.0))
+                               bath=mp.BathSpec(0.0, "fermi", 1.0))
 
     def test_sector_labels_must_grade_the_generator(self):
         gen = mp.build_generator(mp.quantum_dot())
@@ -357,11 +353,19 @@ class TestGeneratorObject:
             mp.DaviesGenerator(basis=gen.basis, dense=gen.dense, sector_labels=(0, 1, 1, 1))
 
 
+def _detailed_balance_of_qubit(**bad):
+    model = mp.single_qubit()
+    basis = model.basis()
+    args = {"g_dense": mp.build_generator(model, dense=True).dense, "energies": basis.energies,
+            "tau": mp.thermal_populations(basis, model.bath.beta), **bad}
+    return mp.verify_detailed_balance(args["g_dense"], args["energies"], args["tau"])
+
+
 def _unbalanced_columns():
     gen = mp.build_generator(mp.single_qubit())
     gp = np.array(gen.pop_block)
     gp[0, 0] -= 1.0
-    return mp.DaviesGenerator(basis=gen.basis, pop_block=gp, coh_block=gen.coh_block, bath=gen.bath)
+    return mp.DaviesGenerator(basis=gen.basis, pop_block=gp, bath=gen.bath)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -375,30 +379,33 @@ def _unbalanced_columns():
     (lambda: mp.JumpMatrix([[0.0, -1.0], [1.0, 0.0]]), "nonnegative"),
     (lambda: mp.build_dense_generator(mp.single_qubit().basis(), mp.JumpMatrix(np.zeros((3, 3)))),
      "dimensions differ"),
-    (lambda: mp.build_coherence_block(
-        mp.SpectralBasis([0.0, 0.0], np.eye(2)), mp.JumpMatrix(np.zeros((2, 2)))),
-     "degenerate"),
+    (lambda: mp.DaviesGenerator(basis=mp.single_qubit().basis(), pop_block=np.zeros((3, 3))),
+     r"population block has shape \(3, 3\), not \(2, 2\)"),
     (_unbalanced_columns, "columns sum to"),
     (lambda: mp.verify_block_dense_spectrum(mp.build_generator(mp.single_qubit())),
      "need both block and dense"),
     (lambda: eigenvalue_multiset_distance([0.0, 1.0], [0.0]), "different sizes"),
+    (lambda: _detailed_balance_of_qubit(g_dense=np.zeros((5, 5))), "does not act on 2 levels"),
+    (lambda: _detailed_balance_of_qubit(energies=[0.0, 1.0, 2.0]), "does not act on 3 levels"),
+    (lambda: _detailed_balance_of_qubit(tau=[0.2, 0.3, 0.5]), "does not match the spectrum"),
+    (lambda: _detailed_balance_of_qubit(tau=[2.0, -1.0]), "probability vector"),
 ], ids=[
     "bath_negative_beta", "bath_unknown_statistics", "bath_zero_gamma", "occupation_zero_x",
     "occupation_negative_x", "jumps_not_square", "jumps_diagonal", "jumps_negative",
-    "dense_dimension_mismatch", "coherence_degenerate_basis", "pop_columns_unbalanced",
-    "verify_missing_form", "multiset_sizes",
+    "dense_dimension_mismatch", "pop_block_shape", "pop_columns_unbalanced",
+    "verify_missing_form", "multiset_sizes", "kms_generator_shape", "kms_energy_count",
+    "kms_tau_length", "kms_tau_negative",
 ])
 def test_input_checks_raise(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
 
 
-def _qubit_block_with_nan(block):
+def _qubit_pop_block_with_nan():
     gen = mp.build_generator(mp.single_qubit())
-    blocks = {"pop": np.array(gen.pop_block), "coh": np.array(gen.coh_block)}
-    blocks[block][0, 1] = np.nan
-    return mp.DaviesGenerator(basis=gen.basis, pop_block=blocks["pop"], coh_block=blocks["coh"],
-                              bath=gen.bath)
+    gp = np.array(gen.pop_block)
+    gp[0, 1] = np.nan
+    return mp.DaviesGenerator(basis=gen.basis, pop_block=gp, bath=gen.bath)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -409,8 +416,7 @@ def _qubit_block_with_nan(block):
     (lambda: mp.build_generator(mp.single_qubit(t_bath=np.inf)), "Bose occupation diverges"),
     (lambda: mp.JumpMatrix([[0.0, np.nan], [1.0, 0.0]]), "amplitudes must be finite"),
     (lambda: mp.JumpMatrix([[0.0, np.inf], [1.0, 0.0]]), "amplitudes must be finite"),
-    (lambda: _qubit_block_with_nan("pop"), "population block has non-finite"),
-    (lambda: _qubit_block_with_nan("coh"), "coherence block has non-finite"),
+    (_qubit_pop_block_with_nan, "population block has non-finite"),
     (lambda: mp.HermitianOperator([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
     (lambda: mp.HermitianOperator([[np.inf, 0.0], [0.0, 1.0]]), "non-finite"),
     (lambda: mp.SpectralBasis([0.0, np.nan], np.eye(2)), "must be finite"),
@@ -419,7 +425,7 @@ def _qubit_block_with_nan(block):
 ], ids=[
     "bath_nan_beta", "bath_nan_gamma", "bath_infinite_gamma", "bose_occupation_at_zero_beta",
     "qubit_at_infinite_temperature", "jumps_nan", "jumps_infinite", "pop_block_nan",
-    "coh_block_nan", "hermitian_nan", "hermitian_infinite", "basis_nan_energy",
+    "hermitian_nan", "hermitian_infinite", "basis_nan_energy",
     "basis_infinite_energy", "qubit_nan_omega",
 ])
 def test_non_finite_inputs_rejected(call, message):

@@ -50,6 +50,16 @@ class TestFreeEnergy:
             rho = mp.random_mixed_state(2, 2, seed=seed)
             assert mp.noneq_free_energy(rho, h, beta) >= f_eq - 1e-12
 
+    @pytest.mark.parametrize("defect", ["one_dimensional", "non_square", "non_hermitian"])
+    def test_malformed_hamiltonian_rejected(self, qubit_model, defect):
+        basis = qubit_model.basis()
+        h = basis.hamiltonian()
+        h = {"one_dimensional": np.real(np.diag(h)), "non_square": h[:, :1],
+             "non_hermitian": h + np.array([[0.0, 1.0], [0.0, 0.0]])}[defect]
+        message = "not Hermitian" if defect == "non_hermitian" else "square matrix"
+        with pytest.raises(ValidationError, match=message):
+            mp.noneq_free_energy(mp.thermal_state(basis, 1.0), h, 1.0)
+
     @pytest.mark.parametrize("beta", [0.0, -1.0])
     def test_nonpositive_beta_rejected(self, qubit_model, beta):
         basis = qubit_model.basis()
@@ -177,6 +187,9 @@ def test_entropies_match_reference_bodies_bitwise(length):
         assert mp.entropy_split(rho, tau_p, basis) == _reference_entropy_split(m, tau_p, basis)
         # an array gives the bits of its state
         assert mp.noneq_free_energy(np.array(m), h, beta) == _reference_noneq_free_energy(m, h, beta)
+        # as does a Hamiltonian already judged
+        f = mp.noneq_free_energy(rho, mp.HermitianOperator(h), beta)
+        assert f == _reference_noneq_free_energy(m, h, beta)
 
 
 def test_nan_state_raises_in_entropies(qubit_model):
