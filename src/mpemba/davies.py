@@ -225,6 +225,8 @@ class DaviesGenerator:
             d2 = self.dim * self.dim
             if np.shape(self.dense) != (d2, d2):
                 raise ValidationError(f"dense generator has shape {np.shape(self.dense)}, not {(d2, d2)}")
+            if not np.isfinite(self.dense).all():
+                raise ValidationError("dense generator has non-finite entries")
             object.__setattr__(self, "dense", frozen(self.dense))
         if self.sector_labels is not None:
             labels = tuple(self.sector_labels)

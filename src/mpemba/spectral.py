@@ -58,6 +58,19 @@ def chunk_points(d: int) -> int:
     return max(16, 4096 // (d * d))
 
 
+def as_times(times) -> np.ndarray:
+    """The one rule for a time grid: 1-D, finite, from t >= 0, strictly ascending, maybe empty.
+
+    Returns it as a float array; anything else raises :class:`ValidationError`.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.isfinite(times).all():
+        raise ValidationError("times must be a 1-D grid of finite values")
+    if times.size and (times[0] < 0 or np.any(np.diff(times) <= 0)):
+        raise ValidationError("times must start at t >= 0 and be strictly ascending")
+    return times
+
+
 class GapInfo(NamedTuple):
     value: float
     complex_pair: bool
@@ -79,17 +92,11 @@ class EvolutionGrid:
     spectra: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = as_times(self.times)
         entries = np.asarray(self.entries, dtype=complex)
         spectra = np.asarray(self.spectra, dtype=float)
-        if (
-            times.ndim != 1
-            or spectra.shape[:1] != times.shape
-            or entries.shape != spectra.shape + spectra.shape[-1:]
-        ):
+        if spectra.shape[:1] != times.shape or entries.shape != spectra.shape + spectra.shape[-1:]:
             raise ValidationError("times, entries and spectra have inconsistent shapes")
-        if times.size > 1 and np.any(np.diff(times) <= 0):
-            raise ValidationError("times must be strictly ascending")
         for name, value in (("times", times), ("entries", entries), ("spectra", spectra)):
             # an array that owns its data and is read-only already is kept:
             # copying the entries would double the grid's memory while it is built
@@ -128,15 +135,15 @@ class GeneratorSpectrum:
     a dense spectrum or the (d, d) population eigenvectors of a block one.
     Per block mode, ``_pop_col`` is its column of those (-1 for a coherence)
     and ``_flat`` the position n*d + m of a coherence |n><m| in the
-    flattened energy-basis state.  Mode tags are derived from these on request.
+    flattened energy-basis state.  Mode tags and the coherence flags are
+    derived from these on request.
     """
 
-    def __init__(self, eigenvalues, generator, steady_state, coherent, rights, lefts, *,
+    def __init__(self, eigenvalues, generator, steady_state, rights, lefts, *,
                  pop_col=None, flat=None):
         self.eigenvalues = frozen(np.asarray(eigenvalues, dtype=complex))
         self.steady_state = steady_state
         self._generator = generator
-        self._coherent = frozen(coherent)
         self._rights = rights
         self._lefts = lefts
         self._pop_col = pop_col
@@ -173,10 +180,17 @@ class GeneratorSpectrum:
     def coherent_modes(self) -> list[int]:
         """1-based indices of all coherence-sector modes.
 
-        Block spectra know the sector structurally; for dense spectra the
-        criterion is a nonzero imaginary part of the eigenvalue.
+        Block spectra know the sector structurally: a coherence has no
+        population column.  For dense spectra the criterion is an imaginary
+        part above ``IMAG_TOL`` relative to the eigenvalue's modulus (at least 1).
+        This is the one coherence flag; :func:`spectral_gap` reads it too.
         """
-        return (np.flatnonzero(self._coherent[1:]) + 2).tolist()
+        if self._pop_col is None:
+            lam = self.eigenvalues
+            coherent = np.abs(lam.imag) > IMAG_TOL * np.maximum(1.0, np.abs(lam))
+        else:
+            coherent = self._pop_col < 0
+        return (np.flatnonzero(coherent[1:]) + 2).tolist()
 
     # -- eigenmatrices -----------------------------------------------------
 
@@ -253,13 +267,6 @@ def _check_mode_index(k: int, n_modes: int) -> int:
     if not 1 <= k <= n_modes:
         raise ValidationError(f"mode index {k} outside 1..{n_modes}")
     return k - 1
-
-
-def _is_complex_mode(eigenvalues: np.ndarray, idx: int) -> bool:
-    lam = eigenvalues[idx]
-    if abs(lam.imag) <= IMAG_TOL * max(1.0, abs(lam)):
-        return False
-    return bool(np.any(np.abs(eigenvalues - lam.conjugate()) <= 1e-6 * max(1.0, abs(lam))))
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +365,15 @@ def _decompose_dense(gen: DaviesGenerator):
     steady = DensityMatrix(
         gen.basis.from_eigenbasis(hermitize(rights[0])), psd_tol=EVOLUTION_PSD_TOL
     )
-
-    coherent = np.abs(eigvals.imag) > IMAG_TOL * np.maximum(1.0, np.abs(eigvals))
-    return GeneratorSpectrum(eigvals, gen, steady, coherent, rights, lefts)
+    return GeneratorSpectrum(eigvals, gen, steady, rights, lefts)
 
 
 def _decompose_block(gen: DaviesGenerator):
+    if not np.isfinite(gen.bath.beta):
+        raise ValidationError(
+            "the block decomposition needs a finite bath beta; build the generator "
+            "with dense=True and decompose it with prefer='dense'"
+        )
     basis = gen.basis
     d = basis.dim
     gp = np.asarray(gen.pop_block, dtype=float)
@@ -406,9 +416,7 @@ def _decompose_block(gen: DaviesGenerator):
     steady_diag /= steady_diag.sum()
     steady = DensityMatrix(basis.from_eigenbasis(np.diag(steady_diag).astype(complex)))
 
-    return GeneratorSpectrum(
-        eigvals, gen, steady, pop_col < 0, pop_rights, pop_lefts, pop_col=pop_col, flat=flat
-    )
+    return GeneratorSpectrum(eigvals, gen, steady, pop_rights, pop_lefts, pop_col=pop_col, flat=flat)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +425,14 @@ def _decompose_block(gen: DaviesGenerator):
 
 
 def spectral_gap(spectrum: GeneratorSpectrum) -> GapInfo:
-    """|Re(lambda_2)| and whether lambda_2 belongs to a complex pair."""
+    """|Re(lambda_2)| and whether mode 2 is a coherence mode (its ``complex_pair``).
+
+    The class is the spectrum's own coherence flag, the one
+    :meth:`GeneratorSpectrum.coherent_modes` reads.
+    """
     if spectrum.n_modes < 2:
         raise ValidationError("spectrum has no decaying mode")
-    return GapInfo(
-        float(abs(spectrum.eigenvalues[1].real)),
-        _is_complex_mode(spectrum.eigenvalues, 1),
-    )
+    return GapInfo(float(abs(spectrum.eigenvalues[1].real)), 2 in spectrum.coherent_modes())
 
 
 def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
@@ -437,10 +446,11 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     coherence by its closed-form exponential.  The states are built and
     validated :func:`chunk_points` time points at a time; the grid holds
     them in the lab basis together with their spectra.  ``rho_i`` enters
-    through :func:`mpemba.operators.as_state` at the spectrum's dimension.
+    through :func:`mpemba.operators.as_state` at the spectrum's dimension and
+    ``times`` through :func:`as_times`.
     """
     rho_i = as_state(rho_i, spectrum.dim)
-    times = np.asarray(times, dtype=float)
+    times = as_times(times)
     basis = spectrum.basis
     if spectrum.kind == "block":
         rho_e = basis.to_eigenbasis(rho_i.entries)
@@ -472,7 +482,8 @@ def evolve_direct(generator: DaviesGenerator, rho_i, times) -> EvolutionGrid:
     the independent oracle for :func:`evolve_spectral`.  Raises
     :class:`ValidationError` unless ``generator`` is a
     :class:`DaviesGenerator` with a dense form; ``rho_i`` enters through
-    :func:`mpemba.operators.as_state` at the generator's dimension.
+    :func:`mpemba.operators.as_state` at the generator's dimension and
+    ``times`` through :func:`as_times`.
     """
     if not (isinstance(generator, DaviesGenerator) and generator.has_dense):
         raise ValidationError(
@@ -480,8 +491,8 @@ def evolve_direct(generator: DaviesGenerator, rho_i, times) -> EvolutionGrid:
             "DaviesGenerator(basis=..., dense=matrix)"
         )
     rho_i = as_state(rho_i, generator.dim)
+    times = as_times(times)
     basis = generator.basis
-    times = np.asarray(times, dtype=float)
     d = basis.dim
     rho_e = basis.to_eigenbasis(rho_i.entries)
     states = _propagate(generator.dense, rho_e.reshape(-1), times)

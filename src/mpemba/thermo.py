@@ -62,12 +62,10 @@ def noneq_free_energy(rho, hamiltonian, beta: float) -> float:
 
 
 def equilibrium_free_energy(basis: SpectralBasis, beta: float) -> float:
-    """F_eq = -ln(Z)/beta, computed with a max-energy shift."""
+    """F_eq = -ln(Z)/beta, read as E_0 + ln(p_0)/beta from the ground level's Gibbs log-weight."""
     if beta <= 0:
         raise ValidationError("beta must be positive for the free energy")
-    e0 = basis.energies.min()
-    z_shifted = np.exp(-beta * (basis.energies - e0)).sum()
-    return float(e0 - math.log(z_shifted) / beta)
+    return float(basis.energies[0] + log_gibbs_weights(basis.energies, beta)[0] / beta)
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -127,36 +125,15 @@ def trace_distance(rho, sigma) -> float:
 def spohn_rate(times, f_neq, beta: float) -> np.ndarray:
     """Entropy production rate Pi = -beta dF_neq/dt from sampled values.
 
-    Second-order central differences in the interior (exact for non-uniform
-    grids), one-sided second-order stencils at the endpoints.  Requires at
-    least three grid points.
+    ``numpy.gradient`` with ``edge_order=2``: second-order central
+    differences in the interior (exact for non-uniform grids), one-sided
+    second-order stencils at the endpoints.  Requires at least three grid
+    points; ``times`` enters through :func:`mpemba.spectral.as_times`.
     """
-    times = np.asarray(times, dtype=float)
-    f = np.asarray(f_neq, dtype=float)
+    times = spectral.as_times(times)
     if times.size < 3:
         raise ValidationError("the Spohn rate needs at least 3 grid points")
-    dfdt = np.empty_like(f)
-    t0, t1, t2 = times[0], times[1], times[2]
-    dfdt[0] = _one_sided(f[0], f[1], f[2], t1 - t0, t2 - t0)
-    tm2, tm1, tm0 = times[-3], times[-2], times[-1]
-    dfdt[-1] = -_one_sided(f[-1], f[-2], f[-3], tm0 - tm1, tm0 - tm2)
-    h1 = times[1:-1] - times[:-2]
-    h2 = times[2:] - times[1:-1]
-    dfdt[1:-1] = (
-        -h2 / (h1 * (h1 + h2)) * f[:-2]
-        + (h2 - h1) / (h1 * h2) * f[1:-1]
-        + h1 / (h2 * (h1 + h2)) * f[2:]
-    )
-    return -beta * dfdt
-
-
-def _one_sided(f0, f1, f2, h1, h2):
-    """Second-order one-sided derivative at the first of three points."""
-    return (
-        f0 * (-(h1 + h2) / (h1 * h2))
-        + f1 * (h2 / (h1 * (h2 - h1)))
-        + f2 * (-h1 / (h2 * (h2 - h1)))
-    )
+    return -beta * np.gradient(np.asarray(f_neq, dtype=float), times, edge_order=2)
 
 
 @dataclass(frozen=True)

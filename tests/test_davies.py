@@ -417,6 +417,10 @@ def _qubit_pop_block_with_nan():
     (lambda: mp.JumpMatrix([[0.0, np.nan], [1.0, 0.0]]), "amplitudes must be finite"),
     (lambda: mp.JumpMatrix([[0.0, np.inf], [1.0, 0.0]]), "amplitudes must be finite"),
     (_qubit_pop_block_with_nan, "population block has non-finite"),
+    (lambda: mp.DaviesGenerator(basis=mp.single_qubit().basis(), dense=np.full((4, 4), np.nan)),
+     "dense generator has non-finite"),
+    (lambda: mp.DaviesGenerator(basis=mp.single_qubit().basis(), dense=np.full((4, 4), np.inf)),
+     "dense generator has non-finite"),
     (lambda: mp.HermitianOperator([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
     (lambda: mp.HermitianOperator([[np.inf, 0.0], [0.0, 1.0]]), "non-finite"),
     (lambda: mp.SpectralBasis([0.0, np.nan], np.eye(2)), "must be finite"),
@@ -425,6 +429,7 @@ def _qubit_pop_block_with_nan():
 ], ids=[
     "bath_nan_beta", "bath_nan_gamma", "bath_infinite_gamma", "bose_occupation_at_zero_beta",
     "qubit_at_infinite_temperature", "jumps_nan", "jumps_infinite", "pop_block_nan",
+    "dense_nan", "dense_infinite",
     "hermitian_nan", "hermitian_infinite", "basis_nan_energy",
     "basis_infinite_energy", "qubit_nan_omega",
 ])

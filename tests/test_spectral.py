@@ -112,6 +112,27 @@ class TestDecompose:
         with pytest.raises(ValidationError, match="no decaying mode"):
             mp.spectral_gap(spec)
 
+    def test_strongly_damped_gap_is_a_coherence(self):
+        # |lambda_2| = 1e7 dwarfs its imaginary part 1e-6, yet mode 2 is the
+        # coherence |1><0|: the gap's class is the spectrum's coherence flag
+        spec = mp.decompose(mp.build_generator(mp.single_qubit(omega=1e-6, t_bath=10.0, gamma=1.0)))
+        assert spec.mode_tag(2) == ("coh", 1, 0)
+        assert spec.coherent_modes() == [2, 3]
+        gap = mp.spectral_gap(spec)
+        assert gap.complex_pair and gap.value == pytest.approx(1e7, rel=1e-9)
+
+    def test_block_decomposition_needs_a_finite_beta(self):
+        basis = mp.single_qubit().basis()
+        bath = mp.BathSpec(np.inf, "bose", 1.0)
+        with pytest.raises(ValidationError, match="finite bath beta.*prefer='dense'"):
+            mp.decompose(mp.davies_generator(basis, bath))
+        # the dense route of the same bath: pure decay into the ground level
+        spec = mp.decompose(mp.davies_generator(basis, bath, dense=True), prefer="dense")
+        ground = np.diag([0.0, 1.0]).astype(complex)  # H = 2.5 sigma_z: |1> is lowest
+        assert np.abs(spec.steady_state.entries - ground).max() <= 1e-12
+        grid = mp.evolve_spectral(spec, mp.bloch_to_state(list(DEMO_BLOCH)), [0.0, 1.0, 80.0])
+        assert np.abs(grid.entries[-1] - ground).max() <= 1e-12
+
     def test_bare_matrix_rejected(self, qubit_spec):
         g = np.zeros((4, 4), dtype=complex)
         rho = qubit_spec.steady_state
@@ -201,6 +222,10 @@ class TestAmplitudeRoutine:
         for modes in ((0,), (spec.n_modes + 1,), (2, spec.n_modes + 1)):
             with pytest.raises(ValidationError):
                 spec.amplitudes(rho, modes)
+
+    def test_gap_class_is_the_coherence_flag(self, spectrum_case):
+        spec, _ = spectrum_case
+        assert mp.spectral_gap(spec).complex_pair == (2 in spec.coherent_modes())
 
     def test_coherent_modes_follow_per_mode_definition(self, spectrum_case):
         spec, _ = spectrum_case
@@ -409,6 +434,29 @@ class TestNonFiniteStates:
         stack = np.full((3, 2, 2), np.nan, dtype=complex)
         with pytest.raises(ValidationError, match="not Hermitian"):
             _package_states(np.arange(3.0), lambda s: stack[s], qubit_model.basis())
+
+
+class TestTimeGrid:
+    """A time grid is judged once, where it enters, on every evolution path."""
+
+    @pytest.fixture(params=["block", "dense", "direct"])
+    def evolve(self, request, qubit_gen, qubit_spec):
+        if request.param == "direct":
+            return lambda times: mp.evolve_direct(qubit_gen, qubit_spec.steady_state, times)
+        spec = mp.decompose(qubit_gen) if request.param == "block" else qubit_spec
+        assert spec.kind == request.param
+        return lambda times: mp.evolve_spectral(spec, spec.steady_state, times)
+
+    @pytest.mark.parametrize("times", [
+        [0.0, np.nan, 2.0], [-1.0, 0.0, 1.0], [0.0, np.inf], [[0.0, 1.0], [2.0, 3.0]],
+    ], ids=["nan", "negative_start", "infinite", "two_dimensional"])
+    def test_malformed_grid_rejected(self, evolve, times):
+        with pytest.raises(ValidationError, match="^times must"):
+            evolve(times)
+
+    def test_empty_grid_allowed(self, evolve):
+        grid = evolve([])
+        assert len(grid) == 0 and grid.entries.shape == (0, 2, 2)
 
 
 class TestDecayRates:

@@ -8,7 +8,7 @@ import scipy.linalg
 import mpemba as mp
 from mpemba.errors import ValidationError
 from mpemba.spectral import _propagate, chunk_points
-from mpemba.thermo import CSV_COLUMNS, SUPPORT_TOL, _one_sided, _shannon
+from mpemba.thermo import CSV_COLUMNS, SUPPORT_TOL, _shannon
 from mpemba.utils import log_gibbs_weights, xlogx
 
 from conftest import DEMO_BLOCH, reference_package_state
@@ -273,20 +273,29 @@ class TestSpohnRate:
         assert integral == pytest.approx(expected, rel=0.01)
 
     @pytest.mark.parametrize("grid", ["uniform", "nonuniform", "three"])
-    def test_matches_pointwise_loop_bitwise(self, grid):
-        rng = np.random.default_rng(7)
-        if grid == "uniform":
-            times = np.linspace(0.0, 14.0, 281)
-        elif grid == "nonuniform":
-            times = np.sort(rng.uniform(0.0, 5.0, 50))
-        else:
-            times = np.array([0.0, 0.3, 1.0])
-        f = rng.normal(size=times.size)
-        assert np.array_equal(mp.spohn_rate(times, f, 0.7), _spohn_rate_loop(times, f, 0.7))
+    def test_second_order_against_analytic_rate(self, grid):
+        # F = exp(-t) has Pi = beta exp(-t): halving the spacing quarters the
+        # largest error, endpoints included
+        beta = 0.7
+        errors = []
+        for k in range(3, 8):
+            h = 2.0**-k
+            s = np.arange(2**k + 1) * h  # spacing exactly h
+            times = {"uniform": s, "nonuniform": s + 0.3 * s**2,
+                     "three": h * np.array([0.0, 0.3, 1.0])}[grid]
+            pi = mp.spohn_rate(times, np.exp(-times), beta)
+            errors.append(np.abs(pi - beta * np.exp(-times)).max())
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((ratios > 3.5) & (ratios < 4.5)), ratios
 
     def test_needs_three_points(self):
         with pytest.raises(ValidationError):
             mp.spohn_rate([0.0, 1.0], [1.0, 0.5], 1.0)
+
+    @pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [0.0, np.nan, 2.0]], ids=["descending", "nan"])
+    def test_malformed_grid_rejected(self, times):
+        with pytest.raises(ValidationError, match="^times must"):
+            mp.spohn_rate(times, [1.0, 0.5, 0.25], 1.0)
 
     def test_relative_entropy_monotone(self, qubit_setup):
         _, _, _, traj = qubit_setup
@@ -345,23 +354,6 @@ class TestTrajectoryObject:
         assert mp.fit_decay_rate(times, values) == pytest.approx(-0.7, rel=1e-10)
         with pytest.raises(ValidationError):
             mp.fit_decay_rate(times, np.full_like(times, 1e-15))
-
-
-def _spohn_rate_loop(times, f, beta):
-    """The Spohn rate with one interior point per iteration: the reference
-    for the array expression of :func:`mp.spohn_rate`."""
-    dfdt = np.empty_like(f)
-    dfdt[0] = _one_sided(f[0], f[1], f[2], times[1] - times[0], times[2] - times[0])
-    dfdt[-1] = -_one_sided(f[-1], f[-2], f[-3], times[-1] - times[-2], times[-1] - times[-3])
-    for j in range(1, times.size - 1):
-        h1 = times[j] - times[j - 1]
-        h2 = times[j + 1] - times[j]
-        dfdt[j] = (
-            -h2 / (h1 * (h1 + h2)) * f[j - 1]
-            + (h2 - h1) / (h1 * h2) * f[j]
-            + h1 / (h2 * (h1 + h2)) * f[j + 1]
-        )
-    return -beta * dfdt
 
 
 # -- per-point reference: each state evolved, checked and diagnosed on its
@@ -487,7 +479,7 @@ class TestBatchedTrajectory:
         for got, ref in ((traj.f_neq, f_neq), (traj.d_rel, d_rel), (traj.p_classical, p_cl),
                          (traj.c_coherence, c_coh), (traj.l1, l1), (traj.t1, t1)):
             assert np.array_equal(got, ref)
-        pi = _spohn_rate_loop(times, f_neq, beta) if n_points >= 3 else np.empty(0)
+        pi = mp.spohn_rate(times, f_neq, beta) if n_points >= 3 else np.empty(0)
         assert np.array_equal(traj.pi, pi)
 
     def test_two_solves_per_point_and_no_state_objects(self, monkeypatch, tfim5_case):

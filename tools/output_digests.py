@@ -12,14 +12,20 @@ The first form writes the runs under ``WORKDIR/runs`` and the digests to
 ``WORKDIR/digests.json``; ``--repo`` runs another checkout's source and
 configs (default: the checkout holding this script).  The second lists the
 keys whose digests differ or exist on one side only, and exits 1 if any do.
+Under each changed ``.csv`` key whose file both sides kept (in the ``runs``
+directory beside each ``digests.json``) with the same header and row count,
+it reports the columns that differ, how many rows differ, and per column the
+largest difference relative to the column's largest magnitude.
 Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -58,6 +64,48 @@ def compare(a: dict[str, str], b: dict[str, str]) -> list[str]:
     return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
 
 
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_changes(path_a: Path, path_b: Path) -> list[str] | None:
+    """What differs between two CSV files, one line per changed column plus a row count.
+
+    ``None`` when the files cannot be compared cell by cell (different header,
+    row count or row length).  A column's change is the largest |a - b| over its rows
+    divided by the largest |value| on either side; it is left out when a cell
+    is not a number.
+    """
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if not rows_a or rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
+        return None
+    if any(len(row) != len(rows_a[0]) for row in rows_a + rows_b):
+        return None
+    body_a, body_b = rows_a[1:], rows_b[1:]
+    changed_rows = sum(ra != rb for ra, rb in zip(body_a, body_b))
+    lines = [f"{changed_rows} of {len(body_a)} rows differ"]
+    for j, name in enumerate(rows_a[0]):
+        pairs = [(ra[j], rb[j]) for ra, rb in zip(body_a, body_b)]
+        n_changed = sum(x != y for x, y in pairs)
+        if not n_changed:
+            continue
+        line = f"column {name}: {n_changed} rows differ"
+        values = [(_number(x), _number(y), x != y) for x, y in pairs]
+        if all(x is not None and y is not None for x, y, _ in values):
+            scale = max(max(abs(x), abs(y)) for x, y, _ in values)
+            worst = max(abs(x - y) for x, y, differs in values if differs)
+            if scale > 0 and math.isfinite(scale):
+                line += f", largest change {worst / scale:.3g} of max |{name}|"
+            else:
+                line += f", largest change {worst:.3g}"
+        lines.append(line)
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("workdir", nargs="?", type=Path, help="directory for the runs and digests.json")
@@ -69,8 +117,13 @@ def main(argv=None) -> int:
     if args.compare:
         a, b = (json.loads(p.read_text()) for p in args.compare)
         changed = compare(a, b)
+        runs_a, runs_b = (p.parent / "runs" for p in args.compare)
         for key in changed:
             print(key)
+            file_a, file_b = runs_a / key, runs_b / key
+            if key.endswith(".csv") and file_a.is_file() and file_b.is_file():
+                for line in csv_changes(file_a, file_b) or ["header or row count differs"]:
+                    print(f"    {line}")
         print(f"{len(changed)} changed of {len(a.keys() | b.keys())} keys", file=sys.stderr)
         return 1 if changed else 0
     if args.workdir is None:
