@@ -27,7 +27,7 @@ from .metropolis import population_weights, swap_metropolis, unitary_metropolis
 from .models import ModelInstance, build_generator
 from .operators import DensityMatrix, HermitianOperator, as_state, bloch_to_state, random_mixed_state, thermal_state
 from .spectral import decompose, evolve_spectral, spectral_gap
-from .thermo import ThermoTrajectory, compute_trajectory, fit_decay_rate, noneq_free_energy
+from .thermo import compute_trajectory, fit_decay_rate, noneq_free_energy
 from .transform import MpembaCertificate, detect_crossing, exact_transform, verify_overlap_elimination
 from .utils import write_csv
 
@@ -124,8 +124,20 @@ def _initial_state(cfg: ExperimentConfig, model: ModelInstance, args) -> Density
         raise ConfigError("initial_state.path", f"{spec.path}: {exc}") from exc
 
 
-def _apply_transform(kind, cfg, basis, spectrum, rho, args):
+def _state_pair(cfg: ExperimentConfig, model: ModelInstance, spectrum, args, kind: str):
+    """The run's pair: the initial state and its ``kind`` transform (None for ``"none"``),
+    each pinched by ``spectrum.project_physical`` so that a superselected model acts
+    only on physical states, and the annealer's trace or None."""
+    rho = spectrum.project_physical(_initial_state(cfg, model, args))
+    rho_prime, trace = _apply_transform(kind, cfg, spectrum, rho, args)
+    if rho_prime is not None:
+        rho_prime = spectrum.project_physical(rho_prime)
+    return rho, rho_prime, trace
+
+
+def _apply_transform(kind, cfg, spectrum, rho, args):
     """Returns (rho_transformed, trace_or_None) for the transform ``kind``."""
+    basis = spectrum.basis
     if kind == "none":
         return None, None
     if kind == "exact":
@@ -162,6 +174,12 @@ def _apply_transform(kind, cfg, basis, spectrum, rho, args):
     return rho_prime, trace
 
 
+def _evolve(spectrum, states, times, beta) -> list:
+    """Each state's ``(grid, trajectory)`` on ``times``."""
+    grids = [evolve_spectral(spectrum, state, times) for state in states]
+    return [(grid, compute_trajectory(grid, spectrum.basis, beta)) for grid in grids]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -189,24 +207,12 @@ def cmd_spectrum(args) -> int:
 def cmd_evolve(args) -> int:
     cfg, model, out = _setup(args)
     spectrum = decompose(build_generator(model))
-    basis = model.basis()
-    rho = spectrum.project_physical(_initial_state(cfg, model, args))
-    rho_prime, _ = _apply_transform(cfg.transform.kind, cfg, basis, spectrum, rho, args)
-    if rho_prime is not None:
-        rho_prime = spectrum.project_physical(rho_prime)
-    times = cfg.time_grid.times()
-
-    def run(state):
-        grid = evolve_spectral(spectrum, state, times)
-        return grid, compute_trajectory(grid, basis, model.beta)
-
-    grid_a, traj_a = run(rho)
-    grid_b, traj_b = run(rho_prime) if rho_prime is not None else (None, None)
-
-    _write_trajectory(out, "trajectory", traj_a, grid_a, cfg)
-    if traj_b is not None:
-        _write_trajectory(out, "trajectory_transformed", traj_b, grid_b, cfg)
-    print(f"wrote {out}/trajectory.csv" + (" and transformed twin" if traj_b is not None else ""))
+    rho, rho_prime, trace = _state_pair(cfg, model, spectrum, args, cfg.transform.kind)
+    if trace is not None and not trace.converged:
+        raise _NonConvergence(f"best cost {trace.best_cost:.3e}")
+    states = [rho] if rho_prime is None else [rho, rho_prime]
+    _write_trajectories(out, _evolve(spectrum, states, cfg.time_grid.times(), model.beta), cfg)
+    print(f"wrote {out}/trajectory.csv" + (" and transformed twin" if rho_prime is not None else ""))
     return EXIT_OK
 
 
@@ -217,20 +223,14 @@ def cmd_mpemba(args) -> int:
     if np.count_nonzero(times >= fit_window) < 3:
         raise ConfigError("time_grid", "the decay-rate fit needs at least 3 grid points at or after t_max/2")
     spectrum = decompose(build_generator(model))
-    basis = model.basis()
     beta = model.beta
-    h_lab = HermitianOperator(basis.hamiltonian())
-    rho = spectrum.project_physical(_initial_state(cfg, model, args))
-    tau = spectrum.steady_state
-
+    h_lab = HermitianOperator(spectrum.basis.hamiltonian())
     kind = cfg.transform.kind if cfg.transform.kind != "none" else "exact"
-    rho_prime, trace = _apply_transform(kind, cfg, basis, spectrum, rho, args)
+    rho, rho_prime, trace = _state_pair(cfg, model, spectrum, args, kind)
     if trace is not None:
         trace.to_csv(out / "transform_trace.csv")
         if not trace.converged:
             raise _NonConvergence(f"best cost {trace.best_cost:.3e}")
-    # superselected models: certify the physically representable state
-    rho_prime = spectrum.project_physical(rho_prime)
 
     gain = noneq_free_energy(rho_prime, h_lab, beta) - noneq_free_energy(rho, h_lab, beta)
     overlaps = verify_overlap_elimination(spectrum, rho_prime)
@@ -240,28 +240,22 @@ def cmd_mpemba(args) -> int:
             overlaps[k] = float(abs(amps[k - 1]))
 
     status, notes, crossing, rates = "not-applicable", "", None, None
-    if np.abs(rho.entries - tau.entries).max() < 1e-12:
+    if np.abs(rho.entries - spectrum.steady_state.entries).max() < 1e-12:
         notes = "initial state is the fixed point; no genuine effect is claimable"
     elif np.abs(rho.entries - rho_prime.entries).max() < 1e-12:
         notes = "state is already inverted-diagonal; the transform is the identity"
     else:
         status = "ok"
-        grid_a = evolve_spectral(spectrum, rho, times)
-        grid_b = evolve_spectral(spectrum, rho_prime, times)
-        traj_a = compute_trajectory(grid_a, basis, beta)
-        traj_b = compute_trajectory(grid_b, basis, beta)
+        runs = _evolve(spectrum, [rho, rho_prime], times, beta)
+        traj_a, traj_b = (traj for _, traj in runs)
         if gain > 0:
             crossing = detect_crossing(traj_a, traj_b)
         else:
             # a stochastic transform may land below the original free energy;
             # a speedup is still reportable but no genuine crossing is claimable
             notes = "transform did not raise the free energy; crossing not applicable"
-        rates = (
-            fit_decay_rate(times, traj_a.l1, t_min=fit_window),
-            fit_decay_rate(times, traj_b.l1, t_min=fit_window),
-        )
-        _write_trajectory(out, "trajectory", traj_a, grid_a, cfg)
-        _write_trajectory(out, "trajectory_transformed", traj_b, grid_b, cfg)
+        rates = tuple(fit_decay_rate(times, traj.l1, t_min=fit_window) for traj in (traj_a, traj_b))
+        _write_trajectories(out, runs, cfg)
     cert = MpembaCertificate(
         status=status, residual_overlaps=overlaps, free_energy_gain=gain,
         crossing_time=crossing, fitted_rates=rates, notes=notes,
@@ -277,8 +271,7 @@ def cmd_metropolis(args) -> int:
     if cfg.transform.kind not in ("unitary-metropolis", "swap-metropolis"):
         raise ConfigError("transform.kind", "the metropolis command needs a metropolis transform")
     spectrum = decompose(build_generator(model))
-    rho = _initial_state(cfg, model, args)
-    rho_prime, trace = _apply_transform(cfg.transform.kind, cfg, model.basis(), spectrum, rho, args)
+    _, rho_prime, trace = _state_pair(cfg, model, spectrum, args, cfg.transform.kind)
     trace.to_csv(out / "trace.csv")
     np.save(out / "state_transformed.npy", rho_prime.entries)
     print(
@@ -295,22 +288,18 @@ def cmd_metropolis(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_trajectory(out: Path, stem: str, traj: ThermoTrajectory, grid, cfg) -> None:
-    csv_path = out / f"{stem}.csv"
-    traj.to_csv(csv_path)
-    if cfg.outputs.dump_states:
-        np.save(out / f"{stem}_states.npy", grid.entries)
-    if cfg.outputs.gnuplot:
-        _write_gnuplot(out / f"{stem}.gp", csv_path.name)
-
-
-def _write_gnuplot(path: Path, csv_name: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(
-            "set datafile separator ','\n"
-            "set key autotitle columnhead\n"
-            "set logscale y\n"
-            f"plot '{csv_name}' using 1:3 with lines title 'D', \\\n"
-            f"     '{csv_name}' using 1:4 with lines title 'P', \\\n"
-            f"     '{csv_name}' using 1:5 with lines title 'C'\n"
-        )
+def _write_trajectories(out: Path, runs, cfg) -> None:
+    """The original's and the transformed twin's trajectory files, as configured."""
+    for stem, (grid, traj) in zip(("trajectory", "trajectory_transformed"), runs):
+        traj.to_csv(out / f"{stem}.csv")
+        if cfg.outputs.dump_states:
+            np.save(out / f"{stem}_states.npy", grid.entries)
+        if cfg.outputs.gnuplot:
+            (out / f"{stem}.gp").write_text(
+                "set datafile separator ','\n"
+                "set key autotitle columnhead\n"
+                "set logscale y\n"
+                f"plot '{stem}.csv' using 1:3 with lines title 'D', \\\n"
+                f"     '{stem}.csv' using 1:4 with lines title 'P', \\\n"
+                f"     '{stem}.csv' using 1:5 with lines title 'C'\n"
+            )

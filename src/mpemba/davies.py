@@ -363,9 +363,6 @@ def verify_detailed_balance(g_dense: np.ndarray, energies, tau_populations) -> f
         raise ValidationError(f"generator of shape {g_dense.shape} does not act on {d} levels")
     tau = as_populations(tau_populations, d)
 
-    H = np.diag(energies).astype(complex)
-    eye = np.eye(d, dtype=complex)
-    unitary_part = -1j * np.kron(H, eye) + 1j * np.kron(eye, H.T)
-    diss_adj = (g_dense - unitary_part).conj().T
+    diss_adj = (g_dense - vectorized_lindbladian(np.diag(energies), [])).conj().T
     weighted = np.tile(tau, d)[:, None] * diss_adj  # Omega D^dag
     return float(np.abs(weighted - weighted.conj().T).max())

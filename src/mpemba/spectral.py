@@ -38,6 +38,7 @@ from .utils import chunk_slices, frozen, herm_defect, hermitize, log_gibbs_weigh
 #: Eigenvector-matrix condition number above which a generator is treated as
 #: numerically defective.
 DEFECTIVE_COND = 1e12
+#: Zero-mode threshold, relative to the spectrum's scale max(1, max |λ|).
 ZERO_EIGENVALUE_TOL = 1e-9
 #: Relative threshold for calling an eigenvalue's imaginary part nonzero.
 IMAG_TOL = 1e-9
@@ -285,7 +286,8 @@ def decompose(generator: DaviesGenerator, *, prefer: str = "auto"):
     Raises :class:`DefectiveGeneratorError` when the dense eigenvector
     matrix is ill-conditioned beyond ``1e12`` (the dense path only; the
     block form is symmetrized by its detailed balance) and
-    :class:`NoSteadyStateError` when no eigenvalue sits within ``1e-9`` of zero.
+    :class:`NoSteadyStateError` when no eigenvalue sits within ``1e-9`` of
+    zero, relative to the spectrum's scale: ``1e-9 * max(1, max |λ|)``.
     """
     if not isinstance(generator, DaviesGenerator):
         raise ValidationError(
@@ -306,12 +308,11 @@ def _mode_order(eigenvalues, *tiebreaks):
 
     Modes that tie on every key keep their input order.
     """
-    zero_idx = int(np.argmin(np.abs(eigenvalues)))
-    if abs(eigenvalues[zero_idx]) > ZERO_EIGENVALUE_TOL:
-        raise NoSteadyStateError(
-            f"no zero eigenvalue within {ZERO_EIGENVALUE_TOL:g} "
-            f"(closest: {eigenvalues[zero_idx]:.3e})"
-        )
+    magnitudes = np.abs(eigenvalues)
+    zero_idx = int(np.argmin(magnitudes))
+    tol = ZERO_EIGENVALUE_TOL * max(1.0, magnitudes.max())
+    if magnitudes[zero_idx] > tol:
+        raise NoSteadyStateError(f"no zero eigenvalue within {tol:g} (closest: {eigenvalues[zero_idx]:.3e})")
     # rounded as arrays, same values: round() on numpy scalars inside the sort
     # key would dominate the L=5 block decomposition
     rate = np.round(np.abs(eigenvalues.real), 12).tolist()

@@ -225,10 +225,14 @@ def fit_decay_rate(times, values, t_min=None) -> float:
     """Least-squares slope of ln(values) over the usable tail.
 
     Points before ``t_min`` or with values at/below ``DECAY_FIT_FLOOR`` are
-    excluded; the fit needs at least three surviving points.
+    excluded; the fit needs at least three surviving points.  ``times``
+    enters through :func:`mpemba.spectral.as_times`, and ``values`` must
+    have its shape.
     """
-    times = np.asarray(times, dtype=float)
+    times = spectral.as_times(times)
     values = np.asarray(values, dtype=float)
+    if values.shape != times.shape:
+        raise ValidationError(f"values of shape {values.shape} do not match {times.size} times")
     mask = values > DECAY_FIT_FLOOR
     if t_min is not None:
         mask &= times >= t_min

@@ -212,6 +212,14 @@ class TestCliEvolve:
         np.save(want, np.stack([s.entries for s in grid.states]))
         assert (tmp_path / "trajectory_states.npy").read_bytes() == want.getvalue()
 
+    def test_unconverged_annealer_exits_4_without_trajectories(self, tmp_path, capsys):
+        payload = json.loads((CONFIGS / "dot_metropolis.json").read_text())
+        payload["transform"]["max_total_iterations"] = 10
+        rc = main(["evolve", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path)])
+        assert rc == 4
+        assert "optimizer did not converge" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trajectory*.csv"))
+
 
 class TestCliMpemba:
     def test_qubit_demo_certificate(self, tmp_path):
@@ -454,16 +462,38 @@ class TestCliMetropolis:
         assert "converge" in capsys.readouterr().err
         assert (tmp_path / "trace.csv").exists()
 
-    def test_unitary_search_is_the_one_mpemba_certifies(self, tmp_path):
+    def test_unitary_search_is_the_one_mpemba_certifies(self, tmp_path, monkeypatch):
         # the dot (d = 4) runs the unitary annealer; mode 6 is a population mode,
         # listed in the certificate only as a target
         config = str(CONFIGS / "dot_metropolis.json")
+        certified = []
+        verify = mp.cli.verify_overlap_elimination
+        monkeypatch.setattr(mp.cli, "verify_overlap_elimination",
+                            lambda spec, rho: certified.append(rho) or verify(spec, rho))
         assert main(["metropolis", "--config", config, "--out", str(tmp_path / "metropolis")]) == 0
         assert main(["mpemba", "--config", config, "--out", str(tmp_path / "mpemba")]) == 0
         trace = (tmp_path / "metropolis" / "trace.csv").read_bytes()
         assert (tmp_path / "mpemba" / "transform_trace.csv").read_bytes() == trace
         residual = re.search(r"^  mode 6: (\S+)$", (tmp_path / "mpemba" / "certificate.txt").read_text(), re.M)
         assert residual and float(residual.group(1)) < 1e-5
+        # the saved state is the one mpemba certifies: pinched to the dot's parity sectors
+        saved = np.load(tmp_path / "metropolis" / "state_transformed.npy")
+        gen = mp.build_generator(load_config(config).build_model())
+        parity = gen.sector_labels
+        saved_e = gen.basis.to_eigenbasis(saved)
+        assert not saved_e[np.not_equal.outer(parity, parity)].any()
+        assert np.array_equal(saved, certified[0].entries)
+
+    def test_one_search_for_a_state_with_coherences(self, tmp_path):
+        # pure-plus has cross-parity coherences: both commands pinch it before the search
+        payload = json.loads((CONFIGS / "dot_metropolis.json").read_text())
+        payload["initial_state"] = {"kind": "pure-plus"}
+        payload["transform"]["max_total_iterations"] = 300
+        config = str(write_config(tmp_path, payload))
+        assert main(["metropolis", "--config", config, "--out", str(tmp_path / "metropolis")]) == 4
+        assert main(["mpemba", "--config", config, "--out", str(tmp_path / "mpemba")]) == 4
+        trace = (tmp_path / "metropolis" / "trace.csv").read_bytes()
+        assert (tmp_path / "mpemba" / "transform_trace.csv").read_bytes() == trace
 
     def test_unconverged_mpemba_exits_4_with_its_trace(self, tmp_path, capsys):
         payload = json.loads((CONFIGS / "dot_metropolis.json").read_text())

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,17 @@ class TestDecompose:
         g = -np.eye(4, dtype=complex)
         with pytest.raises(NoSteadyStateError):
             mp.decompose(mp.DaviesGenerator(basis=qubit_model.basis(), dense=g))
+
+    def test_zero_mode_judged_on_the_spectrum_scale(self):
+        # rates ~1e7: the dense zero mode rounds to -1.3e-9, past an absolute 1e-9
+        model = mp.single_qubit(omega=1e-6, t_bath=10.0, gamma=1.0)
+        dense = mp.decompose(mp.build_generator(model, dense=True), prefer="dense")
+        block = mp.decompose(mp.build_generator(model))
+        tol = 1e-9 * np.abs(dense.eigenvalues).max()
+        assert abs(dense.eigenvalues[0]) <= tol and abs(block.eigenvalues[0]) <= tol
+        np.testing.assert_allclose(
+            np.sort_complex(dense.eigenvalues), np.sort_complex(block.eigenvalues), rtol=0, atol=tol
+        )
 
     @pytest.mark.parametrize("prefer", ["Dense", "block", ""])
     def test_unknown_prefer_rejected(self, qubit_gen, prefer):
@@ -319,6 +331,34 @@ def test_package_imports_are_used():
                 names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
                 offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n not in used]
     assert not offenders, offenders
+
+
+def test_benchmark_names_resolve():
+    # perfbench is read, not imported: every mpemba name it uses must exist
+    missing, spans = [], 0
+    for path in sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mpemba."):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = getattr(module, alias.name, None)
+                    if not hasattr(module, alias.name):
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "mp" and not hasattr(mp, node.attr)):
+                missing.append(f"{path.name}: mp.{node.attr}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "CLI_SPANS" for t in node.targets):
+                for key in node.value.keys:
+                    spans += 1
+                    owner, attr = key.elts
+                    owner = (importlib.import_module(ast.unparse(owner)) if isinstance(owner, ast.Attribute)
+                             else imported[owner.id])
+                    if not hasattr(owner, attr.value):
+                        missing.append(f"{path.name}: CLI_SPANS {ast.unparse(key)}")
+    assert spans and not missing, missing
 
 
 class TestDerivedModeTags:

@@ -355,6 +355,19 @@ class TestTrajectoryObject:
         with pytest.raises(ValidationError):
             mp.fit_decay_rate(times, np.full_like(times, 1e-15))
 
+    @pytest.mark.parametrize(
+        "times, values",
+        [
+            ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25]),
+            ([0.0, 1.0, np.nan, 3.0], [1.0, 0.5, 0.25, 0.125]),
+            ([[0.0, 1.0, 2.0, 3.0]], [[1.0, 0.5, 0.25, 0.125]]),
+        ],
+        ids=["length_mismatch", "nan_time", "2d_grid"],
+    )
+    def test_fit_decay_rate_judges_its_grid(self, times, values):
+        with pytest.raises(ValidationError, match="times"):
+            mp.fit_decay_rate(times, values)
+
 
 # -- per-point reference: each state evolved, checked and diagnosed on its
 #    own, against which the chunked stacks must agree bit for bit
