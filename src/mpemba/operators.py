@@ -211,8 +211,8 @@ def thermal_state(basis: SpectralBasis, beta: float) -> DensityMatrix:
 
 def thermal_populations(basis: SpectralBasis, beta: float) -> np.ndarray:
     """Gibbs populations over the energy levels (overflow-safe)."""
-    if beta < 0:
-        raise ValidationError("negative beta (inverted Gibbs input) is not supported")
+    if not beta >= 0:  # a NaN fails
+        raise ValidationError(f"beta must be >= 0 (inverted Gibbs input is not supported), not {beta}")
     if math.isinf(beta):
         p = np.zeros(basis.dim)
         p[0] = 1.0

@@ -81,26 +81,39 @@ class GapInfo(NamedTuple):
 class EvolutionGrid:
     """States sampled along an evolution at ascending times (units 1/J).
 
-    ``entries`` is the (T, d, d) stack of lab-basis density matrices and
-    ``spectra`` the (T, d) ascending eigenvalues of each state, both
-    read-only; the evolution validated every state before storing it.
-    ``states`` is a read-only sequence that builds a validated
-    :class:`DensityMatrix` on each access and keeps no copies.
+    The grid stores each state in the energy eigenbasis of ``basis``:
+    ``eigen_entries`` is the (T, d, d) stack of those matrices, ``spectra``
+    the (T, d) ascending eigenvalues of each, and ``mean_energy`` the (T,)
+    energies Re Tr(H rho), all read-only; the evolution validated every
+    state before storing it.  No lab-basis stack is kept: ``entries`` rotates
+    the stored stack to the lab basis on each access, and ``states`` is a
+    read-only sequence that builds a validated :class:`DensityMatrix` from
+    one rotated matrix on each access and keeps no copies.  A matrix rotated
+    alone equals the same matrix rotated in the stack, so ``states[j]``
+    holds ``entries[j]`` exactly.
     """
 
     times: np.ndarray
-    entries: np.ndarray
+    basis: SpectralBasis
+    eigen_entries: np.ndarray
     spectra: np.ndarray
+    mean_energy: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.basis, SpectralBasis):
+            raise ValidationError("an evolution grid needs the SpectralBasis its states are stored in")
         times = as_times(self.times)
-        entries = np.asarray(self.entries, dtype=complex)
+        d = self.basis.dim
+        eigen_entries = np.asarray(self.eigen_entries, dtype=complex)
         spectra = np.asarray(self.spectra, dtype=float)
-        if spectra.shape[:1] != times.shape or entries.shape != spectra.shape + spectra.shape[-1:]:
-            raise ValidationError("times, entries and spectra have inconsistent shapes")
-        for name, value in (("times", times), ("entries", entries), ("spectra", spectra)):
+        mean_energy = np.asarray(self.mean_energy, dtype=float)
+        if (eigen_entries.shape != times.shape + (d, d) or spectra.shape != times.shape + (d,)
+                or mean_energy.shape != times.shape):
+            raise ValidationError("times, eigen_entries, spectra and mean_energy have inconsistent shapes")
+        for name, value in (("times", times), ("eigen_entries", eigen_entries),
+                            ("spectra", spectra), ("mean_energy", mean_energy)):
             # an array that owns its data and is read-only already is kept:
-            # copying the entries would double the grid's memory while it is built
+            # copying the stack would double the grid's memory while it is built
             if value.flags.writeable or not value.flags.owndata:
                 value = frozen(value)
             object.__setattr__(self, name, value)
@@ -109,23 +122,32 @@ class EvolutionGrid:
         return self.times.size
 
     @property
+    def entries(self) -> np.ndarray:
+        """The (T, d, d) lab-basis states, rotated from ``eigen_entries`` on each access."""
+        out = self.basis.from_eigenbasis(self.eigen_entries)
+        out.setflags(write=False)
+        return out
+
+    @property
     def states(self) -> _States:
-        return _States(self.entries)
+        return _States(self.basis, self.eigen_entries)
 
 
 class _States(Sequence):
-    """The states of an :class:`EvolutionGrid`, validated on each access."""
+    """The states of an :class:`EvolutionGrid`, rotated and validated on each access."""
 
-    def __init__(self, entries):
-        self._entries = entries
+    def __init__(self, basis, eigen_entries):
+        self._basis = basis
+        self._eigen_entries = eigen_entries
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._eigen_entries)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[j] for j in range(*index.indices(len(self))))
-        return DensityMatrix(self._entries[index], psd_tol=EVOLUTION_PSD_TOL)
+        lab = self._basis.from_eigenbasis(self._eigen_entries[index])
+        return DensityMatrix(lab, psd_tol=EVOLUTION_PSD_TOL)
 
 
 class GeneratorSpectrum:
@@ -446,9 +468,10 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     expansion coefficients that appear at low temperature) and each
     coherence by its closed-form exponential.  The states are built and
     validated :func:`chunk_points` time points at a time; the grid holds
-    them in the lab basis together with their spectra.  ``rho_i`` enters
-    through :func:`mpemba.operators.as_state` at the spectrum's dimension and
-    ``times`` through :func:`as_times`.
+    them in the energy basis together with their spectra and energies, and
+    derives the lab-basis states on demand (:class:`EvolutionGrid`).
+    ``rho_i`` enters through :func:`mpemba.operators.as_state` at the
+    spectrum's dimension and ``times`` through :func:`as_times`.
     """
     rho_i = as_state(rho_i, spectrum.dim)
     times = as_times(times)
@@ -540,24 +563,28 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
     :class:`DensityMatrix` with the positivity slack
     :data:`EVOLUTION_PSD_TOL`.  The eigenvalues for that check come from the
     lab matrix rotated back into the energy basis, the matrix whose spectrum
-    gives S(rho); the grid keeps them as ``spectra``.  The first failing time
-    point raises, as a loop over the points would.
+    gives S(rho).  The grid keeps that energy-basis matrix, its eigenvalues
+    as ``spectra`` and Re Tr(H rho), measured on the lab matrix, as
+    ``mean_energy``; the lab matrix itself lives only while its chunk is
+    checked.  The first failing time point raises, as a loop over the
+    points would.
     """
     d = basis.dim
-    entries = np.empty((times.size, d, d), dtype=complex)
+    h = basis.hamiltonian()
+    eigen_entries = np.empty((times.size, d, d), dtype=complex)
     spectra = np.empty((times.size, d))
+    mean_energy = np.empty(times.size)
     for s in chunk_slices(times.size, chunk_points(d)):
         m = chunk(s)
         defect = herm_defect(m)
         broken = defect > 1e-9 * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
-        # straight into the grid, before the checks (which raise on failure):
-        # neither the energy-basis chunk nor a lab copy stays alive beside it
-        entries[s] = basis.from_eigenbasis(hermitize(m))
+        lab = basis.from_eigenbasis(hermitize(m))
         del m
-        lab = entries[s]
+        eigen_entries[s] = basis.to_eigenbasis(lab)
+        spectra[s] = np.linalg.eigvalsh(eigen_entries[s])
+        mean_energy[s] = np.real(np.trace(h @ lab, axis1=1, axis2=2))
         lab_defect = herm_defect(lab)
         trace = np.trace(lab, axis1=1, axis2=2)
-        spectra[s] = np.linalg.eigvalsh(basis.to_eigenbasis(lab))
         min_eig = spectra[s].min(axis=1)
         # written so that a NaN fails them
         failed = broken | ~(
@@ -573,7 +600,6 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
                     "conjugate mode pairing is broken"
                 )
             require_state(lab_defect[j], complex(trace[j]), min_eig[j], EVOLUTION_PSD_TOL)
-    entries.setflags(write=False)
-    spectra.setflags(write=False)
-    return EvolutionGrid(times, entries, spectra)
-
+    for value in (eigen_entries, spectra, mean_energy):
+        value.setflags(write=False)
+    return EvolutionGrid(times, basis, eigen_entries, spectra, mean_energy)

@@ -52,8 +52,8 @@ def noneq_free_energy(rho, hamiltonian, beta: float) -> float:
 
     ``hamiltonian`` is a :class:`HermitianOperator` or is judged as one.
     """
-    if beta <= 0:
-        raise ValidationError("beta must be positive for the free energy")
+    if not beta > 0:  # a NaN fails
+        raise ValidationError(f"beta must be positive for the free energy, not {beta}")
     if not isinstance(hamiltonian, HermitianOperator):
         hamiltonian = HermitianOperator(hamiltonian)
     rho = as_state(rho, hamiltonian.dim)
@@ -63,8 +63,8 @@ def noneq_free_energy(rho, hamiltonian, beta: float) -> float:
 
 def equilibrium_free_energy(basis: SpectralBasis, beta: float) -> float:
     """F_eq = -ln(Z)/beta, read as E_0 + ln(p_0)/beta from the ground level's Gibbs log-weight."""
-    if beta <= 0:
-        raise ValidationError("beta must be positive for the free energy")
+    if not beta > 0:  # a NaN fails
+        raise ValidationError(f"beta must be positive for the free energy, not {beta}")
     return float(basis.energies[0] + log_gibbs_weights(basis.energies, beta)[0] / beta)
 
 
@@ -127,9 +127,12 @@ def spohn_rate(times, f_neq, beta: float) -> np.ndarray:
 
     ``numpy.gradient`` with ``edge_order=2``: second-order central
     differences in the interior (exact for non-uniform grids), one-sided
-    second-order stencils at the endpoints.  Requires at least three grid
-    points; ``times`` enters through :func:`mpemba.spectral.as_times`.
+    second-order stencils at the endpoints.  Requires ``beta > 0`` and at
+    least three grid points; ``times`` enters through
+    :func:`mpemba.spectral.as_times`.
     """
+    if not beta > 0:  # a NaN fails
+        raise ValidationError(f"beta must be positive for the Spohn rate, not {beta}")
     times = spectral.as_times(times)
     if times.size < 3:
         raise ValidationError("the Spohn rate needs at least 3 grid points")
@@ -179,17 +182,23 @@ def compute_trajectory(
 ) -> ThermoTrajectory:
     """Evaluate all diagnostics for every state of an evolution grid.
 
-    Works on the grid's lab-basis ``entries`` in the chunks the evolution
-    used, :func:`mpemba.spectral.chunk_points` time points at a time (16
-    for d >= 16, more below).  S(rho) is read from ``grid.spectra``, the
-    eigenvalues the evolution computed when it validated each state, so the
-    trace distance is the only eigen-solve made here.
+    Reads what the evolution stored, in the energy basis, in the chunks the
+    evolution used, :func:`mpemba.spectral.chunk_points` time points at a
+    time (16 for d >= 16, more below): F_neq from ``grid.mean_energy`` and
+    S(rho) of ``grid.spectra``; the populations, P, C and L1 from
+    ``grid.eigen_entries``; the trace distance from the eigenvalues of
+    rho_e - tau_e, the only eigen-solve made here.  No state is rotated.
+    ``basis`` gives tau and F_eq and must be the grid's own basis (the same
+    object, or equal energies and vectors), else :class:`ValidationError`.
     """
-    h = basis.hamiltonian()
+    if basis is not grid.basis and not (
+        np.array_equal(basis.energies, grid.basis.energies)
+        and np.array_equal(basis.vectors, grid.basis.vectors)
+    ):
+        raise ValidationError("basis is not the one the grid's states are stored in")
+    f_eq = equilibrium_free_energy(basis, beta)
     tau_p = thermal_populations(basis, beta)
     tau_e = np.diag(tau_p)
-    tau_lab = basis.from_eigenbasis(tau_e.astype(complex))
-    f_eq = equilibrium_free_energy(basis, beta)
     log_tau = log_gibbs_weights(basis.energies, beta)
 
     n = len(grid)
@@ -199,12 +208,10 @@ def compute_trajectory(
     l1 = np.empty(n)
     t1 = np.empty(n)
     for s in chunk_slices(n, spectral.chunk_points(basis.dim)):
-        lab = grid.entries[s]
-        rho_e = basis.to_eigenbasis(lab)
+        rho_e = grid.eigen_entries[s]
         pops = np.clip(np.real(np.diagonal(rho_e, axis1=1, axis2=2)), 0.0, None)
         s_rho = _shannon(grid.spectra[s])
-        energy = np.real(np.trace(h @ lab, axis1=1, axis2=2))
-        f_neq[s] = energy - s_rho / beta
+        f_neq[s] = grid.mean_energy[s] - s_rho / beta
         # D via populations against log-space Gibbs weights: stable at any beta.
         # The (1, d) @ (d, 1) products round like one dot per state; a 2-D
         # matrix-vector product does not.
@@ -212,8 +219,9 @@ def compute_trajectory(
         cross = np.matmul(pops[:, None, :], log_tau[:, None])[:, 0, 0]
         p_cl[s] = np.maximum(xlx - cross, 0.0)
         c_coh[s] = np.maximum(-xlx - s_rho, 0.0)
-        l1[s] = np.abs(rho_e - tau_e).sum(axis=(1, 2))
-        t1[s] = 0.5 * np.abs(np.linalg.eigvalsh(lab - tau_lab)).sum(axis=1)
+        deviation = rho_e - tau_e
+        l1[s] = np.abs(deviation).sum(axis=(1, 2))
+        t1[s] = 0.5 * np.abs(np.linalg.eigvalsh(deviation)).sum(axis=1)
     pi = spohn_rate(grid.times, f_neq, beta) if n >= 3 else np.empty(0)
     return ThermoTrajectory(
         times=grid.times, f_neq=f_neq, d_rel=p_cl + c_coh, p_classical=p_cl,
@@ -227,12 +235,15 @@ def fit_decay_rate(times, values, t_min=None) -> float:
     Points before ``t_min`` or with values at/below ``DECAY_FIT_FLOOR`` are
     excluded; the fit needs at least three surviving points.  ``times``
     enters through :func:`mpemba.spectral.as_times`, and ``values`` must
-    have its shape.
+    have its shape and be finite (a NaN or an infinity raises
+    :class:`ValidationError`).
     """
     times = spectral.as_times(times)
     values = np.asarray(values, dtype=float)
     if values.shape != times.shape:
         raise ValidationError(f"values of shape {values.shape} do not match {times.size} times")
+    if not np.isfinite(values).all():
+        raise ValidationError("values to fit a decay rate must be finite")
     mask = values > DECAY_FIT_FLOOR
     if t_min is not None:
         mask &= times >= t_min

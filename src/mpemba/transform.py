@@ -58,10 +58,13 @@ def detect_crossing(traj_a: ThermoTrajectory, traj_b: ThermoTrajectory):
     ``traj_b`` must start above ``traj_a`` (that ordering is what makes the
     later crossing a genuine Mpemba effect).  The crossing is bracketed on
     the grid and refined by linear interpolation; ``None`` when curve b
-    never stays below through the end of the grid.
+    never stays below through the end of the grid.  Trajectories on
+    different or empty grids raise :class:`ValidationError`.
     """
     if traj_a.times.shape != traj_b.times.shape or np.any(traj_a.times != traj_b.times):
         raise ValidationError("trajectories live on different time grids")
+    if not traj_a.times.size:
+        raise ValidationError("trajectories are empty")
     fa, fb = traj_a.f_neq, traj_b.f_neq
     if fb[0] < fa[0]:
         raise ValidationError("curve b starts below curve a; swap the arguments")
@@ -99,8 +102,12 @@ def majorization_check(
     Also checks that the population vector of rho' majorizes that of every
     rotated state (read in the energy eigenbasis).  Sample seeds are derived
     from ``seed`` so the report is deterministic.  ``rho_prime`` and every
-    rotated sample are judged as :class:`DensityMatrix`es.
+    rotated sample are judged as :class:`DensityMatrix`es.  At least one
+    sample is needed: ``n_random_unitaries`` < 1 raises
+    :class:`ValidationError`.
     """
+    if not n_random_unitaries >= 1:
+        raise ValidationError(f"n_random_unitaries must be at least 1, not {n_random_unitaries}")
     rho_prime = as_state(rho_prime, basis.dim)
     h = HermitianOperator(basis.hamiltonian())
     f_ref = noneq_free_energy(rho_prime, h, beta)

@@ -550,12 +550,13 @@ class TestChunkedPackaging:
         grid = mp.evolve_spectral(spec, rho, np.linspace(0.0, 6.0, n))
         basis = spec.basis
         assert len(grid) == len(grid.states) == n
-        assert grid.entries.shape == (n, 8, 8) and grid.spectra.shape == (n, 8)
-        assert not grid.entries.flags.writeable and not grid.spectra.flags.writeable
+        assert grid.entries.shape == grid.eigen_entries.shape == (n, 8, 8)
+        assert grid.spectra.shape == (n, 8) and grid.mean_energy.shape == (n,)
+        for array in (grid.entries, grid.eigen_entries, grid.spectra, grid.mean_energy):
+            assert not array.flags.writeable
+        assert np.array_equal(grid.entries, basis.from_eigenbasis(grid.eigen_entries))
         for j in range(n):
-            assert np.array_equal(
-                grid.spectra[j], np.linalg.eigvalsh(basis.to_eigenbasis(grid.entries[j]))
-            )
+            assert np.array_equal(grid.spectra[j], np.linalg.eigvalsh(grid.eigen_entries[j]))
         states = grid.states
         picked = {
             -1: states[-1],
@@ -578,18 +579,26 @@ class TestChunkedPackaging:
         with pytest.raises(IndexError):
             states[n]
 
-    def test_grid_rejects_inconsistent_arrays(self):
-        entries = np.repeat(np.eye(2, dtype=complex)[None] / 2, 3, axis=0)
+    def test_grid_rejects_inconsistent_arrays(self, qubit_model):
+        basis = qubit_model.basis()
+        stack = np.repeat(np.eye(2, dtype=complex)[None] / 2, 3, axis=0)
         spectra = np.full((3, 2), 0.5)
+        energy = np.zeros(3)
         with pytest.raises(ValidationError, match="inconsistent shapes"):
-            mp.EvolutionGrid([0.0, 1.0], entries, spectra)
+            mp.EvolutionGrid([0.0, 1.0], basis, stack, spectra, energy)
         with pytest.raises(ValidationError, match="inconsistent shapes"):
-            mp.EvolutionGrid([0.0, 1.0, 2.0], entries, spectra[:, :1])
+            mp.EvolutionGrid([0.0, 1.0, 2.0], basis, stack, spectra[:, :1], energy)
+        with pytest.raises(ValidationError, match="inconsistent shapes"):
+            mp.EvolutionGrid([0.0, 1.0, 2.0], basis, stack, spectra, energy[:2])
+        with pytest.raises(ValidationError, match="inconsistent shapes"):
+            mp.EvolutionGrid([0.0, 1.0, 2.0], mp.tfim(length=3).basis(), stack, spectra, energy)
+        with pytest.raises(ValidationError, match="SpectralBasis"):
+            mp.EvolutionGrid([0.0, 1.0, 2.0], None, stack, spectra, energy)
         with pytest.raises(ValidationError, match="ascending"):
-            mp.EvolutionGrid([0.0, 2.0, 1.0], entries, spectra)
-        grid = mp.EvolutionGrid([0.0, 1.0, 2.0], entries, spectra)
-        entries[0] = 0.0  # the grid holds its own read-only copy
-        assert np.array_equal(grid.entries[0], np.eye(2) / 2)
+            mp.EvolutionGrid([0.0, 2.0, 1.0], basis, stack, spectra, energy)
+        grid = mp.EvolutionGrid([0.0, 1.0, 2.0], basis, stack, spectra, energy)
+        stack[0] = 0.0  # the grid holds its own read-only copy
+        assert np.array_equal(grid.eigen_entries[0], np.eye(2) / 2)
 
     @staticmethod
     def _first_error(run):

@@ -68,6 +68,23 @@ class TestFreeEnergy:
         with pytest.raises(ValidationError, match="beta must be positive"):
             mp.equilibrium_free_energy(basis, beta)
 
+    @pytest.mark.parametrize("entry", ["noneq_free_energy", "equilibrium_free_energy", "spohn_rate",
+                                       "thermal_populations", "compute_trajectory"])
+    def test_nan_beta_rejected(self, qubit_setup, entry):
+        # a NaN fails `beta <= 0` and `beta < 0` as well, so each check is
+        # written to fail on it, before any arithmetic
+        basis, _, grid, traj = qubit_setup
+        call = {
+            "noneq_free_energy": lambda b: mp.noneq_free_energy(
+                mp.thermal_state(basis, 1.0), basis.hamiltonian(), b),
+            "equilibrium_free_energy": lambda b: mp.equilibrium_free_energy(basis, b),
+            "spohn_rate": lambda b: mp.spohn_rate(traj.times, traj.f_neq, b),
+            "thermal_populations": lambda b: mp.thermal_populations(basis, b),
+            "compute_trajectory": lambda b: mp.compute_trajectory(grid, basis, b),
+        }[entry]
+        with pytest.raises(ValidationError, match="beta must be"):
+            call(math.nan)
+
 
 class TestRelativeEntropy:
     def test_identical_states(self):
@@ -355,6 +372,13 @@ class TestTrajectoryObject:
         with pytest.raises(ValidationError):
             mp.fit_decay_rate(times, np.full_like(times, 1e-15))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_decay_rate_refuses_non_finite_values(self, bad):
+        # a NaN or -inf would fail the floor and drop out of the fit silently,
+        # and +inf would pass it into the log
+        with pytest.raises(ValidationError, match="finite"):
+            mp.fit_decay_rate([0.0, 1.0, 2.0, 3.0], [1.0, bad, 0.5, 0.2])
+
     @pytest.mark.parametrize(
         "times, values",
         [
@@ -417,7 +441,6 @@ def _reference_columns(states, basis, beta):
     """f_neq, d_rel, p_classical, c_coherence, l1, t1 of each state, one at a time."""
     h = basis.hamiltonian()
     tau_p = mp.thermal_populations(basis, beta)
-    tau_lab = basis.from_eigenbasis(np.diag(tau_p).astype(complex))
     log_tau = log_gibbs_weights(basis.energies, beta)
     rows = []
     for state in states:
@@ -430,7 +453,7 @@ def _reference_columns(states, basis, beta):
         rows.append((
             energy - s_rho / beta, p_cl + c_coh, p_cl, c_coh,
             float(np.abs(rho_e - np.diag(tau_p)).sum()),
-            float(0.5 * np.abs(np.linalg.eigvalsh(state.entries - tau_lab)).sum()),
+            float(0.5 * np.abs(np.linalg.eigvalsh(rho_e - np.diag(tau_p))).sum()),
         ))
     return np.array(rows, dtype=float).reshape(len(states), 6).T
 
@@ -481,11 +504,16 @@ class TestBatchedTrajectory:
         basis, beta = model.basis(), model.bath.beta
         grid = evolve(times)
         states = reference(times)
-        want = np.stack([s.entries for s in states])
-        assert grid.entries.shape == want.shape
-        assert np.array_equal(grid.entries, want)
-        spectra = np.array([np.linalg.eigvalsh(basis.to_eigenbasis(m)) for m in want])
+        # the stored stack is each reference lab state rotated on its own
+        want = np.stack([basis.to_eigenbasis(s.entries) for s in states])
+        assert grid.eigen_entries.shape == want.shape
+        assert np.array_equal(grid.eigen_entries, want)
+        assert np.array_equal(grid.entries, basis.from_eigenbasis(want))
+        spectra = np.array([np.linalg.eigvalsh(m) for m in want])
         assert np.array_equal(grid.spectra, spectra)
+        h = basis.hamiltonian()
+        energies = np.array([np.real(np.trace(h @ s.entries)) for s in states])
+        assert np.array_equal(grid.mean_energy, energies)
 
         traj = mp.compute_trajectory(grid, basis, beta)
         f_neq, d_rel, p_cl, c_coh, l1, t1 = _reference_columns(states, basis, beta)
@@ -519,6 +547,42 @@ class TestBatchedTrajectory:
         assert len(solves) == 2 * chunks
         assert sum(shape[0] for shape in solves) == 2 * times.size
         assert not built
+
+    def test_trajectory_makes_no_rotation(self, monkeypatch, tfim5_case):
+        # the grid stores energy-basis states and their energies, so the
+        # trajectory neither rotates a state nor rebuilds H
+        model, _, spec, rho = tfim5_case
+        basis = model.basis()
+        grid = mp.evolve_spectral(spec, rho, np.linspace(0.0, 14.0, 281))
+        calls = []
+        for name in ("to_eigenbasis", "from_eigenbasis", "hamiltonian"):
+            method = getattr(mp.SpectralBasis, name)
+
+            def counting(self, *args, _name=name, _method=method, **kwargs):
+                calls.append(_name)
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(mp.SpectralBasis, name, counting)
+        mp.compute_trajectory(grid, basis, model.bath.beta)
+        assert calls == []
+
+    def test_basis_must_be_the_grids(self, qubit_model, tfim3_model, tfim3_gen):
+        spec = mp.decompose(tfim3_gen)
+        grid = mp.evolve_spectral(spec, mp.random_mixed_state(8, 4, seed=11), np.linspace(0.0, 2.0, 5))
+        beta = tfim3_model.bath.beta
+        equal = mp.SpectralBasis(spec.basis.energies, spec.basis.vectors)
+        assert np.array_equal(mp.compute_trajectory(grid, equal, beta).f_neq,
+                              mp.compute_trajectory(grid, spec.basis, beta).f_neq)
+        vectors = spec.basis.vectors.copy()
+        vectors[:, [0, 1]] = vectors[:, [1, 0]]
+        other = (
+            qubit_model.basis(),
+            mp.SpectralBasis(spec.basis.energies + 1.0, spec.basis.vectors),
+            mp.SpectralBasis(spec.basis.energies, vectors),
+        )
+        for basis in other:
+            with pytest.raises(ValidationError, match="basis is not the one"):
+                mp.compute_trajectory(grid, basis, beta)
 
 
 class TestPropagate:

@@ -130,6 +130,11 @@ class TestCrossingDetector:
         with pytest.raises(ValidationError):
             mp.detect_crossing(ta, tb)
 
+    def test_empty_trajectories_rejected(self):
+        empty = self._make_traj(np.empty(0), np.empty(0))
+        with pytest.raises(ValidationError, match="empty"):
+            mp.detect_crossing(empty, empty)
+
     def test_qubit_demo_crossing_is_single(self, qubit_model, qubit_spec):
         basis = qubit_model.basis()
         beta = qubit_model.bath.beta
@@ -171,6 +176,13 @@ class TestMajorization:
         report = mp.majorization_check(rho_prime, basis, tfim3_model.bath.beta, 100, seed=7)
         assert report.all_passed
         assert report.majorization_failures == 0
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_fewer_than_one_sample_rejected(self, qubit_model, n_samples):
+        basis = qubit_model.basis()
+        with pytest.raises(ValidationError, match="n_random_unitaries"):
+            mp.majorization_check(mp.thermal_state(basis, 1.0), basis, qubit_model.bath.beta,
+                                  n_samples, seed=0)
 
 
 class TestCertificate:
