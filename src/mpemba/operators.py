@@ -213,10 +213,6 @@ def thermal_populations(basis: SpectralBasis, beta: float) -> np.ndarray:
     """Gibbs populations over the energy levels (overflow-safe)."""
     if not beta >= 0:  # a NaN fails
         raise ValidationError(f"beta must be >= 0 (inverted Gibbs input is not supported), not {beta}")
-    if math.isinf(beta):
-        p = np.zeros(basis.dim)
-        p[0] = 1.0
-        return p
     return np.exp(log_gibbs_weights(basis.energies, beta))
 
 

@@ -47,7 +47,7 @@ EVOLUTION_PSD_TOL = 1e-8
 
 
 def chunk_points(d: int) -> int:
-    """Time points whose d x d states are validated and rotated as one stack.
+    """Time points whose d x d states are validated and stored as one stack.
 
     The one chunk rule of the evolutions here and of
     ``thermo.compute_trajectory``: 4096 matrix entries per (n, d, d) stack
@@ -81,11 +81,11 @@ class GapInfo(NamedTuple):
 class EvolutionGrid:
     """States sampled along an evolution at ascending times (units 1/J).
 
-    The grid stores each state in the energy eigenbasis of ``basis``:
-    ``eigen_entries`` is the (T, d, d) stack of those matrices, ``spectra``
-    the (T, d) ascending eigenvalues of each, and ``mean_energy`` the (T,)
-    energies Re Tr(H rho), all read-only; the evolution validated every
-    state before storing it.  No lab-basis stack is kept: ``entries`` rotates
+    The grid stores each state in the energy eigenbasis of ``basis``, as the
+    evolution produced and validated it: ``eigen_entries`` is the (T, d, d)
+    stack of those matrices, ``spectra`` the (T, d) ascending eigenvalues of
+    each, and ``mean_energy`` the (T,) energies Re Tr(H rho) = sum_n E_n p_n,
+    all read-only.  No lab-basis stack is kept: ``entries`` rotates
     the stored stack to the lab basis on each access, and ``states`` is a
     read-only sequence that builds a validated :class:`DensityMatrix` from
     one rotated matrix on each access and keeps no copies.  A matrix rotated
@@ -466,7 +466,8 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     Block spectra propagate the population sector by its exact semigroup
     (equivalent to the mode sum, but immune to the exponentially large
     expansion coefficients that appear at low temperature) and each
-    coherence by its closed-form exponential.  The states are built and
+    coherence |n><m| by k_n conj(k_m), k = exp(c t) with c_n = G_nn / 2 - i E_n
+    and G = ``pop_block`` (Davies 1974), one d-vector per time.  The states are built and
     validated :func:`chunk_points` time points at a time; the grid holds
     them in the energy basis together with their spectra and energies, and
     derives the lab-basis states on demand (:class:`EvolutionGrid`).
@@ -477,14 +478,15 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     times = as_times(times)
     basis = spectrum.basis
     if spectrum.kind == "block":
+        pop_block = spectrum._generator.pop_block
         rho_e = basis.to_eigenbasis(rho_i.entries)
-        p0 = np.real(np.diag(rho_e)).copy()
-        pops = np.array(list(_propagate(spectrum._generator.pop_block, p0, times)))
-        gmat = spectrum._generator.coh_block
+        pops = np.array(list(_propagate(pop_block, np.real(np.diag(rho_e)), times)))
+        c = 0.5 * np.diag(pop_block) - 1j * basis.energies
         diag = np.arange(basis.dim)
 
         def block_chunk(s):
-            out = rho_e * np.exp(gmat * times[s, None, None])
+            k = np.exp(np.outer(times[s], c))  # per chunk: a (T, d) k raised peak memory
+            out = k[:, :, None] * rho_e * k[:, None, :].conj()
             out[:, diag, diag] = pops[s]
             return out
 
@@ -558,19 +560,15 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
     ``chunk(s)`` returns the (n, d, d) energy-basis matrices of the time
     points in slice ``s``; the slices come in time order.  Each matrix must
     be Hermitian to within 1e-9 of its largest entry (a RuntimeError
-    otherwise: the conjugate mode pairing is broken).  Its Hermitian part,
-    rotated to the lab basis, must then pass the checks of
-    :class:`DensityMatrix` with the positivity slack
-    :data:`EVOLUTION_PSD_TOL`.  The eigenvalues for that check come from the
-    lab matrix rotated back into the energy basis, the matrix whose spectrum
-    gives S(rho).  The grid keeps that energy-basis matrix, its eigenvalues
-    as ``spectra`` and Re Tr(H rho), measured on the lab matrix, as
-    ``mean_energy``; the lab matrix itself lives only while its chunk is
-    checked.  The first failing time point raises, as a loop over the
-    points would.
+    otherwise: the conjugate mode pairing is broken).  Its Hermitian part is
+    stored as it is, and must pass the checks of :class:`DensityMatrix`
+    with the positivity slack :data:`EVOLUTION_PSD_TOL`: no rotation is
+    made.  The grid keeps that matrix, its eigenvalues as ``spectra`` and
+    Re Tr(H rho) = sum_n E_n p_n, read from its diagonal, as
+    ``mean_energy``.  The first failing time point raises, as a loop over
+    the points would.
     """
     d = basis.dim
-    h = basis.hamiltonian()
     eigen_entries = np.empty((times.size, d, d), dtype=complex)
     spectra = np.empty((times.size, d))
     mean_energy = np.empty(times.size)
@@ -578,17 +576,18 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
         m = chunk(s)
         defect = herm_defect(m)
         broken = defect > 1e-9 * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
-        lab = basis.from_eigenbasis(hermitize(m))
-        del m
-        eigen_entries[s] = basis.to_eigenbasis(lab)
-        spectra[s] = np.linalg.eigvalsh(eigen_entries[s])
-        mean_energy[s] = np.real(np.trace(h @ lab, axis1=1, axis2=2))
-        lab_defect = herm_defect(lab)
-        trace = np.trace(lab, axis1=1, axis2=2)
+        stored = eigen_entries[s] = hermitize(m)
+        spectra[s] = np.linalg.eigvalsh(stored)
+        pops = np.real(np.diagonal(stored, axis1=1, axis2=2))
+        # one dot per state: a 2-D matrix-vector product rounds by the chunk's length
+        mean_energy[s] = np.matmul(pops[:, None, :], basis.energies[:, None])[:, 0, 0]
+        # hermitize(m) is exactly Hermitian where finite: its defect is 0 * defect, 0 or NaN
+        stored_defect = 0.0 * defect
+        trace = pops.sum(axis=1)
         min_eig = spectra[s].min(axis=1)
         # written so that a NaN fails them
         failed = broken | ~(
-            (lab_defect <= HERMITICITY_TOL)
+            (stored_defect <= HERMITICITY_TOL)
             & (np.abs(trace - 1.0) <= TRACE_TOL)
             & (min_eig >= -EVOLUTION_PSD_TOL)
         )
@@ -599,7 +598,7 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
                     f"evolved state lost Hermiticity (defect {defect[j]:.2e}); "
                     "conjugate mode pairing is broken"
                 )
-            require_state(lab_defect[j], complex(trace[j]), min_eig[j], EVOLUTION_PSD_TOL)
+            require_state(stored_defect[j], complex(trace[j]), min_eig[j], EVOLUTION_PSD_TOL)
     for value in (eigen_entries, spectra, mean_energy):
         value.setflags(write=False)
     return EvolutionGrid(times, basis, eigen_entries, spectra, mean_energy)

@@ -190,7 +190,10 @@ def compute_trajectory(
     rho_e - tau_e, the only eigen-solve made here.  No state is rotated.
     ``basis`` gives tau and F_eq and must be the grid's own basis (the same
     object, or equal energies and vectors), else :class:`ValidationError`.
+    So does a ``beta`` not finite and > 0 (at ``beta = inf``, D off the ground level is inf).
     """
+    if not 0.0 < beta < math.inf:  # a NaN fails
+        raise ValidationError(f"beta must be finite and positive for a trajectory, not {beta}")
     if basis is not grid.basis and not (
         np.array_equal(basis.energies, grid.basis.energies)
         and np.array_equal(basis.vectors, grid.basis.vectors)

@@ -67,9 +67,11 @@ def log_gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:
     """Log-populations of the Gibbs distribution, ln p_n = -beta e_n - ln Z.
 
     Computed with a max-shift so that arbitrarily large ``beta * energy``
-    spans never overflow.
+    spans never overflow; ``beta = inf`` gives its limit, 0 on level 0, -inf above.
     """
     energies = np.asarray(energies, dtype=float)
+    if beta == np.inf:
+        return np.where(np.arange(energies.size) == 0, 0.0, -np.inf)
     shifted = -beta * (energies - energies.min())
     return shifted - np.log(np.exp(shifted).sum())
 

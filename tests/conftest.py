@@ -42,15 +42,14 @@ def max_entry_gap(a, b):
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 
 
-def reference_package_state(matrix_e, basis):
-    """One evolved energy-basis state checked and rotated on its own: the
-    per-point reference for the chunked packaging of an evolution."""
+def reference_package_state(matrix_e):
+    """One evolved energy-basis state checked on its own: the per-point
+    reference for the chunked packaging of an evolution.  Its Hermitian
+    part, the matrix an evolution grid stores, is judged as a state."""
     defect = float(np.abs(matrix_e - matrix_e.conj().T).max())
     if defect > 1e-9 * max(1.0, float(np.abs(matrix_e).max())):
         raise RuntimeError(
             f"evolved state lost Hermiticity (defect {defect:.2e}); "
             "conjugate mode pairing is broken"
         )
-    return mp.DensityMatrix(
-        basis.from_eigenbasis(0.5 * (matrix_e + matrix_e.conj().T)), psd_tol=EVOLUTION_PSD_TOL
-    )
+    return mp.DensityMatrix(0.5 * (matrix_e + matrix_e.conj().T), psd_tol=EVOLUTION_PSD_TOL)

@@ -58,3 +58,42 @@ class TestCsvChanges:
             "    column Pi: 2 rows differ, largest change 1.11e-16 of max |Pi|",
         ]
         assert err == "1 changed of 2 keys\n"
+
+
+class TestTextChanges:
+    CERT_A = "status: ok\ncrossing_time: 8.1864533492822975\nfitted_rate_before: -0.79\n"
+    CERT_B = "status: ok\ncrossing_time: 8.1864683014354078\nfitted_rate_before: -0.79\n"
+
+    def test_lists_only_the_differing_lines(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text(self.CERT_A + "extra: 1\n")
+        b.write_text(self.CERT_B)
+        assert output_digests.text_changes(a, b) == [
+            "-crossing_time: 8.1864533492822975",
+            "+crossing_time: 8.1864683014354078",
+            "-extra: 1",
+        ]
+        assert output_digests.text_changes(a, a) == []
+
+    def test_compare_reports_beside_each_changed_txt_key(self, tmp_path, capsys):
+        key = "chain_demo/mpemba/certificate.txt"
+        sides = []
+        for side, text in (("A", self.CERT_A), ("B", self.CERT_B)):
+            path = tmp_path / side / "runs" / key
+            path.parent.mkdir(parents=True)
+            path.write_text(text)
+            sides.append(tmp_path / side / "digests.json")
+            sides[-1].write_text(json.dumps({key: side, "chain_demo/mpemba:stdout": "same"}))
+        # a key only one side kept lists no lines
+        (tmp_path / "B" / "runs" / key).unlink()
+        assert output_digests.main(["--compare", *map(str, sides)]) == 1
+        assert capsys.readouterr().out.splitlines() == [key]
+        (tmp_path / "B" / "runs" / key).write_text(self.CERT_B)
+        assert output_digests.main(["--compare", *map(str, sides)]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            key,
+            "    -crossing_time: 8.1864533492822975",
+            "    +crossing_time: 8.1864683014354078",
+        ]
+        assert err == "1 changed of 2 keys\n"

@@ -14,6 +14,7 @@ from mpemba.spectral import (
     _package_states,
     chunk_points,
 )
+from mpemba.utils import herm_defect, hermitize
 
 from conftest import DEMO_BLOCH, QUBIT_GAMMA_TOTAL, reference_package_state
 
@@ -428,6 +429,26 @@ class TestEvolution:
         worst = max(np.abs(x.entries - y.entries).max() for x, y in zip(a.states, b.states))
         assert worst <= 1e-8
 
+    def test_block_coherences_and_energy_match_their_oracles_tfim5(self):
+        # each coherence evolves by k_n conj(k_m), k = exp(c t): it must agree
+        # with the d x d generator block exp(coh_block t) within a few ulps of
+        # the state's largest entry, and sum_n E_n p_n with Tr(H rho) of the lab state
+        model = mp.tfim(length=5, coupling=1.0, h_field=0.5, t_bath=0.1, statistics="fermi")
+        gen = mp.build_generator(model)
+        spec, basis = mp.decompose(gen), model.basis()
+        rho = spec.project_physical(mp.random_mixed_state(32, 1000, seed=3))
+        times = np.linspace(0.0, 14.0, 281)
+        grid = mp.evolve_spectral(spec, rho, times)
+        stored = grid.eigen_entries
+        assert herm_defect(stored).max() == 0.0
+        rho_e = basis.to_eigenbasis(rho.entries)
+        want = hermitize(rho_e * np.exp(gen.coh_block * times[:, None, None]))
+        off = ~np.eye(32, dtype=bool)
+        gap = np.abs(stored - want)[:, off].max(axis=1)
+        assert np.all(gap <= 4 * np.spacing(np.abs(want).max(axis=(1, 2))))
+        energy = np.real(np.trace(basis.hamiltonian() @ grid.entries, axis1=1, axis2=2))
+        assert np.abs(grid.mean_energy - energy).max() <= 1e-14 * np.abs(energy).max()
+
     def test_direct_preserves_trace(self, tfim3_gen):
         rho = mp.random_mixed_state(8, 4, seed=2)
         grid = mp.evolve_direct(tfim3_gen, rho, np.linspace(0.0, 4.0, 40))
@@ -624,7 +645,7 @@ class TestChunkedPackaging:
 
         def reference():
             for m in stack:
-                reference_package_state(m, basis)
+                reference_package_state(m)
 
         got = self._first_error(lambda: _package_states(np.arange(n, dtype=float),
                                                         lambda s: stack[s], basis))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,27 @@ class TestFreeEnergy:
         z = np.exp(-beta * basis.energies).sum()
         assert f_eq == pytest.approx(-math.log(z) / beta, abs=1e-12)
         assert mp.noneq_free_energy(tau, basis.hamiltonian(), beta) == pytest.approx(f_eq, abs=1e-10)
+
+    def test_zero_temperature_is_the_ground_energy(self, qubit_model):
+        # beta = inf: the Gibbs log-weights are 0 on the ground level and -inf
+        # above, so F_eq = E_0, with no inf * 0 on the way (a warning raises)
+        basis = qubit_model.basis()
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            log_p = log_gibbs_weights(basis.energies, math.inf)
+            p = mp.thermal_populations(basis, math.inf)
+            f_eq = mp.equilibrium_free_energy(basis, math.inf)
+        assert log_p.tolist() == [0.0, -math.inf] and p.tolist() == [1.0, 0.0]
+        assert f_eq == basis.energies[0] == -2.5
+        ground = mp.thermal_state(basis, math.inf)
+        f_ground = mp.noneq_free_energy(ground, basis.hamiltonian(), math.inf)
+        assert f_ground == pytest.approx(f_eq, abs=1e-12)
+
+    def test_trajectory_refuses_zero_temperature(self, qubit_setup):
+        # D to the zero-temperature Gibbs state is infinite: refused, not NaN columns
+        basis, _, grid, _ = qubit_setup
+        with pytest.raises(ValidationError, match="finite and positive for a trajectory"):
+            mp.compute_trajectory(grid, basis, math.inf)
 
     def test_pure_excited_state(self, qubit_model):
         # |0> is the excited level of H = 2.5 sigma_z: energy 2.5, zero entropy
@@ -394,7 +416,8 @@ class TestTrajectoryObject:
 
 
 # -- per-point reference: each state evolved, checked and diagnosed on its
-#    own, against which the chunked stacks must agree bit for bit
+#    own, in the energy basis, against which the chunked stacks must agree
+#    bit for bit
 
 
 def _reference_block_states(gen, rho, times):
@@ -402,12 +425,13 @@ def _reference_block_states(gen, rho, times):
     rho_e = basis.to_eigenbasis(rho.entries)
     p0 = np.real(np.diag(rho_e)).copy()
     pops = np.array(list(_propagate(np.asarray(gen.pop_block, dtype=float), p0, times)))
-    gmat = gen.coh_block
+    c = 0.5 * np.diag(gen.pop_block) - 1j * basis.energies
     states = []
     for j, t in enumerate(times):
-        out = rho_e * np.exp(gmat * t)
+        k = np.exp(t * c)
+        out = k[:, None] * rho_e * k.conj()[None, :]
         np.fill_diagonal(out, pops[j])
-        states.append(reference_package_state(out, basis))
+        states.append(reference_package_state(out))
     return states
 
 
@@ -418,7 +442,7 @@ def _reference_dense_states(spec, rho, times):
     tau_e = basis.to_eigenbasis(spec.steady_state.entries)
     phases = np.exp(np.outer(times, spec.eigenvalues[1:]))
     deltas = np.einsum("tk,k,knm->tnm", phases, amps[1:], rights[1:], optimize=True)
-    return [reference_package_state(tau_e + deltas[j], basis) for j in range(times.size)]
+    return [reference_package_state(tau_e + deltas[j]) for j in range(times.size)]
 
 
 def _reference_direct_states(gen, rho, times):
@@ -433,21 +457,25 @@ def _reference_direct_states(gen, rho, times):
                 propagators[key] = scipy.linalg.expm(gen.dense * dt)
             state_vec = propagators[key] @ state_vec
         prev_t = t
-        states.append(reference_package_state(state_vec.reshape(d, d), basis))
+        states.append(reference_package_state(state_vec.reshape(d, d)))
     return states
 
 
+def _reference_energy(rho_e, basis):
+    """Re Tr(H rho) = sum_n E_n p_n of one energy-basis state, one dot."""
+    return float(np.real(np.diag(rho_e)) @ basis.energies)
+
+
 def _reference_columns(states, basis, beta):
-    """f_neq, d_rel, p_classical, c_coherence, l1, t1 of each state, one at a time."""
-    h = basis.hamiltonian()
+    """f_neq, d_rel, p_classical, c_coherence, l1, t1 of each energy-basis state, one at a time."""
     tau_p = mp.thermal_populations(basis, beta)
     log_tau = log_gibbs_weights(basis.energies, beta)
     rows = []
     for state in states:
-        rho_e = basis.to_eigenbasis(state.entries)
+        rho_e = state.entries
         pops = np.clip(np.real(np.diag(rho_e)), 0.0, None)
         s_rho = float(-xlogx(np.clip(np.linalg.eigvalsh(rho_e), 0.0, None)).sum())
-        energy = float(np.real(np.trace(h @ state.entries)))
+        energy = _reference_energy(rho_e, basis)
         p_cl = max(float(xlogx(pops).sum() - pops @ log_tau), 0.0)
         c_coh = max(float(-xlogx(pops).sum()) - s_rho, 0.0)
         rows.append((
@@ -504,15 +532,14 @@ class TestBatchedTrajectory:
         basis, beta = model.basis(), model.bath.beta
         grid = evolve(times)
         states = reference(times)
-        # the stored stack is each reference lab state rotated on its own
-        want = np.stack([basis.to_eigenbasis(s.entries) for s in states])
+        # the stored stack is each reference state, as evolved and checked on its own
+        want = np.stack([s.entries for s in states])
         assert grid.eigen_entries.shape == want.shape
         assert np.array_equal(grid.eigen_entries, want)
         assert np.array_equal(grid.entries, basis.from_eigenbasis(want))
         spectra = np.array([np.linalg.eigvalsh(m) for m in want])
         assert np.array_equal(grid.spectra, spectra)
-        h = basis.hamiltonian()
-        energies = np.array([np.real(np.trace(h @ s.entries)) for s in states])
+        energies = np.array([_reference_energy(m, basis) for m in want])
         assert np.array_equal(grid.mean_energy, energies)
 
         traj = mp.compute_trajectory(grid, basis, beta)
@@ -623,5 +650,5 @@ class TestPropagate:
         assert len(expms) == len(rounded)
         assert len(vecs) == times.size
         for vec, state in zip(vecs, want):
-            got = reference_package_state(vec.reshape(d, d), basis)
+            got = reference_package_state(vec.reshape(d, d))
             assert np.array_equal(got.entries, state.entries)

@@ -15,14 +15,16 @@ keys whose digests differ or exist on one side only, and exits 1 if any do.
 Under each changed ``.csv`` key whose file both sides kept (in the ``runs``
 directory beside each ``digests.json``) with the same header and row count,
 it reports the columns that differ, how many rows differ, and per column the
-largest difference relative to the column's largest magnitude.
-Standard library only.
+largest difference relative to the column's largest magnitude.  Under each
+changed ``.txt`` key whose file both sides kept, it prints the lines that
+differ, A's prefixed ``-`` and B's ``+``.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import hashlib
 import json
 import math
@@ -106,6 +108,15 @@ def csv_changes(path_a: Path, path_b: Path) -> list[str] | None:
     return lines
 
 
+def text_changes(path_a: Path, path_b: Path) -> list[str]:
+    """The lines that differ between two text files, one run of them at a time
+    in file order: A's as ``-line``, then B's as ``+line``."""
+    lines_a, lines_b = (p.read_text().splitlines() for p in (path_a, path_b))
+    # past the two file-name lines, every line is a changed one or an @@ range
+    diff = list(difflib.unified_diff(lines_a, lines_b, lineterm="", n=0))[2:]
+    return [line for line in diff if not line.startswith("@@")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("workdir", nargs="?", type=Path, help="directory for the runs and digests.json")
@@ -121,9 +132,16 @@ def main(argv=None) -> int:
         for key in changed:
             print(key)
             file_a, file_b = runs_a / key, runs_b / key
-            if key.endswith(".csv") and file_a.is_file() and file_b.is_file():
-                for line in csv_changes(file_a, file_b) or ["header or row count differs"]:
-                    print(f"    {line}")
+            if not (file_a.is_file() and file_b.is_file()):
+                continue
+            if key.endswith(".csv"):
+                lines = csv_changes(file_a, file_b) or ["header or row count differs"]
+            elif key.endswith(".txt"):
+                lines = text_changes(file_a, file_b)
+            else:
+                continue
+            for line in lines:
+                print(f"    {line}")
         print(f"{len(changed)} changed of {len(a.keys() | b.keys())} keys", file=sys.stderr)
         return 1 if changed else 0
     if args.workdir is None:
