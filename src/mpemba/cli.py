@@ -26,7 +26,7 @@ from .errors import ConfigError, ValidationError
 from .metropolis import population_weights, swap_metropolis, unitary_metropolis
 from .models import ModelInstance, build_generator
 from .operators import DensityMatrix, HermitianOperator, as_state, bloch_to_state, random_mixed_state, thermal_state
-from .spectral import decompose, evolve_spectral, spectral_gap
+from .spectral import decompose, energy_diagonal, evolve_spectral, spectral_gap
 from .thermo import compute_trajectory, fit_decay_rate, noneq_free_energy
 from .transform import MpembaCertificate, detect_crossing, exact_transform, verify_overlap_elimination
 from .utils import write_csv
@@ -161,15 +161,13 @@ def _apply_transform(kind, cfg, spectrum, rho, args):
                 "transform.target_modes", f"mode {k} is not a population mode; swap-metropolis needs diagonal modes"
             )
     rho_e = basis.to_eigenbasis(rho.entries)
-    pops = np.real(np.diag(rho_e))
-    offdiag = np.abs(rho_e - np.diag(pops.astype(complex))).max()
-    if offdiag > 1e-10:
+    if not energy_diagonal(rho_e):  # the walk drops coherences: only rotation rounding may go
         raise ConfigError(
             "initial_state",
             "swap-metropolis needs a state diagonal in the energy eigenbasis "
-            f"(off-diagonal weight {offdiag:.2e})",
+            f"(off-diagonal weight {np.abs(rho_e - np.diag(np.diag(rho_e))).max():.2e})",
         )
-    p_best, trace = swap_metropolis(spectrum, pops, metro)
+    p_best, trace = swap_metropolis(spectrum, np.real(np.diag(rho_e)), metro)
     rho_prime = DensityMatrix(basis.from_eigenbasis(np.diag(p_best).astype(complex)))
     return rho_prime, trace
 

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import HERMITICITY_TOL, TRACE_TOL, DensityMatrix, SpectralBasis, as_state, require_state
-from .utils import chunk_slices, frozen, herm_defect, hermitize, log_gibbs_weights
+from .utils import chunk_slices, eigvalsh_stack, frozen, herm_defect, hermitize, log_gibbs_weights
 
 #: Eigenvector-matrix condition number above which a generator is treated as
 #: numerically defective.
@@ -52,8 +52,8 @@ def chunk_points(d: int) -> int:
     The one chunk rule of the evolutions here and of
     ``thermo.compute_trajectory``: 4096 matrix entries per (n, d, d) stack
     (64 KiB of complex128), but at least 16 points, so 1024 points at d=2,
-    64 at d=8 and 16 for every d >= 16.  Every batched operation on a stack
-    works per matrix, so the chunk length changes no result; small systems
+    64 at d=8 and 16 for every d >= 16.  Every batched operation on a stack, ``eigvalsh_stack``
+    too, works per matrix, so the chunk length changes no result; small systems
     just pay the per-call overhead of numpy fewer times.
     """
     return max(16, 4096 // (d * d))
@@ -458,6 +458,13 @@ def spectral_gap(spectrum: GeneratorSpectrum) -> GapInfo:
     return GapInfo(float(abs(spectrum.eigenvalues[1].real)), 2 in spectrum.coherent_modes())
 
 
+def energy_diagonal(rho_e: np.ndarray) -> bool:
+    """Whether each coherence of an energy-basis state is within 4 d eps max|rho_e|: the
+    rounding of a diagonal state by the two d-term products of ``SpectralBasis.to_eigenbasis``."""
+    off = np.abs(rho_e - np.diag(np.diag(rho_e)))
+    return bool(off.max() <= 4 * rho_e.shape[0] * np.finfo(float).eps * np.abs(rho_e).max())
+
+
 def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     """Evolve a state through the spectral expansion of the generator.
 
@@ -467,10 +474,12 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     (equivalent to the mode sum, but immune to the exponentially large
     expansion coefficients that appear at low temperature) and each
     coherence |n><m| by k_n conj(k_m), k = exp(c t) with c_n = G_nn / 2 - i E_n
-    and G = ``pop_block`` (Davies 1974), one d-vector per time.  The states are built and
-    validated :func:`chunk_points` time points at a time; the grid holds
-    them in the energy basis together with their spectra and energies, and
-    derives the lab-basis states on demand (:class:`EvolutionGrid`).
+    and G = ``pop_block`` (Davies 1974), one d-vector per time.  A state diagonal in the
+    energy basis at entry (:func:`energy_diagonal`) keeps coherences of exactly 0, so
+    its grid makes no eigen-solve.  The states are built and validated
+    :func:`chunk_points` time points at a time; the grid holds them in the energy
+    basis together with their spectra and energies, and derives the lab-basis
+    states on demand (:class:`EvolutionGrid`).
     ``rho_i`` enters through :func:`mpemba.operators.as_state` at the
     spectrum's dimension and ``times`` through :func:`as_times`.
     """
@@ -480,6 +489,8 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     if spectrum.kind == "block":
         pop_block = spectrum._generator.pop_block
         rho_e = basis.to_eigenbasis(rho_i.entries)
+        if energy_diagonal(rho_e):  # coherences are rotation rounding: they stay exactly 0
+            rho_e = np.diag(np.diag(rho_e))
         pops = np.array(list(_propagate(pop_block, np.real(np.diag(rho_e)), times)))
         c = 0.5 * np.diag(pop_block) - 1j * basis.energies
         diag = np.arange(basis.dim)
@@ -563,10 +574,10 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
     otherwise: the conjugate mode pairing is broken).  Its Hermitian part is
     stored as it is, and must pass the checks of :class:`DensityMatrix`
     with the positivity slack :data:`EVOLUTION_PSD_TOL`: no rotation is
-    made.  The grid keeps that matrix, its eigenvalues as ``spectra`` and
-    Re Tr(H rho) = sum_n E_n p_n, read from its diagonal, as
-    ``mean_energy``.  The first failing time point raises, as a loop over
-    the points would.
+    made.  The grid keeps that matrix, its eigenvalues as ``spectra``
+    (``eigvalsh_stack``: no eigen-solve for a diagonal chunk) and
+    Re Tr(H rho) = sum_n E_n p_n, read from its diagonal, as ``mean_energy``.
+    The first failing time point raises, as a loop over the points would.
     """
     d = basis.dim
     eigen_entries = np.empty((times.size, d, d), dtype=complex)
@@ -577,7 +588,7 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
         defect = herm_defect(m)
         broken = defect > 1e-9 * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
         stored = eigen_entries[s] = hermitize(m)
-        spectra[s] = np.linalg.eigvalsh(stored)
+        spectra[s] = eigvalsh_stack(stored)
         pops = np.real(np.diagonal(stored, axis1=1, axis2=2))
         # one dot per state: a 2-D matrix-vector product rounds by the chunk's length
         mean_energy[s] = np.matmul(pops[:, None, :], basis.energies[:, None])[:, 0, 0]

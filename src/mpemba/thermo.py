@@ -31,7 +31,7 @@ from . import spectral
 from .errors import ValidationError
 from .operators import HermitianOperator, SpectralBasis, as_populations, as_state, thermal_populations
 from .spectral import EvolutionGrid
-from .utils import chunk_slices, frozen, log_gibbs_weights, write_csv, xlogx
+from .utils import chunk_slices, eigvalsh_stack, frozen, log_gibbs_weights, write_csv, xlogx
 
 #: Eigenvalue threshold below which a state direction counts as unsupported.
 SUPPORT_TOL = 1e-12
@@ -186,10 +186,10 @@ def compute_trajectory(
     evolution used, :func:`mpemba.spectral.chunk_points` time points at a
     time (16 for d >= 16, more below): F_neq from ``grid.mean_energy`` and
     S(rho) of ``grid.spectra``; the populations, P, C and L1 from
-    ``grid.eigen_entries``; the trace distance from the eigenvalues of
-    rho_e - tau_e, the only eigen-solve made here.  No state is rotated.
-    ``basis`` gives tau and F_eq and must be the grid's own basis (the same
-    object, or equal energies and vectors), else :class:`ValidationError`.
+    ``grid.eigen_entries``; the trace distance from the eigenvalues of rho_e - tau_e
+    (``eigvalsh_stack``), the only eigen-solve here, none for a diagonal chunk.  No
+    state is rotated.  ``basis`` gives tau and F_eq and must be the grid's own
+    basis (the same object, or equal energies and vectors), else :class:`ValidationError`.
     So does a ``beta`` not finite and > 0 (at ``beta = inf``, D off the ground level is inf).
     """
     if not 0.0 < beta < math.inf:  # a NaN fails
@@ -224,7 +224,7 @@ def compute_trajectory(
         c_coh[s] = np.maximum(-xlx - s_rho, 0.0)
         deviation = rho_e - tau_e
         l1[s] = np.abs(deviation).sum(axis=(1, 2))
-        t1[s] = 0.5 * np.abs(np.linalg.eigvalsh(deviation)).sum(axis=1)
+        t1[s] = 0.5 * np.abs(eigvalsh_stack(deviation)).sum(axis=1)
     pi = spohn_rate(grid.times, f_neq, beta) if n >= 3 else np.empty(0)
     return ThermoTrajectory(
         times=grid.times, f_neq=f_neq, d_rel=p_cl + c_coh, p_classical=p_cl,

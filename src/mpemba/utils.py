@@ -31,6 +31,21 @@ def herm_defect(matrix: np.ndarray):
     return np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
+def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh`` of a (n, d, d) stack, with no solve for one that has no coherence.
+
+    Such a stack gives its sorted real diagonal: the bits LAPACK returns while it rescales
+    no matrix (largest entry 0 or in [2^-485, 2^485]; any other stack is solved).
+    """
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    # the first rows settle a stack with coherences in ~2 us; only a diagonal one is counted in full
+    if not stack[:, 0, 1:].any() and np.count_nonzero(stack) == np.count_nonzero(diag):
+        scale = np.abs(diag.real).max(axis=1, initial=0.0)
+        if np.all((scale == 0.0) | ((scale >= 2.0 ** -485) & (scale <= 2.0 ** 485))):
+            return np.sort(diag.real, axis=1)
+    return np.linalg.eigvalsh(stack)
+
+
 def frozen(array: np.ndarray) -> np.ndarray:
     """Return a read-only copy of ``array`` (immutability of shared values)."""
     out = np.array(array, copy=True)

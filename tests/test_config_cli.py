@@ -433,19 +433,33 @@ class TestCliMetropolis:
         assert rc == 2
         assert "config error: transform.target_modes: mode 2000 outside 2..1024" in capsys.readouterr().err
 
+    @staticmethod
+    def _thermal_start_with_coherence(payload, tmp_path):
+        # the config's thermal start, saved with one coherence of 1e-12 (absolute),
+        # far above rotation rounding: the walk would drop it
+        basis = load_config(write_config(tmp_path, payload)).build_model().basis()
+        rho_e = basis.to_eigenbasis(mp.thermal_state(basis, 1.0).entries)
+        rho_e[0, 1] += 1e-12
+        rho_e[1, 0] += 1e-12
+        np.save(tmp_path / "start.npy", basis.from_eigenbasis(rho_e))
+        payload["initial_state"] = {"kind": "file", "path": str(tmp_path / "start.npy")}
+
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p: p["transform"].update(target_modes=[2]),
+            (lambda p, _: p["transform"].update(target_modes=[2]),
              "config error: transform.target_modes: mode 2 is not a population mode"),
-            (lambda p: p.update(initial_state={"kind": "random-mixed", "n_samples": 1000}),
+            (lambda p, _: p.update(initial_state={"kind": "random-mixed", "n_samples": 1000}),
              "config error: initial_state: swap-metropolis needs a state diagonal in the energy eigenbasis"),
+            (_thermal_start_with_coherence,
+             "config error: initial_state: swap-metropolis needs a state diagonal in the energy eigenbasis "
+             "(off-diagonal weight 1.00e-12)"),
         ],
-        ids=["coherence_target", "non_diagonal_state"],
+        ids=["coherence_target", "non_diagonal_state", "coherence_of_1e-12"],
     )
     def test_swap_precondition_exits_2_before_the_walk(self, edit, message, tmp_path, capsys, monkeypatch):
         payload = json.loads((CONFIGS / "metropolis_swap.json").read_text())
-        edit(payload)
+        edit(payload, tmp_path)
         monkeypatch.setattr(mp.cli, "swap_metropolis", lambda *_: pytest.fail("the walk started"))
         rc = main(["metropolis", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path)])
         assert rc == 2

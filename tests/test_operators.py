@@ -11,7 +11,7 @@ from mpemba.cli import _initial_state
 from mpemba.config import parse_config
 from mpemba.errors import ConfigError, ValidationError
 from mpemba.operators import require_state
-from mpemba.utils import SIGMA_X, kron_chain
+from mpemba.utils import SIGMA_X, chunk_slices, eigvalsh_stack, hermitize, kron_chain
 
 from conftest import DEMO_BLOCH, DEMO_RADIUS
 
@@ -210,6 +210,52 @@ class TestKronChain:
             out = kron_chain(factors)
             assert out.dtype == expected.dtype
             assert np.array_equal(out, expected)
+
+
+def _diagonal_stack(d, rng):
+    """Diagonal (6, d, d) stacks: ties, zeros, negative entries (a state minus
+    the Gibbs state) and magnitudes from 1e-300 to 1e2 inside one matrix."""
+    rows = np.stack([
+        rng.integers(-2, 3, size=d) * 0.25,
+        np.zeros(d),
+        rng.permutation(np.geomspace(1e2, 1e-300, d) * rng.choice([-1.0, 1.0], size=d)),
+        rng.dirichlet(np.ones(d)) - rng.dirichlet(np.ones(d)),
+        np.repeat(rng.normal(size=(d + 1) // 2), 2)[:d],
+        rng.normal(size=d) * 10.0 ** np.r_[0.0, rng.uniform(-300, 2, size=d - 1)],
+    ])
+    stack = np.zeros((6, d, d), dtype=complex)
+    stack[:, np.arange(d), np.arange(d)] = rows
+    return stack
+
+
+class TestEigvalshStack:
+    """eigvalsh_stack gives np.linalg.eigvalsh's bits, with no solve for a diagonal stack."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 32, 64])
+    def test_diagonal_stack_is_its_sorted_diagonal(self, d, monkeypatch):
+        stack = _diagonal_stack(d, np.random.default_rng(d))
+        want = np.array([np.linalg.eigvalsh(m) for m in stack])
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *_: pytest.fail("an eigen-solve was made"))
+        assert np.array_equal(eigvalsh_stack(stack), want)
+
+    def test_a_matrix_lapack_rescales_is_solved(self, monkeypatch):
+        # zheevd scales a matrix whose largest entry is below 2^-485 or above 2^485
+        stack = np.stack([np.diag([3e-300, -1e-200, 0.0]), np.diag([1e200, 3.0, -7e199])]).astype(complex)
+        solves, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
+        for m in stack:
+            assert np.array_equal(eigvalsh_stack(m[None]), eigvalsh(m[None]))
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_mixed_stack_gives_each_matrix_its_bits_at_every_chunk_length(self, d):
+        rng = np.random.default_rng(100 + d)
+        dense = rng.normal(size=(6, d, d)) + 1j * rng.normal(size=(6, d, d))
+        stack = np.concatenate([_diagonal_stack(d, rng), hermitize(dense)])[rng.permutation(12)]
+        want = np.array([np.linalg.eigvalsh(m) for m in stack])
+        for size in range(1, stack.shape[0] + 1):
+            got = np.concatenate([eigvalsh_stack(stack[s]) for s in chunk_slices(stack.shape[0], size)])
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -27,7 +27,22 @@ class TestCsvChanges:
         )
         assert lines[0] == "2 of 3 rows differ"
         # largest |a - b| is 2.2e-16 (at Pi = 1), over max |Pi| = 2
-        assert lines[1:] == ["column Pi: 2 rows differ, largest change 1.11e-16 of max |Pi|"]
+        assert lines[1:] == ["column Pi: 2 rows differ, largest change 2.22e-16 (1.11e-16 of max |Pi|)"]
+
+    def test_a_column_of_rounding_noise_shows_its_absolute_change(self, tmp_path):
+        # C of a diagonal state is rounding noise: relative to itself it changes by 100%
+        lines = output_digests.csv_changes(
+            _write(tmp_path / "a.csv", ["0,1e-17\n", "1,0\n"], header="t,C\n"),
+            _write(tmp_path / "b.csv", ["0,0\n", "1,0\n"], header="t,C\n"),
+        )
+        assert lines == ["1 of 2 rows differ", "column C: 1 rows differ, largest change 1e-17 (1 of max |C|)"]
+
+    def test_a_column_without_a_scale_shows_only_its_absolute_change(self, tmp_path):
+        lines = output_digests.csv_changes(
+            _write(tmp_path / "a.csv", ["0,inf\n"], header="t,D\n"),
+            _write(tmp_path / "b.csv", ["0,1\n"], header="t,D\n"),
+        )
+        assert lines == ["1 of 1 rows differ", "column D: 1 rows differ, largest change inf"]
 
     def test_identical_files_report_no_column(self, tmp_path):
         a = _write(tmp_path / "a.csv", ROWS_A)
@@ -55,7 +70,7 @@ class TestCsvChanges:
         assert out.splitlines() == [
             key,
             "    2 of 3 rows differ",
-            "    column Pi: 2 rows differ, largest change 1.11e-16 of max |Pi|",
+            "    column Pi: 2 rows differ, largest change 2.22e-16 (1.11e-16 of max |Pi|)",
         ]
         assert err == "1 changed of 2 keys\n"
 

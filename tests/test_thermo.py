@@ -8,9 +8,9 @@ import scipy.linalg
 
 import mpemba as mp
 from mpemba.errors import ValidationError
-from mpemba.spectral import _propagate, chunk_points
+from mpemba.spectral import _propagate, chunk_points, energy_diagonal
 from mpemba.thermo import CSV_COLUMNS, SUPPORT_TOL, _shannon
-from mpemba.utils import log_gibbs_weights, xlogx
+from mpemba.utils import hermitize, log_gibbs_weights, xlogx
 
 from conftest import DEMO_BLOCH, reference_package_state
 
@@ -423,6 +423,9 @@ class TestTrajectoryObject:
 def _reference_block_states(gen, rho, times):
     basis = gen.basis
     rho_e = basis.to_eigenbasis(rho.entries)
+    off = ~np.eye(basis.dim, dtype=bool)
+    if np.abs(rho_e[off]).max(initial=0.0) <= 4 * basis.dim * np.finfo(float).eps * np.abs(rho_e).max():
+        rho_e = np.diag(np.diag(rho_e))  # the entry rule: such coherences are rotation rounding
     p0 = np.real(np.diag(rho_e)).copy()
     pops = np.array(list(_propagate(np.asarray(gen.pop_block, dtype=float), p0, times)))
     c = 0.5 * np.diag(gen.pop_block) - 1j * basis.energies
@@ -495,16 +498,30 @@ def tfim5_case():
     return model, gen, spec, rho
 
 
+def _count_solves(monkeypatch):
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        solves.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return solves
+
+
 class TestBatchedTrajectory:
     """evolve_* + compute_trajectory, chunked, equal the per-point reference."""
 
-    @pytest.fixture(params=["tfim3_block", "tfim5_block", "qubit_dense", "tfim3_dense",
-                            "tfim3_direct", "qubit_direct"])
+    @pytest.fixture(params=["tfim3_block", "tfim5_block", "tfim5_block_diagonal", "qubit_dense",
+                            "tfim3_dense", "tfim3_direct", "qubit_direct"])
     def case(self, request, qubit_model, qubit_gen, tfim3_model, tfim3_gen, tfim5_case):
         kind = request.param
         if kind.startswith("tfim5"):
             model, gen, spec, rho = tfim5_case
             t_max = 14.0
+            if kind.endswith("diagonal"):  # no eigen-solve; the reference still makes each one
+                rho, _ = mp.exact_transform(rho, model.basis())
         elif kind.startswith("tfim3"):
             model, gen, t_max = tfim3_model, tfim3_gen, 6.0
             spec = mp.decompose(gen, prefer="dense" if kind.endswith("dense") else "auto")
@@ -555,18 +572,13 @@ class TestBatchedTrajectory:
         # the trace distance; both are batched per chunk
         model, _, spec, rho = tfim5_case
         times = np.linspace(0.0, 14.0, 281)
-        solves, built = [], []
-        eigvalsh, init = np.linalg.eigvalsh, mp.DensityMatrix.__init__
-
-        def counting_eigvalsh(a, *args, **kwargs):
-            solves.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
+        built, init = [], mp.DensityMatrix.__init__
 
         def counting_init(self, *args, **kwargs):
             built.append(1)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        solves = _count_solves(monkeypatch)
         monkeypatch.setattr(mp.DensityMatrix, "__init__", counting_init)
         grid = mp.evolve_spectral(spec, rho, times)
         mp.compute_trajectory(grid, model.basis(), model.bath.beta)
@@ -610,6 +622,82 @@ class TestBatchedTrajectory:
         for basis in other:
             with pytest.raises(ValidationError, match="basis is not the one"):
                 mp.compute_trajectory(grid, basis, beta)
+
+
+class TestEnergyDiagonalEntry:
+    """A state diagonal in the energy basis at entry evolves with exactly zero
+    coherences and no eigen-solve; any other state evolves as it always did."""
+
+    @pytest.fixture(params=["tfim5", "qubit"])
+    def block_case(self, request, qubit_model, tfim5_case):
+        if request.param == "tfim5":
+            model, gen, spec, rho = tfim5_case
+            return model, gen, spec, rho, np.linspace(0.0, 14.0, 281)
+        gen = mp.build_generator(qubit_model)
+        spec = mp.decompose(gen)
+        assert spec.kind == "block"
+        return qubit_model, gen, spec, mp.bloch_to_state(list(DEMO_BLOCH)), np.linspace(0.0, 4.0, 401)
+
+    @pytest.mark.parametrize("start", ["exact_transform", "thermal", "swapped_populations"])
+    def test_diagonal_start_stores_no_coherence_and_solves_nothing(self, block_case, start, monkeypatch):
+        model, gen, spec, rho, times = block_case
+        basis = model.basis()
+        if start == "exact_transform":
+            rho, _ = mp.exact_transform(rho, basis)
+        elif start == "thermal":
+            rho = mp.thermal_state(basis, 1.0)
+        else:  # a swap walk's output: the thermal populations, reversed
+            rho = mp.DensityMatrix(basis.from_eigenbasis(np.diag(mp.thermal_populations(basis, 1.0)[::-1])))
+        solves = _count_solves(monkeypatch)
+        grid = mp.evolve_spectral(spec, rho, times)
+        mp.compute_trajectory(grid, basis, model.bath.beta)
+        assert solves == []
+        assert not grid.eigen_entries[:, ~np.eye(basis.dim, dtype=bool)].any()
+        pops = np.real(np.diagonal(grid.eigen_entries, axis1=1, axis2=2))
+        assert np.array_equal(grid.spectra, np.sort(pops))
+
+    @pytest.mark.parametrize(
+        "start", ["random_mixed", "criterion_05_low_overlap", "one_coherence_at_10x_the_bound"]
+    )
+    def test_other_starts_keep_every_coherence(self, tfim5_case, start, monkeypatch):
+        model, gen, spec, rho = tfim5_case
+        basis = model.basis()
+        if start == "criterion_05_low_overlap":  # criterion 05's low-overlap preparation
+            pair = [spec.mode_tag(k)[1:] for k in (2, 3)]
+
+            def overlap_cost(rho_lab):
+                rho_e = basis.to_eigenbasis(rho_lab)
+                return abs(sum(abs(rho_e[n, m]) for n, m in pair) - 0.0005)
+
+            cfg = mp.MetropolisConfig(cooling_tau=0.999, threshold_eps=1e-6, target_modes=(2, 3),
+                                      seed=21, max_total_iterations=200_000)
+            rho, _, trace = mp.unitary_metropolis(spec, mp.random_mixed_state(32, 100, seed=11), cfg,
+                                                  cost_fn=overlap_cost)
+            assert trace.converged
+        elif start == "one_coherence_at_10x_the_bound":
+            rho_e = basis.to_eigenbasis(mp.exact_transform(rho, basis)[0].entries)
+            rho_e = np.diag(np.diag(rho_e))
+            rho_e[1, 2] = rho_e[2, 1] = 10 * 4 * basis.dim * np.finfo(float).eps * np.abs(rho_e).max()
+            rho = mp.DensityMatrix(basis.from_eigenbasis(rho_e))
+        times = np.linspace(0.0, 14.0, 281)
+        solves = _count_solves(monkeypatch)
+        grid = mp.evolve_spectral(spec, rho, times)
+        mp.compute_trajectory(grid, basis, model.bath.beta)
+        assert sum(shape[0] for shape in solves) == 2 * times.size
+        off = ~np.eye(basis.dim, dtype=bool)
+        assert np.array_equal(grid.eigen_entries[0][off], hermitize(basis.to_eigenbasis(rho.entries))[off])
+        assert np.all(grid.eigen_entries[:, 1, 2] != 0)
+        want = np.stack([s.entries for s in _reference_block_states(gen, rho, times)])
+        assert np.array_equal(grid.eigen_entries, want)
+
+    def test_the_bound_is_4_d_eps_of_the_largest_entry(self):
+        assert energy_diagonal(np.array([[1.0 + 0.0j]]))
+        bound = 4 * 3 * np.finfo(float).eps * 0.5
+        rho_e = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        rho_e[0, 2] = rho_e[2, 0] = bound
+        assert energy_diagonal(rho_e)
+        rho_e[2, 0] = np.nextafter(bound, 1.0)
+        assert not energy_diagonal(rho_e)
 
 
 class TestPropagate:

@@ -15,9 +15,11 @@ keys whose digests differ or exist on one side only, and exits 1 if any do.
 Under each changed ``.csv`` key whose file both sides kept (in the ``runs``
 directory beside each ``digests.json``) with the same header and row count,
 it reports the columns that differ, how many rows differ, and per column the
-largest difference relative to the column's largest magnitude.  Under each
-changed ``.txt`` key whose file both sides kept, it prints the lines that
-differ, A's prefixed ``-`` and B's ``+``.  Standard library only.
+largest absolute difference and, beside it, that difference relative to the
+column's largest magnitude (on a column of rounding noise only the absolute
+one is small).  Under each changed ``.txt`` key whose file both sides kept, it
+prints the lines that differ, A's prefixed ``-`` and B's ``+``.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ def csv_changes(path_a: Path, path_b: Path) -> list[str] | None:
     """What differs between two CSV files, one line per changed column plus a row count.
 
     ``None`` when the files cannot be compared cell by cell (different header,
-    row count or row length).  A column's change is the largest |a - b| over its rows
-    divided by the largest |value| on either side; it is left out when a cell
-    is not a number.
+    row count or row length).  A column's change is the largest |a - b| over its
+    rows and, beside it, that change divided by the largest |value| on either
+    side; it is left out when a cell is not a number.
     """
     with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
         rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
@@ -100,10 +102,9 @@ def csv_changes(path_a: Path, path_b: Path) -> list[str] | None:
         if all(x is not None and y is not None for x, y, _ in values):
             scale = max(max(abs(x), abs(y)) for x, y, _ in values)
             worst = max(abs(x - y) for x, y, differs in values if differs)
+            line += f", largest change {worst:.3g}"
             if scale > 0 and math.isfinite(scale):
-                line += f", largest change {worst / scale:.3g} of max |{name}|"
-            else:
-                line += f", largest change {worst:.3g}"
+                line += f" ({worst / scale:.3g} of max |{name}|)"
         lines.append(line)
     return lines
 
