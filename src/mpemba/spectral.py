@@ -475,9 +475,14 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     expansion coefficients that appear at low temperature) and each
     coherence |n><m| by k_n conj(k_m), k = exp(c t) with c_n = G_nn / 2 - i E_n
     and G = ``pop_block`` (Davies 1974), one d-vector per time.  A state diagonal in the
-    energy basis at entry (:func:`energy_diagonal`) keeps coherences of exactly 0, so
-    its grid makes no eigen-solve.  The states are built and validated
-    :func:`chunk_points` time points at a time; the grid holds them in the energy
+    energy basis at entry (:func:`energy_diagonal`) keeps coherences of exactly 0: each
+    chunk is its propagated populations on zeros, with no k, no product and no
+    eigen-solve.  Any other state's chunk is the Hermitian part of the conjugation,
+    written into the grid's stack.  The block route makes no conjugate-pairing check:
+    |k_n| <= 1 keeps each coherence's defect within the d * 1e-12 the rotation leaves of
+    an ``as_state`` input, far below the check's 1e-9.  The dense mode sum, where the
+    pairing can break, is checked (:func:`_package_states`).  The states are built and
+    validated :func:`chunk_points` time points at a time; the grid holds them in the energy
     basis together with their spectra and energies, and derives the lab-basis
     states on demand (:class:`EvolutionGrid`).
     ``rho_i`` enters through :func:`mpemba.operators.as_state` at the
@@ -489,17 +494,29 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     if spectrum.kind == "block":
         pop_block = spectrum._generator.pop_block
         rho_e = basis.to_eigenbasis(rho_i.entries)
-        if energy_diagonal(rho_e):  # coherences are rotation rounding: they stay exactly 0
-            rho_e = np.diag(np.diag(rho_e))
         pops = np.array(list(_propagate(pop_block, np.real(np.diag(rho_e)), times)))
-        c = 0.5 * np.diag(pop_block) - 1j * basis.energies
         diag = np.arange(basis.dim)
+        if energy_diagonal(rho_e):  # coherences are rotation rounding: they stay exactly 0
 
-        def block_chunk(s):
+            def block_chunk(s, out):
+                out[:, diag, diag] = pops[s]
+
+            return _package_states(times, block_chunk, basis)
+
+        c = 0.5 * np.diag(pop_block) - 1j * basis.energies
+        product = np.empty((0,) + rho_e.shape, dtype=complex)  # grown once, to the first chunk
+
+        def block_chunk(s, out):
+            nonlocal product
+            if len(product) < len(out):
+                product = np.empty_like(out)
             k = np.exp(np.outer(times[s], c))  # per chunk: a (T, d) k raised peak memory
-            out = k[:, :, None] * rho_e * k[:, None, :].conj()
-            out[:, diag, diag] = pops[s]
-            return out
+            # k[:, :, None] * rho_e * k[:, None, :].conj(), in the buffer: fresh chunk-sized
+            # arrays cost more than the products
+            m = np.multiply(k[:, :, None], rho_e, out=product[:len(out)])
+            np.multiply(m, k[:, None, :].conj(), out=m)
+            m[:, diag, diag] = pops[s]
+            hermitize(m, out=out)
 
         return _package_states(times, block_chunk, basis)
 
@@ -509,7 +526,7 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     phases = np.exp(np.outer(times, spectrum.eigenvalues[1:]))
     # one contraction over all times: chunking it may change its rounding
     deltas = np.einsum("tk,k,knm->tnm", phases, amps[1:], rights[1:], optimize=True)
-    return _package_states(times, lambda s: tau_e + deltas[s], basis)
+    return _package_states(times, lambda s, out: _check_pairing(tau_e + deltas[s], out), basis)
 
 
 def evolve_direct(generator: DaviesGenerator, rho_i, times) -> EvolutionGrid:
@@ -534,9 +551,10 @@ def evolve_direct(generator: DaviesGenerator, rho_i, times) -> EvolutionGrid:
     rho_e = basis.to_eigenbasis(rho_i.entries)
     states = _propagate(generator.dense, rho_e.reshape(-1), times)
 
-    def direct_chunk(s):
+    def direct_chunk(s, out):
         # chunks are asked for in time order, so the stepping carries over
-        return np.array([next(states).reshape(d, d) for _ in range(s.stop - s.start)])
+        steps = np.array([next(states).reshape(d, d) for _ in range(s.stop - s.start)])
+        return _check_pairing(steps, out)
 
     return _package_states(times, direct_chunk, basis)
 
@@ -565,36 +583,54 @@ def _propagate(generator: np.ndarray, vec: np.ndarray, times: np.ndarray):
         yield vec
 
 
+def _check_pairing(m: np.ndarray, out: np.ndarray):
+    """Check the conjugate mode pairing of the (n, d, d) stack ``m`` and store its Hermitian
+    part in ``out``.  Returns each matrix's Hermiticity defect, and whether it exceeds
+    1e-9 of the matrix's largest entry: the pairing is broken."""
+    defect = herm_defect(m)
+    broken = defect > 1e-9 * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    hermitize(m, out=out)
+    return defect, broken
+
+
 def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> EvolutionGrid:
     """Validate evolved states and store them, ``chunk_points(d)`` at a time.
 
-    ``chunk(s)`` returns the (n, d, d) energy-basis matrices of the time
-    points in slice ``s``; the slices come in time order.  Each matrix must
-    be Hermitian to within 1e-9 of its largest entry (a RuntimeError
-    otherwise: the conjugate mode pairing is broken).  Its Hermitian part is
-    stored as it is, and must pass the checks of :class:`DensityMatrix`
-    with the positivity slack :data:`EVOLUTION_PSD_TOL`: no rotation is
-    made.  The grid keeps that matrix, its eigenvalues as ``spectra``
+    ``chunk(s, out)`` writes the Hermitian energy-basis matrices of the time
+    points in slice ``s`` into ``out``, their (n, d, d) place in the grid's
+    zeroed stack; the slices come in time order.  A route whose conjugate mode
+    pairing can break (the dense mode sum, ``evolve_direct``) returns the
+    :func:`_check_pairing` of its raw matrices, and a matrix that breaks it
+    raises a RuntimeError.  The block route returns None: each coherence is
+    k_n rho_nm conj(k_m) with |k_n| <= 1, so its defect stays within the d * 1e-12
+    the rotation leaves of an input ``as_state`` accepted, far below 1e-9, and
+    its coherences stay finite.  Every stored matrix must pass the checks of
+    :class:`DensityMatrix` with the positivity slack :data:`EVOLUTION_PSD_TOL`:
+    no rotation is made.  The grid keeps that matrix, its eigenvalues as ``spectra``
     (``eigvalsh_stack``: no eigen-solve for a diagonal chunk) and
     Re Tr(H rho) = sum_n E_n p_n, read from its diagonal, as ``mean_energy``.
     The first failing time point raises, as a loop over the points would.
     """
     d = basis.dim
-    eigen_entries = np.empty((times.size, d, d), dtype=complex)
+    eigen_entries = np.zeros((times.size, d, d), dtype=complex)
     spectra = np.empty((times.size, d))
     mean_energy = np.empty(times.size)
     for s in chunk_slices(times.size, chunk_points(d)):
-        m = chunk(s)
-        defect = herm_defect(m)
-        broken = defect > 1e-9 * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
-        stored = eigen_entries[s] = hermitize(m)
+        stored = eigen_entries[s]
+        pairing = chunk(s, stored)
         spectra[s] = eigvalsh_stack(stored)
         pops = np.real(np.diagonal(stored, axis1=1, axis2=2))
         # one dot per state: a 2-D matrix-vector product rounds by the chunk's length
         mean_energy[s] = np.matmul(pops[:, None, :], basis.energies[:, None])[:, 0, 0]
-        # hermitize(m) is exactly Hermitian where finite: its defect is 0 * defect, 0 or NaN
-        stored_defect = 0.0 * defect
         trace = pops.sum(axis=1)
+        if pairing is None:
+            # exactly Hermitian, and only a population can be non-finite: its defect is 0, or NaN
+            broken = np.zeros(trace.shape, dtype=bool)
+            stored_defect = np.where(np.isfinite(trace), 0.0, np.nan)
+        else:
+            defect, broken = pairing
+            # hermitize(m) is exactly Hermitian where finite: its defect is 0 * defect, 0 or NaN
+            stored_defect = 0.0 * defect
         min_eig = spectra[s].min(axis=1)
         # written so that a NaN fails them
         failed = broken | ~(

@@ -221,7 +221,9 @@ def compute_trajectory(
         xlx = xlogx(pops).sum(axis=1)
         cross = np.matmul(pops[:, None, :], log_tau[:, None])[:, 0, 0]
         p_cl[s] = np.maximum(xlx - cross, 0.0)
-        c_coh[s] = np.maximum(-xlx - s_rho, 0.0)
+        # S(diag rho) summed in ascending order, the order of the spectra: for a state with
+        # no coherence both sums add the same numbers in the same order, so C is exactly 0
+        c_coh[s] = np.maximum(_shannon(np.sort(pops, axis=1)) - s_rho, 0.0)
         deviation = rho_e - tau_e
         l1[s] = np.abs(deviation).sum(axis=(1, 2))
         t1[s] = 0.5 * np.abs(eigvalsh_stack(deviation)).sum(axis=1)

@@ -380,7 +380,7 @@ def test_parser_built_once_and_leaks_no_flag(tmp_path):
     assert trace("after") == trace("fresh")
 
 
-@pytest.mark.parametrize("config", ["qubit_demo", "atom_exact"])
+@pytest.mark.parametrize("config", ["qubit_demo", "atom_exact", "chain_demo"])
 def test_chunk_length_changes_no_output_byte(config, tmp_path, monkeypatch):
     """Evolutions and trajectories round the same in chunks of one point as in the default chunks."""
     args = ["mpemba", "--config", str(CONFIGS / f"{config}.json"), "--out"]

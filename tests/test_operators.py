@@ -257,6 +257,30 @@ class TestEigvalshStack:
             got = np.concatenate([eigvalsh_stack(stack[s]) for s in chunk_slices(stack.shape[0], size)])
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_any_one_coherence_is_solved(self, d, monkeypatch):
+        # the test for coherence reads every off-diagonal entry, in any row and column
+        solves, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
+        pairs = [(n, m) for n in range(d) for m in range(d) if n != m]
+        for n, m in pairs:
+            stack = np.repeat(np.diag(np.arange(1.0, d + 1)).astype(complex)[None], 3, axis=0)
+            stack[1, n, m] = 1e-300j
+            assert np.array_equal(eigvalsh_stack(stack), eigvalsh(stack))
+        assert len(solves) == len(pairs)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (7, 3, 3), (16, 32, 32)])
+def test_hermitize_into_out_gives_the_same_bits(shape):
+    rng = np.random.default_rng(len(shape))
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    m[..., 0, 0] = -0.0  # signed zeros too
+    out = np.empty_like(m)
+    assert hermitize(m, out=out) is out
+    want = hermitize(m)
+    assert np.array_equal(out.view(float), want.view(float))
+    assert np.array_equal(np.signbit(out.view(float)), np.signbit(want.view(float)))
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: mp.HermitianOperator(np.zeros((2, 3))), "square matrix"),

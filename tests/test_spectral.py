@@ -12,6 +12,7 @@ from mpemba.spectral import (
     IMAG_TOL,
     _mode_order,
     _package_states,
+    _check_pairing,
     chunk_points,
 )
 from mpemba.utils import herm_defect, hermitize
@@ -494,7 +495,21 @@ class TestNonFiniteStates:
     def test_batched_mask_fails_on_nan(self, qubit_model):
         stack = np.full((3, 2, 2), np.nan, dtype=complex)
         with pytest.raises(ValidationError, match="not Hermitian"):
-            _package_states(np.arange(3.0), lambda s: stack[s], qubit_model.basis())
+            _package_states(np.arange(3.0), lambda s, out: _check_pairing(stack[s], out),
+                            qubit_model.basis())
+
+    def test_unchecked_chunk_fails_on_nan_populations(self, qubit_model):
+        # the block route stores its chunk and returns no pairing check; only
+        # its populations can be non-finite, and they fail with the same message
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[:, 0, 0] = 1.0
+        stack[1, 0, 0] = np.inf
+
+        def chunk(s, out):
+            out[...] = stack[s]
+
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            _package_states(np.arange(3.0), chunk, qubit_model.basis())
 
 
 class TestTimeGrid:
@@ -647,8 +662,10 @@ class TestChunkedPackaging:
             for m in stack:
                 reference_package_state(m)
 
-        got = self._first_error(lambda: _package_states(np.arange(n, dtype=float),
-                                                        lambda s: stack[s], basis))
+        def chunk(s, out):
+            return _check_pairing(stack[s], out)
+
+        got = self._first_error(lambda: _package_states(np.arange(n, dtype=float), chunk, basis))
         assert got == self._first_error(reference)
         if order == "negative_first":
             assert got == (ValidationError, "state has negative eigenvalue -1.00e-06")

@@ -1,16 +1,19 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import mpemba as mp
+from mpemba.config import load_config
 from mpemba.errors import ValidationError
+from mpemba.operators import HERMITICITY_TOL
 from mpemba.spectral import _propagate, chunk_points, energy_diagonal
 from mpemba.thermo import CSV_COLUMNS, SUPPORT_TOL, _shannon
-from mpemba.utils import hermitize, log_gibbs_weights, xlogx
+from mpemba.utils import herm_defect, hermitize, log_gibbs_weights, xlogx
 
 from conftest import DEMO_BLOCH, reference_package_state
 
@@ -480,7 +483,7 @@ def _reference_columns(states, basis, beta):
         s_rho = float(-xlogx(np.clip(np.linalg.eigvalsh(rho_e), 0.0, None)).sum())
         energy = _reference_energy(rho_e, basis)
         p_cl = max(float(xlogx(pops).sum() - pops @ log_tau), 0.0)
-        c_coh = max(float(-xlogx(pops).sum()) - s_rho, 0.0)
+        c_coh = max(float(-xlogx(np.sort(pops)).sum()) - s_rho, 0.0)  # in the spectra's order
         rows.append((
             energy - s_rho / beta, p_cl + c_coh, p_cl, c_coh,
             float(np.abs(rho_e - np.diag(tau_p)).sum()),
@@ -513,8 +516,8 @@ def _count_solves(monkeypatch):
 class TestBatchedTrajectory:
     """evolve_* + compute_trajectory, chunked, equal the per-point reference."""
 
-    @pytest.fixture(params=["tfim3_block", "tfim5_block", "tfim5_block_diagonal", "qubit_dense",
-                            "tfim3_dense", "tfim3_direct", "qubit_direct"])
+    @pytest.fixture(params=["tfim3_block", "tfim5_block", "tfim5_block_diagonal", "qubit_block",
+                            "qubit_dense", "tfim3_dense", "tfim3_direct", "qubit_direct"])
     def case(self, request, qubit_model, qubit_gen, tfim3_model, tfim3_gen, tfim5_case):
         kind = request.param
         if kind.startswith("tfim5"):
@@ -528,7 +531,7 @@ class TestBatchedTrajectory:
             rho = mp.random_mixed_state(8, 4, seed=11)
         else:
             model, gen, t_max = qubit_model, qubit_gen, 4.0
-            spec = mp.decompose(gen, prefer="dense")
+            spec = mp.decompose(gen, prefer="auto" if kind.endswith("block") else "dense")
             rho = mp.bloch_to_state(list(DEMO_BLOCH))
         if kind.endswith("direct"):
             return model, (lambda t: mp.evolve_direct(gen, rho, t)), \
@@ -698,6 +701,69 @@ class TestEnergyDiagonalEntry:
         assert energy_diagonal(rho_e)
         rho_e[2, 0] = np.nextafter(bound, 1.0)
         assert not energy_diagonal(rho_e)
+
+
+class TestPairingCheck:
+    """The conjugate-pairing check runs where the pairing can break, on the dense
+    mode sum and evolve_direct, once per chunk.  The block route makes none: each
+    coherence is k_n rho_nm conj(k_m) with |k_n| <= 1, so its defect stays that of
+    the rotated input, at most d * HERMITICITY_TOL."""
+
+    @pytest.mark.parametrize("route", ["block", "block_diagonal", "dense", "direct"])
+    def test_checks_per_chunk_and_stores_exactly_hermitian_chunks(self, route, monkeypatch,
+                                                                   tfim3_model, tfim3_gen):
+        basis = tfim3_model.basis()
+        times = np.linspace(0.0, 6.0, 2 * chunk_points(basis.dim) + 5)  # three chunks
+        rho = mp.random_mixed_state(8, 4, seed=11)
+        if route == "block_diagonal":
+            rho, _ = mp.exact_transform(rho, basis)
+        checks, defect = [], mp.spectral.herm_defect
+        monkeypatch.setattr(mp.spectral, "herm_defect", lambda m: checks.append(len(m)) or defect(m))
+        if route == "direct":
+            grid = mp.evolve_direct(tfim3_gen, rho, times)
+        else:
+            spec = mp.decompose(tfim3_gen, prefer="dense" if route == "dense" else "auto")
+            grid = mp.evolve_spectral(spec, rho, times)
+        assert checks == ([] if route.startswith("block") else [64, 64, 5])
+        stack = grid.eigen_entries
+        assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
+
+    def test_start_at_the_hermiticity_bound_equals_the_checked_reference(self, tfim5_case):
+        model, gen, spec, rho = tfim5_case
+        entries = rho.entries.copy()
+        entries[0, 5] += (1.0 - 1e-5) * HERMITICITY_TOL  # below the bound by rounding's margin
+        start = mp.DensityMatrix(entries)
+        assert 0.99 * HERMITICITY_TOL <= herm_defect(start.entries) <= HERMITICITY_TOL
+        rho_e = model.basis().to_eigenbasis(start.entries)
+        assert herm_defect(rho_e) <= model.basis().dim * HERMITICITY_TOL
+        times = np.linspace(0.0, 14.0, 281)
+        grid = mp.evolve_spectral(spec, start, times)
+        # the reference checks the pairing of every point, and passes
+        want = np.stack([s.entries for s in _reference_block_states(gen, start, times)])
+        assert np.array_equal(grid.eigen_entries, want)
+
+
+class TestCoherenceOfADiagonalState:
+    """C sums the populations' -p ln p in the order of the spectra, so a state with
+    no coherence has C = 0 and D = P exactly."""
+
+    @pytest.mark.parametrize("start", ["metropolis_swap_thermal", "tfim5_exact_transform"])
+    def test_c_is_zero_and_d_is_p(self, start, tfim5_case):
+        if start == "metropolis_swap_thermal":
+            cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "metropolis_swap.json")
+            model = cfg.build_model()
+            spec = mp.decompose(mp.build_generator(model))
+            rho = mp.thermal_state(model.basis(), 1.0 / cfg.initial_state.temperature)
+            times = cfg.time_grid.times()
+        else:
+            model, _, spec, rho = tfim5_case
+            rho, _ = mp.exact_transform(rho, model.basis())
+            times = np.linspace(0.0, 14.0, 281)
+        grid = mp.evolve_spectral(spec, rho, times)
+        traj = mp.compute_trajectory(grid, model.basis(), model.bath.beta)
+        assert not traj.c_coherence.any()
+        assert np.array_equal(traj.d_rel, traj.p_classical)
+        assert traj.p_classical.min() > 0.0
 
 
 class TestPropagate:
