@@ -33,7 +33,16 @@ from .errors import (
     ValidationError,
 )
 from .operators import HERMITICITY_TOL, TRACE_TOL, DensityMatrix, SpectralBasis, as_state, require_state
-from .utils import chunk_slices, eigvalsh_stack, frozen, herm_defect, hermitize, log_gibbs_weights
+from .utils import (
+    chunk_slices,
+    diagonal_stack,
+    eigvalsh_diagonal,
+    eigvalsh_stack,
+    frozen,
+    herm_defect,
+    hermitize,
+    log_gibbs_weights,
+)
 
 #: Eigenvector-matrix condition number above which a generator is treated as
 #: numerically defective.
@@ -77,40 +86,58 @@ class GapInfo(NamedTuple):
     complex_pair: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvolutionGrid:
     """States sampled along an evolution at ascending times (units 1/J).
 
-    The grid stores each state in the energy eigenbasis of ``basis``, as the
-    evolution produced and validated it: ``eigen_entries`` is the (T, d, d)
-    stack of those matrices, ``spectra`` the (T, d) ascending eigenvalues of
-    each, and ``mean_energy`` the (T,) energies Re Tr(H rho) = sum_n E_n p_n,
-    all read-only.  No lab-basis stack is kept: ``entries`` rotates
-    the stored stack to the lab basis on each access, and ``states`` is a
+    The grid holds each state in the energy eigenbasis of ``basis``, as the
+    evolution produced and validated it, in one of two forms.  A grid of
+    states with coherences stores the (T, d, d) stack of those matrices as
+    ``eigen_entries``, and its ``populations`` is None.  A grid of states
+    diagonal in the energy basis stores only their (T, d) ``populations``;
+    its ``eigen_entries`` is the zero stack with them on its diagonal, built
+    on each access.  Either holds ``spectra``, the (T, d) ascending
+    eigenvalues of each state, and ``mean_energy``, the (T,) energies
+    Re Tr(H rho) = sum_n E_n p_n.  Every array is read-only, and nothing
+    derived is cached.  No lab-basis stack is kept: ``entries`` rotates
+    ``eigen_entries`` to the lab basis on each access, and ``states`` is a
     read-only sequence that builds a validated :class:`DensityMatrix` from
-    one rotated matrix on each access and keeps no copies.  A matrix rotated
-    alone equals the same matrix rotated in the stack, so ``states[j]``
-    holds ``entries[j]`` exactly.
+    one rotated matrix on each access (of a population grid it builds only
+    that matrix) and keeps no copies.  A matrix rotated alone equals the
+    same matrix rotated in the stack, so ``states[j]`` holds ``entries[j]``
+    exactly.  Give either ``eigen_entries`` or, with ``eigen_entries=None``,
+    ``populations``.
     """
 
     times: np.ndarray
     basis: SpectralBasis
-    eigen_entries: np.ndarray
     spectra: np.ndarray
     mean_energy: np.ndarray
+    populations: np.ndarray | None
+    _stack: np.ndarray | None
 
-    def __post_init__(self):
-        if not isinstance(self.basis, SpectralBasis):
+    def __init__(self, times, basis, eigen_entries, spectra, mean_energy, *, populations=None):
+        if not isinstance(basis, SpectralBasis):
             raise ValidationError("an evolution grid needs the SpectralBasis its states are stored in")
-        times = as_times(self.times)
-        d = self.basis.dim
-        eigen_entries = np.asarray(self.eigen_entries, dtype=complex)
-        spectra = np.asarray(self.spectra, dtype=float)
-        mean_energy = np.asarray(self.mean_energy, dtype=float)
-        if (eigen_entries.shape != times.shape + (d, d) or spectra.shape != times.shape + (d,)
+        if (eigen_entries is None) == (populations is None):
+            raise ValidationError("an evolution grid stores either eigen_entries or populations")
+        times = as_times(times)
+        d = basis.dim
+        if populations is None:
+            label, attr = "eigen_entries", "_stack"
+            stored, shape = np.asarray(eigen_entries, dtype=complex), (d, d)
+        else:
+            label, attr = "populations", "populations"
+            stored, shape = np.asarray(populations, dtype=float), (d,)
+        spectra = np.asarray(spectra, dtype=float)
+        mean_energy = np.asarray(mean_energy, dtype=float)
+        if (stored.shape != times.shape + shape or spectra.shape != times.shape + (d,)
                 or mean_energy.shape != times.shape):
-            raise ValidationError("times, eigen_entries, spectra and mean_energy have inconsistent shapes")
-        for name, value in (("times", times), ("eigen_entries", eigen_entries),
+            raise ValidationError(f"times, {label}, spectra and mean_energy have inconsistent shapes")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "populations", None)
+        object.__setattr__(self, "_stack", None)
+        for name, value in (("times", times), (attr, stored),
                             ("spectra", spectra), ("mean_energy", mean_energy)):
             # an array that owns its data and is read-only already is kept:
             # copying the stack would double the grid's memory while it is built
@@ -122,6 +149,15 @@ class EvolutionGrid:
         return self.times.size
 
     @property
+    def eigen_entries(self) -> np.ndarray:
+        """The (T, d, d) energy-basis states: the stored stack, or the populations on a zero stack."""
+        if self._stack is not None:
+            return self._stack
+        out = diagonal_stack(self.populations)
+        out.setflags(write=False)
+        return out
+
+    @property
     def entries(self) -> np.ndarray:
         """The (T, d, d) lab-basis states, rotated from ``eigen_entries`` on each access."""
         out = self.basis.from_eigenbasis(self.eigen_entries)
@@ -130,24 +166,27 @@ class EvolutionGrid:
 
     @property
     def states(self) -> _States:
-        return _States(self.basis, self.eigen_entries)
+        return _States(self)
 
 
 class _States(Sequence):
     """The states of an :class:`EvolutionGrid`, rotated and validated on each access."""
 
-    def __init__(self, basis, eigen_entries):
-        self._basis = basis
-        self._eigen_entries = eigen_entries
+    def __init__(self, grid):
+        self._grid = grid
 
     def __len__(self):
-        return len(self._eigen_entries)
+        return len(self._grid)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[j] for j in range(*index.indices(len(self))))
-        lab = self._basis.from_eigenbasis(self._eigen_entries[index])
-        return DensityMatrix(lab, psd_tol=EVOLUTION_PSD_TOL)
+        grid = self._grid
+        if grid.populations is None:
+            matrix = grid.eigen_entries[index]
+        else:
+            matrix = diagonal_stack(grid.populations[index])
+        return DensityMatrix(grid.basis.from_eigenbasis(matrix), psd_tol=EVOLUTION_PSD_TOL)
 
 
 class GeneratorSpectrum:
@@ -475,16 +514,16 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     expansion coefficients that appear at low temperature) and each
     coherence |n><m| by k_n conj(k_m), k = exp(c t) with c_n = G_nn / 2 - i E_n
     and G = ``pop_block`` (Davies 1974), one d-vector per time.  A state diagonal in the
-    energy basis at entry (:func:`energy_diagonal`) keeps coherences of exactly 0: each
-    chunk is its propagated populations on zeros, with no k, no product and no
-    eigen-solve.  Any other state's chunk is the Hermitian part of the conjugation,
-    written into the grid's stack.  The block route makes no conjugate-pairing check:
-    |k_n| <= 1 keeps each coherence's defect within the d * 1e-12 the rotation leaves of
-    an ``as_state`` input, far below the check's 1e-9.  The dense mode sum, where the
-    pairing can break, is checked (:func:`_package_states`).  The states are built and
-    validated :func:`chunk_points` time points at a time; the grid holds them in the energy
-    basis together with their spectra and energies, and derives the lab-basis
-    states on demand (:class:`EvolutionGrid`).
+    energy basis at entry (:func:`energy_diagonal`) keeps coherences of exactly 0, so its
+    grid is its propagated (T, d) populations alone (:func:`_population_grid`): no stack,
+    no k, no product and no eigen-solve.  Any other state's chunk is the Hermitian part
+    of the conjugation, written into the grid's stack.  The block route makes no
+    conjugate-pairing check: |k_n| <= 1 keeps each coherence's defect within the
+    d * 1e-12 the rotation leaves of an ``as_state`` input, far below the check's 1e-9.
+    The dense mode sum, where the pairing can break, is checked (:func:`_package_states`).
+    A stack is built and validated :func:`chunk_points` time points at a time; the grid
+    holds the states in the energy basis together with their spectra and energies, and
+    derives the lab-basis states on demand (:class:`EvolutionGrid`).
     ``rho_i`` enters through :func:`mpemba.operators.as_state` at the
     spectrum's dimension and ``times`` through :func:`as_times`.
     """
@@ -494,15 +533,13 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     if spectrum.kind == "block":
         pop_block = spectrum._generator.pop_block
         rho_e = basis.to_eigenbasis(rho_i.entries)
-        pops = np.array(list(_propagate(pop_block, np.real(np.diag(rho_e)), times)))
-        diag = np.arange(basis.dim)
+        pops = np.fromiter(_propagate(pop_block, np.real(np.diag(rho_e)), times),
+                           dtype=(float, basis.dim), count=times.size)
         if energy_diagonal(rho_e):  # coherences are rotation rounding: they stay exactly 0
+            pops.setflags(write=False)
+            return _population_grid(times, pops, basis)
 
-            def block_chunk(s, out):
-                out[:, diag, diag] = pops[s]
-
-            return _package_states(times, block_chunk, basis)
-
+        diag = np.arange(basis.dim)
         c = 0.5 * np.diag(pop_block) - 1j * basis.energies
         product = np.empty((0,) + rho_e.shape, dtype=complex)  # grown once, to the first chunk
 
@@ -594,22 +631,23 @@ def _check_pairing(m: np.ndarray, out: np.ndarray):
 
 
 def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> EvolutionGrid:
-    """Validate evolved states and store them, ``chunk_points(d)`` at a time.
+    """Validate evolved states and store them as a stack, ``chunk_points(d)`` at a time.
 
     ``chunk(s, out)`` writes the Hermitian energy-basis matrices of the time
     points in slice ``s`` into ``out``, their (n, d, d) place in the grid's
     zeroed stack; the slices come in time order.  A route whose conjugate mode
     pairing can break (the dense mode sum, ``evolve_direct``) returns the
     :func:`_check_pairing` of its raw matrices, and a matrix that breaks it
-    raises a RuntimeError.  The block route returns None: each coherence is
-    k_n rho_nm conj(k_m) with |k_n| <= 1, so its defect stays within the d * 1e-12
-    the rotation leaves of an input ``as_state`` accepted, far below 1e-9, and
-    its coherences stay finite.  Every stored matrix must pass the checks of
-    :class:`DensityMatrix` with the positivity slack :data:`EVOLUTION_PSD_TOL`:
-    no rotation is made.  The grid keeps that matrix, its eigenvalues as ``spectra``
-    (``eigvalsh_stack``: no eigen-solve for a diagonal chunk) and
-    Re Tr(H rho) = sum_n E_n p_n, read from its diagonal, as ``mean_energy``.
-    The first failing time point raises, as a loop over the points would.
+    raises a RuntimeError.  The block route of a state with coherences returns
+    None: each coherence is k_n rho_nm conj(k_m) with |k_n| <= 1, so its defect
+    stays within the d * 1e-12 the rotation leaves of an input ``as_state``
+    accepted, far below 1e-9, and its coherences stay finite.  Every stored
+    matrix must pass the checks of :class:`DensityMatrix` with the positivity
+    slack :data:`EVOLUTION_PSD_TOL` (:func:`_check_states`): no rotation is
+    made.  The grid keeps that matrix, its eigenvalues as ``spectra``
+    (``eigvalsh_stack``) and Re Tr(H rho) = sum_n E_n p_n, read from its
+    diagonal by :func:`_mean_energy`, as ``mean_energy``.  A state diagonal in
+    the energy basis is kept as its populations instead (:func:`_population_grid`).
     """
     d = basis.dim
     eigen_entries = np.zeros((times.size, d, d), dtype=complex)
@@ -620,32 +658,67 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
         pairing = chunk(s, stored)
         spectra[s] = eigvalsh_stack(stored)
         pops = np.real(np.diagonal(stored, axis1=1, axis2=2))
-        # one dot per state: a 2-D matrix-vector product rounds by the chunk's length
-        mean_energy[s] = np.matmul(pops[:, None, :], basis.energies[:, None])[:, 0, 0]
-        trace = pops.sum(axis=1)
-        if pairing is None:
-            # exactly Hermitian, and only a population can be non-finite: its defect is 0, or NaN
-            broken = np.zeros(trace.shape, dtype=bool)
-            stored_defect = np.where(np.isfinite(trace), 0.0, np.nan)
-        else:
-            defect, broken = pairing
-            # hermitize(m) is exactly Hermitian where finite: its defect is 0 * defect, 0 or NaN
-            stored_defect = 0.0 * defect
-        min_eig = spectra[s].min(axis=1)
-        # written so that a NaN fails them
-        failed = broken | ~(
-            (stored_defect <= HERMITICITY_TOL)
-            & (np.abs(trace - 1.0) <= TRACE_TOL)
-            & (min_eig >= -EVOLUTION_PSD_TOL)
-        )
-        if failed.any():
-            j = int(np.argmax(failed))
-            if broken[j]:
-                raise RuntimeError(
-                    f"evolved state lost Hermiticity (defect {defect[j]:.2e}); "
-                    "conjugate mode pairing is broken"
-                )
-            require_state(stored_defect[j], complex(trace[j]), min_eig[j], EVOLUTION_PSD_TOL)
+        mean_energy[s] = _mean_energy(pops, basis.energies)
+        _check_states(pops.sum(axis=1), spectra[s].min(axis=1), pairing)
     for value in (eigen_entries, spectra, mean_energy):
         value.setflags(write=False)
     return EvolutionGrid(times, basis, eigen_entries, spectra, mean_energy)
+
+
+def _population_grid(times: np.ndarray, pops: np.ndarray, basis: SpectralBasis) -> EvolutionGrid:
+    """Validate and store states diagonal in the energy basis as their (T, d) ``pops``.
+
+    No stack is built.  ``spectra`` are the sorted populations
+    (``eigvalsh_diagonal``: the bits ``eigvalsh`` gives the diagonal matrix),
+    and the trace, positivity and non-finite checks read the vectors, with the
+    messages and the first-failing-point order of :func:`_package_states`.
+    """
+    spectra = eigvalsh_diagonal(pops)
+    _check_states(pops.sum(axis=1), spectra.min(axis=1))
+    return EvolutionGrid(times, basis, None, spectra, _mean_energy(pops, basis.energies), populations=pops)
+
+
+def _mean_energy(pops: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """Re Tr(H rho) = sum_n E_n p_n of each row of the (n, d) populations ``pops``.
+
+    The one place both kinds of grid form it, so they round alike: one dot per
+    state, with the bits of ``np.real(np.diag(rho_e)) @ energies``.  numpy hands
+    each (1, d) @ (d, 1) product to the BLAS dot, which sums a vector of unit
+    stride in another order than a strided one, such as the diagonal of a
+    stored stack.  So the populations are always read through a strided view,
+    the real parts of a complex copy; a contiguous (T, d) array would re-round
+    F_neq, and F_neq decides crossings.  A 2-D matrix-vector product would round
+    by the number of rows.
+    """
+    strided = pops.astype(complex).real
+    return np.matmul(strided[:, None, :], energies[:, None])[:, 0, 0]
+
+
+def _check_states(trace: np.ndarray, min_eig: np.ndarray, pairing=None) -> None:
+    """Raise for the first time point whose stored state fails a check, as a loop over the points would.
+
+    ``pairing`` is :func:`_check_pairing`'s result for the raw matrices, or None
+    where the pairing cannot break; then the stored state is exactly Hermitian and
+    only a population can be non-finite: its defect is 0, or NaN.  A stored
+    ``hermitize(m)`` is exactly Hermitian where finite: its defect is 0 * defect.
+    """
+    if pairing is None:
+        broken = np.zeros(trace.shape, dtype=bool)
+        stored_defect = np.where(np.isfinite(trace), 0.0, np.nan)
+    else:
+        defect, broken = pairing
+        stored_defect = 0.0 * defect
+    # written so that a NaN fails them
+    failed = broken | ~(
+        (stored_defect <= HERMITICITY_TOL)
+        & (np.abs(trace - 1.0) <= TRACE_TOL)
+        & (min_eig >= -EVOLUTION_PSD_TOL)
+    )
+    if failed.any():
+        j = int(np.argmax(failed))
+        if broken[j]:
+            raise RuntimeError(
+                f"evolved state lost Hermiticity (defect {defect[j]:.2e}); "
+                "conjugate mode pairing is broken"
+            )
+        require_state(stored_defect[j], complex(trace[j]), min_eig[j], EVOLUTION_PSD_TOL)

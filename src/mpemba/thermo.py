@@ -31,7 +31,15 @@ from . import spectral
 from .errors import ValidationError
 from .operators import HermitianOperator, SpectralBasis, as_populations, as_state, thermal_populations
 from .spectral import EvolutionGrid
-from .utils import chunk_slices, eigvalsh_stack, frozen, log_gibbs_weights, write_csv, xlogx
+from .utils import (
+    chunk_slices,
+    eigvalsh_diagonal,
+    eigvalsh_stack,
+    frozen,
+    log_gibbs_weights,
+    write_csv,
+    xlogx,
+)
 
 #: Eigenvalue threshold below which a state direction counts as unsupported.
 SUPPORT_TOL = 1e-12
@@ -182,13 +190,17 @@ def compute_trajectory(
 ) -> ThermoTrajectory:
     """Evaluate all diagnostics for every state of an evolution grid.
 
-    Reads what the evolution stored, in the energy basis, in the chunks the
-    evolution used, :func:`mpemba.spectral.chunk_points` time points at a
-    time (16 for d >= 16, more below): F_neq from ``grid.mean_energy`` and
-    S(rho) of ``grid.spectra``; the populations, P, C and L1 from
-    ``grid.eigen_entries``; the trace distance from the eigenvalues of rho_e - tau_e
-    (``eigvalsh_stack``), the only eigen-solve here, none for a diagonal chunk.  No
-    state is rotated.  ``basis`` gives tau and F_eq and must be the grid's own
+    Reads what the evolution stored, in the energy basis: F_neq from
+    ``grid.mean_energy`` and S(rho) of ``grid.spectra``, and P, C and the two
+    distances from the states.  A grid of populations (states diagonal in the
+    energy basis) is read as its (T, d) vectors in one pass: rho_e - tau_e is
+    the diagonal p - tau, so L1 = sum_n |p_n - tau_n| and the trace distance is
+    half the sum of |sort(p - tau)| (``eigvalsh_diagonal``), and no stack is
+    built.  A grid of stacks is read in the chunks the evolution used,
+    :func:`mpemba.spectral.chunk_points` time points at a time (16 for d >= 16,
+    more below): L1 sums the entries of rho_e - tau_e, and the trace distance
+    comes from its eigenvalues (``eigvalsh_stack``), the only eigen-solve here.
+    No state is rotated.  ``basis`` gives tau and F_eq and must be the grid's own
     basis (the same object, or equal energies and vectors), else :class:`ValidationError`.
     So does a ``beta`` not finite and > 0 (at ``beta = inf``, D off the ground level is inf).
     """
@@ -201,7 +213,6 @@ def compute_trajectory(
         raise ValidationError("basis is not the one the grid's states are stored in")
     f_eq = equilibrium_free_energy(basis, beta)
     tau_p = thermal_populations(basis, beta)
-    tau_e = np.diag(tau_p)
     log_tau = log_gibbs_weights(basis.energies, beta)
 
     n = len(grid)
@@ -210,9 +221,9 @@ def compute_trajectory(
     c_coh = np.empty(n)
     l1 = np.empty(n)
     t1 = np.empty(n)
-    for s in chunk_slices(n, spectral.chunk_points(basis.dim)):
-        rho_e = grid.eigen_entries[s]
-        pops = np.clip(np.real(np.diagonal(rho_e, axis1=1, axis2=2)), 0.0, None)
+
+    def entropies(s, populations):
+        pops = np.clip(populations, 0.0, None)
         s_rho = _shannon(grid.spectra[s])
         f_neq[s] = grid.mean_energy[s] - s_rho / beta
         # D via populations against log-space Gibbs weights: stable at any beta.
@@ -224,9 +235,21 @@ def compute_trajectory(
         # S(diag rho) summed in ascending order, the order of the spectra: for a state with
         # no coherence both sums add the same numbers in the same order, so C is exactly 0
         c_coh[s] = np.maximum(_shannon(np.sort(pops, axis=1)) - s_rho, 0.0)
-        deviation = rho_e - tau_e
-        l1[s] = np.abs(deviation).sum(axis=(1, 2))
-        t1[s] = 0.5 * np.abs(eigvalsh_stack(deviation)).sum(axis=1)
+
+    if grid.populations is not None:
+        # no coherence: rho_e - tau_e is the diagonal p - tau, read as vectors in one pass
+        deviation = grid.populations - tau_p
+        l1[:] = np.abs(deviation).sum(axis=1)
+        t1[:] = 0.5 * np.abs(eigvalsh_diagonal(deviation)).sum(axis=1)
+        entropies(slice(None), grid.populations)
+    else:
+        tau_e = np.diag(tau_p)
+        for s in chunk_slices(n, spectral.chunk_points(basis.dim)):
+            rho_e = grid.eigen_entries[s]
+            deviation = rho_e - tau_e
+            l1[s] = np.abs(deviation).sum(axis=(1, 2))
+            t1[s] = 0.5 * np.abs(eigvalsh_stack(deviation)).sum(axis=1)
+            entropies(s, np.real(np.diagonal(rho_e, axis1=1, axis2=2)))
     pi = spohn_rate(grid.times, f_neq, beta) if n >= 3 else np.empty(0)
     return ThermoTrajectory(
         times=grid.times, f_neq=f_neq, d_rel=p_cl + c_coh, p_classical=p_cl,

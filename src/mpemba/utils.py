@@ -42,22 +42,45 @@ def herm_defect(matrix: np.ndarray):
 def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvalsh`` of a (n, d, d) stack, with no solve for one that has no coherence.
 
-    Such a stack gives its sorted real diagonal: the bits LAPACK returns while it rescales
-    no matrix (largest entry 0 or in [2^-485, 2^485]; any other stack is solved).  The
-    test reads each matrix's first row, then, only if that is all 0, one strided view of
-    every off-diagonal entry: one pass over a diagonal stack, a few entries of any other.
+    Such a stack gives :func:`eigvalsh_diagonal` of its real diagonal.  The test reads
+    each matrix's first row, then, only if that is all 0, one strided view of every
+    off-diagonal entry: one pass over a diagonal stack, a few entries of any other.  The
+    block evolution hands it no diagonal stack (it keeps a state diagonal in the energy
+    basis as its populations); the dense mode sum does, at d = 2 mostly.
     """
     n, d = stack.shape[:2]
-    diag = np.diagonal(stack, axis1=1, axis2=2)
     # the first rows settle a stack with coherences in ~2 us; only a diagonal one is read in full,
     # through one strided view of its off-diagonal entries: the d after each diagonal entry but the last
     if not stack[:, 0, 1:].any() and not (
         stack.reshape(n, d * d)[:, 1:].reshape(n, d - 1, d + 1)[:, :, :d].any()
     ):
-        scale = np.abs(diag.real).max(axis=1, initial=0.0)
-        if np.all((scale == 0.0) | ((scale >= 2.0 ** -485) & (scale <= 2.0 ** 485))):
-            return np.sort(diag.real, axis=1)
+        return eigvalsh_diagonal(np.diagonal(stack, axis1=1, axis2=2).real)
     return np.linalg.eigvalsh(stack)
+
+
+def eigvalsh_diagonal(diag: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh`` of the diagonal matrices whose real diagonals are the rows of ``diag``.
+
+    A row gives its sort: the bits LAPACK returns while it rescales no matrix (largest
+    entry 0 or in [2^-485, 2^485]).  A finite row that LAPACK rescales is solved.  A
+    non-finite row keeps its sort, which holds its NaN or infinity: LAPACK may fail to
+    converge on it (from d = 4) and raise ``LinAlgError`` where a caller's checks would
+    name the defect.
+    """
+    out = np.sort(diag, axis=1)
+    scale = np.abs(diag).max(axis=1, initial=0.0)
+    solve = np.isfinite(scale) & (scale != 0.0) & ((scale < 2.0 ** -485) | (scale > 2.0 ** 485))
+    if solve.any():
+        out[solve] = np.linalg.eigvalsh(diagonal_stack(diag[solve]))
+    return out
+
+
+def diagonal_stack(diag: np.ndarray) -> np.ndarray:
+    """The complex (..., d, d) zero stack with ``diag``, of shape (..., d), on its diagonal."""
+    d = diag.shape[-1]
+    out = np.zeros(diag.shape + (d,), dtype=complex)
+    out[..., np.arange(d), np.arange(d)] = diag
+    return out
 
 
 def frozen(array: np.ndarray) -> np.ndarray:

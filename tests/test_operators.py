@@ -11,7 +11,15 @@ from mpemba.cli import _initial_state
 from mpemba.config import parse_config
 from mpemba.errors import ConfigError, ValidationError
 from mpemba.operators import require_state
-from mpemba.utils import SIGMA_X, chunk_slices, eigvalsh_stack, hermitize, kron_chain
+from mpemba.utils import (
+    SIGMA_X,
+    chunk_slices,
+    diagonal_stack,
+    eigvalsh_diagonal,
+    eigvalsh_stack,
+    hermitize,
+    kron_chain,
+)
 
 from conftest import DEMO_BLOCH, DEMO_RADIUS
 
@@ -268,6 +276,33 @@ class TestEigvalshStack:
             stack[1, n, m] = 1e-300j
             assert np.array_equal(eigvalsh_stack(stack), eigvalsh(stack))
         assert len(solves) == len(pairs)
+
+
+class TestEigvalshDiagonal:
+    """eigvalsh_diagonal gives np.linalg.eigvalsh's bits for the diagonal matrices of its rows."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 32])
+    def test_each_finite_row_has_the_bits_of_its_matrix(self, d, monkeypatch):
+        stack = _diagonal_stack(d, np.random.default_rng(d))
+        rows = np.real(np.diagonal(stack, axis1=1, axis2=2)).copy()
+        if d > 1:  # one row LAPACK rescales, below 2^-485
+            rows[0] = 1e-300 * np.arange(d)
+        want = np.array([np.linalg.eigvalsh(m) for m in diagonal_stack(rows)])
+        solves, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(len(a)) or eigvalsh(a))
+        assert np.array_equal(eigvalsh_diagonal(rows), want)
+        assert solves == ([1] if d > 1 else [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_row_keeps_its_sort(self, bad):
+        # LAPACK fails to converge on such a diagonal matrix from d = 4
+        rows = np.full((3, 8), 1.0 / 8)
+        rows[1, 3] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvalsh(diagonal_stack(rows))
+        got = eigvalsh_diagonal(rows)
+        assert np.array_equal(got[1], np.sort(rows[1]), equal_nan=True)
+        assert np.array_equal(got[[0, 2]], rows[[0, 2]])
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (7, 3, 3), (16, 32, 32)])

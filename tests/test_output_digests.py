@@ -27,7 +27,7 @@ class TestCsvChanges:
         )
         assert lines[0] == "2 of 3 rows differ"
         # largest |a - b| is 2.2e-16 (at Pi = 1), over max |Pi| = 2
-        assert lines[1:] == ["column Pi: 2 rows differ, largest change 2.22e-16 (1.11e-16 of max |Pi|)"]
+        assert lines[1:] == ["column Pi: 2 rows differ, largest change 2.22e-16 (1.11e-16 of max |Pi|; 1 ulp)"]
 
     def test_a_column_of_rounding_noise_shows_its_absolute_change(self, tmp_path):
         # C of a diagonal state is rounding noise: relative to itself it changes by 100%
@@ -35,7 +35,18 @@ class TestCsvChanges:
             _write(tmp_path / "a.csv", ["0,1e-17\n", "1,0\n"], header="t,C\n"),
             _write(tmp_path / "b.csv", ["0,0\n", "1,0\n"], header="t,C\n"),
         )
-        assert lines == ["1 of 2 rows differ", "column C: 1 rows differ, largest change 1e-17 (1 of max |C|)"]
+        assert lines == ["1 of 2 rows differ", "column C: 1 rows differ, largest change 1e-17 (1 of max |C|; 6.49e+15 ulp)"]
+
+    def test_the_change_in_ulps_is_the_largest_of_any_row(self, tmp_path):
+        # row 1 moves 3 ulps of 1.0 (6.7e-16), row 2 moves 2 ulps of 4.0 (1.8e-15): the largest
+        # change in ulps is not the largest absolute one, and max |L1| is 7
+        lines = output_digests.csv_changes(
+            _write(tmp_path / "a.csv", ["0,1.0\n", "1,4.0\n", "2,-7.0\n"], header="t,L1\n"),
+            _write(tmp_path / "b.csv", ["0,1.0000000000000007\n", "1,4.0000000000000018\n", "2,-7.0\n"],
+                   header="t,L1\n"),
+        )
+        assert lines == ["2 of 3 rows differ",
+                         "column L1: 2 rows differ, largest change 1.78e-15 (2.54e-16 of max |L1|; 3 ulp)"]
 
     def test_a_column_without_a_scale_shows_only_its_absolute_change(self, tmp_path):
         lines = output_digests.csv_changes(
@@ -70,7 +81,7 @@ class TestCsvChanges:
         assert out.splitlines() == [
             key,
             "    2 of 3 rows differ",
-            "    column Pi: 2 rows differ, largest change 2.22e-16 (1.11e-16 of max |Pi|)",
+            "    column Pi: 2 rows differ, largest change 2.22e-16 (1.11e-16 of max |Pi|; 1 ulp)",
         ]
         assert err == "1 changed of 2 keys\n"
 

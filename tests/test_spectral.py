@@ -10,12 +10,13 @@ from mpemba.davies import eigenvalue_multiset_distance, vectorized_lindbladian
 from mpemba.errors import DefectiveGeneratorError, NoSteadyStateError, ValidationError
 from mpemba.spectral import (
     IMAG_TOL,
+    _mean_energy,
     _mode_order,
     _package_states,
     _check_pairing,
     chunk_points,
 )
-from mpemba.utils import herm_defect, hermitize
+from mpemba.utils import diagonal_stack, herm_defect, hermitize
 
 from conftest import DEMO_BLOCH, QUBIT_GAMMA_TOTAL, reference_package_state
 
@@ -635,6 +636,41 @@ class TestChunkedPackaging:
         grid = mp.EvolutionGrid([0.0, 1.0, 2.0], basis, stack, spectra, energy)
         stack[0] = 0.0  # the grid holds its own read-only copy
         assert np.array_equal(grid.eigen_entries[0], np.eye(2) / 2)
+
+    def test_grid_of_populations_derives_its_stack(self, qubit_model, monkeypatch):
+        basis = qubit_model.basis()
+        times = [0.0, 1.0, 2.0]
+        pops = np.array([[0.5, 0.5], [0.7, 0.3], [0.9, 0.1]])
+        spectra, energy = np.sort(pops, axis=1), pops @ basis.energies
+        with pytest.raises(ValidationError, match="either eigen_entries or populations"):
+            mp.EvolutionGrid(times, basis, None, spectra, energy)
+        with pytest.raises(ValidationError, match="either eigen_entries or populations"):
+            mp.EvolutionGrid(times, basis, diagonal_stack(pops), spectra, energy, populations=pops)
+        with pytest.raises(ValidationError, match="times, populations, spectra and mean_energy"):
+            mp.EvolutionGrid(times, basis, None, spectra, energy, populations=pops[:, :1])
+        grid = mp.EvolutionGrid(times, basis, None, spectra, energy, populations=pops)
+        pops[0] = 0.0  # the grid holds its own read-only copy
+        assert np.array_equal(grid.populations[0], [0.5, 0.5])
+        stack = grid.eigen_entries
+        assert stack is not grid.eigen_entries  # built on each access, not cached
+        assert np.array_equal(stack, diagonal_stack(grid.populations)) and not stack.flags.writeable
+        assert np.array_equal(grid.entries, basis.from_eigenbasis(stack))
+        built = []
+        monkeypatch.setattr(mp.spectral, "diagonal_stack", lambda p: built.append(p.shape) or diagonal_stack(p))
+        state = grid.states[-1]
+        assert built == [(2,)]  # only the matrix asked for
+        assert np.array_equal(state.entries, grid.entries[-1])
+
+    @pytest.mark.parametrize("layout", ["contiguous", "stack_diagonal"])
+    def test_mean_energy_is_one_dot_per_state(self, layout):
+        # a contiguous (T, d) array handed to matmul as it is sums in another order at d = 32
+        basis = mp.tfim(length=5).basis()
+        pops = np.random.default_rng(32).dirichlet(np.ones(32), size=40)
+        stack = diagonal_stack(pops)
+        want = [float(np.real(np.diag(m)) @ basis.energies) for m in stack]
+        if layout == "stack_diagonal":
+            pops = np.real(np.diagonal(stack, axis1=1, axis2=2))
+        assert np.array_equal(_mean_energy(pops, basis.energies), want)
 
     @staticmethod
     def _first_error(run):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,9 +12,9 @@ import mpemba as mp
 from mpemba.config import load_config
 from mpemba.errors import ValidationError
 from mpemba.operators import HERMITICITY_TOL
-from mpemba.spectral import _propagate, chunk_points, energy_diagonal
+from mpemba.spectral import EVOLUTION_PSD_TOL, _package_states, _propagate, chunk_points, energy_diagonal
 from mpemba.thermo import CSV_COLUMNS, SUPPORT_TOL, _shannon
-from mpemba.utils import herm_defect, hermitize, log_gibbs_weights, xlogx
+from mpemba.utils import chunk_slices, eigvalsh_stack, herm_defect, hermitize, log_gibbs_weights, xlogx
 
 from conftest import DEMO_BLOCH, reference_package_state
 
@@ -565,8 +566,12 @@ class TestBatchedTrajectory:
         traj = mp.compute_trajectory(grid, basis, beta)
         f_neq, d_rel, p_cl, c_coh, l1, t1 = _reference_columns(states, basis, beta)
         for got, ref in ((traj.f_neq, f_neq), (traj.d_rel, d_rel), (traj.p_classical, p_cl),
-                         (traj.c_coherence, c_coh), (traj.l1, l1), (traj.t1, t1)):
+                         (traj.c_coherence, c_coh), (traj.t1, t1)):
             assert np.array_equal(got, ref)
+        if grid.populations is None:
+            assert np.array_equal(traj.l1, l1)
+        else:  # a sum over the d populations, not the d * d entries: it re-rounds
+            assert np.all(np.abs(traj.l1 - l1) <= 2 * np.spacing(np.maximum(traj.l1, l1)))
         pi = mp.spohn_rate(times, f_neq, beta) if n_points >= 3 else np.empty(0)
         assert np.array_equal(traj.pi, pi)
 
@@ -764,6 +769,164 @@ class TestCoherenceOfADiagonalState:
         assert not traj.c_coherence.any()
         assert np.array_equal(traj.d_rel, traj.p_classical)
         assert traj.p_classical.min() > 0.0
+
+
+def _stack_reference(times, pops, basis):
+    """The grid of a diagonal state built the way a stack grid is: its populations on a zeroed
+    (T, d, d) stack, ``eigvalsh_stack`` chunk by chunk and the dot of each strided diagonal."""
+    d = basis.dim
+    stack = np.zeros((times.size, d, d), dtype=complex)
+    stack[:, np.arange(d), np.arange(d)] = pops
+    spectra = np.empty((times.size, d))
+    for s in chunk_slices(times.size, chunk_points(d)):
+        spectra[s] = eigvalsh_stack(stack[s])
+    diag = np.real(np.diagonal(stack, axis1=1, axis2=2))
+    energy = np.matmul(diag[:, None, :], basis.energies[:, None])[:, 0, 0]
+    return mp.EvolutionGrid(times, basis, stack, spectra, energy)
+
+
+class TestPopulationGrid:
+    """A state diagonal in the energy basis evolves and is measured as its (T, d)
+    populations, and gives the bits of the zero stack that held them before."""
+
+    @pytest.fixture(params=["qubit", "tfim2", "tfim3", "tfim5"])
+    def diagonal_case(self, request, qubit_model, tfim3_model, tfim5_case):
+        if request.param == "tfim5":
+            model, _, spec, rho = tfim5_case
+            t_max = 14.0
+        else:
+            if request.param == "qubit":
+                model, rho = qubit_model, mp.bloch_to_state(list(DEMO_BLOCH))
+            elif request.param == "tfim2":
+                model, rho = mp.tfim(length=2), mp.random_mixed_state(4, 2, seed=5)
+            else:
+                model, rho = tfim3_model, mp.random_mixed_state(8, 4, seed=11)
+            spec = mp.decompose(mp.build_generator(model))
+            t_max = 6.0
+        assert spec.kind == "block"
+        rho, _ = mp.exact_transform(rho, model.basis())
+        return model, spec, rho, t_max
+
+    @pytest.mark.parametrize("n_points", ["one_chunk", "ragged_chunks"])
+    def test_bitwise_equal_to_the_stack_it_replaces(self, diagonal_case, n_points, tmp_path):
+        model, spec, rho, t_max = diagonal_case
+        basis, beta, d = model.basis(), model.bath.beta, model.basis().dim
+        n = 17 if n_points == "one_chunk" else 2 * chunk_points(d) + 5
+        times = np.linspace(0.0, t_max, n)
+        grid = mp.evolve_spectral(spec, rho, times)
+        assert grid.populations is not None and grid.populations.shape == (n, d)
+        p0 = np.real(np.diag(basis.to_eigenbasis(rho.entries)))
+        pops = np.array(list(_propagate(np.asarray(spec._generator.pop_block, dtype=float), p0, times)))
+        assert np.array_equal(grid.populations, pops)
+        ref = _stack_reference(times, pops, basis)
+
+        assert np.array_equal(grid.spectra, ref.spectra)
+        assert np.array_equal(grid.mean_energy, ref.mean_energy)
+        assert np.array_equal(grid.mean_energy, [_reference_energy(m, basis) for m in ref.eigen_entries])
+        assert np.array_equal(grid.eigen_entries, ref.eigen_entries)
+        assert np.array_equal(grid.entries, ref.entries)
+        for array in (grid.populations, grid.eigen_entries, grid.entries, grid.spectra, grid.mean_energy):
+            assert not array.flags.writeable
+        for j in sorted({0, chunk_points(d) - 1, chunk_points(d), n // 2, n - 1} & set(range(n))):
+            assert np.array_equal(grid.states[j].entries, ref.states[j].entries)
+            assert np.array_equal(grid.states[j].entries, grid.entries[j])
+        np.save(tmp_path / "populations.npy", grid.entries)  # what `dump_states` writes
+        np.save(tmp_path / "stack.npy", ref.entries)
+        assert (tmp_path / "populations.npy").read_bytes() == (tmp_path / "stack.npy").read_bytes()
+
+        traj = mp.compute_trajectory(grid, basis, beta)
+        want = mp.compute_trajectory(ref, basis, beta)
+        for name in ("f_neq", "d_rel", "p_classical", "c_coherence", "t1", "pi"):
+            assert np.array_equal(getattr(traj, name), getattr(want, name)), name
+        assert not traj.c_coherence.any()
+        # L1 sums the d populations, not the d * d entries of the stack: the same bits up to
+        # d = 3, where numpy's pairwise sum adds the diagonal in order, else within 2 ulps
+        if d <= 3:
+            assert np.array_equal(traj.l1, want.l1)
+        else:
+            assert np.all(np.abs(traj.l1 - want.l1) <= 2 * np.spacing(np.maximum(traj.l1, want.l1)))
+        tau_p = mp.thermal_populations(basis, beta)
+        assert np.array_equal(traj.l1, [float(np.abs(p - tau_p).sum()) for p in pops])
+
+    def test_a_diagonal_start_builds_no_stack_and_calls_no_eigvalsh_stack(self, tfim5_case, monkeypatch):
+        model, _, spec, rho = tfim5_case
+        basis = model.basis()
+        rho, _ = mp.exact_transform(rho, basis)
+        times = np.linspace(0.0, 14.0, 281)
+        calls = []
+        for module in (mp.spectral, mp.thermo):
+            monkeypatch.setattr(module, "eigvalsh_stack", lambda stack: calls.append(stack.shape))
+        tracemalloc.start()
+        try:
+            grid = mp.evolve_spectral(spec, rho, times)
+            mp.compute_trajectory(grid, basis, model.bath.beta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        # one (T, d, d) complex stack is 4.6 MB; the populations and their temporaries stay far below
+        assert peak < times.size * basis.dim ** 2 * 16 / 4
+
+
+class TestPopulationGridErrors:
+    """A population grid fails where the stack it replaces failed: at the first failing
+    time point, with the same exception and message."""
+
+    FAULTS = {
+        "nan": (ValidationError, "state is not Hermitian (defect nan)"),
+        "inf": (ValidationError, "state is not Hermitian (defect nan)"),
+        "negative": (ValidationError, "state has negative eigenvalue -2.00e-08"),
+        "trace": (ValidationError, "state trace is 1.000000001+0j, expected 1"),
+    }
+
+    @staticmethod
+    def _spoil(p, fault):
+        p = p.copy()
+        if fault == "nan":
+            p[1] = np.nan
+        elif fault == "inf":
+            p[1] = np.inf
+        elif fault == "negative":  # the trace stays 1 within rounding
+            p[0] += p[-1] + 2 * EVOLUTION_PSD_TOL
+            p[-1] = -2 * EVOLUTION_PSD_TOL
+        else:
+            p *= 1.0 + 1e-9
+        return p
+
+    @staticmethod
+    def _first_error(run):
+        with pytest.raises((RuntimeError, ValidationError)) as info:
+            run()
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("faults", [
+        ("nan",), ("inf",), ("negative",), ("trace",),
+        ("negative", "nan"), ("nan", "trace"), ("trace", "negative"), ("inf", "negative"),
+    ], ids="-".join)
+    @pytest.mark.parametrize("system", ["qubit", "tfim3"])
+    def test_first_failing_point_raises_as_the_stack_did(self, faults, system, qubit_model, tfim3_model,
+                                                          monkeypatch):
+        # faults in the second chunk of the stack's grid: the earliest one decides.  At d = 8
+        # LAPACK fails to converge on a non-finite diagonal (LinAlgError); such a row keeps
+        # its sort, so the checks name the defect at every d
+        model = qubit_model if system == "qubit" else tfim3_model
+        basis = model.basis()
+        spec = mp.decompose(mp.build_generator(model))
+        d, chunk = basis.dim, chunk_points(basis.dim)
+        times = np.linspace(0.0, 6.0, chunk + 9)
+        rho, _ = mp.exact_transform(mp.random_mixed_state(d, min(d, 4), seed=11), basis)
+        p0 = np.real(np.diag(basis.to_eigenbasis(rho.entries)))
+        pops = np.array(list(_propagate(np.asarray(spec._generator.pop_block, dtype=float), p0, times)))
+        for j, fault in zip((chunk + 1, chunk + 4), faults):
+            pops[j] = self._spoil(pops[j], fault)
+
+        def diagonal_chunk(s, out):  # the block chunk of a diagonal state before it kept vectors
+            out[:, np.arange(d), np.arange(d)] = pops[s]
+
+        monkeypatch.setattr(mp.spectral, "_propagate", lambda *_: iter(pops))
+        got = self._first_error(lambda: mp.evolve_spectral(spec, rho, times))
+        assert got == self._first_error(lambda: _package_states(times, diagonal_chunk, basis))
+        assert got == self.FAULTS[faults[0]]
 
 
 class TestPropagate:

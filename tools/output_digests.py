@@ -17,7 +17,7 @@ directory beside each ``digests.json``) with the same header and row count,
 it reports the columns that differ, how many rows differ, and per column the
 largest absolute difference and, beside it, that difference relative to the
 column's largest magnitude (on a column of rounding noise only the absolute
-one is small).  Under each changed ``.txt`` key whose file both sides kept, it
+one is small) and the largest difference in ulps of a row's larger value.  Under each changed ``.txt`` key whose file both sides kept, it
 prints the lines that differ, A's prefixed ``-`` and B's ``+``.  Standard
 library only.
 """
@@ -81,7 +81,9 @@ def csv_changes(path_a: Path, path_b: Path) -> list[str] | None:
     ``None`` when the files cannot be compared cell by cell (different header,
     row count or row length).  A column's change is the largest |a - b| over its
     rows and, beside it, that change divided by the largest |value| on either
-    side; it is left out when a cell is not a number.
+    side and the largest |a - b| / ulp(max(|a|, |b|)) of a row, the re-rounding
+    in units in the last place (over finite rows only); it is left out when a
+    cell is not a number.
     """
     with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
         rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
@@ -103,8 +105,15 @@ def csv_changes(path_a: Path, path_b: Path) -> list[str] | None:
             scale = max(max(abs(x), abs(y)) for x, y, _ in values)
             worst = max(abs(x - y) for x, y, differs in values if differs)
             line += f", largest change {worst:.3g}"
+            notes = []
             if scale > 0 and math.isfinite(scale):
-                line += f" ({worst / scale:.3g} of max |{name}|)"
+                notes.append(f"{worst / scale:.3g} of max |{name}|")
+            ulps = [abs(x - y) / math.ulp(max(abs(x), abs(y))) for x, y, differs in values
+                    if differs and math.isfinite(x) and math.isfinite(y)]
+            if ulps:
+                notes.append(f"{max(ulps):.3g} ulp")
+            if notes:
+                line += f" ({'; '.join(notes)})"
         lines.append(line)
     return lines
 
