@@ -15,6 +15,11 @@ eigenbasis becomes exponentially ill-conditioned.  One routine,
 :meth:`GeneratorSpectrum.amplitudes`, turns a state into mode amplitudes for
 both representations; every other caller (the transform's overlap check, the
 annealers' costs) goes through it.
+
+Both decompositions run on numpy's LAPACK (``geev`` for the dense form,
+``syevd`` for the symmetrized population block).  scipy is imported only by
+:func:`_propagate`, for the ``expm`` of the population semigroup, so
+importing the package and decomposing a generator never load it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .davies import DaviesGenerator, coherence_indices
 from .errors import (
@@ -392,7 +396,10 @@ def _decompose_dense(gen: DaviesGenerator):
         positions = np.flatnonzero(np.equal.outer(gen.sector_labels, gen.sector_labels))
         matrix = matrix[np.ix_(positions, positions)]
 
-    eigvals, vr = scipy.linalg.eig(matrix)
+    # LAPACK geev, the driver scipy.linalg.eig ran, with its bits; numpy returns a real
+    # matrix with a real spectrum as real arrays, and every mode here is complex
+    eigvals, vr = np.linalg.eig(matrix)
+    eigvals, vr = eigvals.astype(complex), vr.astype(complex)
     cond = np.linalg.cond(vr)
     if not np.isfinite(cond) or cond > DEFECTIVE_COND:
         raise DefectiveGeneratorError(
@@ -446,7 +453,13 @@ def _decompose_block(gen: DaviesGenerator):
     sqrt_p = np.exp(0.5 * log_gibbs_weights(basis.energies, gen.bath.beta))
     sym = np.sqrt(gp * gp.T)
     np.fill_diagonal(sym, np.diag(gp))
-    w, u = scipy.linalg.eigh(sym)
+    # LAPACK syevd.  scipy.linalg.eigh's default driver, syevr, rounds the d
+    # population eigenvalues differently, by at most 3.9e-14 on the shipped block
+    # spectra, with the same mode order; no numpy call gives its bits.  A mode's
+    # u may also come out negated (its right and left together, so every
+    # r_k Tr(l_k rho) and |Tr(l_k rho)| keeps its value); past the sign, u moves
+    # by at most 1.8e-14
+    w, u = np.linalg.eigh(sym)
     pop_vals = w.astype(complex)
     pop_rights = u * sqrt_p[:, None]
     pop_lefts = u / sqrt_p[:, None]
@@ -602,8 +615,14 @@ def _propagate(generator: np.ndarray, vec: np.ndarray, times: np.ndarray):
     Steps from one grid point to the next, reusing the propagator
     (scipy.linalg.expm) of each distinct step length rounded to 15 decimals.
     Each exact step length is rounded once: ``round`` on a numpy scalar
-    costs more than the step itself at small d.
+    costs more than the step itself at small d.  scipy is imported here, at
+    the first evolution that steps (block ``evolve_spectral``,
+    ``evolve_direct``), and nowhere else in the package: loading it about
+    doubles a process's start-up time and memory, which a decomposition, a
+    transform or an annealer need not pay.
     """
+    import scipy.linalg  # expm is looked up per call, so a patched one is seen
+
     propagators: dict[float, np.ndarray] = {}
     keys: dict[float, float] = {}
     prev_t = 0.0

@@ -38,6 +38,39 @@ def tfim3_gen(tfim3_model):
     return mp.build_generator(tfim3_model, dense=True)
 
 
+@pytest.fixture(scope="session")
+def tfim5():
+    model = mp.tfim()
+    spec = mp.decompose(mp.build_generator(model))
+    return model, spec
+
+
+def prepare_overlap(model, spec, target, seed):
+    """Criterion 05's preparation: a unitary Metropolis walk from a fixed random
+    mixed state to a summed |coherence| of ``target`` on the slow pair (modes 2, 3)."""
+    basis = model.basis()
+    pair = [spec.mode_tag(k)[1:] for k in (2, 3)]
+
+    def overlap_cost(rho_lab):
+        rho_e = basis.to_eigenbasis(rho_lab)
+        return abs(sum(abs(rho_e[n, m]) for n, m in pair) - target)
+
+    cfg = mp.MetropolisConfig(
+        cooling_tau=0.999, threshold_eps=min(1e-6, 1e-2 * target),
+        target_modes=(2, 3), seed=seed, max_total_iterations=200_000,
+    )
+    prepared, _, trace = mp.unitary_metropolis(spec, mp.random_mixed_state(32, 100, seed=11), cfg,
+                                               cost_fn=overlap_cost)
+    assert trace.converged, f"overlap preparation at {target} did not converge"
+    return prepared
+
+
+@pytest.fixture(scope="session")
+def criterion_05_low_overlap(tfim5):
+    """Criterion 05's low-overlap state (target 0.0005, seed 21), prepared once per session."""
+    return prepare_overlap(*tfim5, 0.0005, 21)
+
+
 def max_entry_gap(a, b):
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 

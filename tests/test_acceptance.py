@@ -15,7 +15,7 @@ import pytest
 import mpemba as mp
 from mpemba.davies import build_dense_generator, build_jump_matrix
 
-from conftest import DEMO_BLOCH, QUBIT_GAMMA_TOTAL
+from conftest import DEMO_BLOCH, QUBIT_GAMMA_TOTAL, prepare_overlap
 
 
 def _report(criterion, description, ok, detail=""):
@@ -31,13 +31,6 @@ def _zoo():
         mp.two_level_atom(),
         mp.quantum_dot(energy_resolved=True),
     ]
-
-
-@pytest.fixture(scope="module")
-def tfim5():
-    model = mp.tfim()
-    spec = mp.decompose(mp.build_generator(model))
-    return model, spec
 
 
 def test_criterion_01_fixed_point():
@@ -132,7 +125,7 @@ def test_criterion_04_single_qubit_demo(qubit_model, qubit_spec):
             f"{elapsed:.1f}s)")
 
 
-def test_criterion_05_spin_chain_demo(tfim5):
+def test_criterion_05_spin_chain_demo(tfim5, criterion_05_low_overlap):
     """Many-qubit experiment: post-transform rate and overlap-ordered crossings."""
     start = time.perf_counter()
     model, spec = tfim5
@@ -156,28 +149,13 @@ def test_criterion_05_spin_chain_demo(tfim5):
     ok_rate = abs(fitted - pop_rate) <= 0.10 * abs(pop_rate)
 
     # (ii) two prepared states with slow-pair overlaps ~40x apart cross at
-    # times ~2x apart (stochastic preparation, +-30% band on the ratio)
-    base = mp.random_mixed_state(32, 100, seed=11)
-    pair = [(spec.mode_tag(k)[1], spec.mode_tag(k)[2]) for k in (2, 3)]
-
-    def prepare(target, seed):
-        def overlap_cost(rho_lab):
-            rho_e = basis.to_eigenbasis(rho_lab)
-            return abs(sum(abs(rho_e[n, m]) for n, m in pair) - target)
-
-        cfg = mp.MetropolisConfig(
-            cooling_tau=0.999, threshold_eps=min(1e-6, 1e-2 * target),
-            target_modes=(2, 3), seed=seed, max_total_iterations=200_000,
-        )
-        prepared, _, trace = mp.unitary_metropolis(spec, base, cfg, cost_fn=overlap_cost)
-        assert trace.converged, f"overlap preparation at {target} did not converge"
-        return prepared
-
+    # times ~2x apart (stochastic preparation, +-30% band on the ratio); the
+    # low one is the session's criterion_05_low_overlap
+    prepared = {"low": criterion_05_low_overlap, "high": prepare_overlap(model, spec, 0.02, 4)}
     crossings = {}
-    for label, target, seed in (("low", 0.0005, 21), ("high", 0.02, 4)):
-        prepared = prepare(target, seed)
-        transformed, _ = mp.exact_transform(prepared, basis)
-        traj_a = mp.compute_trajectory(mp.evolve_spectral(spec, prepared, times), basis, beta)
+    for label, state in prepared.items():
+        transformed, _ = mp.exact_transform(state, basis)
+        traj_a = mp.compute_trajectory(mp.evolve_spectral(spec, state, times), basis, beta)
         traj_b = mp.compute_trajectory(mp.evolve_spectral(spec, transformed, times), basis, beta)
         crossings[label] = mp.detect_crossing(traj_a, traj_b)
     ok_cross = crossings["low"] is not None and crossings["high"] is not None

@@ -345,6 +345,34 @@ def test_readme_python_blocks_run():
         exec(compile(block, "README.md", "exec"), {})
 
 
+def test_scipy_loads_at_the_first_evolution_only(tmp_path):
+    """Importing the package, both decompositions and the spectrum and metropolis
+    subcommands load no scipy; a block evolution, whose population step is
+    scipy's expm, loads it."""
+    script = """
+import sys
+import mpemba as mp
+import mpemba.cli
+
+out, spectrum_config, metropolis_config = sys.argv[1:]
+block = mp.decompose(mp.build_generator(mp.tfim()))
+mp.decompose(mp.build_generator(mp.single_qubit(), dense=True), prefer="dense")
+assert mpemba.cli.main(["spectrum", "--config", spectrum_config, "--out", out]) == 0
+assert mpemba.cli.main(["metropolis", "--config", metropolis_config, "--out", out]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+mp.evolve_spectral(block, mp.random_mixed_state(32, 10, seed=1), [0.0, 1.0])
+assert "scipy.linalg" in sys.modules
+"""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path),
+         str(CONFIGS / "spectrum_tfim5.json"), str(CONFIGS / "metropolis_swap.json")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_module_entry_point(tmp_path):
     """``python -m mpemba`` runs the CLI and exits with its code."""
     paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]

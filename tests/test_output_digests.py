@@ -48,12 +48,24 @@ class TestCsvChanges:
         assert lines == ["2 of 3 rows differ",
                          "column L1: 2 rows differ, largest change 1.78e-15 (2.54e-16 of max |L1|; 3 ulp)"]
 
-    def test_a_column_without_a_scale_shows_only_its_absolute_change(self, tmp_path):
+    def test_a_change_to_or_from_a_non_finite_value_is_counted_apart(self, tmp_path):
         lines = output_digests.csv_changes(
             _write(tmp_path / "a.csv", ["0,inf\n"], header="t,D\n"),
             _write(tmp_path / "b.csv", ["0,1\n"], header="t,D\n"),
         )
-        assert lines == ["1 of 1 rows differ", "column D: 1 rows differ, largest change inf"]
+        assert lines == ["1 of 1 rows differ", "column D: 1 rows differ, 1 to or from a non-finite value"]
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_a_nan_hides_no_change_in_either_row_order(self, tmp_path, order):
+        # rows 1 -> 2 and nan -> 1: the finite row gives every number, the NaN row is counted
+        rows_a, rows_b = ["0,1\n", "1,nan\n"][::order], ["0,2\n", "1,1\n"][::order]
+        lines = output_digests.csv_changes(
+            _write(tmp_path / "a.csv", rows_a, header="t,D\n"),
+            _write(tmp_path / "b.csv", rows_b, header="t,D\n"),
+        )
+        assert lines == ["2 of 2 rows differ",
+                         "column D: 2 rows differ, largest change 1 (0.5 of max |D|; 2.25e+15 ulp), "
+                         "1 to or from a non-finite value"]
 
     def test_identical_files_report_no_column(self, tmp_path):
         a = _write(tmp_path / "a.csv", ROWS_A)
@@ -84,6 +96,55 @@ class TestCsvChanges:
             "    column Pi: 2 rows differ, largest change 2.22e-16 (1.11e-16 of max |Pi|; 1 ulp)",
         ]
         assert err == "1 changed of 2 keys\n"
+
+
+class TestTsvChanges:
+    """A ``.tsv`` file is a tab-delimited table under ``#`` comment lines, such as spectrum.tsv."""
+
+    COMMENT_A = "# model=tfim gap=0.5 classification=complex-pair\n"
+    COMMENT_B = "# model=tfim gap=0.50000000000000011 classification=complex-pair\n"
+    HEADER = "k\tre\tim\tgap\n"
+    ROWS_A = ["1\t0\t0\t0\n", "2\t-0.5\t1.5\t1\n", "3\t-2\t0\t0\n"]
+    ROWS_B = ["1\t0\t0\t0\n", "2\t-0.50000000000000011\t1.5\t1\n", "3\t-2.0000000000000004\t0\t0\n"]
+
+    def test_reports_changed_comments_then_columns(self, tmp_path):
+        lines = output_digests.csv_changes(
+            _write(tmp_path / "a.tsv", self.ROWS_A, header=self.COMMENT_A + self.HEADER),
+            _write(tmp_path / "b.tsv", self.ROWS_B, header=self.COMMENT_B + self.HEADER),
+            delimiter="\t",
+        )
+        # largest |a - b| is 4.4e-16 (at re = -2, 1 ulp), but -0.5 moves 1 ulp of 0.5 too
+        assert lines == [
+            "-" + self.COMMENT_A.rstrip("\n"),
+            "+" + self.COMMENT_B.rstrip("\n"),
+            "2 of 3 rows differ",
+            "column re: 2 rows differ, largest change 4.44e-16 (2.22e-16 of max |re|; 1 ulp)",
+        ]
+
+    def test_unchanged_comments_print_nothing(self, tmp_path):
+        header = self.COMMENT_A + self.HEADER
+        lines = output_digests.csv_changes(
+            _write(tmp_path / "a.tsv", self.ROWS_A, header=header),
+            _write(tmp_path / "b.tsv", self.ROWS_B, header=header),
+            delimiter="\t",
+        )
+        assert lines[0] == "2 of 3 rows differ"
+
+    def test_compare_reports_beside_each_changed_tsv_key(self, tmp_path, capsys):
+        key = "spectrum_tfim5/spectrum/spectrum.tsv"
+        sides = []
+        for side, rows in (("A", self.ROWS_A), ("B", self.ROWS_B)):
+            _write(tmp_path / side / "runs" / key, rows, header=self.COMMENT_A + self.HEADER)
+            sides.append(tmp_path / side / "digests.json")
+            sides[-1].write_text(json.dumps({key: side}))
+        assert output_digests.main(["--compare", *map(str, sides)]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            key,
+            "    2 of 3 rows differ",
+            "    column re: 2 rows differ, largest change 4.44e-16 (2.22e-16 of max |re|; 1 ulp)",
+        ]
+        assert err == "1 changed of 1 keys\n"
 
 
 class TestTextChanges:

@@ -89,6 +89,20 @@ class TestDecompose:
         )
         assert _mode_order(eigvals, digests) == reference
 
+    def test_real_dense_generator_decomposes_into_complex_modes(self, qubit_model):
+        # numpy gives a real matrix's real spectrum as real arrays; scipy gave complex ones, as here
+        g = np.array([[-1.0, 0, 0, 2], [0, -1, 0, 0], [0, 0, -1, 0], [1, 0, 0, -2]])
+        spec = mp.decompose(mp.DaviesGenerator(basis=qubit_model.basis(), dense=g))
+        assert spec.eigenvalues.dtype == complex
+        np.testing.assert_allclose(spec.eigenvalues, [0, -1, -1, -3], rtol=0, atol=1e-12)
+        for k in range(1, spec.n_modes + 1):
+            assert spec.right(k).dtype == complex and spec.left(k).dtype == complex
+        as_complex = mp.decompose(mp.DaviesGenerator(basis=qubit_model.basis(), dense=g.astype(complex)))
+        np.testing.assert_allclose(spec.eigenvalues, as_complex.eigenvalues, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spec.steady_state.entries, np.diag([1 / 3, 2 / 3]), rtol=0, atol=1e-12)
+        with pytest.raises(NoSteadyStateError, match=r"closest: -1\.000e\+00\+0\.000e\+00j"):
+            mp.decompose(mp.DaviesGenerator(basis=qubit_model.basis(), dense=-np.eye(4)))
+
     def test_defective_matrix_rejected(self, qubit_model):
         g = np.zeros((4, 4), dtype=complex)
         g[0, 1] = 1.0  # Jordan block: eigenvector matrix singular

@@ -667,21 +667,11 @@ class TestEnergyDiagonalEntry:
     @pytest.mark.parametrize(
         "start", ["random_mixed", "criterion_05_low_overlap", "one_coherence_at_10x_the_bound"]
     )
-    def test_other_starts_keep_every_coherence(self, tfim5_case, start, monkeypatch):
+    def test_other_starts_keep_every_coherence(self, tfim5_case, start, monkeypatch, request):
         model, gen, spec, rho = tfim5_case
         basis = model.basis()
-        if start == "criterion_05_low_overlap":  # criterion 05's low-overlap preparation
-            pair = [spec.mode_tag(k)[1:] for k in (2, 3)]
-
-            def overlap_cost(rho_lab):
-                rho_e = basis.to_eigenbasis(rho_lab)
-                return abs(sum(abs(rho_e[n, m]) for n, m in pair) - 0.0005)
-
-            cfg = mp.MetropolisConfig(cooling_tau=0.999, threshold_eps=1e-6, target_modes=(2, 3),
-                                      seed=21, max_total_iterations=200_000)
-            rho, _, trace = mp.unitary_metropolis(spec, mp.random_mixed_state(32, 100, seed=11), cfg,
-                                                  cost_fn=overlap_cost)
-            assert trace.converged
+        if start == "criterion_05_low_overlap":  # the same tfim() spectrum as criterion 05's
+            rho = request.getfixturevalue("criterion_05_low_overlap")
         elif start == "one_coherence_at_10x_the_bound":
             rho_e = basis.to_eigenbasis(mp.exact_transform(rho, basis)[0].entries)
             rho_e = np.diag(np.diag(rho_e))

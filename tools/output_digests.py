@@ -12,14 +12,16 @@ The first form writes the runs under ``WORKDIR/runs`` and the digests to
 ``WORKDIR/digests.json``; ``--repo`` runs another checkout's source and
 configs (default: the checkout holding this script).  The second lists the
 keys whose digests differ or exist on one side only, and exits 1 if any do.
-Under each changed ``.csv`` key whose file both sides kept (in the ``runs``
-directory beside each ``digests.json``) with the same header and row count,
-it reports the columns that differ, how many rows differ, and per column the
-largest absolute difference and, beside it, that difference relative to the
-column's largest magnitude (on a column of rounding noise only the absolute
-one is small) and the largest difference in ulps of a row's larger value.  Under each changed ``.txt`` key whose file both sides kept, it
-prints the lines that differ, A's prefixed ``-`` and B's ``+``.  Standard
-library only.
+Under each changed ``.csv`` or ``.tsv`` key whose file both sides kept (in the
+``runs`` directory beside each ``digests.json``) with the same header and row
+count, it prints the ``#`` comment lines that differ, A's prefixed ``-`` and
+B's ``+``, then reports the columns that differ, how many rows differ, and per
+column the largest absolute difference and, beside it, that difference relative
+to the column's largest magnitude (on a column of rounding noise only the
+absolute one is small) and the largest difference in ulps of a row's larger
+value, all over rows finite on both sides, and how many cells changed to or
+from a non-finite value.  Under each changed ``.txt`` key whose file both sides
+kept, it prints the lines that differ.  Standard library only.
 """
 
 from __future__ import annotations
@@ -75,25 +77,34 @@ def _number(cell: str) -> float | None:
         return None
 
 
-def csv_changes(path_a: Path, path_b: Path) -> list[str] | None:
-    """What differs between two CSV files, one line per changed column plus a row count.
+def csv_changes(path_a: Path, path_b: Path, delimiter: str = ",") -> list[str] | None:
+    """What differs between two delimited files, one line per changed column plus a row count.
 
-    ``None`` when the files cannot be compared cell by cell (different header,
+    Lines starting with ``#`` are comments: those that differ come first, as
+    :func:`text_changes` gives them, and the rest is compared as a table.
+    ``None`` when the tables cannot be compared cell by cell (different header,
     row count or row length).  A column's change is the largest |a - b| over its
     rows and, beside it, that change divided by the largest |value| on either
     side and the largest |a - b| / ulp(max(|a|, |b|)) of a row, the re-rounding
-    in units in the last place (over finite rows only); it is left out when a
-    cell is not a number.
+    in units in the last place.  All three read only the rows where both cells
+    are finite, so a NaN cannot hide a change whatever the row order; the cells
+    that changed to or from a non-finite value are counted apart.  The numbers
+    are left out when a cell is not a number.
     """
-    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
-        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    comments, tables = [], []
+    for path in (path_a, path_b):
+        lines = Path(path).read_text().splitlines()
+        comments.append([line for line in lines if line.startswith("#")])
+        tables.append(list(csv.reader((line for line in lines if not line.startswith("#")),
+                                      delimiter=delimiter)))
+    rows_a, rows_b = tables
     if not rows_a or rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
         return None
     if any(len(row) != len(rows_a[0]) for row in rows_a + rows_b):
         return None
     body_a, body_b = rows_a[1:], rows_b[1:]
     changed_rows = sum(ra != rb for ra, rb in zip(body_a, body_b))
-    lines = [f"{changed_rows} of {len(body_a)} rows differ"]
+    lines = _line_diff(*comments) + [f"{changed_rows} of {len(body_a)} rows differ"]
     for j, name in enumerate(rows_a[0]):
         pairs = [(ra[j], rb[j]) for ra, rb in zip(body_a, body_b)]
         n_changed = sum(x != y for x, y in pairs)
@@ -102,29 +113,29 @@ def csv_changes(path_a: Path, path_b: Path) -> list[str] | None:
         line = f"column {name}: {n_changed} rows differ"
         values = [(_number(x), _number(y), x != y) for x, y in pairs]
         if all(x is not None and y is not None for x, y, _ in values):
-            scale = max(max(abs(x), abs(y)) for x, y, _ in values)
-            worst = max(abs(x - y) for x, y, differs in values if differs)
-            line += f", largest change {worst:.3g}"
-            notes = []
-            if scale > 0 and math.isfinite(scale):
-                notes.append(f"{worst / scale:.3g} of max |{name}|")
-            ulps = [abs(x - y) / math.ulp(max(abs(x), abs(y))) for x, y, differs in values
-                    if differs and math.isfinite(x) and math.isfinite(y)]
-            if ulps:
-                notes.append(f"{max(ulps):.3g} ulp")
-            if notes:
-                line += f" ({'; '.join(notes)})"
+            finite = [(x, y, differs) for x, y, differs in values if math.isfinite(x) and math.isfinite(y)]
+            moved = [(x, y) for x, y, differs in finite if differs]
+            if moved:
+                scale = max(max(abs(x), abs(y)) for x, y, _ in finite)
+                worst = max(abs(x - y) for x, y in moved)
+                ulps = max(abs(x - y) / math.ulp(max(abs(x), abs(y))) for x, y in moved)
+                line += f", largest change {worst:.3g} ({worst / scale:.3g} of max |{name}|; {ulps:.3g} ulp)"
+            if len(moved) < n_changed:
+                line += f", {n_changed - len(moved)} to or from a non-finite value"
         lines.append(line)
     return lines
 
 
-def text_changes(path_a: Path, path_b: Path) -> list[str]:
-    """The lines that differ between two text files, one run of them at a time
-    in file order: A's as ``-line``, then B's as ``+line``."""
-    lines_a, lines_b = (p.read_text().splitlines() for p in (path_a, path_b))
+def _line_diff(lines_a: list[str], lines_b: list[str]) -> list[str]:
+    """The lines that differ, one run of them at a time in order: A's as ``-line``, then B's as ``+line``."""
     # past the two file-name lines, every line is a changed one or an @@ range
     diff = list(difflib.unified_diff(lines_a, lines_b, lineterm="", n=0))[2:]
     return [line for line in diff if not line.startswith("@@")]
+
+
+def text_changes(path_a: Path, path_b: Path) -> list[str]:
+    """The lines that differ between two text files (:func:`_line_diff`)."""
+    return _line_diff(*(p.read_text().splitlines() for p in (path_a, path_b)))
 
 
 def main(argv=None) -> int:
@@ -144,8 +155,9 @@ def main(argv=None) -> int:
             file_a, file_b = runs_a / key, runs_b / key
             if not (file_a.is_file() and file_b.is_file()):
                 continue
-            if key.endswith(".csv"):
-                lines = csv_changes(file_a, file_b) or ["header or row count differs"]
+            if key.endswith((".csv", ".tsv")):
+                delimiter = "\t" if key.endswith(".tsv") else ","
+                lines = csv_changes(file_a, file_b, delimiter) or ["header or row count differs"]
             elif key.endswith(".txt"):
                 lines = text_changes(file_a, file_b)
             else:
