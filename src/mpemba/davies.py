@@ -3,8 +3,10 @@
 A Davies generator thermalizes a system toward the Gibbs state of its
 Hamiltonian.  For a non-degenerate Hamiltonian it splits into a classical
 rate matrix acting on the energy-level populations plus an uncoupled,
-diagonal action on each coherence.  Both forms are built here, and either
-can be cross-checked against the other.
+diagonal action on each coherence: |n><m| decays with eigenvalue
+c_n + conj(c_m), read from one d-vector c
+(:attr:`DaviesGenerator.coherence_rates`).  Both forms are built here, and
+either can be cross-checked against the other.
 
 Rate convention (documented because literature varies): jump amplitudes are
 ``alpha = gamma * sqrt(w)``, so transition *rates* scale as ``gamma**2 * w``.
@@ -183,7 +185,7 @@ class DaviesGenerator:
     ``pop_block``, the classical rate matrix on the populations, is the fast
     block representation, available only for non-degenerate Hamiltonians;
     with ``basis`` and ``bath`` it sets the whole block form, coherences
-    included (:attr:`coh_block`).  ``dense`` is the full d^2 x d^2
+    included (:attr:`coherence_rates`).  ``dense`` is the full d^2 x d^2
     superoperator.  Both live in the energy eigenbasis recorded in
     ``basis``.  ``sector_labels`` optionally marks a conserved charge per
     level (e.g. fermion parity) of a dense form; eigenmodes connecting
@@ -243,26 +245,19 @@ class DaviesGenerator:
         return self.basis.dim
 
     @property
-    def coh_block(self) -> np.ndarray | None:
-        """Read-only d x d matrix whose entry [n, m], n != m, is the eigenvalue of |n><m|.
+    def coherence_rates(self) -> np.ndarray | None:
+        """Read-only d-vector c, c_n = pop_block[n, n] / 2 - i h_n; ``None`` without a block form.
 
-        c_n + conj(c_m) with c_n = pop_block[n, n] / 2 - i h_n, that is
-        -(escape_n + escape_m)/2 - i(h_n - h_m); the diagonal, which belongs
-        to the populations, is zero.  Positions in the vectorized generator
-        follow the package's row-major convention; the test suite checks
-        them against :func:`build_dense_generator`.  ``None`` without a
-        block form.
+        The coherence |n><m|, n != m, is an eigenmatrix of the block form with
+        eigenvalue c_n + conj(c_m) = -(escape_n + escape_m)/2 - i(h_n - h_m): every
+        reader of the coherence sector forms it from this one vector.  The test
+        suite checks the positions against :func:`build_dense_generator`.
         """
         if self.pop_block is None:
             return None
-        escape = -np.diag(self.pop_block)
-        energies = self.basis.energies
-        block = np.empty((self.dim, self.dim), dtype=complex)
-        block.real = -0.5 * (escape[:, None] + escape[None, :])
-        block.imag = -(energies[:, None] - energies[None, :])
-        np.fill_diagonal(block, 0.0)
-        block.setflags(write=False)
-        return block
+        c = 0.5 * np.diag(self.pop_block) - 1j * self.basis.energies
+        c.setflags(write=False)
+        return c
 
     @property
     def has_block(self) -> bool:
@@ -323,7 +318,9 @@ def verify_block_dense_spectrum(gen: DaviesGenerator) -> float:
     if not (gen.has_block and gen.has_dense):
         raise ValidationError("need both block and dense representations to compare")
     pop = np.linalg.eigvals(gen.pop_block).astype(complex)
-    block = np.concatenate([pop, gen.coh_block[coherence_indices(gen.dim)]])
+    c = gen.coherence_rates
+    n, m = coherence_indices(gen.dim)
+    block = np.concatenate([pop, c[n] + c[m].conj()])
     dense = np.linalg.eigvals(gen.dense)
     return eigenvalue_multiset_distance(block, dense)
 

@@ -70,7 +70,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import DensityMatrix, as_populations, as_state
-from .spectral import GeneratorSpectrum
+from .spectral import GeneratorSpectrum, _as_mode_index
 from .utils import SIGMA_Z, kron_chain, write_csv
 
 _PERMS4 = tuple(p for p in permutations(range(4)) if p != (0, 1, 2, 3))
@@ -84,7 +84,9 @@ _SWAP_BATCH = 256
 class AnnealSchedule:
     """What the shared Metropolis walk reads: cooling, stop rule, targets and seed.
 
-    Every field after ``threshold_eps`` is keyword-only.
+    Every field after ``threshold_eps`` is keyword-only.  ``target_modes`` are
+    1-based mode indices k >= 2, each a Python or numpy integer: a float is refused,
+    not truncated.
     """
 
     cooling_tau: float
@@ -101,7 +103,7 @@ class AnnealSchedule:
             raise ValidationError("threshold_eps must be positive")
         if self.max_total_iterations < 1:
             raise ValidationError("max_total_iterations must be a positive integer")
-        object.__setattr__(self, "target_modes", tuple(int(k) for k in self.target_modes))
+        object.__setattr__(self, "target_modes", tuple(_as_mode_index(k) for k in self.target_modes))
         for k in self.target_modes:
             if k < 2:
                 raise ValidationError("target modes are 1-based decaying modes (k >= 2)")

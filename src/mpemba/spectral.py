@@ -41,7 +41,6 @@ from .utils import (
     chunk_slices,
     diagonal_stack,
     eigvalsh_diagonal,
-    eigvalsh_stack,
     frozen,
     herm_defect,
     hermitize,
@@ -65,9 +64,9 @@ def chunk_points(d: int) -> int:
     The one chunk rule of the evolutions here and of
     ``thermo.compute_trajectory``: 4096 matrix entries per (n, d, d) stack
     (64 KiB of complex128), but at least 16 points, so 1024 points at d=2,
-    64 at d=8 and 16 for every d >= 16.  Every batched operation on a stack, ``eigvalsh_stack``
-    too, works per matrix, so the chunk length changes no result; small systems
-    just pay the per-call overhead of numpy fewer times.
+    64 at d=8 and 16 for every d >= 16.  Every batched operation on a stack, LAPACK's
+    ``np.linalg.eigvalsh`` too, works per matrix, so the chunk length changes no result;
+    small systems just pay the per-call overhead of numpy fewer times.
     """
     return max(16, 4096 // (d * d))
 
@@ -95,53 +94,42 @@ class EvolutionGrid:
     """States sampled along an evolution at ascending times (units 1/J).
 
     The grid holds each state in the energy eigenbasis of ``basis``, as the
-    evolution produced and validated it, in one of two forms.  A grid of
-    states with coherences stores the (T, d, d) stack of those matrices as
-    ``eigen_entries``, and its ``populations`` is None.  A grid of states
-    diagonal in the energy basis stores only their (T, d) ``populations``;
-    its ``eigen_entries`` is the zero stack with them on its diagonal, built
-    on each access.  Either holds ``spectra``, the (T, d) ascending
-    eigenvalues of each state, and ``mean_energy``, the (T,) energies
-    Re Tr(H rho) = sum_n E_n p_n.  Every array is read-only, and nothing
-    derived is cached.  No lab-basis stack is kept: ``entries`` rotates
-    ``eigen_entries`` to the lab basis on each access, and ``states`` is a
-    read-only sequence that builds a validated :class:`DensityMatrix` from
-    one rotated matrix on each access (of a population grid it builds only
-    that matrix) and keeps no copies.  A matrix rotated alone equals the
-    same matrix rotated in the stack, so ``states[j]`` holds ``entries[j]``
-    exactly.  Give either ``eigen_entries`` or, with ``eigen_entries=None``,
-    ``populations``.
+    evolution produced and validated it; the shape of ``states`` is its form.
+    A (T, d, d) stack of states with coherences is ``eigen_entries``, and
+    ``populations`` is None.  The (T, d) populations of states diagonal in the
+    energy basis are ``populations``, and ``eigen_entries`` is the zero stack
+    with them on its diagonal, built on each access.  Any other shape raises
+    :class:`ValidationError`.  Both forms hold ``spectra``, the (T, d)
+    ascending eigenvalues of each state, and ``mean_energy``, the (T,)
+    energies Re Tr(H rho) = sum_n E_n p_n.  Every array is read-only, and
+    nothing derived is cached.  No lab-basis stack is kept: ``entries``
+    rotates ``eigen_entries`` to the lab basis on each access, and ``states``
+    is a read-only sequence that builds a validated :class:`DensityMatrix`
+    from one rotated matrix on each access (of a population grid only that
+    matrix).  A matrix rotated alone equals the same matrix rotated in the
+    stack, so ``states[j]`` holds ``entries[j]`` exactly.
     """
 
     times: np.ndarray
     basis: SpectralBasis
     spectra: np.ndarray
     mean_energy: np.ndarray
-    populations: np.ndarray | None
-    _stack: np.ndarray | None
+    _stored: np.ndarray
 
-    def __init__(self, times, basis, eigen_entries, spectra, mean_energy, *, populations=None):
+    def __init__(self, times, basis, states, spectra, mean_energy):
         if not isinstance(basis, SpectralBasis):
             raise ValidationError("an evolution grid needs the SpectralBasis its states are stored in")
-        if (eigen_entries is None) == (populations is None):
-            raise ValidationError("an evolution grid stores either eigen_entries or populations")
         times = as_times(times)
         d = basis.dim
-        if populations is None:
-            label, attr = "eigen_entries", "_stack"
-            stored, shape = np.asarray(eigen_entries, dtype=complex), (d, d)
-        else:
-            label, attr = "populations", "populations"
-            stored, shape = np.asarray(populations, dtype=float), (d,)
+        stored = np.asarray(states)
         spectra = np.asarray(spectra, dtype=float)
         mean_energy = np.asarray(mean_energy, dtype=float)
-        if (stored.shape != times.shape + shape or spectra.shape != times.shape + (d,)
-                or mean_energy.shape != times.shape):
-            raise ValidationError(f"times, {label}, spectra and mean_energy have inconsistent shapes")
+        if (stored.shape not in (times.shape + (d,), times.shape + (d, d))
+                or spectra.shape != times.shape + (d,) or mean_energy.shape != times.shape):
+            raise ValidationError("times, states, spectra and mean_energy have inconsistent shapes")
+        stored = np.asarray(stored, dtype=float if stored.ndim == 2 else complex)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "populations", None)
-        object.__setattr__(self, "_stack", None)
-        for name, value in (("times", times), (attr, stored),
+        for name, value in (("times", times), ("_stored", stored),
                             ("spectra", spectra), ("mean_energy", mean_energy)):
             # an array that owns its data and is read-only already is kept:
             # copying the stack would double the grid's memory while it is built
@@ -153,11 +141,16 @@ class EvolutionGrid:
         return self.times.size
 
     @property
+    def populations(self) -> np.ndarray | None:
+        """The stored (T, d) populations of a grid of diagonal states; None for a stack."""
+        return self._stored if self._stored.ndim == 2 else None
+
+    @property
     def eigen_entries(self) -> np.ndarray:
         """The (T, d, d) energy-basis states: the stored stack, or the populations on a zero stack."""
-        if self._stack is not None:
-            return self._stack
-        out = diagonal_stack(self.populations)
+        if self._stored.ndim == 3:
+            return self._stored
+        out = diagonal_stack(self._stored)
         out.setflags(write=False)
         return out
 
@@ -186,10 +179,9 @@ class _States(Sequence):
         if isinstance(index, slice):
             return tuple(self[j] for j in range(*index.indices(len(self))))
         grid = self._grid
-        if grid.populations is None:
-            matrix = grid.eigen_entries[index]
-        else:
-            matrix = diagonal_stack(grid.populations[index])
+        matrix = grid._stored[index]
+        if matrix.ndim == 1:  # a population grid's row
+            matrix = diagonal_stack(matrix)
         return DensityMatrix(grid.basis.from_eigenbasis(matrix), psd_tol=EVOLUTION_PSD_TOL)
 
 
@@ -329,7 +321,15 @@ class GeneratorSpectrum:
         return DensityMatrix(self.basis.from_eigenbasis(hermitize(rho_e * mask)))
 
 
-def _check_mode_index(k: int, n_modes: int) -> int:
+def _as_mode_index(k) -> int:
+    """A mode index as an int: a Python or numpy integer; a bool or a float (2.0 too) raises."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValidationError(f"mode index {k!r} is not an integer")
+    return int(k)
+
+
+def _check_mode_index(k, n_modes: int) -> int:
+    k = _as_mode_index(k)
     if not 1 <= k <= n_modes:
         raise ValidationError(f"mode index {k} outside 1..{n_modes}")
     return k - 1
@@ -455,11 +455,12 @@ def _decompose_block(gen: DaviesGenerator):
     np.fill_diagonal(sym, np.diag(gp))
     # LAPACK syevd.  scipy.linalg.eigh's default driver, syevr, rounds the d
     # population eigenvalues differently, by at most 3.9e-14 on the shipped block
-    # spectra, with the same mode order; no numpy call gives its bits.  A mode's
-    # u may also come out negated (its right and left together, so every
-    # r_k Tr(l_k rho) and |Tr(l_k rho)| keeps its value); past the sign, u moves
-    # by at most 1.8e-14
+    # spectra, with the same mode order; no numpy call gives its bits.  The sign of
+    # each u is the driver's choice, so it is fixed as operators.diagonalize fixes
+    # its phases: the largest-magnitude entry is positive.  Negation is exact, so
+    # every r_k Tr(l_k rho) and |Tr(l_k rho)| keeps its bits
     w, u = np.linalg.eigh(sym)
+    u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(d)])
     pop_vals = w.astype(complex)
     pop_rights = u * sqrt_p[:, None]
     pop_lefts = u / sqrt_p[:, None]
@@ -467,7 +468,8 @@ def _decompose_block(gen: DaviesGenerator):
     # the d population modes, then the coherences in row-major order, each
     # with its population column (-1 for a coherence) and its position n*d + m
     n, m = coherence_indices(d)
-    eigvals = np.concatenate([pop_vals, gen.coh_block[n, m]])
+    c = gen.coherence_rates
+    eigvals = np.concatenate([pop_vals, c[n] + c[m].conj()])
     pop_col = np.concatenate([np.arange(d), np.full(n.size, -1)])
     flat = np.concatenate([np.zeros(d, dtype=int), n * d + m])
     order = _mode_order(eigvals)
@@ -525,8 +527,8 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     Block spectra propagate the population sector by its exact semigroup
     (equivalent to the mode sum, but immune to the exponentially large
     expansion coefficients that appear at low temperature) and each
-    coherence |n><m| by k_n conj(k_m), k = exp(c t) with c_n = G_nn / 2 - i E_n
-    and G = ``pop_block`` (Davies 1974), one d-vector per time.  A state diagonal in the
+    coherence |n><m| by k_n conj(k_m), k = exp(c t) with c the generator's
+    ``coherence_rates`` (Davies 1974), one d-vector per time.  A state diagonal in the
     energy basis at entry (:func:`energy_diagonal`) keeps coherences of exactly 0, so its
     grid is its propagated (T, d) populations alone (:func:`_population_grid`): no stack,
     no k, no product and no eigen-solve.  Any other state's chunk is the Hermitian part
@@ -553,7 +555,7 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
             return _population_grid(times, pops, basis)
 
         diag = np.arange(basis.dim)
-        c = 0.5 * np.diag(pop_block) - 1j * basis.energies
+        c = spectrum._generator.coherence_rates
         product = np.empty((0,) + rho_e.shape, dtype=complex)  # grown once, to the first chunk
 
         def block_chunk(s, out):
@@ -664,9 +666,10 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
     matrix must pass the checks of :class:`DensityMatrix` with the positivity
     slack :data:`EVOLUTION_PSD_TOL` (:func:`_check_states`): no rotation is
     made.  The grid keeps that matrix, its eigenvalues as ``spectra``
-    (``eigvalsh_stack``) and Re Tr(H rho) = sum_n E_n p_n, read from its
-    diagonal by :func:`_mean_energy`, as ``mean_energy``.  A state diagonal in
-    the energy basis is kept as its populations instead (:func:`_population_grid`).
+    (``np.linalg.eigvalsh``, one LAPACK solve per matrix) and Re Tr(H rho) =
+    sum_n E_n p_n, read from its diagonal by :func:`_mean_energy`, as
+    ``mean_energy``.  A state diagonal in the energy basis is kept as its
+    populations instead (:func:`_population_grid`).
     """
     d = basis.dim
     eigen_entries = np.zeros((times.size, d, d), dtype=complex)
@@ -675,7 +678,7 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
     for s in chunk_slices(times.size, chunk_points(d)):
         stored = eigen_entries[s]
         pairing = chunk(s, stored)
-        spectra[s] = eigvalsh_stack(stored)
+        spectra[s] = np.linalg.eigvalsh(stored)
         pops = np.real(np.diagonal(stored, axis1=1, axis2=2))
         mean_energy[s] = _mean_energy(pops, basis.energies)
         _check_states(pops.sum(axis=1), spectra[s].min(axis=1), pairing)
@@ -694,7 +697,7 @@ def _population_grid(times: np.ndarray, pops: np.ndarray, basis: SpectralBasis) 
     """
     spectra = eigvalsh_diagonal(pops)
     _check_states(pops.sum(axis=1), spectra.min(axis=1))
-    return EvolutionGrid(times, basis, None, spectra, _mean_energy(pops, basis.energies), populations=pops)
+    return EvolutionGrid(times, basis, pops, spectra, _mean_energy(pops, basis.energies))
 
 
 def _mean_energy(pops: np.ndarray, energies: np.ndarray) -> np.ndarray:

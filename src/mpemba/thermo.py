@@ -34,7 +34,6 @@ from .spectral import EvolutionGrid
 from .utils import (
     chunk_slices,
     eigvalsh_diagonal,
-    eigvalsh_stack,
     frozen,
     log_gibbs_weights,
     write_csv,
@@ -191,16 +190,18 @@ def compute_trajectory(
     """Evaluate all diagnostics for every state of an evolution grid.
 
     Reads what the evolution stored, in the energy basis: F_neq from
-    ``grid.mean_energy`` and S(rho) of ``grid.spectra``, and P, C and the two
-    distances from the states.  A grid of populations (states diagonal in the
-    energy basis) is read as its (T, d) vectors in one pass: rho_e - tau_e is
-    the diagonal p - tau, so L1 = sum_n |p_n - tau_n| and the trace distance is
-    half the sum of |sort(p - tau)| (``eigvalsh_diagonal``), and no stack is
-    built.  A grid of stacks is read in the chunks the evolution used,
+    ``grid.mean_energy`` and S(rho) of ``grid.spectra``, and P and C from the
+    (T, d) populations, in one pass for either form of grid: the stored
+    populations, or the diagonal of the stored stack.  Only the two distances
+    depend on the form.  Of a grid of populations (states diagonal in the
+    energy basis) rho_e - tau_e is the diagonal p - tau, so L1 =
+    sum_n |p_n - tau_n| and the trace distance is half the sum of
+    |sort(p - tau)| (``eigvalsh_diagonal``), and no stack is built.  A grid of
+    stacks is read in the chunks the evolution used,
     :func:`mpemba.spectral.chunk_points` time points at a time (16 for d >= 16,
     more below): L1 sums the entries of rho_e - tau_e, and the trace distance
-    comes from its eigenvalues (``eigvalsh_stack``), the only eigen-solve here.
-    No state is rotated.  ``basis`` gives tau and F_eq and must be the grid's own
+    comes from its eigenvalues (``np.linalg.eigvalsh``), the only eigen-solve
+    here.  No state is rotated.  ``basis`` gives tau and F_eq and must be the grid's own
     basis (the same object, or equal energies and vectors), else :class:`ValidationError`.
     So does a ``beta`` not finite and > 0 (at ``beta = inf``, D off the ground level is inf).
     """
@@ -216,40 +217,31 @@ def compute_trajectory(
     log_tau = log_gibbs_weights(basis.energies, beta)
 
     n = len(grid)
-    f_neq = np.empty(n)
-    p_cl = np.empty(n)
-    c_coh = np.empty(n)
-    l1 = np.empty(n)
-    t1 = np.empty(n)
-
-    def entropies(s, populations):
-        pops = np.clip(populations, 0.0, None)
-        s_rho = _shannon(grid.spectra[s])
-        f_neq[s] = grid.mean_energy[s] - s_rho / beta
-        # D via populations against log-space Gibbs weights: stable at any beta.
-        # The (1, d) @ (d, 1) products round like one dot per state; a 2-D
-        # matrix-vector product does not.
-        xlx = xlogx(pops).sum(axis=1)
-        cross = np.matmul(pops[:, None, :], log_tau[:, None])[:, 0, 0]
-        p_cl[s] = np.maximum(xlx - cross, 0.0)
-        # S(diag rho) summed in ascending order, the order of the spectra: for a state with
-        # no coherence both sums add the same numbers in the same order, so C is exactly 0
-        c_coh[s] = np.maximum(_shannon(np.sort(pops, axis=1)) - s_rho, 0.0)
-
-    if grid.populations is not None:
-        # no coherence: rho_e - tau_e is the diagonal p - tau, read as vectors in one pass
-        deviation = grid.populations - tau_p
-        l1[:] = np.abs(deviation).sum(axis=1)
-        t1[:] = 0.5 * np.abs(eigvalsh_diagonal(deviation)).sum(axis=1)
-        entropies(slice(None), grid.populations)
-    else:
+    populations = grid.populations
+    if populations is None:  # a stack: rho_e - tau_e, a chunk at a time, as the evolution stored it
+        l1, t1 = np.empty(n), np.empty(n)
         tau_e = np.diag(tau_p)
         for s in chunk_slices(n, spectral.chunk_points(basis.dim)):
-            rho_e = grid.eigen_entries[s]
-            deviation = rho_e - tau_e
+            deviation = grid.eigen_entries[s] - tau_e
             l1[s] = np.abs(deviation).sum(axis=(1, 2))
-            t1[s] = 0.5 * np.abs(eigvalsh_stack(deviation)).sum(axis=1)
-            entropies(s, np.real(np.diagonal(rho_e, axis1=1, axis2=2)))
+            t1[s] = 0.5 * np.abs(np.linalg.eigvalsh(deviation)).sum(axis=1)
+        populations = np.real(np.diagonal(grid.eigen_entries, axis1=1, axis2=2))
+    else:  # no coherence: rho_e - tau_e is the diagonal p - tau, read as vectors
+        deviation = populations - tau_p
+        l1 = np.abs(deviation).sum(axis=1)
+        t1 = 0.5 * np.abs(eigvalsh_diagonal(deviation)).sum(axis=1)
+
+    pops = np.clip(populations, 0.0, None)
+    s_rho = _shannon(grid.spectra)
+    f_neq = grid.mean_energy - s_rho / beta
+    # D via populations against log-space Gibbs weights: stable at any beta.
+    # The (1, d) @ (d, 1) products round like one dot per state; a 2-D
+    # matrix-vector product does not.
+    cross = np.matmul(pops[:, None, :], log_tau[:, None])[:, 0, 0]
+    p_cl = np.maximum(xlogx(pops).sum(axis=1) - cross, 0.0)
+    # S(diag rho) summed in ascending order, the order of the spectra: for a state with
+    # no coherence both sums add the same numbers in the same order, so C is exactly 0
+    c_coh = np.maximum(_shannon(np.sort(pops, axis=1)) - s_rho, 0.0)
     pi = spohn_rate(grid.times, f_neq, beta) if n >= 3 else np.empty(0)
     return ThermoTrajectory(
         times=grid.times, f_neq=f_neq, d_rel=p_cl + c_coh, p_classical=p_cl,

@@ -39,25 +39,6 @@ def herm_defect(matrix: np.ndarray):
     return np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-def eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh`` of a (n, d, d) stack, with no solve for one that has no coherence.
-
-    Such a stack gives :func:`eigvalsh_diagonal` of its real diagonal.  The test reads
-    each matrix's first row, then, only if that is all 0, one strided view of every
-    off-diagonal entry: one pass over a diagonal stack, a few entries of any other.  The
-    block evolution hands it no diagonal stack (it keeps a state diagonal in the energy
-    basis as its populations); the dense mode sum does, at d = 2 mostly.
-    """
-    n, d = stack.shape[:2]
-    # the first rows settle a stack with coherences in ~2 us; only a diagonal one is read in full,
-    # through one strided view of its off-diagonal entries: the d after each diagonal entry but the last
-    if not stack[:, 0, 1:].any() and not (
-        stack.reshape(n, d * d)[:, 1:].reshape(n, d - 1, d + 1)[:, :, :d].any()
-    ):
-        return eigvalsh_diagonal(np.diagonal(stack, axis1=1, axis2=2).real)
-    return np.linalg.eigvalsh(stack)
-
-
 def eigvalsh_diagonal(diag: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvalsh`` of the diagonal matrices whose real diagonals are the rows of ``diag``.
 

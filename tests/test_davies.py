@@ -156,10 +156,10 @@ class TestBlockForm:
         assert np.abs(block @ gibbs).max() <= 1e-10
 
     def test_qubit_coherence_entries(self, qubit_gen):
-        block = qubit_gen.coh_block
-        assert block[0, 1] == pytest.approx(-QUBIT_GAMMA_TOTAL / 2 + 5.0j, abs=1e-12)
-        assert block[1, 0] == pytest.approx(-QUBIT_GAMMA_TOTAL / 2 - 5.0j, abs=1e-12)
-        assert np.all(np.diag(block) == 0.0)
+        c = qubit_gen.coherence_rates
+        assert c.shape == (2,)
+        assert c[0] + c[1].conj() == pytest.approx(-QUBIT_GAMMA_TOTAL / 2 + 5.0j, abs=1e-12)
+        assert c[1] + c[0].conj() == pytest.approx(-QUBIT_GAMMA_TOTAL / 2 - 5.0j, abs=1e-12)
 
     @pytest.mark.parametrize("length", [None, 3, 5])
     def test_coherence_block_matches_entrywise_formula(self, length):
@@ -175,11 +175,14 @@ class TestBlockForm:
                     want[n, m] = complex(
                         -0.5 * (escape[n] + escape[m]), -(basis.energies[n] - basis.energies[m])
                     )
-        got = mp.davies_generator(basis, model.bath).coh_block
+        c = mp.davies_generator(basis, model.bath).coherence_rates
+        got = c[:, None] + c[None, :].conj()
+        np.fill_diagonal(got, 0.0)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_conjugate_pairing_and_negative_real_parts(self, tfim3_gen):
-        block = tfim3_gen.coh_block
+        c = tfim3_gen.coherence_rates
+        block = c[:, None] + c[None, :].conj()
         assert np.all(block.real <= 0.0)
         assert np.abs(block.T - block.conj()).max() <= 1e-14
 
@@ -195,7 +198,8 @@ class TestBlockForm:
         d = gen.dim
         n, m = coherence_indices(d)
         rows = n * d + m
-        assert np.array_equal(gen.dense[rows, rows], gen.coh_block[n, m])
+        c = gen.coherence_rates
+        assert np.array_equal(gen.dense[rows, rows], c[n] + c[m].conj())
         off_diagonal = np.array(gen.dense[rows])
         off_diagonal[np.arange(rows.size), rows] = 0.0
         assert not off_diagonal.any()
@@ -278,9 +282,13 @@ class TestGeneratorObject:
         with pytest.raises(ValidationError):
             mp.DaviesGenerator(basis=qubit_model.basis())
 
-    def test_coherence_block_is_frozen(self, qubit_model):
+    def test_coherence_rates_are_frozen(self, qubit_model):
         gen = mp.build_generator(qubit_model)
-        assert not gen.coh_block.flags.writeable
+        c = gen.coherence_rates
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = 0.0
+        assert mp.DaviesGenerator(basis=gen.basis, dense=np.zeros((4, 4))).coherence_rates is None
 
     @pytest.mark.parametrize("defect", ["negated", "one_pair"])
     def test_negative_rate_rejected(self, tfim3_gen, defect):

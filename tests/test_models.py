@@ -35,7 +35,7 @@ class TestTfim:
         assert model.hamiltonian.dim == 32
         gen = mp.build_generator(model)
         assert gen.pop_block.shape == (32, 32)
-        assert gen.coh_block.shape == (32, 32)
+        assert gen.coherence_rates.shape == (32,)
 
     def test_zero_field_is_degenerate(self):
         model = mp.tfim(length=3, h_field=0.0)

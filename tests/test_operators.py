@@ -13,10 +13,8 @@ from mpemba.errors import ConfigError, ValidationError
 from mpemba.operators import require_state
 from mpemba.utils import (
     SIGMA_X,
-    chunk_slices,
     diagonal_stack,
     eigvalsh_diagonal,
-    eigvalsh_stack,
     hermitize,
     kron_chain,
 )
@@ -234,48 +232,6 @@ def _diagonal_stack(d, rng):
     stack = np.zeros((6, d, d), dtype=complex)
     stack[:, np.arange(d), np.arange(d)] = rows
     return stack
-
-
-class TestEigvalshStack:
-    """eigvalsh_stack gives np.linalg.eigvalsh's bits, with no solve for a diagonal stack."""
-
-    @pytest.mark.parametrize("d", [1, 2, 3, 8, 32, 64])
-    def test_diagonal_stack_is_its_sorted_diagonal(self, d, monkeypatch):
-        stack = _diagonal_stack(d, np.random.default_rng(d))
-        want = np.array([np.linalg.eigvalsh(m) for m in stack])
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *_: pytest.fail("an eigen-solve was made"))
-        assert np.array_equal(eigvalsh_stack(stack), want)
-
-    def test_a_matrix_lapack_rescales_is_solved(self, monkeypatch):
-        # zheevd scales a matrix whose largest entry is below 2^-485 or above 2^485
-        stack = np.stack([np.diag([3e-300, -1e-200, 0.0]), np.diag([1e200, 3.0, -7e199])]).astype(complex)
-        solves, eigvalsh = [], np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
-        for m in stack:
-            assert np.array_equal(eigvalsh_stack(m[None]), eigvalsh(m[None]))
-        assert len(solves) == 2
-
-    @pytest.mark.parametrize("d", [2, 8, 32])
-    def test_mixed_stack_gives_each_matrix_its_bits_at_every_chunk_length(self, d):
-        rng = np.random.default_rng(100 + d)
-        dense = rng.normal(size=(6, d, d)) + 1j * rng.normal(size=(6, d, d))
-        stack = np.concatenate([_diagonal_stack(d, rng), hermitize(dense)])[rng.permutation(12)]
-        want = np.array([np.linalg.eigvalsh(m) for m in stack])
-        for size in range(1, stack.shape[0] + 1):
-            got = np.concatenate([eigvalsh_stack(stack[s]) for s in chunk_slices(stack.shape[0], size)])
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_any_one_coherence_is_solved(self, d, monkeypatch):
-        # the test for coherence reads every off-diagonal entry, in any row and column
-        solves, eigvalsh = [], np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
-        pairs = [(n, m) for n in range(d) for m in range(d) if n != m]
-        for n, m in pairs:
-            stack = np.repeat(np.diag(np.arange(1.0, d + 1)).astype(complex)[None], 3, axis=0)
-            stack[1, n, m] = 1e-300j
-            assert np.array_equal(eigvalsh_stack(stack), eigvalsh(stack))
-        assert len(solves) == len(pairs)
 
 
 class TestEigvalshDiagonal:

@@ -16,7 +16,8 @@ from mpemba.spectral import (
     _check_pairing,
     chunk_points,
 )
-from mpemba.utils import diagonal_stack, herm_defect, hermitize
+from mpemba.config import load_config
+from mpemba.utils import diagonal_stack, herm_defect, hermitize, log_gibbs_weights
 
 from conftest import DEMO_BLOCH, QUBIT_GAMMA_TOTAL, reference_package_state
 
@@ -350,6 +351,32 @@ def test_package_imports_are_used():
     assert not offenders, offenders
 
 
+def test_package_private_names_are_read():
+    # every private name a module defines at its top level (_x, not __x__) is read somewhere
+    # in the package: a helper left behind by a deletion fails here
+    package = Path(mp.__file__).parent
+    defined, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    offenders = [f"{module} {name}" for module, name in defined if name not in read]
+    assert not offenders, offenders
+
+
 def test_benchmark_names_resolve():
     # perfbench is read, not imported: every mpemba name it uses must exist
     missing, spans = [], 0
@@ -398,7 +425,8 @@ class TestDerivedModeTags:
         for k, tag in enumerate(tags, start=1):
             assert (k in coherent) is (tag[0] == "coh")
             if tag[0] == "coh":
-                assert spec.eigenvalues[k - 1] == gen.coh_block[tag[1], tag[2]]
+                c = gen.coherence_rates
+                assert spec.eigenvalues[k - 1] == c[tag[1]] + c[tag[2]].conj()
 
     def test_dense_tags_number_the_modes(self, qubit_spec):
         tags = [qubit_spec.mode_tag(k) for k in range(1, qubit_spec.n_modes + 1)]
@@ -413,6 +441,55 @@ class TestEigenmatrices:
             for side in (spec.right, spec.left):
                 with pytest.raises(ValidationError):
                     side(k)
+
+    @pytest.mark.parametrize("k", [2.5, 2.7, np.float64(2.0), True, np.int64(2)], ids=repr)
+    @pytest.mark.parametrize("call", ["amplitudes", "mode_tag", "left", "AnnealSchedule"])
+    def test_a_mode_index_is_an_integer(self, tfim3_gen, call, k):
+        # a float or a bool is refused, not truncated to some mode; a numpy integer is an integer
+        spec = mp.decompose(tfim3_gen)
+        rho = mp.random_mixed_state(8, 4, seed=3)
+        run = {
+            "amplitudes": lambda mode: spec.amplitudes(rho, [mode]),
+            "mode_tag": spec.mode_tag,
+            "left": spec.left,
+            "AnnealSchedule": lambda mode: mp.AnnealSchedule(0.9, 1e-3, target_modes=(mode,)).target_modes,
+        }[call]
+        if isinstance(k, np.int64):
+            assert repr(run(k)) == repr(run(2))  # the repr tells np.int64(2) from 2
+        else:
+            with pytest.raises(ValidationError, match="is not an integer"):
+                run(k)
+
+    @pytest.mark.parametrize("config", ["tfim3", "chain_demo", "metropolis_swap", "metropolis_unitary",
+                                        "spectrum_tfim5"])
+    def test_population_modes_have_the_sign_of_any_lapack_driver(self, config):
+        # the largest-magnitude entry of each eigenvector u of the symmetrized block is
+        # positive, so scipy's syevr gives the left eigenvectors numpy's syevd gives
+        import scipy.linalg
+
+        model = (mp.tfim(length=3) if config == "tfim3"
+                 else load_config(Path(__file__).resolve().parent.parent / "configs" / f"{config}.json").build_model())
+        assert model.name == "tfim"
+        gen = mp.build_generator(model)
+        spec, d = mp.decompose(gen), gen.dim
+        gp = np.asarray(gen.pop_block)
+        sym = np.sqrt(gp * gp.T)
+        np.fill_diagonal(sym, np.diag(gp))
+        _, u = scipy.linalg.eigh(sym, driver="evr")
+        u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(d)])
+        sqrt_p = np.exp(0.5 * log_gibbs_weights(gen.basis.energies, gen.bath.beta))
+        tags = [spec.mode_tag(k) for k in range(1, spec.n_modes + 1)]
+        pop_modes = [(k, tag[1]) for k, tag in enumerate(tags, start=1) if tag[0] == "pop"]
+        assert len(pop_modes) == d and pop_modes[0] == (1, d - 1)  # ascending: the zero mode is last
+        lefts = u / sqrt_p[:, None]
+        lefts[:, d - 1] *= (u[:, d - 1] * sqrt_p).sum()  # the stationary left, normalized by its trace
+        for k, j in pop_modes:
+            got = spec.left(k)
+            assert not got[~np.eye(d, dtype=bool)].any()
+            # compared times sqrt(p), where u has unit norm: a left entry of a level of Gibbs weight p
+            # carries the solvers' rounding of u times 1/sqrt(p), about 1e-11 at tfim3's top levels
+            gap = np.abs(np.real(np.diag(got)) - lefts[:, j]) * sqrt_p
+            assert gap.max() <= 1e-12 * np.abs(lefts[:, j] * sqrt_p).max()
 
 
 class TestEvolution:
@@ -447,7 +524,7 @@ class TestEvolution:
 
     def test_block_coherences_and_energy_match_their_oracles_tfim5(self):
         # each coherence evolves by k_n conj(k_m), k = exp(c t): it must agree
-        # with the d x d generator block exp(coh_block t) within a few ulps of
+        # with exp((c_n + conj(c_m)) t), c the generator's coherence rates, within a few ulps of
         # the state's largest entry, and sum_n E_n p_n with Tr(H rho) of the lab state
         model = mp.tfim(length=5, coupling=1.0, h_field=0.5, t_bath=0.1, statistics="fermi")
         gen = mp.build_generator(model)
@@ -458,7 +535,8 @@ class TestEvolution:
         stored = grid.eigen_entries
         assert herm_defect(stored).max() == 0.0
         rho_e = basis.to_eigenbasis(rho.entries)
-        want = hermitize(rho_e * np.exp(gen.coh_block * times[:, None, None]))
+        c = gen.coherence_rates
+        want = hermitize(rho_e * np.exp((c[:, None] + c[None, :].conj()) * times[:, None, None]))
         off = ~np.eye(32, dtype=bool)
         gap = np.abs(stored - want)[:, off].max(axis=1)
         assert np.all(gap <= 4 * np.spacing(np.abs(want).max(axis=(1, 2))))
@@ -656,13 +734,7 @@ class TestChunkedPackaging:
         times = [0.0, 1.0, 2.0]
         pops = np.array([[0.5, 0.5], [0.7, 0.3], [0.9, 0.1]])
         spectra, energy = np.sort(pops, axis=1), pops @ basis.energies
-        with pytest.raises(ValidationError, match="either eigen_entries or populations"):
-            mp.EvolutionGrid(times, basis, None, spectra, energy)
-        with pytest.raises(ValidationError, match="either eigen_entries or populations"):
-            mp.EvolutionGrid(times, basis, diagonal_stack(pops), spectra, energy, populations=pops)
-        with pytest.raises(ValidationError, match="times, populations, spectra and mean_energy"):
-            mp.EvolutionGrid(times, basis, None, spectra, energy, populations=pops[:, :1])
-        grid = mp.EvolutionGrid(times, basis, None, spectra, energy, populations=pops)
+        grid = mp.EvolutionGrid(times, basis, pops, spectra, energy)
         pops[0] = 0.0  # the grid holds its own read-only copy
         assert np.array_equal(grid.populations[0], [0.5, 0.5])
         stack = grid.eigen_entries
@@ -674,6 +746,19 @@ class TestChunkedPackaging:
         state = grid.states[-1]
         assert built == [(2,)]  # only the matrix asked for
         assert np.array_equal(state.entries, grid.entries[-1])
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 2, 3), (3, 3, 2), (2, 2, 2), (3, 2, 2, 1), (), None])
+    def test_the_form_of_a_grid_is_the_shape_of_its_states(self, qubit_model, shape):
+        # (T, d) populations or a (T, d, d) stack; any other array raises
+        basis, times = qubit_model.basis(), [0.0, 1.0, 2.0]
+        spectra, energy = np.full((3, 2), 0.5), np.zeros(3)
+        states = None if shape is None else np.full(shape, 0.5)
+        with pytest.raises(ValidationError, match="times, states, spectra and mean_energy have inconsistent"):
+            mp.EvolutionGrid(times, basis, states, spectra, energy)
+        pops = mp.EvolutionGrid(times, basis, np.full((3, 2), 0.5), spectra, energy)
+        stack = mp.EvolutionGrid(times, basis, diagonal_stack(np.full((3, 2), 0.5)), spectra, energy)
+        assert pops.populations.dtype == float and stack.populations is None
+        assert np.array_equal(pops.eigen_entries, stack.eigen_entries) and stack.eigen_entries.dtype == complex
 
     @pytest.mark.parametrize("layout", ["contiguous", "stack_diagonal"])
     def test_mean_energy_is_one_dot_per_state(self, layout):

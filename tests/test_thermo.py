@@ -14,7 +14,7 @@ from mpemba.errors import ValidationError
 from mpemba.operators import HERMITICITY_TOL
 from mpemba.spectral import EVOLUTION_PSD_TOL, _package_states, _propagate, chunk_points, energy_diagonal
 from mpemba.thermo import CSV_COLUMNS, SUPPORT_TOL, _shannon
-from mpemba.utils import chunk_slices, eigvalsh_stack, herm_defect, hermitize, log_gibbs_weights, xlogx
+from mpemba.utils import chunk_slices, herm_defect, hermitize, log_gibbs_weights, xlogx
 
 from conftest import DEMO_BLOCH, reference_package_state
 
@@ -763,13 +763,13 @@ class TestCoherenceOfADiagonalState:
 
 def _stack_reference(times, pops, basis):
     """The grid of a diagonal state built the way a stack grid is: its populations on a zeroed
-    (T, d, d) stack, ``eigvalsh_stack`` chunk by chunk and the dot of each strided diagonal."""
+    (T, d, d) stack, ``np.linalg.eigvalsh`` chunk by chunk and the dot of each strided diagonal."""
     d = basis.dim
     stack = np.zeros((times.size, d, d), dtype=complex)
     stack[:, np.arange(d), np.arange(d)] = pops
     spectra = np.empty((times.size, d))
     for s in chunk_slices(times.size, chunk_points(d)):
-        spectra[s] = eigvalsh_stack(stack[s])
+        spectra[s] = np.linalg.eigvalsh(stack[s])
     diag = np.real(np.diagonal(stack, axis1=1, axis2=2))
     energy = np.matmul(diag[:, None, :], basis.energies[:, None])[:, 0, 0]
     return mp.EvolutionGrid(times, basis, stack, spectra, energy)
@@ -838,14 +838,13 @@ class TestPopulationGrid:
         tau_p = mp.thermal_populations(basis, beta)
         assert np.array_equal(traj.l1, [float(np.abs(p - tau_p).sum()) for p in pops])
 
-    def test_a_diagonal_start_builds_no_stack_and_calls_no_eigvalsh_stack(self, tfim5_case, monkeypatch):
+    def test_a_diagonal_start_builds_no_stack_and_calls_no_eigvalsh(self, tfim5_case, monkeypatch):
         model, _, spec, rho = tfim5_case
         basis = model.basis()
         rho, _ = mp.exact_transform(rho, basis)
         times = np.linspace(0.0, 14.0, 281)
-        calls = []
-        for module in (mp.spectral, mp.thermo):
-            monkeypatch.setattr(module, "eigvalsh_stack", lambda stack: calls.append(stack.shape))
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
         tracemalloc.start()
         try:
             grid = mp.evolve_spectral(spec, rho, times)
@@ -897,8 +896,9 @@ class TestPopulationGridErrors:
     def test_first_failing_point_raises_as_the_stack_did(self, faults, system, qubit_model, tfim3_model,
                                                           monkeypatch):
         # faults in the second chunk of the stack's grid: the earliest one decides.  At d = 8
-        # LAPACK fails to converge on a non-finite diagonal (LinAlgError); such a row keeps
-        # its sort, so the checks name the defect at every d
+        # LAPACK fails to converge on the stack's non-finite diagonal (LinAlgError), so the
+        # stack cannot be compared there; a population row keeps its sort, and the checks
+        # name the defect at every d
         model = qubit_model if system == "qubit" else tfim3_model
         basis = model.basis()
         spec = mp.decompose(mp.build_generator(model))
@@ -915,8 +915,13 @@ class TestPopulationGridErrors:
 
         monkeypatch.setattr(mp.spectral, "_propagate", lambda *_: iter(pops))
         got = self._first_error(lambda: mp.evolve_spectral(spec, rho, times))
-        assert got == self._first_error(lambda: _package_states(times, diagonal_chunk, basis))
         assert got == self.FAULTS[faults[0]]
+        try:
+            want = self._first_error(lambda: _package_states(times, diagonal_chunk, basis))
+        except np.linalg.LinAlgError:
+            assert {"nan", "inf"} & set(faults)
+        else:
+            assert got == want
 
 
 class TestPropagate:
