@@ -49,6 +49,8 @@ exp(-(C' - C)/T_eff), evaluated in Python floats; the effective
 temperature cools by the factor ``tau`` on every acceptance.  The rule is
 handed its uniform, and reads it only for a move that is not downhill at a
 positive temperature; a ``cost_fn`` search draws one only for such a move.
+An ``OptimizationTrace`` keeps what the walk decides, each proposal's cost
+and accept decision, and derives each row's T_eff from the accepts so far.
 The walk is configured by an ``AnnealSchedule`` (cooling, threshold, target
 modes, seed, total budget), which is all the swap search takes.  The
 unitary search takes a ``MetropolisConfig``, the schedule plus its
@@ -62,22 +64,27 @@ defines convergence.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import KW_ONLY, dataclass
-from itertools import accumulate, permutations, repeat
+from itertools import permutations, repeat
 
 import numpy as np
 
 from .errors import ValidationError
 from .operators import DensityMatrix, as_populations, as_state
 from .spectral import GeneratorSpectrum, _as_mode_index
-from .utils import SIGMA_Z, kron_chain, write_csv
+from .utils import SIGMA_Z, frozen, kron_chain, write_csv
 
 _PERMS4 = tuple(p for p in permutations(range(4)) if p != (0, 1, 2, 3))
 #: the pair swap below dimension 4, written on four slots; slots 2 and 3 stay put
 _PERMS2 = ((1, 0, 2, 3),)
 #: proposals per batch of the swap walk; each batch draws its randomness at once
 _SWAP_BATCH = 256
+#: rungs of the cooling ladder whose ``%.17g`` strings a process keeps between traces (about 5 MB)
+_LADDER_RUNGS = 65_536
+_NO_STRINGS = np.empty(0, dtype=object)
+#: (cooling factor, ``%.17g`` strings of its first rungs, value of the next rung) of the
+#: most recent trace written; one tuple, replaced whole, so a reader sees one consistent state
+_ladder_cache = (None, _NO_STRINGS, 1.0)
 
 
 @dataclass(frozen=True)
@@ -143,24 +150,105 @@ class UnitaryAnsatz:
         return self.params.shape[0]
 
 
+def _cooled(t_eff: float, tau: float, n: int) -> np.ndarray:
+    """``t_eff`` and the ``n`` temperatures after it, each the one before times ``tau``.
+
+    ``np.multiply.accumulate`` makes the same IEEE multiplies, in the same
+    order, as a walk that cools by ``tau`` on each of n accepts, so entry k
+    holds the bits of that walk's T_eff after k more accepts.
+    """
+    steps = np.full(n + 1, tau)
+    steps[0] = t_eff
+    return np.multiply.accumulate(steps)
+
+
+def _ladder_strings(tau: float, top: int) -> np.ndarray:
+    """The ``%.17g`` strings of the cooling ladder at ``tau``, rungs 0 to ``top`` at least.
+
+    Rung k is T_eff after k accepts, 1 cooled k times.  Traces written one
+    after another mostly share their cooling factor, so the strings of the
+    most recent factor are kept, extended only as far as a trace needs and
+    up to ``_LADDER_RUNGS`` rungs; rungs past that are formatted for the
+    call that needs them.  Nothing is built before the first trace is written.
+    """
+    global _ladder_cache
+    cached_tau, strings, next_rung = _ladder_cache
+    if cached_tau != tau:
+        strings, next_rung = _NO_STRINGS, 1.0
+    if top < strings.size:
+        return strings
+    values = _cooled(next_rung, tau, top + 1 - strings.size).tolist()
+    new = np.array(["%.17g" % v for v in values[:-1]], dtype=object)
+    keep = min(top + 1, _LADDER_RUNGS) - strings.size
+    if keep:
+        strings = np.concatenate((strings, new[:keep]))
+        _ladder_cache = (tau, strings, values[keep])
+    return strings if keep == new.size else np.concatenate((strings, new[keep:]))
+
+
+def _run_strings(values: np.ndarray) -> np.ndarray:
+    """``%.17g`` of each entry of the float array ``values``, formatted once per run of equal bits."""
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    bits = values.view(np.uint64)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    strings = np.array(["%.17g" % v for v in values[starts].tolist()], dtype=object)
+    return strings[np.cumsum(starts) - 1]
+
+
 @dataclass(frozen=True)
 class OptimizationTrace:
-    """Per-proposal record of the annealing walk."""
+    """Per-proposal record of the annealing walk: what the walk decided, one row per proposal.
 
-    iteration: np.ndarray
+    ``cost`` holds the walk's cost after each proposal and ``accepted`` its
+    decision, both read-only.  The rest of a row follows from them:
+    ``iteration`` is 1, 2, ..., and ``t_eff`` is the temperature the walk
+    stood at after the proposal, T_eff = 1 cooled by ``cooling_tau`` once per
+    accept so far, that is ``cooling_tau``**k by repeated multiplication after
+    k accepts, with the walk's own bits.
+    """
+
     cost: np.ndarray
-    t_eff: np.ndarray
     accepted: np.ndarray
+    cooling_tau: float
     converged: bool
     best_cost: float
 
+    def __post_init__(self):
+        cost = frozen(np.asarray(self.cost, dtype=float))
+        accepted = frozen(np.asarray(self.accepted, dtype=bool))
+        if cost.ndim != 1 or accepted.shape != cost.shape:
+            raise ValidationError("a trace's cost and accepted columns must be 1-D and of one length")
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "cooling_tau", float(self.cooling_tau))
+
     def __len__(self):
-        return self.iteration.size
+        return self.cost.size
+
+    @property
+    def iteration(self) -> np.ndarray:
+        """The 1-based proposal number of each row."""
+        return np.arange(1, len(self) + 1)
+
+    @property
+    def t_eff(self) -> np.ndarray:
+        """T_eff after each proposal: the cooling ladder indexed by the accepts so far."""
+        return _cooled(1.0, self.cooling_tau, np.count_nonzero(self.accepted))[np.cumsum(self.accepted)]
 
     def to_csv(self, path) -> None:
+        """Write ``iteration,cost,T_eff,accepted``, the floats at ``%.17g``, one row per proposal.
+
+        A float column is written from a table of its distinct strings: T_eff
+        from the ladder's (:func:`_ladder_strings`) by accept count, the cost
+        from each run of equal costs' first value (rejected proposals and
+        alpha loops repeat the cost before them).
+        """
+        ladder = _ladder_strings(self.cooling_tau, np.count_nonzero(self.accepted))
         write_csv(
             path, "iteration,cost,T_eff,accepted",
-            (self.iteration, self.cost, self.t_eff, self.accepted), "%d,%.17g,%.17g,%d\n",
+            (self.iteration, _run_strings(self.cost), ladder[np.cumsum(self.accepted)], self.accepted),
+            "%d,%s,%s,%d\n",
         )
 
 
@@ -170,7 +258,8 @@ class _Walk:
     Starts from a state of cost ``cost`` at T_eff = 1.  :meth:`scan` judges
     priced proposals in order, each made from the walk's current state,
     cools T_eff by ``cooling_tau`` on every acceptance, keeps a copy of the
-    best state seen and records one trace row per proposal.  ``done`` turns
+    best state seen and records one trace row per proposal: its cost and its
+    decision, from which the trace derives T_eff.  ``done`` turns
     true once the best cost falls below ``threshold_eps`` or
     ``max_total_iterations`` proposals have been made.  The swap walk prices
     each proposal from the one before, so it judges its batches in its own
@@ -188,7 +277,7 @@ class _Walk:
         self._budget = schedule.max_total_iterations
         # one column per trace field: floats and bools are not tracked by
         # the garbage collector, a row tuple per proposal would be
-        self._costs, self._temps, self._accepts = [], [], []
+        self._costs, self._accepts = [], []
 
     @property
     def remaining(self) -> int:
@@ -206,8 +295,7 @@ class _Walk:
         # locals, not attributes, on this per-proposal path
         cost, t_eff, tau = self.cost, self.t_eff, self._tau
         best_cost, eps, accept = self.best_cost, self._eps, metropolis_accept
-        record_cost, record_temp = self._costs.append, self._temps.append
-        record_accept = self._accepts.append
+        record_cost, record_accept = self._costs.append, self._accepts.append
         last = best = -1
         for i, new_cost, u in zip(range(self.remaining), costs, uniforms):
             accepted = accept(new_cost, cost, t_eff, u)
@@ -216,7 +304,6 @@ class _Walk:
                 if new_cost < best_cost:
                     best_cost, best = new_cost, i
             record_cost(cost)
-            record_temp(t_eff)
             record_accept(accepted)
             if best_cost < eps:
                 break
@@ -227,16 +314,15 @@ class _Walk:
         """Record ``n`` proposals that each cost exactly the current cost, which is finite.
 
         The rule accepts every such tie (u < exp(-0) = 1, or c == c at
-        T_eff = 0), so each cools T_eff by ``cooling_tau`` and writes a row
-        at the current cost, none is a new best, and the walk keeps its
-        cost: the columns :meth:`scan` would record, without judging the
-        ties one by one.  ``n`` must not exceed :attr:`remaining`.
+        T_eff = 0), so each writes a row at the current cost, none is a new
+        best, and the walk keeps its cost: the rows :meth:`scan` would
+        record, without judging the ties one by one.  T_eff reaches the
+        value the scan would leave by the same n multiplications by
+        ``cooling_tau``.  ``n`` must not exceed :attr:`remaining`.
         """
-        temps = list(accumulate(repeat(self._tau, n), operator.mul, initial=self.t_eff))
         self._costs.extend(repeat(self.cost, n))
-        self._temps.extend(temps[1:])
         self._accepts.extend(repeat(True, n))
-        self._finish(self.cost, temps[-1], self.best_cost, None)
+        self._finish(self.cost, float(_cooled(self.t_eff, self._tau, n)[-1]), self.best_cost, None)
 
     def _finish(self, cost: float, t_eff: float, best_cost: float, best) -> None:
         """Take the walk's state after a run of proposals recorded in the trace.
@@ -253,10 +339,9 @@ class _Walk:
 
     def trace(self) -> OptimizationTrace:
         return OptimizationTrace(
-            iteration=np.arange(1, len(self._accepts) + 1),
-            cost=np.asarray(self._costs, dtype=float),
-            t_eff=np.asarray(self._temps, dtype=float),
-            accepted=np.asarray(self._accepts, dtype=bool),
+            cost=self._costs,
+            accepted=self._accepts,
+            cooling_tau=self._tau,
             converged=bool(self.converged),
             best_cost=float(self.best_cost),
         )
@@ -694,7 +779,7 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, schedule: AnnealSc
     rng = np.random.default_rng(schedule.seed)
     walk = _Walk(resum(p)[1], p, schedule)
     tau, eps = schedule.cooling_tau, schedule.threshold_eps
-    costs_col, temps, accepts = walk._costs, walk._temps, walk._accepts
+    costs_col, accepts = walk._costs, walk._accepts
 
     while not walk.done:
         n = min(_SWAP_BATCH, walk.remaining)
@@ -723,7 +808,6 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, schedule: AnnealSc
                 if new_cost < best_cost:
                     best_cost, best = new_cost, p.copy()
             costs_col.append(cost)
-            temps.append(t_eff)
             accepts.append(accepted)
             if best_cost < eps:
                 break

@@ -98,16 +98,16 @@ class EvolutionGrid:
     A (T, d, d) stack of states with coherences is ``eigen_entries``, and
     ``populations`` is None.  The (T, d) populations of states diagonal in the
     energy basis are ``populations``, and ``eigen_entries`` is the zero stack
-    with them on its diagonal, built on each access.  Any other shape raises
-    :class:`ValidationError`.  Both forms hold ``spectra``, the (T, d)
-    ascending eigenvalues of each state, and ``mean_energy``, the (T,)
-    energies Re Tr(H rho) = sum_n E_n p_n.  Every array is read-only, and
-    nothing derived is cached.  No lab-basis stack is kept: ``entries``
-    rotates ``eigen_entries`` to the lab basis on each access, and ``states``
-    is a read-only sequence that builds a validated :class:`DensityMatrix`
-    from one rotated matrix on each access (of a population grid only that
-    matrix).  A matrix rotated alone equals the same matrix rotated in the
-    stack, so ``states[j]`` holds ``entries[j]`` exactly.
+    with them on its diagonal, built on each access.  Any other shape, or
+    complex populations, raises :class:`ValidationError`.  Both forms hold
+    ``spectra``, the (T, d) ascending eigenvalues of each state, and
+    ``mean_energy``, the (T,) energies Re Tr(H rho) = sum_n E_n p_n.  Every
+    array is read-only, and nothing derived is cached.  No lab-basis stack is
+    kept: ``entries`` rotates ``eigen_entries`` to the lab basis on each
+    access, and ``states`` is a read-only sequence that builds a validated
+    :class:`DensityMatrix` from one rotated matrix on each access (of a
+    population grid only that matrix).  A matrix rotated alone equals the same
+    matrix rotated in the stack, so ``states[j]`` holds ``entries[j]`` exactly.
     """
 
     times: np.ndarray
@@ -127,6 +127,8 @@ class EvolutionGrid:
         if (stored.shape not in (times.shape + (d,), times.shape + (d, d))
                 or spectra.shape != times.shape + (d,) or mean_energy.shape != times.shape):
             raise ValidationError("times, states, spectra and mean_energy have inconsistent shapes")
+        if stored.ndim == 2 and np.iscomplexobj(stored):
+            raise ValidationError("the (T, d) populations of a grid must be a real array, not complex")
         stored = np.asarray(stored, dtype=float if stored.ndim == 2 else complex)
         object.__setattr__(self, "basis", basis)
         for name, value in (("times", times), ("_stored", stored),

@@ -125,7 +125,10 @@ def write_csv(path, header: str, columns, row_format: str) -> None:
 
     ``header`` is the first line, without its newline.  ``row_format`` is one
     printf-style pattern for a whole row, newline included; ``%.17g`` keeps
-    every bit of a double and prints inf, -inf and nan as such.  Python copies
+    every bit of a double and prints inf, -inf and nan as such.  A column may
+    also hold strings, an object array of ``str`` written by a ``%s`` cell,
+    for a caller that formats each distinct value once and indexes the
+    strings by row (``OptimizationTrace.to_csv``).  Python copies
     of the columns are made a chunk at a time: copies of whole columns would
     raise peak memory well above what the arrays hold.  Each chunk is one
     ``(row_format * rows) % cells`` call on its cells in row order.

@@ -373,6 +373,34 @@ assert "scipy.linalg" in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
+def test_swap_trace_is_the_same_from_a_cold_and_a_warm_ladder(tmp_path, monkeypatch):
+    """Two swap runs in one process: the first formats the cooling ladder's
+    strings, the second reuses them, and both write the same trace.csv."""
+    monkeypatch.setattr(mp.metropolis, "_ladder_cache", (None, mp.metropolis._NO_STRINGS, 1.0))
+    args = ["metropolis", "--config", str(CONFIGS / "metropolis_swap.json"), "--out"]
+    assert main(args + [str(tmp_path / "cold")]) == 0
+    tau, kept, _ = mp.metropolis._ladder_cache
+    assert tau == 0.998 and kept.size > 1
+    assert main(args + [str(tmp_path / "warm")]) == 0
+    assert mp.metropolis._ladder_cache[1] is kept  # nothing left to format
+    assert (tmp_path / "cold/trace.csv").read_bytes() == (tmp_path / "warm/trace.csv").read_bytes()
+
+
+def test_import_builds_no_cooling_ladder(tmp_path):
+    """The ladder's strings are built by the first trace written, not at import."""
+    script = """
+import mpemba
+import mpemba.cli
+from mpemba.metropolis import _ladder_cache
+assert _ladder_cache[0] is None and _ladder_cache[1].size == 0, _ladder_cache
+"""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_module_entry_point(tmp_path):
     """``python -m mpemba`` runs the CLI and exits with its code."""
     paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]

@@ -11,6 +11,8 @@ from mpemba.errors import ValidationError
 from mpemba.metropolis import (
     _ANCHORS,
     _GRID,
+    _LADDER_RUNGS,
+    _NO_STRINGS,
     _SWAP_BATCH,
     _Walk,
     _coordinate_candidates,
@@ -276,7 +278,7 @@ class TestUnitaryMetropolis:
         for accepted, recorded in zip(trace.accepted, trace.t_eff):
             if accepted:
                 t_eff *= 0.9
-            assert recorded == pytest.approx(t_eff, rel=1e-12)
+            assert recorded == t_eff
 
 
 class TestExactCoordinateMove:
@@ -510,38 +512,169 @@ class TestSitewiseAnchors:
         assert len(calls) == 2
 
 
+def _cooled_per_row(accepted, tau):
+    """T_eff after each proposal, cooled by ``tau`` on each accept, one row at a time."""
+    t_eff, out = 1.0, []
+    for accepted_here in accepted.tolist():
+        if accepted_here:
+            t_eff *= tau
+        out.append(t_eff)
+    return np.array(out, dtype=float)
+
+
+class TestTraceColumns:
+    """A trace stores the walk's costs and decisions; iteration and T_eff follow from them."""
+
+    @pytest.mark.parametrize("walk", ["fitted", "cost_fn", "swap", "swap_to_zero", "identity"])
+    def test_t_eff_is_the_walk_cooled_per_accept(self, walk, qubit_model, qubit_spec, tfim3_gen,
+                                                  heating_setup, monkeypatch):
+        # bit for bit, against a loop that cools on each accept and against the
+        # walk's own scalar T_eff when its trace is taken
+        ends, ties = [], []
+        trace_of, tie = _Walk.trace, _Walk.ties
+
+        def traced(walk_self):
+            ends.append(walk_self.t_eff)
+            return trace_of(walk_self)
+
+        monkeypatch.setattr(_Walk, "trace", traced)
+        monkeypatch.setattr(_Walk, "ties", lambda walk_self, n: ties.append(n) or tie(walk_self, n))
+        if walk == "fitted":
+            # fitted loops on beta, gamma and delta, and alpha loops recorded as ties
+            cfg = mp.MetropolisConfig(cooling_tau=0.97, threshold_eps=1e-300, target_modes=(2, 3),
+                                      seed=1, nano_n=40, micro_m=5, max_total_iterations=3_000)
+            trace = mp.unitary_metropolis(mp.decompose(tfim3_gen), mp.random_mixed_state(8, 50, seed=2),
+                                          cfg, fermionic=True)[-1]
+            assert ties and sum(ties) < len(trace)
+        elif walk == "cost_fn":
+            cfg = mp.MetropolisConfig(cooling_tau=0.9, threshold_eps=1e-12, target_modes=(2, 3),
+                                      seed=5, nano_n=30, micro_m=4, max_total_iterations=600)
+            trace = mp.unitary_metropolis(
+                qubit_spec, mp.bloch_to_state(list(DEMO_BLOCH)), cfg,
+                cost_fn=lambda m: float(abs(qubit_spec.basis.to_eigenbasis(m)[0, 1])),
+            )[-1]
+        elif walk.startswith("swap"):
+            # at cooling 0.001, T_eff passes through the subnormals to 0 within the walk's accepts
+            spec, p0, target = heating_setup
+            cfg = mp.AnnealSchedule(cooling_tau=0.001 if walk == "swap_to_zero" else 0.998,
+                                    threshold_eps=1e-300, target_modes=(target,), seed=4,
+                                    max_total_iterations=5_000)
+            trace = mp.swap_metropolis(spec, p0, cfg)[-1]
+            assert not trace.accepted.all()
+            if walk == "swap_to_zero":
+                assert trace.t_eff[-1] == 0.0 and (trace.t_eff < np.finfo(float).tiny).any()
+        else:
+            cfg = mp.MetropolisConfig(cooling_tau=0.999, threshold_eps=1e-6, target_modes=(2, 3))
+            tau = mp.thermal_state(qubit_model.basis(), qubit_model.bath.beta)
+            trace = mp.unitary_metropolis(qubit_spec, tau, cfg)[-1]
+            assert len(trace) == 0
+        want = _cooled_per_row(trace.accepted, cfg.cooling_tau)
+        assert trace.cooling_tau == cfg.cooling_tau
+        assert trace.t_eff.dtype == float and trace.t_eff.tobytes() == want.tobytes()
+        assert ends == [want[-1] if want.size else 1.0]
+        assert trace.iteration.tolist() == list(range(1, len(trace) + 1))
+
+    def test_columns_are_read_only_copies(self, qubit_spec):
+        # T_eff is derived from accepted, so a write to it would rewrite T_eff and the CSV
+        cfg = mp.MetropolisConfig(cooling_tau=0.9, threshold_eps=1e-12, target_modes=(2, 3),
+                                  seed=2, max_total_iterations=50)
+        trace = mp.unitary_metropolis(qubit_spec, mp.bloch_to_state(list(DEMO_BLOCH)), cfg)[-1]
+        with pytest.raises(ValueError, match="read-only"):
+            trace.cost[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            trace.accepted[0] = not trace.accepted[0]
+        cost, accepted = np.array([0.5, 0.25]), np.array([True, False])
+        built = mp.OptimizationTrace(cost=cost, accepted=accepted, cooling_tau=0.5,
+                                     converged=False, best_cost=0.25)
+        cost[1], accepted[1] = 0.0, True  # the trace holds its own copies
+        assert built.cost.tolist() == [0.5, 0.25] and built.t_eff.tolist() == [0.5, 0.5]
+        with pytest.raises(ValidationError, match="one length"):
+            mp.OptimizationTrace(cost=[0.5], accepted=[True, False], cooling_tau=0.5,
+                                 converged=False, best_cost=0.25)
+
+
 class TestTraceCsv:
+    @pytest.fixture(autouse=True)
+    def cold_ladder(self, monkeypatch):
+        # each test starts with no ladder strings kept, as a fresh process does
+        monkeypatch.setattr(mp.metropolis, "_ladder_cache", (None, _NO_STRINGS, 1.0))
+
     @staticmethod
     def _per_row_csv(trace, path):
-        # reference: the original one-write-per-row formatter
+        # reference: one write per row, T_eff cooled here on each accept, not read from the trace
+        t_eff = 1.0
         with open(path, "w") as fh:
             fh.write("iteration,cost,T_eff,accepted\n")
-            for j in range(len(trace)):
-                fh.write(
-                    f"{trace.iteration[j]},{trace.cost[j]:.17g},"
-                    f"{trace.t_eff[j]:.17g},{int(trace.accepted[j])}\n"
-                )
+            for j, (cost, accepted) in enumerate(zip(trace.cost.tolist(), trace.accepted.tolist()), 1):
+                if accepted:
+                    t_eff *= trace.cooling_tau
+                fh.write(f"{j},{cost:.17g},{t_eff:.17g},{int(accepted)}\n")
 
-    def test_bytes_match_per_row_formatter(self, tmp_path, qubit_spec):
-        rho = mp.bloch_to_state(list(DEMO_BLOCH))
+    def _assert_matches_reference(self, trace, path):
+        trace.to_csv(path)
+        reference = path.with_name(f"{path.stem}_reference.csv")
+        self._per_row_csv(trace, reference)
+        assert path.read_bytes() == reference.read_bytes()
+
+    @staticmethod
+    def _unitary_trace(qubit_spec, seed, tau=0.99):
         cfg = mp.MetropolisConfig(
-            cooling_tau=0.99, threshold_eps=1e-12, target_modes=(2, 3), seed=3,
+            cooling_tau=tau, threshold_eps=1e-12, target_modes=(2, 3), seed=seed,
             max_total_iterations=3_000,
         )
-        _, _, trace = mp.unitary_metropolis(qubit_spec, rho, cfg)
+        return mp.unitary_metropolis(qubit_spec, mp.bloch_to_state(list(DEMO_BLOCH)), cfg)[-1]
+
+    def test_bytes_match_per_row_formatter(self, tmp_path, qubit_spec):
+        trace = self._unitary_trace(qubit_spec, 3)
         # long enough to be written in several chunks, the last one partial
         assert len(trace) == 3_000 and len(trace) % _CSV_CHUNK_ROWS
         assert trace.accepted.any() and not trace.accepted.all()
-        empty = mp.OptimizationTrace(
-            iteration=np.zeros(0, dtype=int), cost=np.zeros(0), t_eff=np.zeros(0),
-            accepted=np.zeros(0, dtype=bool), converged=True, best_cost=0.0,
-        )
+        assert (np.diff(trace.cost) == 0).any()  # runs of equal costs
+        empty = mp.OptimizationTrace(cost=np.zeros(0), accepted=np.zeros(0, dtype=bool),
+                                     cooling_tau=0.99, converged=True, best_cost=0.0)
         for name, tr in (("search", trace), ("empty", empty)):
-            tr.to_csv(tmp_path / f"{name}.csv")
-            self._per_row_csv(tr, tmp_path / f"{name}_reference.csv")
-            assert (tmp_path / f"{name}.csv").read_bytes() == (
-                tmp_path / f"{name}_reference.csv"
-            ).read_bytes()
+            self._assert_matches_reference(tr, tmp_path / f"{name}.csv")
+        assert (tmp_path / "empty.csv").read_text() == "iteration,cost,T_eff,accepted\n"
+
+    def test_swap_trace(self, tmp_path, heating_setup):
+        spec, p0, target = heating_setup
+        cfg = mp.AnnealSchedule(cooling_tau=0.998, threshold_eps=1e-300, target_modes=(target,),
+                                seed=4, max_total_iterations=5_000)
+        trace = mp.swap_metropolis(spec, p0, cfg)[-1]
+        assert trace.accepted.any() and not trace.accepted.all()
+        self._assert_matches_reference(trace, tmp_path / "swap.csv")
+
+    def test_same_cooling_back_to_back_reuses_the_ladder(self, tmp_path, qubit_spec):
+        # the second trace climbs past the first one's rungs, so the kept strings are extended
+        first, second = self._unitary_trace(qubit_spec, 4), self._unitary_trace(qubit_spec, 3)
+        assert second.accepted.sum() > first.accepted.sum()
+        self._assert_matches_reference(first, tmp_path / "first.csv")
+        tau, kept, _ = mp.metropolis._ladder_cache
+        assert tau == 0.99 and kept.size == first.accepted.sum() + 1
+        self._assert_matches_reference(second, tmp_path / "second.csv")
+        self._assert_matches_reference(first, tmp_path / "again.csv")
+        tau, kept, _ = mp.metropolis._ladder_cache
+        assert tau == 0.99 and kept.size == second.accepted.sum() + 1
+
+    def test_alternating_cooling(self, tmp_path, qubit_spec):
+        traces = [self._unitary_trace(qubit_spec, seed, tau) for seed, tau in
+                  ((3, 0.99), (4, 0.998), (5, 0.99), (3, 0.998))]
+        for j, trace in enumerate(traces):
+            self._assert_matches_reference(trace, tmp_path / f"trace{j}.csv")
+            assert mp.metropolis._ladder_cache[0] == trace.cooling_tau
+
+    def test_rungs_past_the_bound(self, tmp_path):
+        # more accepts than the process keeps rungs for: the rest are formatted per call
+        n = _LADDER_RUNGS + 700
+        accepted = np.ones(n, dtype=bool)
+        accepted[::97] = False
+        cost = np.repeat(np.geomspace(1.0, 1e-9, n // 3 + 1), 3)[:n]
+        trace = mp.OptimizationTrace(cost=cost, accepted=accepted, cooling_tau=0.99995,
+                                     converged=False, best_cost=float(cost.min()))
+        assert accepted.sum() >= _LADDER_RUNGS
+        for name in ("cold", "warm"):
+            self._assert_matches_reference(trace, tmp_path / f"{name}.csv")
+            assert mp.metropolis._ladder_cache[1].size == _LADDER_RUNGS
 
 
 @pytest.fixture(scope="module")
@@ -759,15 +892,18 @@ class TestDistinctIndices:
 #    kept its own accept, cooling, best-state and stop bookkeeping
 
 
-def _reference_trace(rows, converged, best_cost):
-    return mp.OptimizationTrace(
-        iteration=np.asarray([r[0] for r in rows], dtype=int),
+def _reference_trace(rows, converged, best_cost, cooling_tau):
+    trace = mp.OptimizationTrace(
         cost=np.asarray([r[1] for r in rows], dtype=float),
-        t_eff=np.asarray([r[2] for r in rows], dtype=float),
         accepted=np.asarray([r[3] for r in rows], dtype=bool),
+        cooling_tau=cooling_tau,
         converged=bool(converged),
         best_cost=float(best_cost),
     )
+    # the loops cool T_eff themselves; the trace derives it from the decisions
+    assert trace.iteration.tolist() == [r[0] for r in rows]
+    assert trace.t_eff.tobytes() == np.asarray([r[2] for r in rows], dtype=float).tobytes()
+    return trace
 
 
 def _reference_unitary(spectrum, rho, config, fermionic, cost_fn):
@@ -811,7 +947,7 @@ def _reference_unitary(spectrum, rho, config, fermionic, cost_fn):
                 break
         if stop:
             break
-    return conj(best_params), best_params, _reference_trace(rows, converged, best)
+    return conj(best_params), best_params, _reference_trace(rows, converged, best, config.cooling_tau)
 
 
 # -- the default-cost walk one proposal at a time: each nano loop draws its
@@ -876,7 +1012,7 @@ def _reference_fitted(spectrum, rho, config, fermionic):
                 break
         if stop:
             break
-    return conj(best_params), best_params, _reference_trace(rows, converged, best)
+    return conj(best_params), best_params, _reference_trace(rows, converged, best, config.cooling_tau)
 
 
 class _RecordingRng:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -759,6 +760,19 @@ class TestChunkedPackaging:
         stack = mp.EvolutionGrid(times, basis, diagonal_stack(np.full((3, 2), 0.5)), spectra, energy)
         assert pops.populations.dtype == float and stack.populations is None
         assert np.array_equal(pops.eigen_entries, stack.eigen_entries) and stack.eigen_entries.dtype == complex
+
+    def test_complex_populations_are_refused(self, qubit_model):
+        # a complex (T, d) array used to lose its imaginary part with only a ComplexWarning
+        basis, times = qubit_model.basis(), [0.0, 1.0, 2.0]
+        spectra, energy = np.full((3, 2), 0.5), np.zeros(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="populations of a grid must be a real array"):
+                mp.EvolutionGrid(times, basis, np.full((3, 2), 0.25 + 0.5j), spectra, energy)
+            pops = mp.EvolutionGrid(times, basis, np.full((3, 2), 0.5), spectra, energy)
+            stack = mp.EvolutionGrid(times, basis, diagonal_stack(np.full((3, 2), 0.5)), spectra, energy)
+        assert pops.populations.dtype == float and np.array_equal(pops.populations, np.full((3, 2), 0.5))
+        assert stack.populations is None and stack.eigen_entries.dtype == complex
 
     @pytest.mark.parametrize("layout", ["contiguous", "stack_diagonal"])
     def test_mean_energy_is_one_dot_per_state(self, layout):
