@@ -233,9 +233,9 @@ def cmd_mpemba(args) -> int:
     gain = noneq_free_energy(rho_prime, h_lab, beta) - noneq_free_energy(rho, h_lab, beta)
     overlaps = verify_overlap_elimination(spectrum, rho_prime)
     if cfg.transform.metropolis is not None:
-        amps = spectrum.amplitudes(rho_prime)
-        for k in cfg.transform.metropolis.target_modes:
-            overlaps[k] = float(abs(amps[k - 1]))
+        targets = cfg.transform.metropolis.target_modes
+        for k, amp in zip(targets, spectrum.amplitudes(rho_prime, targets)):
+            overlaps[k] = float(abs(amp))
 
     status, notes, crossing, rates = "not-applicable", "", None, None
     if np.abs(rho.entries - spectrum.steady_state.entries).max() < 1e-12:

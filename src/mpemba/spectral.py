@@ -36,16 +36,17 @@ from .errors import (
     NoSteadyStateError,
     ValidationError,
 )
-from .operators import HERMITICITY_TOL, TRACE_TOL, DensityMatrix, SpectralBasis, as_state, require_state
-from .utils import (
-    chunk_slices,
-    diagonal_stack,
-    eigvalsh_diagonal,
-    frozen,
-    herm_defect,
-    hermitize,
-    log_gibbs_weights,
+from .operators import (
+    HERMITICITY_TOL,
+    TRACE_TOL,
+    DensityMatrix,
+    SpectralBasis,
+    as_state,
+    require_state,
+    thermal_populations,
+    thermal_state,
 )
+from .utils import chunk_slices, diagonal_stack, frozen, herm_defect, hermitize, log_gibbs_weights
 
 #: Eigenvector-matrix condition number above which a generator is treated as
 #: numerically defective.
@@ -100,8 +101,7 @@ class EvolutionGrid:
     energy basis are ``populations``, and ``eigen_entries`` is the zero stack
     with them on its diagonal, built on each access.  Any other shape, or
     complex populations, raises :class:`ValidationError`.  Both forms hold
-    ``spectra``, the (T, d) ascending eigenvalues of each state, and
-    ``mean_energy``, the (T,) energies Re Tr(H rho) = sum_n E_n p_n.  Every
+    ``spectra``, the (T, d) ascending eigenvalues of each state.  Every
     array is read-only, and nothing derived is cached.  No lab-basis stack is
     kept: ``entries`` rotates ``eigen_entries`` to the lab basis on each
     access, and ``states`` is a read-only sequence that builds a validated
@@ -113,26 +113,22 @@ class EvolutionGrid:
     times: np.ndarray
     basis: SpectralBasis
     spectra: np.ndarray
-    mean_energy: np.ndarray
     _stored: np.ndarray
 
-    def __init__(self, times, basis, states, spectra, mean_energy):
+    def __init__(self, times, basis, states, spectra):
         if not isinstance(basis, SpectralBasis):
             raise ValidationError("an evolution grid needs the SpectralBasis its states are stored in")
         times = as_times(times)
         d = basis.dim
         stored = np.asarray(states)
         spectra = np.asarray(spectra, dtype=float)
-        mean_energy = np.asarray(mean_energy, dtype=float)
-        if (stored.shape not in (times.shape + (d,), times.shape + (d, d))
-                or spectra.shape != times.shape + (d,) or mean_energy.shape != times.shape):
-            raise ValidationError("times, states, spectra and mean_energy have inconsistent shapes")
+        if stored.shape not in (times.shape + (d,), times.shape + (d, d)) or spectra.shape != times.shape + (d,):
+            raise ValidationError("times, states and spectra have inconsistent shapes")
         if stored.ndim == 2 and np.iscomplexobj(stored):
             raise ValidationError("the (T, d) populations of a grid must be a real array, not complex")
         stored = np.asarray(stored, dtype=float if stored.ndim == 2 else complex)
         object.__setattr__(self, "basis", basis)
-        for name, value in (("times", times), ("_stored", stored),
-                            ("spectra", spectra), ("mean_energy", mean_energy)):
+        for name, value in (("times", times), ("_stored", stored), ("spectra", spectra)):
             # an array that owns its data and is read-only already is kept:
             # copying the stack would double the grid's memory while it is built
             if value.flags.writeable or not value.flags.owndata:
@@ -353,8 +349,11 @@ def decompose(generator: DaviesGenerator, *, prefer: str = "auto"):
     Raises :class:`DefectiveGeneratorError` when the dense eigenvector
     matrix is ill-conditioned beyond ``1e12`` (the dense path only; the
     block form is symmetrized by its detailed balance) and
-    :class:`NoSteadyStateError` when no eigenvalue sits within ``1e-9`` of
-    zero, relative to the spectrum's scale: ``1e-9 * max(1, max |λ|)``.
+    :class:`NoSteadyStateError` unless one eigenvalue sits within ``1e-9`` of
+    zero, relative to the spectrum's scale: ``1e-9 * max(1, max |λ|)``, and no
+    other is zero to rounding, within ``n eps max |λ|`` of the n modes.  A second
+    zero mode makes the stationary state depend on the start; a slow mode is not
+    one (weak coupling puts the population gap far below 1e-9 of the coherences).
     """
     if not isinstance(generator, DaviesGenerator):
         raise ValidationError(
@@ -373,13 +372,24 @@ def decompose(generator: DaviesGenerator, *, prefer: str = "auto"):
 def _mode_order(eigenvalues, *tiebreaks):
     """Ordering: zero mode first, then |Re| ascending, Im ascending, tiebreaks.
 
-    Modes that tie on every key keep their input order.
+    Modes that tie on every key keep their input order.  No zero mode, or more
+    than one, raises :class:`NoSteadyStateError`.  A zero mode exists within
+    ``ZERO_EIGENVALUE_TOL`` of the scale; a second one is judged at the
+    rounding of the n eigenvalues, ``n eps max |λ|``, since that tolerance
+    would also take a slow but nonzero rate for a second zero.
     """
     magnitudes = np.abs(eigenvalues)
     zero_idx = int(np.argmin(magnitudes))
     tol = ZERO_EIGENVALUE_TOL * max(1.0, magnitudes.max())
     if magnitudes[zero_idx] > tol:
         raise NoSteadyStateError(f"no zero eigenvalue within {tol:g} (closest: {eigenvalues[zero_idx]:.3e})")
+    rounding = eigenvalues.size * np.finfo(float).eps * magnitudes.max()
+    n_zero = int(np.count_nonzero(magnitudes <= rounding))
+    if n_zero > 1:
+        raise NoSteadyStateError(
+            f"{n_zero} eigenvalues within {rounding:.3g} of zero, the rounding of the spectrum: "
+            "the stationary state is not unique"
+        )
     # rounded as arrays, same values: round() on numpy scalars inside the sort
     # key would dominate the L=5 block decomposition
     rate = np.round(np.abs(eigenvalues.real), 12).tolist()
@@ -440,6 +450,15 @@ def _decompose_dense(gen: DaviesGenerator):
 
 
 def _decompose_block(gen: DaviesGenerator):
+    """The block decomposition: d population modes from one symmetric ``eigh``, and each
+    coherence |n><m| a mode of its own with eigenvalue c_n + conj(c_m).
+
+    Mode 1 is the Gibbs state of the bath, set exactly: its right vector is the
+    thermal populations tau, its left vector is ones (the identity), and
+    ``steady_state`` is ``operators.thermal_state``.  Detailed balance, which the
+    generator checked, makes tau the unique zero mode (:func:`_mode_order` refuses
+    a second), so no solved vector is normalized or clipped.
+    """
     if not np.isfinite(gen.bath.beta):
         raise ValidationError(
             "the block decomposition needs a finite bath beta; build the generator "
@@ -479,21 +498,12 @@ def _decompose_block(gen: DaviesGenerator):
     pop_col = frozen(pop_col[order])
     flat = frozen(flat[order])
 
-    # normalize the stationary mode to unit trace (and its left to identity)
     j0 = int(pop_col[0])
     if j0 < 0:
         raise NoSteadyStateError("stationary mode is not in the population sector")
-    trace = pop_rights[:, j0].sum()
-    if abs(trace) < 1e-12:
-        raise NoSteadyStateError("stationary population mode is traceless")
-    pop_rights = pop_rights.copy()
-    pop_lefts = pop_lefts.copy()
-    pop_rights[:, j0] /= trace
-    pop_lefts[:, j0] *= trace
-
-    steady_diag = np.clip(np.real(pop_rights[:, j0]), 0.0, None)
-    steady_diag /= steady_diag.sum()
-    steady = DensityMatrix(basis.from_eigenbasis(np.diag(steady_diag).astype(complex)))
+    pop_rights[:, j0] = thermal_populations(basis, gen.bath.beta)
+    pop_lefts[:, j0] = 1.0
+    steady = thermal_state(basis, gen.bath.beta)
 
     return GeneratorSpectrum(eigvals, gen, steady, pop_rights, pop_lefts, pop_col=pop_col, flat=flat)
 
@@ -539,7 +549,7 @@ def evolve_spectral(spectrum: GeneratorSpectrum, rho_i, times) -> EvolutionGrid:
     d * 1e-12 the rotation leaves of an ``as_state`` input, far below the check's 1e-9.
     The dense mode sum, where the pairing can break, is checked (:func:`_package_states`).
     A stack is built and validated :func:`chunk_points` time points at a time; the grid
-    holds the states in the energy basis together with their spectra and energies, and
+    holds the states in the energy basis together with their spectra, and
     derives the lab-basis states on demand (:class:`EvolutionGrid`).
     ``rho_i`` enters through :func:`mpemba.operators.as_state` at the
     spectrum's dimension and ``times`` through :func:`as_times`.
@@ -667,55 +677,37 @@ def _package_states(times: np.ndarray, chunk, basis: SpectralBasis) -> Evolution
     accepted, far below 1e-9, and its coherences stay finite.  Every stored
     matrix must pass the checks of :class:`DensityMatrix` with the positivity
     slack :data:`EVOLUTION_PSD_TOL` (:func:`_check_states`): no rotation is
-    made.  The grid keeps that matrix, its eigenvalues as ``spectra``
-    (``np.linalg.eigvalsh``, one LAPACK solve per matrix) and Re Tr(H rho) =
-    sum_n E_n p_n, read from its diagonal by :func:`_mean_energy`, as
-    ``mean_energy``.  A state diagonal in the energy basis is kept as its
-    populations instead (:func:`_population_grid`).
+    made.  The grid keeps that matrix and its eigenvalues as ``spectra``
+    (``np.linalg.eigvalsh``, one LAPACK solve per matrix).  A state diagonal in
+    the energy basis is kept as its populations instead (:func:`_population_grid`).
     """
     d = basis.dim
     eigen_entries = np.zeros((times.size, d, d), dtype=complex)
     spectra = np.empty((times.size, d))
-    mean_energy = np.empty(times.size)
     for s in chunk_slices(times.size, chunk_points(d)):
         stored = eigen_entries[s]
         pairing = chunk(s, stored)
         spectra[s] = np.linalg.eigvalsh(stored)
-        pops = np.real(np.diagonal(stored, axis1=1, axis2=2))
-        mean_energy[s] = _mean_energy(pops, basis.energies)
-        _check_states(pops.sum(axis=1), spectra[s].min(axis=1), pairing)
-    for value in (eigen_entries, spectra, mean_energy):
+        trace = np.real(np.diagonal(stored, axis1=1, axis2=2)).sum(axis=1)
+        _check_states(trace, spectra[s].min(axis=1), pairing)
+    for value in (eigen_entries, spectra):
         value.setflags(write=False)
-    return EvolutionGrid(times, basis, eigen_entries, spectra, mean_energy)
+    return EvolutionGrid(times, basis, eigen_entries, spectra)
 
 
 def _population_grid(times: np.ndarray, pops: np.ndarray, basis: SpectralBasis) -> EvolutionGrid:
     """Validate and store states diagonal in the energy basis as their (T, d) ``pops``.
 
-    No stack is built.  ``spectra`` are the sorted populations
-    (``eigvalsh_diagonal``: the bits ``eigvalsh`` gives the diagonal matrix),
-    and the trace, positivity and non-finite checks read the vectors, with the
-    messages and the first-failing-point order of :func:`_package_states`.
+    No stack is built.  ``spectra`` are the sorted populations, the bits
+    ``np.linalg.eigvalsh`` gives the diagonal matrix: LAPACK rescales a matrix
+    only when its largest entry lies outside [2^-485, 2^485], and a row of
+    trace 1 has one of at least 1/d.  The trace, positivity and non-finite
+    checks read the vectors, with the messages and the first-failing-point
+    order of :func:`_package_states`.
     """
-    spectra = eigvalsh_diagonal(pops)
+    spectra = np.sort(pops, axis=1)
     _check_states(pops.sum(axis=1), spectra.min(axis=1))
-    return EvolutionGrid(times, basis, pops, spectra, _mean_energy(pops, basis.energies))
-
-
-def _mean_energy(pops: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """Re Tr(H rho) = sum_n E_n p_n of each row of the (n, d) populations ``pops``.
-
-    The one place both kinds of grid form it, so they round alike: one dot per
-    state, with the bits of ``np.real(np.diag(rho_e)) @ energies``.  numpy hands
-    each (1, d) @ (d, 1) product to the BLAS dot, which sums a vector of unit
-    stride in another order than a strided one, such as the diagonal of a
-    stored stack.  So the populations are always read through a strided view,
-    the real parts of a complex copy; a contiguous (T, d) array would re-round
-    F_neq, and F_neq decides crossings.  A 2-D matrix-vector product would round
-    by the number of rows.
-    """
-    strided = pops.astype(complex).real
-    return np.matmul(strided[:, None, :], energies[:, None])[:, 0, 0]
+    return EvolutionGrid(times, basis, pops, spectra)
 
 
 def _check_states(trace: np.ndarray, min_eig: np.ndarray, pairing=None) -> None:

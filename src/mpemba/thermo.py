@@ -31,14 +31,7 @@ from . import spectral
 from .errors import ValidationError
 from .operators import HermitianOperator, SpectralBasis, as_populations, as_state, thermal_populations
 from .spectral import EvolutionGrid
-from .utils import (
-    chunk_slices,
-    eigvalsh_diagonal,
-    frozen,
-    log_gibbs_weights,
-    write_csv,
-    xlogx,
-)
+from .utils import chunk_slices, frozen, log_gibbs_weights, write_csv, xlogx
 
 #: Eigenvalue threshold below which a state direction counts as unsupported.
 SUPPORT_TOL = 1e-12
@@ -52,6 +45,22 @@ CSV_COLUMNS = ("t", "F_neq", "D", "P", "C", "L1", "T1", "Pi")
 def _shannon(p: np.ndarray):
     """-sum p ln p over the last axis, negative entries as 0; of eigenvalues, S(rho)."""
     return -xlogx(np.clip(p, 0.0, None)).sum(axis=-1)
+
+
+def _mean_energy(pops: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """Re Tr(H rho) = sum_n E_n p_n of each row of the (n, d) populations ``pops``.
+
+    F_neq's energy for both kinds of grid, formed one way so they round alike: one
+    dot per state, with the bits of ``np.real(np.diag(rho_e)) @ energies``.  numpy hands
+    each (1, d) @ (d, 1) product to the BLAS dot, which sums a vector of unit
+    stride in another order than a strided one, such as the diagonal of a
+    stored stack.  So the populations are always read through a strided view,
+    the real parts of a complex copy; a contiguous (T, d) array would re-round
+    F_neq, and F_neq decides crossings.  A 2-D matrix-vector product would round
+    by the number of rows.
+    """
+    strided = pops.astype(complex).real
+    return np.matmul(strided[:, None, :], energies[:, None])[:, 0, 0]
 
 
 def noneq_free_energy(rho, hamiltonian, beta: float) -> float:
@@ -189,14 +198,16 @@ def compute_trajectory(
 ) -> ThermoTrajectory:
     """Evaluate all diagnostics for every state of an evolution grid.
 
-    Reads what the evolution stored, in the energy basis: F_neq from
-    ``grid.mean_energy`` and S(rho) of ``grid.spectra``, and P and C from the
-    (T, d) populations, in one pass for either form of grid: the stored
-    populations, or the diagonal of the stored stack.  Only the two distances
-    depend on the form.  Of a grid of populations (states diagonal in the
-    energy basis) rho_e - tau_e is the diagonal p - tau, so L1 =
-    sum_n |p_n - tau_n| and the trace distance is half the sum of
-    |sort(p - tau)| (``eigvalsh_diagonal``), and no stack is built.  A grid of
+    Reads what the evolution stored, in the energy basis: S(rho) from
+    ``grid.spectra``, and the (T, d) populations, in one pass for either form
+    of grid: the stored populations, or the diagonal of the stored stack.  They
+    give Tr(H rho) = sum_n E_n p_n (:func:`_mean_energy`) for F_neq, and P and
+    C.  Only the two distances depend on the form.  Of a grid of populations
+    (states diagonal in the energy basis) rho_e - tau_e is the diagonal
+    p - tau, so L1 = sum_n |p_n - tau_n| and the trace distance is half the
+    sum of |sort(p - tau)|, and no stack is built.  The sort gives the bits
+    ``np.linalg.eigvalsh`` gives the diagonal matrix, which LAPACK would
+    rescale only if every |p_n - tau_n| were below about 1e-146.  A grid of
     stacks is read in the chunks the evolution used,
     :func:`mpemba.spectral.chunk_points` time points at a time (16 for d >= 16,
     more below): L1 sums the entries of rho_e - tau_e, and the trace distance
@@ -229,11 +240,11 @@ def compute_trajectory(
     else:  # no coherence: rho_e - tau_e is the diagonal p - tau, read as vectors
         deviation = populations - tau_p
         l1 = np.abs(deviation).sum(axis=1)
-        t1 = 0.5 * np.abs(eigvalsh_diagonal(deviation)).sum(axis=1)
+        t1 = 0.5 * np.abs(np.sort(deviation, axis=1)).sum(axis=1)
 
     pops = np.clip(populations, 0.0, None)
     s_rho = _shannon(grid.spectra)
-    f_neq = grid.mean_energy - s_rho / beta
+    f_neq = _mean_energy(populations, basis.energies) - s_rho / beta
     # D via populations against log-space Gibbs weights: stable at any beta.
     # The (1, d) @ (d, 1) products round like one dot per state; a 2-D
     # matrix-vector product does not.

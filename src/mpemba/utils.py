@@ -39,23 +39,6 @@ def herm_defect(matrix: np.ndarray):
     return np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-def eigvalsh_diagonal(diag: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh`` of the diagonal matrices whose real diagonals are the rows of ``diag``.
-
-    A row gives its sort: the bits LAPACK returns while it rescales no matrix (largest
-    entry 0 or in [2^-485, 2^485]).  A finite row that LAPACK rescales is solved.  A
-    non-finite row keeps its sort, which holds its NaN or infinity: LAPACK may fail to
-    converge on it (from d = 4) and raise ``LinAlgError`` where a caller's checks would
-    name the defect.
-    """
-    out = np.sort(diag, axis=1)
-    scale = np.abs(diag).max(axis=1, initial=0.0)
-    solve = np.isfinite(scale) & (scale != 0.0) & ((scale < 2.0 ** -485) | (scale > 2.0 ** 485))
-    if solve.any():
-        out[solve] = np.linalg.eigvalsh(diagonal_stack(diag[solve]))
-    return out
-
-
 def diagonal_stack(diag: np.ndarray) -> np.ndarray:
     """The complex (..., d, d) zero stack with ``diag``, of shape (..., d), on its diagonal."""
     d = diag.shape[-1]

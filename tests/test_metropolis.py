@@ -15,6 +15,7 @@ from mpemba.metropolis import (
     _NO_STRINGS,
     _SWAP_BATCH,
     _Walk,
+    _cooled,
     _coordinate_candidates,
     _distinct_indices,
     _euler_factors,
@@ -143,12 +144,15 @@ class TestAcceptRule:
 
 
 class TestWalkTies:
-    @pytest.mark.parametrize("t_eff", [1.0, 1e-300, 0.0])
-    def test_ties_match_scan(self, t_eff):
-        # an alpha loop records n ties at once; the scan judges them one by one.
-        # At 1e-300 and cooling 0.5, T_eff passes through the subnormals to 0
-        schedule = mp.AnnealSchedule(cooling_tau=0.5, threshold_eps=1e-9, max_total_iterations=252)
-        uniforms = np.random.default_rng(3).uniform(size=250)
+    @pytest.mark.parametrize("t_eff, n", [(1.0, 250), (1e-300, 250), (1e-300, 60), (0.0, 250)],
+                             ids=["from_1", "from_1e-300_to_0", "from_1e-300_to_subnormal", "from_0"])
+    def test_ties_match_scan(self, t_eff, n):
+        # an alpha loop records n ties at once; the scan judges them one by one.  Each tie
+        # cools by 0.5: 250 from 1e-300 pass through the subnormals to 0, and 60 stop at
+        # about 8.7e-319, so the walks' T_eff is compared while it is subnormal.  The traces
+        # derive T_eff from their accepts, cooled from 1, so only the scalar t_eff sees these
+        schedule = mp.AnnealSchedule(cooling_tau=0.5, threshold_eps=1e-9, max_total_iterations=n + 2)
+        uniforms = np.random.default_rng(3).uniform(size=n)
         uniforms[0] = np.nextafter(1.0, 0.0)
 
         def no_new_best(_):
@@ -160,15 +164,19 @@ class TestWalkTies:
             walk.scan([0.25, 0.375], [0.99, 0.0], lambda i: np.full(2, float(i)))
             walk.t_eff = t_eff
             if judged:
-                walk.scan([walk.cost] * 250, uniforms.tolist(), no_new_best)
+                walk.scan([walk.cost] * n, uniforms.tolist(), no_new_best)
             else:
-                walk.ties(250)
+                walk.ties(n)
             walks.append(walk)
         ties, scanned = walks
         _assert_same_trace(ties.trace(), scanned.trace())
         assert ties.trace().accepted.all()
         for name in ("cost", "t_eff", "best_cost", "converged", "done"):
             assert getattr(ties, name) == getattr(scanned, name), name
+        want = _cooled(t_eff, 0.5, n)[-1]
+        assert ties.t_eff == scanned.t_eff == want
+        if (t_eff, n) == (1e-300, 60):
+            assert 0.0 < want < np.finfo(float).tiny
         assert np.array_equal(ties.best, scanned.best)
         assert ties.done and ties.remaining == 0
 

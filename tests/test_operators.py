@@ -11,13 +11,7 @@ from mpemba.cli import _initial_state
 from mpemba.config import parse_config
 from mpemba.errors import ConfigError, ValidationError
 from mpemba.operators import require_state
-from mpemba.utils import (
-    SIGMA_X,
-    diagonal_stack,
-    eigvalsh_diagonal,
-    hermitize,
-    kron_chain,
-)
+from mpemba.utils import SIGMA_X, hermitize, kron_chain
 
 from conftest import DEMO_BLOCH, DEMO_RADIUS
 
@@ -216,49 +210,6 @@ class TestKronChain:
             out = kron_chain(factors)
             assert out.dtype == expected.dtype
             assert np.array_equal(out, expected)
-
-
-def _diagonal_stack(d, rng):
-    """Diagonal (6, d, d) stacks: ties, zeros, negative entries (a state minus
-    the Gibbs state) and magnitudes from 1e-300 to 1e2 inside one matrix."""
-    rows = np.stack([
-        rng.integers(-2, 3, size=d) * 0.25,
-        np.zeros(d),
-        rng.permutation(np.geomspace(1e2, 1e-300, d) * rng.choice([-1.0, 1.0], size=d)),
-        rng.dirichlet(np.ones(d)) - rng.dirichlet(np.ones(d)),
-        np.repeat(rng.normal(size=(d + 1) // 2), 2)[:d],
-        rng.normal(size=d) * 10.0 ** np.r_[0.0, rng.uniform(-300, 2, size=d - 1)],
-    ])
-    stack = np.zeros((6, d, d), dtype=complex)
-    stack[:, np.arange(d), np.arange(d)] = rows
-    return stack
-
-
-class TestEigvalshDiagonal:
-    """eigvalsh_diagonal gives np.linalg.eigvalsh's bits for the diagonal matrices of its rows."""
-
-    @pytest.mark.parametrize("d", [1, 2, 8, 32])
-    def test_each_finite_row_has_the_bits_of_its_matrix(self, d, monkeypatch):
-        stack = _diagonal_stack(d, np.random.default_rng(d))
-        rows = np.real(np.diagonal(stack, axis1=1, axis2=2)).copy()
-        if d > 1:  # one row LAPACK rescales, below 2^-485
-            rows[0] = 1e-300 * np.arange(d)
-        want = np.array([np.linalg.eigvalsh(m) for m in diagonal_stack(rows)])
-        solves, eigvalsh = [], np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(len(a)) or eigvalsh(a))
-        assert np.array_equal(eigvalsh_diagonal(rows), want)
-        assert solves == ([1] if d > 1 else [])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_a_non_finite_row_keeps_its_sort(self, bad):
-        # LAPACK fails to converge on such a diagonal matrix from d = 4
-        rows = np.full((3, 8), 1.0 / 8)
-        rows[1, 3] = bad
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.eigvalsh(diagonal_stack(rows))
-        got = eigvalsh_diagonal(rows)
-        assert np.array_equal(got[1], np.sort(rows[1]), equal_nan=True)
-        assert np.array_equal(got[[0, 2]], rows[[0, 2]])
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (7, 3, 3), (16, 32, 32)])

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import warnings
 from pathlib import Path
@@ -7,17 +8,25 @@ import numpy as np
 import pytest
 
 import mpemba as mp
-from mpemba.davies import eigenvalue_multiset_distance, vectorized_lindbladian
+from mpemba.davies import (
+    JumpMatrix,
+    build_dense_generator,
+    build_jump_matrix,
+    build_population_block,
+    davies_generator,
+    eigenvalue_multiset_distance,
+    vectorized_lindbladian,
+)
 from mpemba.errors import DefectiveGeneratorError, NoSteadyStateError, ValidationError
 from mpemba.spectral import (
     IMAG_TOL,
-    _mean_energy,
     _mode_order,
     _package_states,
     _check_pairing,
     chunk_points,
 )
 from mpemba.config import load_config
+from mpemba.thermo import _mean_energy
 from mpemba.utils import diagonal_stack, herm_defect, hermitize, log_gibbs_weights
 
 from conftest import DEMO_BLOCH, QUBIT_GAMMA_TOTAL, reference_package_state
@@ -116,6 +125,41 @@ class TestDecompose:
         with pytest.raises(NoSteadyStateError):
             mp.decompose(mp.DaviesGenerator(basis=qubit_model.basis(), dense=g))
 
+    @pytest.mark.parametrize("prefer", ["auto", "dense"])
+    def test_second_zero_mode_rejected(self, prefer):
+        # tfim(length=2) with no rate between levels {0, 1} and {2, 3}: still in detailed
+        # balance, but each group keeps its own weight, so two zero modes and no unique
+        # stationary state (the least |λ| alone picks one with populations [0, 0, 0.98, 0.016])
+        model = mp.tfim(length=2)
+        basis = model.basis()
+        amplitudes = build_jump_matrix(basis, model.bath).amplitudes.copy()
+        amplitudes[:2, 2:] = amplitudes[2:, :2] = 0.0
+        jumps = JumpMatrix(amplitudes)
+        gen = mp.DaviesGenerator(basis=basis, pop_block=build_population_block(jumps),
+                                 dense=build_dense_generator(basis, jumps), bath=model.bath)
+        with pytest.raises(NoSteadyStateError, match="2 eigenvalues within .* the stationary state is not unique"):
+            mp.decompose(gen, prefer=prefer)
+
+    def test_unitary_flow_has_no_unique_steady_state(self, qubit_model):
+        # no jump operator: every population is stationary
+        basis = qubit_model.basis()
+        g = vectorized_lindbladian(np.diag(basis.energies).astype(complex), [])
+        with pytest.raises(NoSteadyStateError, match="2 eigenvalues within"):
+            mp.decompose(mp.DaviesGenerator(basis=basis, dense=g))
+
+    @pytest.mark.parametrize("prefer", ["auto", "dense"])
+    def test_slow_mode_is_not_a_second_zero(self, prefer):
+        # weak coupling: rates go as gamma^2, so the population gap is about 4.1e-10
+        # while the coherences turn at omega = 5: below 1e-9 * max |λ|, far above rounding
+        model = mp.single_qubit(gamma=1e-5)
+        spec = mp.decompose(mp.build_generator(model, dense=prefer == "dense"), prefer=prefer)
+        assert abs(spec.eigenvalues[0]) < 1e-20
+        assert np.abs(spec.eigenvalues).max() == pytest.approx(5.0, rel=1e-6)
+        assert np.abs(spec.eigenvalues + 4.08e-10).min() < 1e-12
+        assert np.sort(np.abs(spec.eigenvalues))[1] > 1e-10
+        gibbs = mp.thermal_state(model.basis(), model.bath.beta).entries
+        np.testing.assert_allclose(spec.steady_state.entries, gibbs, rtol=0, atol=1e-12)
+
     def test_zero_mode_judged_on_the_spectrum_scale(self):
         # rates ~1e7: the dense zero mode rounds to -1.3e-9, past an absolute 1e-9
         model = mp.single_qubit(omega=1e-6, t_bath=10.0, gamma=1.0)
@@ -208,6 +252,46 @@ class TestAmplitudes:
             contrib_d = sum(a_dense[j - 1] * dense.right(j) for j in matches)
             if len(matches) == 1:
                 assert np.abs(contrib_b - contrib_d).max() <= 1e-8
+
+
+@pytest.fixture(scope="module", params=[(system, statistics) for system in ("qubit", "tfim3", "tfim5")
+                                        for statistics in ("fermi", "bose")],
+                ids=lambda case: "_".join(case))
+def block_case(request):
+    system, statistics = request.param
+    if system == "qubit":
+        model = mp.single_qubit()
+        gen = davies_generator(model.basis(), dataclasses.replace(model.bath, statistics=statistics))
+    else:
+        model = mp.tfim(length=int(system[-1]), statistics=statistics)
+        gen = mp.build_generator(model)
+    spec = mp.decompose(gen)
+    assert spec.kind == "block"
+    return model.basis(), gen.bath.beta, spec
+
+
+class TestBlockModeOneIsGibbs:
+    """A block spectrum's mode 1 is the Gibbs state of its bath, exactly: no solved
+    zero mode is normalized (on tfim5 a normalized left vector misses ones by 3.7e-10)."""
+
+    def test_steady_state_is_the_thermal_state(self, block_case):
+        basis, beta, spec = block_case
+        assert np.array_equal(spec.steady_state.entries, mp.thermal_state(basis, beta).entries)
+
+    def test_left_one_is_the_identity(self, block_case):
+        basis, _, spec = block_case
+        assert np.array_equal(spec.left(1), np.eye(basis.dim))
+
+    def test_right_one_is_diag_tau(self, block_case):
+        basis, beta, spec = block_case
+        assert np.array_equal(spec.right(1), np.diag(mp.thermal_populations(basis, beta)))
+
+    def test_population_grid_spectra_are_sorted_populations(self, block_case):
+        basis, _, spec = block_case
+        rho, _ = mp.exact_transform(mp.random_mixed_state(basis.dim, 3, seed=7), basis)
+        grid = mp.evolve_spectral(spec, rho, np.linspace(0.0, 6.0, 41))
+        assert grid.populations is not None
+        assert np.array_equal(grid.spectra, np.sort(grid.populations, axis=1))
 
 
 @pytest.fixture(scope="module", params=["qubit_dense", "tfim3_block", "tfim3_dense", "dot"])
@@ -354,9 +438,10 @@ def test_package_imports_are_used():
 
 def test_package_private_names_are_read():
     # every private name a module defines at its top level (_x, not __x__) is read somewhere
-    # in the package: a helper left behind by a deletion fails here
+    # in the package, and every public helper of utils by another module: a helper left
+    # behind by a deletion fails here
     package = Path(mp.__file__).parent
-    defined, read = [], set()
+    defined, reads = [], {}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
@@ -367,14 +452,19 @@ def test_package_private_names_are_read():
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
-            defined += [(path.name, n) for n in names if n.startswith("_") and not n.startswith("__")]
+            defined += [(path.name, n) for n in names if not n.startswith("__")]
+        reads[path.name] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                reads[path.name].add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    assert defined
-    offenders = [f"{module} {name}" for module, name in defined if name not in read]
+                reads[path.name].add(node.attr)
+    private = [(module, name) for module, name in defined if name.startswith("_")]
+    helpers = [(module, name) for module, name in defined if module == "utils.py" and not name.startswith("_")]
+    assert private and helpers
+    offenders = [f"{module} {name}" for module, name in private if not any(name in r for r in reads.values())]
+    offenders += [f"{module} {name}" for module, name in helpers
+                  if not any(name in r for m, r in reads.items() if m != module)]
     assert not offenders, offenders
 
 
@@ -542,7 +632,8 @@ class TestEvolution:
         gap = np.abs(stored - want)[:, off].max(axis=1)
         assert np.all(gap <= 4 * np.spacing(np.abs(want).max(axis=(1, 2))))
         energy = np.real(np.trace(basis.hamiltonian() @ grid.entries, axis1=1, axis2=2))
-        assert np.abs(grid.mean_energy - energy).max() <= 1e-14 * np.abs(energy).max()
+        mean_energy = _mean_energy(np.real(np.diagonal(stored, axis1=1, axis2=2)), basis.energies)
+        assert np.abs(mean_energy - energy).max() <= 1e-14 * np.abs(energy).max()
 
     def test_direct_preserves_trace(self, tfim3_gen):
         rho = mp.random_mixed_state(8, 4, seed=2)
@@ -681,8 +772,8 @@ class TestChunkedPackaging:
         basis = spec.basis
         assert len(grid) == len(grid.states) == n
         assert grid.entries.shape == grid.eigen_entries.shape == (n, 8, 8)
-        assert grid.spectra.shape == (n, 8) and grid.mean_energy.shape == (n,)
-        for array in (grid.entries, grid.eigen_entries, grid.spectra, grid.mean_energy):
+        assert grid.spectra.shape == (n, 8)
+        for array in (grid.entries, grid.eigen_entries, grid.spectra):
             assert not array.flags.writeable
         assert np.array_equal(grid.entries, basis.from_eigenbasis(grid.eigen_entries))
         for j in range(n):
@@ -713,20 +804,17 @@ class TestChunkedPackaging:
         basis = qubit_model.basis()
         stack = np.repeat(np.eye(2, dtype=complex)[None] / 2, 3, axis=0)
         spectra = np.full((3, 2), 0.5)
-        energy = np.zeros(3)
         with pytest.raises(ValidationError, match="inconsistent shapes"):
-            mp.EvolutionGrid([0.0, 1.0], basis, stack, spectra, energy)
+            mp.EvolutionGrid([0.0, 1.0], basis, stack, spectra)
         with pytest.raises(ValidationError, match="inconsistent shapes"):
-            mp.EvolutionGrid([0.0, 1.0, 2.0], basis, stack, spectra[:, :1], energy)
+            mp.EvolutionGrid([0.0, 1.0, 2.0], basis, stack, spectra[:, :1])
         with pytest.raises(ValidationError, match="inconsistent shapes"):
-            mp.EvolutionGrid([0.0, 1.0, 2.0], basis, stack, spectra, energy[:2])
-        with pytest.raises(ValidationError, match="inconsistent shapes"):
-            mp.EvolutionGrid([0.0, 1.0, 2.0], mp.tfim(length=3).basis(), stack, spectra, energy)
+            mp.EvolutionGrid([0.0, 1.0, 2.0], mp.tfim(length=3).basis(), stack, spectra)
         with pytest.raises(ValidationError, match="SpectralBasis"):
-            mp.EvolutionGrid([0.0, 1.0, 2.0], None, stack, spectra, energy)
+            mp.EvolutionGrid([0.0, 1.0, 2.0], None, stack, spectra)
         with pytest.raises(ValidationError, match="ascending"):
-            mp.EvolutionGrid([0.0, 2.0, 1.0], basis, stack, spectra, energy)
-        grid = mp.EvolutionGrid([0.0, 1.0, 2.0], basis, stack, spectra, energy)
+            mp.EvolutionGrid([0.0, 2.0, 1.0], basis, stack, spectra)
+        grid = mp.EvolutionGrid([0.0, 1.0, 2.0], basis, stack, spectra)
         stack[0] = 0.0  # the grid holds its own read-only copy
         assert np.array_equal(grid.eigen_entries[0], np.eye(2) / 2)
 
@@ -734,8 +822,8 @@ class TestChunkedPackaging:
         basis = qubit_model.basis()
         times = [0.0, 1.0, 2.0]
         pops = np.array([[0.5, 0.5], [0.7, 0.3], [0.9, 0.1]])
-        spectra, energy = np.sort(pops, axis=1), pops @ basis.energies
-        grid = mp.EvolutionGrid(times, basis, pops, spectra, energy)
+        spectra = np.sort(pops, axis=1)
+        grid = mp.EvolutionGrid(times, basis, pops, spectra)
         pops[0] = 0.0  # the grid holds its own read-only copy
         assert np.array_equal(grid.populations[0], [0.5, 0.5])
         stack = grid.eigen_entries
@@ -752,38 +840,27 @@ class TestChunkedPackaging:
     def test_the_form_of_a_grid_is_the_shape_of_its_states(self, qubit_model, shape):
         # (T, d) populations or a (T, d, d) stack; any other array raises
         basis, times = qubit_model.basis(), [0.0, 1.0, 2.0]
-        spectra, energy = np.full((3, 2), 0.5), np.zeros(3)
+        spectra = np.full((3, 2), 0.5)
         states = None if shape is None else np.full(shape, 0.5)
-        with pytest.raises(ValidationError, match="times, states, spectra and mean_energy have inconsistent"):
-            mp.EvolutionGrid(times, basis, states, spectra, energy)
-        pops = mp.EvolutionGrid(times, basis, np.full((3, 2), 0.5), spectra, energy)
-        stack = mp.EvolutionGrid(times, basis, diagonal_stack(np.full((3, 2), 0.5)), spectra, energy)
+        with pytest.raises(ValidationError, match="times, states and spectra have inconsistent"):
+            mp.EvolutionGrid(times, basis, states, spectra)
+        pops = mp.EvolutionGrid(times, basis, np.full((3, 2), 0.5), spectra)
+        stack = mp.EvolutionGrid(times, basis, diagonal_stack(np.full((3, 2), 0.5)), spectra)
         assert pops.populations.dtype == float and stack.populations is None
         assert np.array_equal(pops.eigen_entries, stack.eigen_entries) and stack.eigen_entries.dtype == complex
 
     def test_complex_populations_are_refused(self, qubit_model):
         # a complex (T, d) array used to lose its imaginary part with only a ComplexWarning
         basis, times = qubit_model.basis(), [0.0, 1.0, 2.0]
-        spectra, energy = np.full((3, 2), 0.5), np.zeros(3)
+        spectra = np.full((3, 2), 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="populations of a grid must be a real array"):
-                mp.EvolutionGrid(times, basis, np.full((3, 2), 0.25 + 0.5j), spectra, energy)
-            pops = mp.EvolutionGrid(times, basis, np.full((3, 2), 0.5), spectra, energy)
-            stack = mp.EvolutionGrid(times, basis, diagonal_stack(np.full((3, 2), 0.5)), spectra, energy)
+                mp.EvolutionGrid(times, basis, np.full((3, 2), 0.25 + 0.5j), spectra)
+            pops = mp.EvolutionGrid(times, basis, np.full((3, 2), 0.5), spectra)
+            stack = mp.EvolutionGrid(times, basis, diagonal_stack(np.full((3, 2), 0.5)), spectra)
         assert pops.populations.dtype == float and np.array_equal(pops.populations, np.full((3, 2), 0.5))
         assert stack.populations is None and stack.eigen_entries.dtype == complex
-
-    @pytest.mark.parametrize("layout", ["contiguous", "stack_diagonal"])
-    def test_mean_energy_is_one_dot_per_state(self, layout):
-        # a contiguous (T, d) array handed to matmul as it is sums in another order at d = 32
-        basis = mp.tfim(length=5).basis()
-        pops = np.random.default_rng(32).dirichlet(np.ones(32), size=40)
-        stack = diagonal_stack(pops)
-        want = [float(np.real(np.diag(m)) @ basis.energies) for m in stack]
-        if layout == "stack_diagonal":
-            pops = np.real(np.diagonal(stack, axis1=1, axis2=2))
-        assert np.array_equal(_mean_energy(pops, basis.energies), want)
 
     @staticmethod
     def _first_error(run):

@@ -13,8 +13,8 @@ from mpemba.config import load_config
 from mpemba.errors import ValidationError
 from mpemba.operators import HERMITICITY_TOL
 from mpemba.spectral import EVOLUTION_PSD_TOL, _package_states, _propagate, chunk_points, energy_diagonal
-from mpemba.thermo import CSV_COLUMNS, SUPPORT_TOL, _shannon
-from mpemba.utils import chunk_slices, herm_defect, hermitize, log_gibbs_weights, xlogx
+from mpemba.thermo import CSV_COLUMNS, SUPPORT_TOL, _mean_energy, _shannon
+from mpemba.utils import chunk_slices, diagonal_stack, herm_defect, hermitize, log_gibbs_weights, xlogx
 
 from conftest import DEMO_BLOCH, reference_package_state
 
@@ -473,6 +473,18 @@ def _reference_energy(rho_e, basis):
     return float(np.real(np.diag(rho_e)) @ basis.energies)
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "stack_diagonal"])
+def test_mean_energy_is_one_dot_per_state(layout):
+    # a contiguous (T, d) array handed to matmul as it is sums in another order at d = 32
+    basis = mp.tfim(length=5).basis()
+    pops = np.random.default_rng(32).dirichlet(np.ones(32), size=40)
+    stack = diagonal_stack(pops)
+    want = [float(np.real(np.diag(m)) @ basis.energies) for m in stack]
+    if layout == "stack_diagonal":
+        pops = np.real(np.diagonal(stack, axis1=1, axis2=2))
+    assert np.array_equal(_mean_energy(pops, basis.energies), want)
+
+
 def _reference_columns(states, basis, beta):
     """f_neq, d_rel, p_classical, c_coherence, l1, t1 of each energy-basis state, one at a time."""
     tau_p = mp.thermal_populations(basis, beta)
@@ -560,8 +572,6 @@ class TestBatchedTrajectory:
         assert np.array_equal(grid.entries, basis.from_eigenbasis(want))
         spectra = np.array([np.linalg.eigvalsh(m) for m in want])
         assert np.array_equal(grid.spectra, spectra)
-        energies = np.array([_reference_energy(m, basis) for m in want])
-        assert np.array_equal(grid.mean_energy, energies)
 
         traj = mp.compute_trajectory(grid, basis, beta)
         f_neq, d_rel, p_cl, c_coh, l1, t1 = _reference_columns(states, basis, beta)
@@ -763,16 +773,14 @@ class TestCoherenceOfADiagonalState:
 
 def _stack_reference(times, pops, basis):
     """The grid of a diagonal state built the way a stack grid is: its populations on a zeroed
-    (T, d, d) stack, ``np.linalg.eigvalsh`` chunk by chunk and the dot of each strided diagonal."""
+    (T, d, d) stack and ``np.linalg.eigvalsh`` chunk by chunk."""
     d = basis.dim
     stack = np.zeros((times.size, d, d), dtype=complex)
     stack[:, np.arange(d), np.arange(d)] = pops
     spectra = np.empty((times.size, d))
     for s in chunk_slices(times.size, chunk_points(d)):
         spectra[s] = np.linalg.eigvalsh(stack[s])
-    diag = np.real(np.diagonal(stack, axis1=1, axis2=2))
-    energy = np.matmul(diag[:, None, :], basis.energies[:, None])[:, 0, 0]
-    return mp.EvolutionGrid(times, basis, stack, spectra, energy)
+    return mp.EvolutionGrid(times, basis, stack, spectra)
 
 
 class TestPopulationGrid:
@@ -811,11 +819,12 @@ class TestPopulationGrid:
         ref = _stack_reference(times, pops, basis)
 
         assert np.array_equal(grid.spectra, ref.spectra)
-        assert np.array_equal(grid.mean_energy, ref.mean_energy)
-        assert np.array_equal(grid.mean_energy, [_reference_energy(m, basis) for m in ref.eigen_entries])
+        assert np.array_equal(grid.spectra, np.sort(pops, axis=1))
+        energy = _mean_energy(grid.populations, basis.energies)
+        assert np.array_equal(energy, [_reference_energy(m, basis) for m in ref.eigen_entries])
         assert np.array_equal(grid.eigen_entries, ref.eigen_entries)
         assert np.array_equal(grid.entries, ref.entries)
-        for array in (grid.populations, grid.eigen_entries, grid.entries, grid.spectra, grid.mean_energy):
+        for array in (grid.populations, grid.eigen_entries, grid.entries, grid.spectra):
             assert not array.flags.writeable
         for j in sorted({0, chunk_points(d) - 1, chunk_points(d), n // 2, n - 1} & set(range(n))):
             assert np.array_equal(grid.states[j].entries, ref.states[j].entries)
