@@ -750,8 +750,15 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, schedule: AnnealSc
     indices, one permutation and one acceptance uniform per proposal.  It
     then re-sums the signed target sums s = L p from the populations, so
     the walk's cost |s|_1 carries rounding from one batch at most, and
-    prices each proposal by the change of s over its swapped entries alone
-    (O(4K) for K targets, in Python floats).
+    prices each proposal by the change of s over its swapped entries alone,
+    in one O(4K) pass over the K targets in Python floats.  With w_k the
+    weights of target k and d_j the change of the population at swapped
+    index i_j, the price is s_k + w_k[i0] d0 + w_k[i1] d1 + w_k[i2] d2 +
+    w_k[i3] d3 for each k, and the cost the |s_k| added left to right
+    from 0 in target order; the re-sum adds its |s_k| the same way.  Python's
+    ``sum`` is not used: from Python 3.12 it compensates a float sum, which
+    would make the cost of three or more targets depend on the interpreter.
+    This cost has the same bits on every Python.
     """
     d = spectrum.dim
     p0 = as_populations(populations, d)
@@ -774,7 +781,10 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, schedule: AnnealSc
 
     def resum(vec):
         s = (lmat @ np.asarray(vec[:d])).tolist()
-        return s, sum([abs(x) for x in s])
+        total = 0.0
+        for x in s:
+            total += abs(x)
+        return s, total
 
     rng = np.random.default_rng(schedule.seed)
     walk = _Walk(resum(p)[1], p, schedule)
@@ -794,16 +804,18 @@ def swap_metropolis(spectrum: GeneratorSpectrum, populations, schedule: AnnealSc
         # recording the cost each state was accepted at, the costs that
         # decide convergence
         s, base = resum(p)
+        s_new = s.copy()  # a proposal's target sums, written over in place
         cost, t_eff, best_cost, best = walk.cost, walk.t_eff, walk.best_cost, None
         for (i0, i1, i2, i3), (j0, j1, j2, j3), u in zip(idx.tolist(), src.tolist(), uniforms):
             d0, d1, d2, d3 = p[j0] - p[i0], p[j1] - p[i1], p[j2] - p[i2], p[j3] - p[i3]
-            s_new = [sk + w[i0] * d0 + w[i1] * d1 + w[i2] * d2 + w[i3] * d3
-                     for sk, w in zip(s, weights)]
-            new_cost = sum([abs(x) for x in s_new])
+            new_cost = 0.0
+            for k, w in enumerate(weights):
+                x = s_new[k] = s[k] + w[i0] * d0 + w[i1] * d1 + w[i2] * d2 + w[i3] * d3
+                new_cost += abs(x)
             accepted = metropolis_accept(new_cost, base, t_eff, u)
             if accepted:
                 p[i0], p[i1], p[i2], p[i3] = p[j0], p[j1], p[j2], p[j3]
-                s, base = s_new, new_cost
+                s, s_new, base = s_new, s, new_cost
                 cost, t_eff = new_cost, t_eff * tau
                 if new_cost < best_cost:
                     best_cost, best = new_cost, p.copy()

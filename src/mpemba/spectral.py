@@ -628,8 +628,13 @@ def _propagate(generator: np.ndarray, vec: np.ndarray, times: np.ndarray):
 
     Steps from one grid point to the next, reusing the propagator
     (scipy.linalg.expm) of each distinct step length rounded to 15 decimals.
-    Each exact step length is rounded once: ``round`` on a numpy scalar
-    costs more than the step itself at small d.  scipy is imported here, at
+    The times are iterated as Python floats, so each step's subtraction and
+    dictionary lookups cost what a float's do, not a numpy scalar's; at
+    small d those cost more than the step itself.  Each exact step length
+    is rounded once, by numpy's ``round(np.float64(dt), 15)``, which scales,
+    rounds to an integer and scales back.  Python's correctly rounded
+    ``round`` of a float would group a few percent of step lengths
+    differently, and so pick different propagators.  scipy is imported here, at
     the first evolution that steps (block ``evolve_spectral``,
     ``evolve_direct``), and nowhere else in the package: loading it about
     doubles a process's start-up time and memory, which a decomposition, a
@@ -637,18 +642,20 @@ def _propagate(generator: np.ndarray, vec: np.ndarray, times: np.ndarray):
     """
     import scipy.linalg  # expm is looked up per call, so a patched one is seen
 
-    propagators: dict[float, np.ndarray] = {}
-    keys: dict[float, float] = {}
+    propagators: dict[float, np.ndarray] = {}  # by rounded step length
+    steps: dict[float, np.ndarray] = {}  # the same propagators, by exact step length
     prev_t = 0.0
-    for t in times:
+    for t in times.tolist():
         dt = t - prev_t
         if dt != 0.0:
-            key = keys.get(dt)
-            if key is None:
-                key = keys[dt] = round(dt, 15)
-            if key not in propagators:
-                propagators[key] = scipy.linalg.expm(generator * dt)
-            vec = propagators[key] @ vec
+            step = steps.get(dt)
+            if step is None:
+                key = float(round(np.float64(dt), 15))
+                step = propagators.get(key)
+                if step is None:
+                    step = propagators[key] = scipy.linalg.expm(generator * dt)
+                steps[dt] = step
+            vec = step @ vec
         prev_t = t
         yield vec
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 from types import SimpleNamespace
 
@@ -684,6 +685,20 @@ class TestTraceCsv:
             self._assert_matches_reference(trace, tmp_path / f"{name}.csv")
             assert mp.metropolis._ladder_cache[1].size == _LADDER_RUNGS
 
+    @pytest.mark.parametrize("n", [_CSV_CHUNK_ROWS + 37, 2 * _CSV_CHUNK_ROWS])
+    def test_rows_across_a_chunk_boundary(self, tmp_path, n):
+        # write_csv formats rows a chunk at a time: a run of equal costs and an
+        # accept flip that straddle the last row of the first chunk, and a trace
+        # that ends exactly on a chunk's last row
+        rng = np.random.default_rng(n)
+        cost = rng.uniform(size=n)
+        cost[_CSV_CHUNK_ROWS - 3:_CSV_CHUNK_ROWS + 3] = cost[_CSV_CHUNK_ROWS - 3]
+        accepted = rng.uniform(size=n) < 0.4
+        accepted[_CSV_CHUNK_ROWS - 1], accepted[_CSV_CHUNK_ROWS] = True, False
+        trace = mp.OptimizationTrace(cost=cost, accepted=accepted, cooling_tau=0.97,
+                                     converged=False, best_cost=float(cost.min()))
+        self._assert_matches_reference(trace, tmp_path / "boundary.csv")
+
 
 @pytest.fixture(scope="module")
 def heating_setup():
@@ -773,6 +788,56 @@ def _swap_cost(spectrum, p, targets):
     return float(np.abs(lmat @ p).sum())
 
 
+def _reference_swap(spectrum, p0, cfg):
+    """The swap walk at d >= 4, one proposal at a time as its docstring prices it.
+
+    The target sums s_k get w_k[i] * (p[j] - p[i]) added for each swapped slot
+    in order, and the cost is the |s_k| added left to right from 0.
+    """
+    d = spectrum.dim
+    lmat = np.array([np.real_if_close(np.diag(spectrum.left(k))) for k in cfg.target_modes])
+    weights = lmat.tolist()
+    perms = np.array([q for q in itertools.permutations(range(4)) if q != (0, 1, 2, 3)])
+
+    def l1(s):
+        total = 0.0
+        for x in s:
+            total += abs(x)
+        return total
+
+    rng = np.random.default_rng(cfg.seed)
+    p = np.asarray(p0, dtype=float).tolist()
+    cost = best_cost = l1((lmat @ np.array(p)).tolist())
+    best, t_eff, costs, accepts = list(p), 1.0, [], []
+    while best_cost >= cfg.threshold_eps and len(costs) < cfg.max_total_iterations:
+        n = min(_SWAP_BATCH, cfg.max_total_iterations - len(costs))
+        idx = _distinct_indices(rng, d, n, 4)
+        src = np.take_along_axis(idx, perms[rng.integers(len(perms), size=n)], axis=1)
+        uniforms = rng.uniform(size=n).tolist()
+        s = (lmat @ np.array(p)).tolist()
+        base = l1(s)
+        for slots, sources, u in zip(idx.tolist(), src.tolist(), uniforms):
+            moved = [p[j] for j in sources]
+            s_new = []
+            for sk, w in zip(s, weights):
+                for i, v in zip(slots, moved):
+                    sk = sk + w[i] * (v - p[i])
+                s_new.append(sk)
+            new_cost = l1(s_new)
+            accepted = metropolis_accept(new_cost, base, t_eff, u)
+            if accepted:
+                for i, v in zip(slots, moved):
+                    p[i] = v
+                s, base, cost, t_eff = s_new, new_cost, new_cost, t_eff * cfg.cooling_tau
+                if new_cost < best_cost:
+                    best_cost, best = new_cost, list(p)
+            costs.append(cost)
+            accepts.append(accepted)
+            if best_cost < cfg.threshold_eps:
+                break
+    return np.array(best), np.array(costs), np.array(accepts, dtype=bool), best_cost
+
+
 class TestSwapWalk:
     """Properties of the batched swap walk; its random stream is its own."""
 
@@ -794,6 +859,23 @@ class TestSwapWalk:
             assert abs(_swap_cost(spectrum, p_best, (k,)) - trace.best_cost) <= 1e-14
             assert trace.best_cost == min(trace.cost.min(), _swap_cost(spectrum, p, (k,)))
             assert trace.converged == (trace.best_cost < cfg.threshold_eps)
+
+    @pytest.mark.parametrize("n_targets", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_several_targets_match_reference_loop(self, n_targets, seed, heating_setup):
+        # bit for bit: from three targets on, a compensated sum (Python >= 3.12's
+        # sum) would price some proposals differently
+        spec, p0, _ = heating_setup
+        targets = tuple(k for k in range(2, spec.n_modes + 1) if spec.mode_tag(k)[0] == "pop")[:n_targets]
+        cfg = mp.AnnealSchedule(cooling_tau=0.998, threshold_eps=1e-300, target_modes=targets,
+                                seed=seed, max_total_iterations=1_500)
+        p_best, trace = mp.swap_metropolis(spec, p0, cfg)
+        want_p, want_cost, want_accepted, want_best = _reference_swap(spec, p0, cfg)
+        assert len(targets) == n_targets and trace.accepted.any() and not trace.accepted.all()
+        assert trace.cost.tobytes() == want_cost.tobytes()
+        assert np.array_equal(trace.accepted, want_accepted)
+        assert p_best.tobytes() == want_p.tobytes()
+        assert trace.best_cost == want_best
 
     @pytest.mark.parametrize("budget", [25, 2_000])
     def test_budget_ending_mid_batch(self, budget, heating_setup):

@@ -48,6 +48,21 @@ class TestCsvChanges:
         assert lines == ["2 of 3 rows differ",
                          "column L1: 2 rows differ, largest change 1.78e-15 (2.54e-16 of max |L1|; 3 ulp)"]
 
+    def test_only_the_sign_of_a_zero_changed(self, tmp_path):
+        # an all-zero column has no scale: C of a diagonal state can turn from 0 to -0
+        lines = output_digests.csv_changes(
+            _write(tmp_path / "a.csv", ["0,0\n", "1,0\n"], header="t,C\n"),
+            _write(tmp_path / "b.csv", ["0,-0\n", "1,0\n"], header="t,C\n"),
+        )
+        assert lines == ["1 of 2 rows differ", "column C: 1 rows differ, only the sign of a zero changed"]
+
+    def test_equal_values_written_differently(self, tmp_path):
+        lines = output_digests.csv_changes(
+            _write(tmp_path / "a.csv", ["0,0\n", "1,2\n"], header="t,C\n"),
+            _write(tmp_path / "b.csv", ["0,-0\n", "1,2.0\n"], header="t,C\n"),
+        )
+        assert lines == ["2 of 2 rows differ", "column C: 2 rows differ, equal values written differently"]
+
     def test_a_change_to_or_from_a_non_finite_value_is_counted_apart(self, tmp_path):
         lines = output_digests.csv_changes(
             _write(tmp_path / "a.csv", ["0,inf\n"], header="t,D\n"),

@@ -973,3 +973,43 @@ class TestPropagate:
         for vec, state in zip(vecs, want):
             got = reference_package_state(vec.reshape(d, d))
             assert np.array_equal(got.entries, state.entries)
+
+    def test_steps_are_grouped_by_numpy_rounding(self, qubit_model):
+        # two exact steps, a and its next float, that numpy's round(np.float64(dt), 15) and
+        # Python's correctly rounded round(dt, 15) group differently: the populations must be
+        # those stepped with the propagators numpy's grouping selects
+        spec = mp.decompose(mp.build_generator(qubit_model))
+        assert spec.kind == "block"
+        basis = qubit_model.basis()
+        rho = mp.thermal_state(basis, 0.1)
+        p0 = np.real(np.diag(basis.to_eigenbasis(rho.entries)))
+        pop_block = np.asarray(spec._generator.pop_block, dtype=float)
+
+        def stepped(times, key):
+            propagators, vec, prev, out = {}, p0, 0.0, []
+            for t in times.tolist():
+                dt = t - prev
+                if key(dt) not in propagators:
+                    propagators[key(dt)] = scipy.linalg.expm(pop_block * dt)
+                vec, prev = propagators[key(dt)] @ vec, t
+                out.append(vec)
+            return np.array(out)
+
+        rng = np.random.default_rng(12)
+        for _ in range(1_000):
+            # a + b is never a double, so the step b follows a step to some t in between
+            a = np.float64(rng.uniform(0.5, 0.7))
+            b = np.nextafter(a, 1.0)
+            times = np.array([a, rng.uniform(0.8, 1.0), 0.0])
+            times[2] = times[1] + b
+            if times[2] - times[1] != b:
+                continue
+            if (round(a, 15) == round(b, 15)) == (round(float(a), 15) == round(float(b), 15)):
+                continue
+            want = stepped(times, lambda dt: round(np.float64(dt), 15))
+            if not np.array_equal(want, stepped(times, lambda dt: round(dt, 15))):
+                break
+        else:
+            pytest.fail("no grid whose step grouping changes the populations")
+        grid = mp.evolve_spectral(spec, rho, times)
+        assert grid.populations.tobytes() == want.tobytes()

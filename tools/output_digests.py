@@ -20,7 +20,9 @@ column the largest absolute difference and, beside it, that difference relative
 to the column's largest magnitude (on a column of rounding noise only the
 absolute one is small) and the largest difference in ulps of a row's larger
 value, all over rows finite on both sides, and how many cells changed to or
-from a non-finite value.  Under each changed ``.txt`` key whose file both sides
+from a non-finite value.  A column whose values are equal, with only the sign
+of a zero or the spelling changed, is reported as such, with no figures.
+Under each changed ``.txt`` key whose file both sides
 kept, it prints the lines that differ.  Standard library only.
 """
 
@@ -89,7 +91,8 @@ def csv_changes(path_a: Path, path_b: Path, delimiter: str = ",") -> list[str] |
     in units in the last place.  All three read only the rows where both cells
     are finite, so a NaN cannot hide a change whatever the row order; the cells
     that changed to or from a non-finite value are counted apart.  The numbers
-    are left out when a cell is not a number.
+    are left out when a cell is not a number, and when no finite value changed,
+    only its text: the sign of a zero (``0`` to ``-0``) or its spelling.
     """
     comments, tables = [], []
     for path in (path_a, path_b):
@@ -115,11 +118,14 @@ def csv_changes(path_a: Path, path_b: Path, delimiter: str = ",") -> list[str] |
         if all(x is not None and y is not None for x, y, _ in values):
             finite = [(x, y, differs) for x, y, differs in values if math.isfinite(x) and math.isfinite(y)]
             moved = [(x, y) for x, y, differs in finite if differs]
-            if moved:
+            worst = max((abs(x - y) for x, y in moved), default=0.0)
+            if worst:
                 scale = max(max(abs(x), abs(y)) for x, y, _ in finite)
-                worst = max(abs(x - y) for x, y in moved)
                 ulps = max(abs(x - y) / math.ulp(max(abs(x), abs(y))) for x, y in moved)
                 line += f", largest change {worst:.3g} ({worst / scale:.3g} of max |{name}|; {ulps:.3g} ulp)"
+            elif moved:  # equal values, in an all-zero column too: no relative change to give
+                signs = all(math.copysign(1.0, x) != math.copysign(1.0, y) for x, y in moved)
+                line += ", only the sign of a zero changed" if signs else ", equal values written differently"
             if len(moved) < n_changed:
                 line += f", {n_changed - len(moved)} to or from a non-finite value"
         lines.append(line)
